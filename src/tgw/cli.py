@@ -23,7 +23,8 @@ from .groupoid import (Refusal, SubGroupoid, build_level_table, clopen,
 from .models import build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
-from .theories import THEORIES, enumerate_types, get_theory
+from .theories import (DEFAULT_GRID_CAP, THEORIES, check_grid_cap,
+                       enumerate_types, get_theory)
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +42,12 @@ def _parse(cfg, text):
     return parse_formula(text, get_theory(cfg["theory"]).signature)
 
 
+def _cap(cfg) -> int:
+    """`--max-grid`, where 0 is a cap like any other."""
+    cap = cfg.get("max_grid")
+    return DEFAULT_GRID_CAP if cap is None else cap
+
+
 def _cert(name, passed, **extra):
     out = {"name": name, "passed": bool(passed)}
     out.update(extra)
@@ -51,7 +58,7 @@ def cmd_types(cfg):
     theory = get_theory(cfg["theory"])
     constraint = _parse(cfg, cfg.get("constraint") or "true")
     types = enumerate_types(theory, cfg.get("tapes") or 1, cfg["vars"],
-                            constraint, cap=cfg.get("max_grid") or 12)
+                            constraint, cap=_cap(cfg))
     items = [render_formula(t.diagram_formula()) for t in types]
     return {"count": len(items), "types": items}, [
         _cert("enumeration-deterministic", True, count=len(items))]
@@ -76,7 +83,7 @@ def cmd_compose(cfg):
     V = clopen(seq, psi, arity=2)
     chi = compose_clopen(U, V)
     level = max(max(U.level, V.level), 1)
-    tab = build_level_table(seq, 2, level, cap=cfg.get("max_grid") or 12)
+    tab = build_level_table(seq, 2, level, cap=_cap(cfg))
     comp = tab.compose_sets()
     expected = set()
     for a in tab.points_of(ClopenPad(U, level)):
@@ -127,7 +134,9 @@ def cmd_subgroupoids(cfg):
 
 def cmd_groupoid_verify(cfg):
     seq = _seq(cfg)
-    tab = build_level_table(seq, 2, cfg["level"], cap=cfg.get("max_grid") or 12)
+    cap = _cap(cfg)
+    check_grid_cap(4 * cfg["level"], cap)  # the 4-tape amalgams, before any work
+    tab = build_level_table(seq, 2, cfg["level"], cap=cap)
     try:
         report = verify_level_axioms(tab)
         certs = [_cert(k, True) for k in
@@ -143,8 +152,8 @@ def cmd_project(cfg):
     seq = _seq(cfg)
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     down = project_clopen(U, cfg["to"])
-    tab_hi = build_level_table(seq, 2, U.level, cap=cfg.get("max_grid") or 12)
-    tab_lo = build_level_table(seq, 2, cfg["to"], cap=cfg.get("max_grid") or 12)
+    tab_hi = build_level_table(seq, 2, U.level, cap=_cap(cfg))
+    tab_lo = build_level_table(seq, 2, cfg["to"], cap=_cap(cfg))
     expected = {tab_lo.index(tab_hi.points[i].restrict((0, 1), cfg["to"]))
                 for i in tab_hi.points_of(U)}
     agrees = tab_lo.points_of(down) == frozenset(expected)
@@ -155,7 +164,7 @@ def cmd_project(cfg):
 def cmd_theta(cfg):
     seq = _seq(cfg)
     k = cfg.get("tapes") or 3
-    tab = build_level_table(seq, k, cfg["level"], cap=cfg.get("max_grid") or 12)
+    tab = build_level_table(seq, k, cfg["level"], cap=_cap(cfg))
     idx = cfg.get("index") or 0
     if idx >= len(tab.points):
         raise PreconditionError(f"table has only {len(tab.points)} points")

@@ -13,15 +13,16 @@ relation, with composition of clopens as the formula-level counterpart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
-from .errors import (InternalConsistencyError, PreconditionError,
-                     ResourceCapError)
-from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Formula, Implies, Not,
-                      Or, Top, VarRef, conj, disj, free_vars, implies, neg,
-                      render_formula, rename_tapes)
+from .errors import InternalConsistencyError, PreconditionError
+from .formula import (And, Atom, Bot, Eq, Formula, Implies, Not, Or, Top,
+                      VarRef, conj, disj, free_vars, implies, neg, rename_tapes)
 from .rich import RichSequence
-from .theories import (CompleteType, eliminate_quantifiers, enumerate_types,
-                       get_theory)
+from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
+                       decide_sentence, diagram_codes, eliminate_quantifiers,
+                       enumerate_types, pair_codes, restriction_map)
 
 
 def merge_tape(f: Formula, src: int, dst: int) -> Formula:
@@ -121,7 +122,6 @@ def target_clopen(U: ClopenSet) -> ClopenSet:
 def contains_base(U: ClopenSet) -> bool:
     diag = merge_tape(U.formula, 1, 0)
     sentence = U.seq.relativize_forall(diag, tape=0, level=U.level, prune=False)
-    from .theories import decide_sentence
     return decide_sentence(sentence, U.theory)
 
 
@@ -135,7 +135,6 @@ def clopen_equiv(U: ClopenSet, V: ClopenSet) -> bool:
 
 
 def _relativized_valid(seq: RichSequence, f: Formula, arity: int) -> bool:
-    from .theories import decide_sentence
     out = f
     for t in range(arity):
         out = seq.relativize_forall(out, tape=t)
@@ -210,33 +209,72 @@ def minimal_en_index(H: SubGroupoid, search_bound: int) -> int:
 
 class LevelTable:
     """All k-tape level-n types under the per-tape level condition, with the
-    base sublist and, for k = 2, the amalgamation composition relation."""
+    base sublist and, for k = 2, the amalgamation composition relation.
 
-    def __init__(self, seq: RichSequence, k: int, n: int, cap: int = 12):
+    `points` are sorted by `CompleteType.key`; `codes[i]` is point i's
+    pair-code tuple (`theories.PairCodes`), and the index maps code tuples
+    to point ids.  Amalgams are never built as `CompleteType`s: a k-tape
+    type meets the per-tape condition iff its first k-1 tapes and its last
+    tape do, so the 3-tape (and, in `verify_level_axioms`, 4-tape) amalgams
+    are streamed by `diagram_codes` as one-tape extensions of the points'
+    code tuples, and their restrictions to two tapes are read through fixed
+    pair-position maps (`restriction_map`).  Grids of k*n variables and,
+    for k = 2, the 3n-variable amalgams are checked against `cap` first."""
+
+    def __init__(self, seq: RichSequence, k: int, n: int, cap: int = DEFAULT_GRID_CAP):
+        check_grid_cap(k * n, cap)
+        if k == 2:
+            check_grid_cap(3 * n, cap)
         self.seq = seq
         self.k = k
         self.n = n
-        dcond = seq.dphi_formula(n).simplified
-        constraint = conj(rename_tapes(dcond, {0: t}) for t in range(k))
+        self.cap = cap
+        self._dphi = seq.dphi_formula(n).simplified
+        constraint = conj(self._tape_condition(t) for t in range(k))
         self.points = tuple(enumerate_types(seq.theory, k, n, constraint, cap=cap))
-        self._index = {p.key(): i for i, p in enumerate(self.points)}
+        self._pc = pair_codes(seq.theory)
+        self.codes = tuple(map(self._pc.codes_of, self.points))
+        self._index = {c: i for i, c in enumerate(self.codes)}
         diag = conj(Eq(VarRef(t, i), VarRef(t + 1, i))
                     for t in range(k - 1) for i in range(n))
         self.base = tuple(i for i, p in enumerate(self.points)
                           if p.satisfies_qf(diag))
-        self.composition = frozenset(self._compose(cap)) if k == 2 else frozenset()
+        self.composition = frozenset(self._compose()) if k == 2 else frozenset()
 
-    def _compose(self, cap):
-        mid = conj(rename_tapes(self.seq.dphi_formula(self.n).simplified, {0: t})
-                   for t in range(3))
-        for tri in enumerate_types(self.seq.theory, 3, self.n, mid, cap=cap):
-            yield (self._index[tri.restrict((0, 1)).key()],
-                   self._index[tri.restrict((1, 2)).key()],
-                   self._index[tri.restrict((0, 2)).key()])
+    def _tape_condition(self, tape: int) -> Formula:
+        return rename_tapes(self._dphi, {0: tape})
+
+    def extend_tape(self, codes: tuple[int, ...], tape: int):
+        """Code tuples of the (tape+1)-tape amalgams whose first tapes are
+        `codes` and whose new tape meets the level condition."""
+        return diagram_codes(self.seq.theory, tape + 1, self.n,
+                             self._tape_condition(tape), codes)
+
+    def restriction_index(self, k: int, tapes: tuple[int, ...]):
+        """Function from a k-tape code tuple to the id of its restriction to
+        `tapes`.  The dict it reads is keyed by the codes as the restriction
+        map reads them, so converse pairs cost nothing per call."""
+        rmap = restriction_map(k, self.n, tapes)
+        conv = self._pc.converse
+        keyed = {tuple(conv[c] if flip else c for c, (_, flip) in zip(codes, rmap)): i
+                 for i, codes in enumerate(self.codes)}
+        positions = [pos for pos, _ in rmap]
+        if len(positions) == 1:
+            pos, = positions
+            return lambda codes: keyed[(codes[pos],)]
+        read = itemgetter(*positions) if positions else (lambda codes: ())
+        return lambda codes: keyed[read(codes)]
+
+    def _compose(self):
+        index12 = self.restriction_index(3, (1, 2))
+        index02 = self.restriction_index(3, (0, 2))
+        for p, codes in enumerate(self.codes):
+            for tri in self.extend_tape(codes, 2):
+                yield p, index12(tri), index02(tri)
 
     def index(self, point: CompleteType) -> int:
         try:
-            return self._index[point.key()]
+            return self._index[self._pc.codes_of(point)]
         except KeyError:
             raise PreconditionError("point does not belong to this table") from None
 
@@ -257,55 +295,97 @@ class LevelTable:
         return ClopenSet(self.seq, self.k, eliminate_quantifiers(f, self.seq.theory),
                          self.n)
 
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        swap = self.restriction_index(2, (1, 0))
+        return tuple(map(swap, self.codes))
+
+    @cached_property
+    def _base_by_tape0(self) -> dict:
+        tape0 = self.n * (self.n - 1) // 2  # the codes of tape 0 lead each tuple
+        return {self.codes[b][:tape0]: b for b in self.base}
+
     def inverse_index(self, i: int) -> int:
-        return self._index[self.points[i].restrict((1, 0)).key()]
+        return self._inverses[i]
 
     def target_base(self, i: int) -> int:
-        key = self.points[i].restrict((0, 0)).key()
-        for b in self.base:
-            if self.points[b].restrict((0, 0)).key() == key:
-                return b
-        raise InternalConsistencyError("missing base point for a target")
+        tape0 = self.n * (self.n - 1) // 2
+        try:
+            return self._base_by_tape0[self.codes[i][:tape0]]
+        except KeyError:
+            raise InternalConsistencyError("missing base point for a target") from None
 
     def source_base(self, i: int) -> int:
         return self.target_base(self.inverse_index(i))
 
 
-def build_level_table(seq: RichSequence, k: int, n: int, cap: int = 12) -> LevelTable:
+def build_level_table(seq: RichSequence, k: int, n: int,
+                      cap: int = DEFAULT_GRID_CAP) -> LevelTable:
     return LevelTable(seq, k, n, cap)
+
+
+def _four_tape_relation(tab: LevelTable) -> dict:
+    """(p, q, r) -> every s such that one 4-tape amalgam restricts to p, q,
+    r, s on the tape pairs (0,1), (1,2), (2,3), (0,3).  Each point is
+    extended tape by tape; p is taken once per point and q once per 3-tape
+    prefix."""
+    index12 = tab.restriction_index(3, (1, 2))
+    index23 = tab.restriction_index(4, (2, 3))
+    index03 = tab.restriction_index(4, (0, 3))
+    four: dict[tuple[int, int, int], set[int]] = {}
+    try:
+        for p, codes in enumerate(tab.codes):
+            for tri in tab.extend_tape(codes, 2):
+                q = index12(tri)
+                for quad in tab.extend_tape(tri, 3):
+                    four.setdefault((p, q, index23(quad)), set()).add(index03(quad))
+    except KeyError:
+        raise InternalConsistencyError(
+            "a 4-tape amalgam restricts to a type outside the table") from None
+    return four
+
+
+def _composites(comp: dict, left: bool) -> dict:
+    """(p, q, r) -> (p q) r when `left`, else p (q r), for the composition
+    relation `comp` ((a, b) -> set of composites); triples with no composite
+    are absent."""
+    by_end: dict[int, list] = {}
+    for (a, b), cs in comp.items():
+        if left:
+            by_end.setdefault(a, []).append((b, cs))
+        else:
+            by_end.setdefault(b, []).append((a, cs))
+    out: dict[tuple[int, int, int], set[int]] = {}
+    for (a, b), mids in comp.items():
+        for u in mids:
+            for other, cs in by_end.get(u, ()):
+                key = (a, b, other) if left else (other, a, b)
+                out.setdefault(key, set()).update(cs)
+    return out
 
 
 def verify_level_axioms(tab: LevelTable) -> dict:
     """Exhaustive finite-level checks of the groupoid laws on a k=2 table:
     relational associativity (against the four-tape amalgams), two-sided
     neutrality of base points, inversion through the base, and openness of
-    the source map against the formula-level source."""
+    the source map against the formula-level source.
+
+    Associativity compares (p q) r, p (q r) and the amalgams for every
+    point triple; the three relations are held as dicts without their
+    empty entries, so the comparison costs their size, not npts**3."""
     if tab.k != 2:
         raise PreconditionError("axioms are verified on arity-2 tables")
+    check_grid_cap(4 * tab.n, tab.cap)
     report: dict[str, object] = {}
     comp = tab.compose_sets()
     npts = len(tab.points)
 
-    four = {}
-    mid = conj(rename_tapes(tab.seq.dphi_formula(tab.n).simplified, {0: t})
-               for t in range(4))
-    for quad in enumerate_types(tab.seq.theory, 4, tab.n, mid):
-        key = (tab.index(quad.restrict((0, 1))), tab.index(quad.restrict((1, 2))),
-               tab.index(quad.restrict((2, 3))))
-        four.setdefault(key, set()).add(tab.index(quad.restrict((0, 3))))
-
-    for p in range(npts):
-        for q in range(npts):
-            for r in range(npts):
-                lhs = set()
-                for u in comp.get((p, q), ()):
-                    lhs |= comp.get((u, r), set())
-                rhs = set()
-                for v in comp.get((q, r), ()):
-                    rhs |= comp.get((p, v), set())
-                if lhs != rhs or lhs != four.get((p, q, r), set()):
-                    raise InternalConsistencyError(
-                        f"associativity fails at points ({p},{q},{r})")
+    four = _four_tape_relation(tab)
+    lhs, rhs = _composites(comp, left=True), _composites(comp, left=False)
+    if not lhs == rhs == four:
+        p, q, r = min(t for t in lhs.keys() | rhs.keys() | four.keys()
+                      if not lhs.get(t) == rhs.get(t) == four.get(t))
+        raise InternalConsistencyError(f"associativity fails at points ({p},{q},{r})")
     report["associativity"] = True
 
     for p in range(npts):
@@ -321,15 +401,15 @@ def verify_level_axioms(tab: LevelTable) -> dict:
 
     # source images commute with unions, so singleton generators (plus one
     # sample union) decide openness for every definable point-set
-    one_tape = build_level_table(tab.seq, 1, tab.n)
+    one_tape = build_level_table(tab.seq, 1, tab.n, tab.cap)
+    tape1 = one_tape.restriction_index(2, (1,))
     samples = [frozenset((i,)) for i in range(npts)]
     if npts >= 2:
         samples.append(frozenset((0, npts - 1)))
     for sample in samples:
         U = tab.clopen_of(sample)
-        pointwise = frozenset(one_tape.index(tab.points[i].restrict((1,)))
-                              for i in sample)
-        via_formula = one_tape.points_of(_as_one_tape(source_clopen(U)))
+        pointwise = frozenset(tape1(tab.codes[i]) for i in sample)
+        via_formula = one_tape.points_of(source_clopen(U))
         if pointwise != via_formula:
             raise InternalConsistencyError(
                 f"openness fails on point-set {sorted(sample)}")
@@ -338,10 +418,6 @@ def verify_level_axioms(tab: LevelTable) -> dict:
     report["base-points"] = len(tab.base)
     report["composition-triples"] = len(tab.composition)
     return report
-
-
-def _as_one_tape(U: ClopenSet) -> ClopenSet:
-    return U
 
 
 # -- fibred powers, theta, projections ----------------------------------------

@@ -12,13 +12,29 @@ Quantifier elimination works inside out: negations are pushed to literals
 each DNF cube by the theory's textbook rule, and universals go through
 negation.  A complete quantifier-free diagram over finitely many variables
 is represented by a partition of the variables plus relation values on the
-partition classes; admissibility of the diagram is exactly consistency with
-the theory, so enumerating admissible diagrams enumerates complete types.
+partition classes (`CompleteType`); admissibility of the diagram is exactly
+consistency with the theory, so enumerating admissible diagrams enumerates
+complete types.
+
+Every signature is binary, so a diagram is also fixed by its 2-variable
+sub-diagrams: its pair-code tuple holds, for each pair i < j, the index of
+that pair's sub-diagram in `diagrams_over(theory, 2)` (`PairCodes`).  Each
+theory's finite diagrams are those of its universal part, which is
+axiomatised in at most three variables (equality is a congruence, plus the
+order, adjacency or equivalence laws), so a code tuple names a consistent
+diagram iff every 3-variable sub-diagram is one.  As each theory is the
+Fraisse limit of these diagrams, `diagram_codes` generates them one variable
+at a time: a new variable relates to each earlier equality class by a code
+allowed by the triple table, and copies that code to the rest of the class.
+The partition-times-relation-table product (`rel_assignments`) only builds
+the diagrams over at most three variables that the triple table comes from.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError, SignatureError)
@@ -29,6 +45,7 @@ from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
 
 DEFAULT_GRID_CAP = 12
 DNF_CUBE_CAP = 200_000
+ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 
 
 def _sorted_pair(a: VarRef, b: VarRef) -> tuple[VarRef, VarRef]:
@@ -588,7 +605,9 @@ class CompleteType:
         return (self.classes, tuple((r, tuple(sorted(p))) for r, p in self.rels))
 
 
-def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
+def _product_diagrams(theory: Theory, m: int) -> list[CompleteType]:
+    """Every m-variable diagram as an equality partition times the theory's
+    relation tables on its classes, sorted by key."""
     out = []
     for classes in set_partitions(m):
         c = max(classes, default=-1) + 1
@@ -599,18 +618,291 @@ def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
     return out
 
 
+def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
+    if m <= 3:  # the base that the triple table is read from
+        return _product_diagrams(theory, m)
+    pc = pair_codes(theory)
+    tables: dict[tuple[int, ...], tuple] = {}
+    keyed = []
+    for _codes, between, _c, classes in _extensions(theory, 1, m):
+        if between not in tables:
+            tables[between] = pc.class_tables(between)
+        key, rels = tables[between]
+        keyed.append(((classes, key), CompleteType(theory.id, 1, m, classes, rels)))
+    keyed.sort(key=lambda kt: kt[0])  # CompleteType.key, built once per table
+    return [t for _, t in keyed]
+
+
 _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
+
+
+def check_grid_cap(m: int, cap: int) -> None:
+    if m > cap:
+        raise ResourceCapError(
+            f"grid of {m} variables exceeds the enumeration cap {cap}")
 
 
 def diagrams_over(theory, m: int, cap: int = DEFAULT_GRID_CAP) -> list[CompleteType]:
     theory = get_theory(theory)
-    if m > cap:
-        raise ResourceCapError(
-            f"grid of {m} variables exceeds the enumeration cap {cap}")
+    check_grid_cap(m, cap)
     key = (theory.id, m)
     if key not in _DIAGRAM_CACHE:
         _DIAGRAM_CACHE[key] = _diagrams(theory, m)
     return _DIAGRAM_CACHE[key]
+
+
+# -- pair codes --------------------------------------------------------------
+
+def pair_index(i: int, j: int) -> int:
+    """Position of the variable pair i < j in a pair-code tuple.  Pairs are
+    listed by their larger variable, then by the smaller one, so the codes
+    of a diagram's first m variables are a prefix of its code tuple."""
+    return j * (j - 1) // 2 + i
+
+
+def restriction_map(k: int, n: int, tapes: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
+    """How to read the code tuple of `CompleteType.restrict(tapes)` off the
+    code tuple of a k-by-n-grid diagram: for each pair of the sub-grid, in
+    pair order, the position of the source pair and whether the restriction
+    reads it converse (the listed tapes reverse it)."""
+    if any(not 0 <= t < k for t in tapes):
+        raise PreconditionError(f"tapes outside the {k}x{n} grid")
+    if len(set(tapes)) < len(tapes):
+        raise PreconditionError("a restriction map needs distinct tapes")
+    idx = [t * n + p for t in tapes for p in range(n)]
+    return tuple((pair_index(a, b), False) if a < b else (pair_index(b, a), True)
+                 for j, b in enumerate(idx) for a in idx[:j])
+
+
+class PairCodes:
+    """One theory's diagrams as pair-code tuples.
+
+    The code of the pair i < j is the index, in `diagrams_over(theory, 2)`,
+    of the sub-diagram on (i, j) with i read as x0.  `triples[a][b]` is the
+    bit set of the codes c such that codes a, b, c on the pairs (h, i),
+    (h, j), (i, j) of h < i < j occur together in a 3-variable diagram.
+    """
+
+    def __init__(self, theory: Theory):
+        one = diagrams_over(theory, 1)
+        two = diagrams_over(theory, 2)
+        if len(one) != 1:
+            raise InternalConsistencyError("pair codes need a unique 1-variable diagram")
+        self.theory_id = theory.id
+        self.one, self.two = one[0], two
+        self.full = (1 << len(two)) - 1
+        self.eq = next(c for c, d in enumerate(two) if d.classes == (0, 0))
+        self.rel_names = tuple(rel for rel, _ in self.one.rels)
+        # relation values between distinct x0, x1, both ways, per relation
+        flags = tuple(tuple(((0, 1) in d.rel_table(r), (1, 0) in d.rel_table(r))
+                            for r in self.rel_names) for d in two)
+        self._code_of = {f: c for c, f in enumerate(flags) if c != self.eq}
+        self.converse = tuple(c if c == self.eq else
+                              self._code_of[tuple((b, a) for a, b in f)]
+                              for c, f in enumerate(flags))
+        # per relation: whether it is reflexive, and per code its two ways
+        self._tables = tuple((r, (0, 0) in self.one.rel_table(r),
+                              tuple(f[x][0] for f in flags),
+                              tuple(f[x][1] for f in flags))
+                             for x, r in enumerate(self.rel_names))
+        rows = [[0] * len(two) for _ in two]
+        for d in diagrams_over(theory, 3):
+            a, b, c = self.codes_of(d)
+            rows[a][b] |= 1 << c
+        self.triples = tuple(map(tuple, rows))
+        self._bits = tuple(tuple(c for c in range(len(two)) if mask >> c & 1)
+                           for mask in range(self.full + 1))
+        self._one_point_cache: dict = {}
+        self._one_point_cached = 0
+
+    def codes_of(self, t: CompleteType) -> tuple[int, ...]:
+        tables = [t.rel_table(r) for r in self.rel_names]
+        cl = t.classes
+        return tuple(
+            self.eq if cl[i] == cl[j] else
+            self._code_of[tuple(((cl[i], cl[j]) in tab, (cl[j], cl[i]) in tab)
+                                for tab in tables)]
+            for j in range(len(cl)) for i in range(j))
+
+    def class_tables(self, between: tuple[int, ...]):
+        """Relation tables of the diagram whose classes carry the all-distinct
+        code tuple `between`: as `CompleteType.rels`, and as the sorted pair
+        tuples that `CompleteType.key` lists."""
+        c = (1 + math.isqrt(1 + 8 * len(between))) // 2
+        pairs = [(a, b) for b in range(c) for a in range(b)]
+        keyed = []
+        for rel, diagonal, fwd, bwd in self._tables:
+            table = [p for p, code in zip(pairs, between) if fwd[code]]
+            table += [(b, a) for (a, b), code in zip(pairs, between) if bwd[code]]
+            if diagonal:
+                table += [(t, t) for t in range(c)]
+            table.sort()
+            keyed.append((rel, tuple(table)))
+        return tuple(keyed), tuple((rel, frozenset(t)) for rel, t in keyed)
+
+    def mask(self, f: Formula, index: dict[VarRef, int]) -> int:
+        """Codes of the pair of grid variables that the quantifier-free `f`
+        names (at most two) on which it holds; all or none if it names
+        fewer than two."""
+        vs = sorted(free_vars(f), key=index.__getitem__)
+        if len(vs) > 2:
+            raise PreconditionError("a code mask needs at most two variables")
+        f = substitute_vars(f, {v: VarRef(0, i) for i, v in enumerate(vs)})
+        if len(vs) < 2:
+            return self.full if self.one.satisfies_qf(f) else 0
+        return sum(1 << c for c, d in enumerate(self.two) if d.satisfies_qf(f))
+
+    def predicate(self, f: Formula, index: dict[VarRef, int]):
+        """`f` as a test on code tuples that hold its variables' pairs."""
+        vs = sorted({index[v] for v in free_vars(f)})
+        if len(vs) <= 2:
+            mask = self.mask(f, index)
+            if len(vs) < 2:
+                return lambda codes: bool(mask)
+            pos = pair_index(*vs)
+            return lambda codes: mask >> codes[pos] & 1
+        if isinstance(f, Not):
+            g = self.predicate(f.sub, index)
+            return lambda codes: not g(codes)
+        if isinstance(f, Implies):
+            return self.predicate(disj([neg(f.lhs), f.rhs]), index)
+        if isinstance(f, (And, Or)):
+            gs = [self.predicate(c, index) for c in f.children]
+            test = all if isinstance(f, And) else any
+            return lambda codes: test(g(codes) for g in gs)
+        raise PreconditionError("pair codes need a quantifier-free constraint")
+
+    def _extend(self, codes, between, c, classes, j, m, units, checks):
+        """(codes, between, c, classes) for each diagram over m variables
+        that extends `codes` over j: `classes` is its equality partition in
+        restricted-growth form, c its number of classes and `between` the
+        code tuple of the classes (all distinct)."""
+        if j == m:
+            yield codes, between, c, classes
+            return
+        masks = None
+        if units[j]:
+            masks = [self.full] * c
+            for i, mask in units[j]:
+                masks[classes[i]] &= mask
+            masks = tuple(masks)
+        for v, joined in self._one_point(between, c, masks):
+            ext = codes + tuple(map(v.__getitem__, classes))
+            if checks[j] and not all(test(ext) for test in checks[j]):
+                continue
+            if joined < 0:
+                step = (ext, between + v, c + 1, classes + (c,))
+            else:
+                step = (ext, between, c, classes + (joined,))
+            if j + 1 == m:
+                yield step
+            else:
+                yield from self._extend(*step, j + 1, m, units, checks)
+
+    def _one_point(self, between, c, masks):
+        """The ways a new variable relates to c classes with the all-distinct
+        code tuple `between`: one code per class (within `masks`, if given),
+        chosen class by class against the triple table, each with the class
+        the variable joins (-1 if it starts its own).  They depend on the
+        classes alone, so they are cached; the cache is emptied when full."""
+        key = (between, masks)
+        hit = self._one_point_cache.get(key)
+        if hit is not None:
+            return hit
+        partial = [()]
+        for t in range(c):
+            rows = [self.triples[between[pair_index(s, t)]] for s in range(t)]
+            nxt = []
+            for v in partial:
+                mask = self.full if masks is None else masks[t]
+                for s, row in enumerate(rows):
+                    mask &= row[v[s]]
+                for code in self._bits[mask]:
+                    nxt.append(v + (code,))
+            partial = nxt
+        eq = self.eq
+        hit = [(v, v.index(eq) if eq in v else -1) for v in partial]
+        if self._one_point_cached + len(hit) > ONE_POINT_CACHE_CAP:
+            self._one_point_cache.clear()
+            self._one_point_cached = 0
+        self._one_point_cache[key] = hit
+        self._one_point_cached += len(hit)
+        return hit
+
+
+_PAIR_CODES: dict[str, PairCodes] = {}
+
+
+def pair_codes(theory) -> PairCodes:
+    theory = get_theory(theory)
+    if theory.id not in _PAIR_CODES:
+        _PAIR_CODES[theory.id] = PairCodes(theory)
+    return _PAIR_CODES[theory.id]
+
+
+def _pruning(pc: PairCodes, k: int, n: int, qf: Formula):
+    """Per new variable j: the (i, mask) code masks that the constraint's
+    conjuncts over two variables put on the pairs (i, j), and the tests of
+    its wider conjuncts whose last variable is j.  None if a conjunct over
+    fewer than two variables fails."""
+    m = k * n
+    index = {VarRef(t, p): t * n + p for t in range(k) for p in range(n)}
+    if not free_vars(qf) <= index.keys():
+        raise PreconditionError("constraint has variables outside the grid")
+    units: list[dict[int, int]] = [{} for _ in range(m)]
+    checks: list[list] = [[] for _ in range(m)]
+    for part in (qf.children if isinstance(qf, And) else (qf,)):
+        vs = sorted(index[v] for v in free_vars(part))
+        if len(vs) < 2:
+            if not pc.mask(part, index):
+                return None
+        elif len(vs) == 2:
+            i, j = vs
+            units[j][i] = units[j].get(i, pc.full) & pc.mask(part, index)
+        else:
+            checks[vs[-1]].append(pc.predicate(part, index))
+    return [tuple(u.items()) for u in units], checks
+
+
+def _extensions(theory, k: int, n: int, constraint: Formula = TRUE,
+                prefix: tuple[int, ...] = ()):
+    """Iterator of (codes, between, c, classes) for `diagram_codes`; see
+    `PairCodes._extend`."""
+    pc = pair_codes(theory)
+    m = k * n
+    start = (1 + math.isqrt(1 + 8 * len(prefix))) // 2
+    if start * (start - 1) // 2 != len(prefix) or (start > m and prefix):
+        raise PreconditionError("prefix is not a code tuple on the grid's first variables")
+    pruning = _pruning(pc, k, n, constraint)
+    if pruning is None:
+        return iter(())
+    if m == 0:
+        return iter((((), (), 0, ()),))
+    classes: list[int] = []
+    reps: list[int] = []
+    between: tuple[int, ...] = ()
+    for j in range(start):
+        row = j * (j - 1) // 2
+        joined = next((t for t, r in enumerate(reps) if prefix[row + r] == pc.eq), -1)
+        if joined < 0:
+            between += tuple(prefix[row + r] for r in reps)
+            joined = len(reps)
+            reps.append(j)
+        classes.append(joined)
+    return pc._extend(tuple(prefix), between, len(reps), tuple(classes),
+                      start, m, *pruning)
+
+
+def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE,
+                  prefix: tuple[int, ...] = ()):
+    """Stream the pair-code tuples of the diagrams on the k-by-n grid
+    (variable (t, p) is t*n + p) that are consistent with the theory and the
+    quantifier-free `constraint` and extend the code tuple `prefix` of the
+    first variables, one variable at a time.  A conjunct of the constraint
+    is tested once its last variable is placed, a conjunct over one pair as
+    a code mask on that pair; conjuncts within the prefix are taken as met.
+    Deterministic order; results are not cached and no size cap applies."""
+    return map(itemgetter(0), _extensions(get_theory(theory), k, n, constraint, prefix))
 
 
 def enumerate_types(theory, k: int, n: int, constraint: Formula = TRUE,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,17 @@ def test_usage_errors():
 def test_resource_cap_exit_code():
     assert main(["types", "--theory", "randomgraph", "--vars", "9",
                  "--tapes", "2"]) == 3
+    assert main(["types", "--theory", "dlo", "--vars", "1", "--max-grid", "0"]) == 3
+
+
+def test_verify_cap_counts_four_tape_amalgams(capsys):
+    # level 2 needs 8-variable amalgams: refused before any enumeration
+    start = time.perf_counter()
+    code, rep = capture(capsys, ["groupoid", "verify", "--theory", "randomgraph",
+                                 "--level", "2", "--max-grid", "6"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert "grid of 8 variables" in rep["error"]
+    assert time.perf_counter() - start < 5
 
 
 def test_json_output(tmp_path, capsys):

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from tgw.errors import PreconditionError
+from tgw import groupoid
+from tgw.errors import (InternalConsistencyError, PreconditionError,
+                        ResourceCapError)
 from tgw.formula import FALSE, TRUE, Eq, VarRef, conj, neg, parse_formula
 from tgw.groupoid import (ClopenSet, Refusal, SubGroupoid, act_clopen,
                           base_clopen, build_level_table, cantor_branching,
@@ -127,6 +129,57 @@ def test_verify_level_axioms_all_theories():
         report = verify_level_axioms(build_level_table(seq, 2, 1))
         assert report["associativity"] and report["neutrality"]
         assert report["inversion"] and report["openness"]
+
+
+@pytest.mark.parametrize("theory,counts", [
+    ("pureset", (15, 2, 203)),
+    ("equivinf", (60, 3, 2471)),
+    pytest.param("dlo", (75, 3, 4683), marks=pytest.mark.slow),
+])
+def test_verify_level_axioms_level_two(theory, counts):
+    report = verify_level_axioms(build_level_table(SEQS[theory], 2, 2))
+    assert report["associativity"] and report["neutrality"]
+    assert report["inversion"] and report["openness"]
+    assert (report["points"], report["base-points"],
+            report["composition-triples"]) == counts
+
+
+def test_associativity_check_catches_a_missing_amalgam(monkeypatch):
+    tab = build_level_table(SEQS["dlo"], 2, 1)
+    four = groupoid._four_tape_relation(tab)
+    p, q, r = min(four)
+    monkeypatch.setattr(groupoid, "_four_tape_relation",
+                        lambda t: {k: v for k, v in four.items() if k != (p, q, r)})
+    with pytest.raises(InternalConsistencyError,
+                       match=rf"associativity fails at points \({p},{q},{r}\)"):
+        verify_level_axioms(tab)
+
+
+def test_level_table_caps_amalgams():
+    seq = SEQS["pureset"]
+    with pytest.raises(ResourceCapError, match="grid of 3 variables"):
+        build_level_table(seq, 2, 1, cap=2)  # the 3-tape composition amalgams
+    tab = build_level_table(seq, 2, 1, cap=3)
+    assert tab.cap == 3
+    with pytest.raises(ResourceCapError, match="grid of 4 variables"):
+        verify_level_axioms(tab)
+    assert verify_level_axioms(build_level_table(seq, 2, 1, cap=4))["associativity"]
+
+
+def test_table_codes_and_restriction_maps():
+    for theory, seq in SEQS.items():
+        tab = build_level_table(seq, 2, 2)
+        one = build_level_table(seq, 1, 2)
+        swap = tab.restriction_index(2, (1, 0))
+        tape1 = one.restriction_index(2, (1,))
+        for i, p in enumerate(tab.points):
+            assert tab.index(p) == i
+            assert swap(tab.codes[i]) == tab.index(p.restrict((1, 0)))
+            assert tape1(tab.codes[i]) == one.index(p.restrict((1,)))
+            assert tab.inverse_index(i) == swap(tab.codes[i])
+            target = tab.points[tab.target_base(i)]
+            assert target.restrict((0,)).key() == p.restrict((0,)).key()
+            assert tab.target_base(i) in tab.base
 
 
 def test_point_clopen_agreement():

@@ -5,9 +5,10 @@ import pytest
 from tgw.errors import PreconditionError, ResourceCapError
 from tgw.formula import (FALSE, TRUE, Eq, VarRef, conj, free_vars, neg,
                          parse_formula, render_formula)
-from tgw.theories import (CompleteType, canonical_form, decide_sentence,
-                          diagrams_over, eliminate_quantifiers,
-                          enumerate_types, get_theory, is_consistent,
+from tgw.theories import (CompleteType, _product_diagrams, canonical_form,
+                          decide_sentence, diagram_codes, diagrams_over,
+                          eliminate_quantifiers, enumerate_types, get_theory,
+                          is_consistent, pair_codes, restriction_map,
                           set_partitions)
 
 
@@ -111,6 +112,52 @@ def test_enumerate_matches_brute_force(theory, n, expected):
     got = enumerate_types(theory, 1, n)
     assert len(got) == expected
     assert brute_force_count(theory, n) == expected
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_extension_enumerator_matches_product(theory):
+    # one-variable extension against the 3-variable triple table yields
+    # exactly the partition x relation-table pools, in the same order
+    th = get_theory(theory)
+    codes = pair_codes(th)
+    for m in range(6 if theory == "randomgraph" else 7):
+        want = _product_diagrams(th, m)
+        assert [d.key() for d in diagrams_over(th, m)] == [d.key() for d in want]
+        got = list(diagram_codes(th, 1, m))
+        assert len(set(got)) == len(got) == len(want)
+        assert set(got) == {codes.codes_of(d) for d in want}
+
+
+@pytest.mark.parametrize("theory,text", [
+    ("dlo", "((lt(x0,x1) | eq(x0,y1)) & lt(y0,x1))"),
+    ("dlo", "(lt(x0,y0) | lt(y1,x1))"),
+    ("randomgraph", "((adj(x0,y0) | adj(x1,y1)) & !eq(x0,x1))"),
+    ("equivinf", "(equiv(x0,y1) -> (equiv(x1,y0) & !eq(x1,y0)))"),
+    ("pureset", "(eq(x0,y0) | eq(x1,y1))"),
+])
+def test_diagram_codes_constraint_and_prefix(theory, text):
+    th = get_theory(theory)
+    codes = pair_codes(th)
+    f = qe(text, theory)
+    want = {codes.codes_of(t) for t in enumerate_types(th, 2, 2, f)}
+    assert set(diagram_codes(th, 2, 2, f)) == want
+    # extending the tape-0 prefixes reaches the same set
+    tape0 = {c[:1] for c in want}
+    assert {c for p in tape0 for c in diagram_codes(th, 2, 2, f, p)} == want
+
+
+def test_restriction_map_matches_restrict():
+    for theory in ("dlo", "equivinf"):
+        codes = pair_codes(theory)
+        conv = codes.converse
+        for t in enumerate_types(theory, 3, 2):
+            full = codes.codes_of(t)
+            for tapes in [(1, 0), (2, 0), (1,), (0, 2), (2, 1, 0)]:
+                rmap = restriction_map(3, 2, tapes)
+                read = tuple(conv[full[p]] if flip else full[p] for p, flip in rmap)
+                assert read == codes.codes_of(t.restrict(tapes))
+    with pytest.raises(PreconditionError):
+        restriction_map(2, 2, (0, 0))
 
 
 def test_enumerate_deterministic_and_distinct():
