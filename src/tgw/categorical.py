@@ -119,7 +119,7 @@ def apply_mstar(a: DTuple, sched: SectionSchedule, M: ModelHandle,
 
 # -- exact Skolem indices -------------------------------------------------------
 
-def skolem_map(phi: Formula, seq: RichSequence, theory=None) -> dict:
+def skolem_map(phi: Formula, seq: RichSequence) -> dict:
     """Least index i whose coordinate provably witnesses phi whenever a
     witness exists: the universal sentence is decided by the oracle, not
     merely sampled."""
@@ -156,7 +156,7 @@ def true_slots(seq: RichSequence, start: int, count: int) -> list[int]:
     return out
 
 
-def universality_check(seq: RichSequence, theory=None, k: int = 1, m0: int = 1,
+def universality_check(seq: RichSequence, k: int = 1, m0: int = 1,
                        M: ModelHandle | None = None, samples: int = 8) -> dict:
     """For sampled (tuple, target) pairs, rebuild a witness tuple that keeps
     the first m0 entries and hits the target on k trivially-true

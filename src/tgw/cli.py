@@ -9,12 +9,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from .categorical import (apply_mstar, section_schedule, skolem_map,
                           universality_check)
 from .errors import (InternalConsistencyError, ParseError, PreconditionError,
                      ResourceCapError, TgwError)
-from .formula import TRUE, parse_formula, render_formula
+from .formula import free_vars, parse_formula, rename_tapes, render_formula
 from .groupoid import (Refusal, SubGroupoid, build_level_table, clopen,
                        compose_clopen, en_clopen, invert_clopen,
                        is_subgroupoid, project_clopen, source_clopen,
@@ -59,7 +60,7 @@ def cmd_types(cfg):
     constraint = _parse(cfg, cfg.get("constraint") or "true")
     types = enumerate_types(theory, cfg.get("tapes") or 1, cfg["vars"],
                             constraint, cap=_cap(cfg))
-    items = [render_formula(t.diagram_formula()) for t in types]
+    items = [t.diagram_text() for t in types]
     return {"count": len(items), "types": items}, [
         _cert("enumeration-deterministic", True, count=len(items))]
 
@@ -73,7 +74,6 @@ def cmd_dphi(cfg):
 
 
 def cmd_compose(cfg):
-    from .formula import free_vars, rename_tapes
     seq = _seq(cfg)
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     psi = _parse(cfg, cfg["psi"])
@@ -86,18 +86,13 @@ def cmd_compose(cfg):
     tab = build_level_table(seq, 2, level, cap=_cap(cfg))
     comp = tab.compose_sets()
     expected = set()
-    for a in tab.points_of(ClopenPad(U, level)):
-        for b in tab.points_of(ClopenPad(V, level)):
+    for a in tab.points_of(replace(U, level=level)):
+        for b in tab.points_of(replace(V, level=level)):
             expected |= comp.get((a, b), set())
-    agrees = tab.points_of(ClopenPad(chi, level)) == frozenset(expected)
+    agrees = tab.points_of(replace(chi, level=level)) == frozenset(expected)
     display = rename_tapes(chi.formula, {1: 2})
     return ({"chi": render_formula(display), "level": chi.level},
             [_cert("level-table-cross-check", agrees)])
-
-
-def ClopenPad(U, level):
-    from .groupoid import ClopenSet
-    return ClopenSet(U.seq, U.arity, U.formula, max(U.level, level))
 
 
 def cmd_source(cfg):
@@ -117,7 +112,7 @@ def cmd_subgroupoids(cfg):
     for X in predicate_corpus(seq, cfg.get("depth") or 1):
         if X.arity != 2:
             continue
-        verdict = is_subgroupoid(ClopenPad(X, max(X.level, 1)))
+        verdict = is_subgroupoid(replace(X, level=max(X.level, 1)))
         ok = isinstance(verdict, SubGroupoid)
         entry = {"formula": render_formula(X.formula), "subgroupoid": ok}
         if isinstance(verdict, Refusal):
@@ -171,8 +166,8 @@ def cmd_theta(cfg):
     p = tab.points[idx]
     base, pairs = theta_reindex(p)
     fiber = theta_fiber(tab, base, pairs)
-    return ({"base": render_formula(base.diagram_formula()),
-             "pairs": [render_formula(g.diagram_formula()) for g in pairs],
+    return ({"base": base.diagram_text(),
+             "pairs": [g.diagram_text() for g in pairs],
              "fiber_size": len(fiber)},
             [_cert("fiber-contains-point", idx in fiber)])
 

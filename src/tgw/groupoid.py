@@ -258,11 +258,7 @@ class LevelTable:
         conv = self._pc.converse
         keyed = {tuple(conv[c] if flip else c for c, (_, flip) in zip(codes, rmap)): i
                  for i, codes in enumerate(self.codes)}
-        positions = [pos for pos, _ in rmap]
-        if len(positions) == 1:
-            pos, = positions
-            return lambda codes: keyed[(codes[pos],)]
-        read = itemgetter(*positions) if positions else (lambda codes: ())
+        read = _reader([pos for pos, _ in rmap])
         return lambda codes: keyed[read(codes)]
 
     def _compose(self):
@@ -317,6 +313,14 @@ class LevelTable:
 
     def source_base(self, i: int) -> int:
         return self.target_base(self.inverse_index(i))
+
+
+def _reader(positions: list[int]):
+    """Function from a code tuple to the tuple of its codes at `positions`."""
+    if len(positions) == 1:
+        pos, = positions
+        return lambda codes: (codes[pos],)
+    return itemgetter(*positions) if positions else (lambda codes: ())
 
 
 def build_level_table(seq: RichSequence, k: int, n: int,
@@ -434,14 +438,23 @@ def theta_reindex(p: CompleteType):
 
 
 def theta_fiber(tab: LevelTable, base: CompleteType, pairs) -> list[int]:
-    """All table points consistent with the given decomposition."""
-    out = []
-    for i, q in enumerate(tab.points):
-        if q.restrict((0,)).key() != base.key():
-            continue
-        if all(q.restrict((0, j + 1)).key() == g.key() for j, g in enumerate(pairs)):
-            out.append(i)
-    return out
+    """All table points whose restriction to tape 0 is `base` and to tapes
+    (0, j+1) is `pairs[j]`.  The wanted restrictions are turned into the
+    codes each point must hold at fixed pair positions (`restriction_map`),
+    so the scan compares code tuples and builds no restriction."""
+    pc = tab._pc
+    need: dict[int, int] = {}
+    for tapes, g in [((0,), base), *(((0, j + 1), g) for j, g in enumerate(pairs))]:
+        if len(g.classes) != len(tapes) * tab.n:
+            return []
+        rmap = restriction_map(tab.k, tab.n, tapes)
+        for (pos, flip), c in zip(rmap, pc.codes_of(g)):
+            c = pc.converse[c] if flip else c
+            if need.setdefault(pos, c) != c:
+                return []
+    positions = sorted(need)
+    read, want = _reader(positions), tuple(map(need.__getitem__, positions))
+    return [i for i, codes in enumerate(tab.codes) if read(codes) == want]
 
 
 def project_clopen(U: ClopenSet, m: int) -> ClopenSet:

@@ -28,6 +28,14 @@ at a time: a new variable relates to each earlier equality class by a code
 allowed by the triple table, and copies that code to the rest of the class.
 The partition-times-relation-table product (`rel_assignments`) only builds
 the diagrams over at most three variables that the triple table comes from.
+
+Diagram formulas are read off the same codes.  Per grid, a literal table
+(`PairCodes.literal_table`) holds for each pair position and pair code the
+literals that pin that pair, each with its rank in the `sort_key` order of
+all the grid's literals and with its rendered text; a diagram's formula is
+the equality entries tying variables to their class representatives plus
+the code entries of the representative pairs, sorted by rank, which is the
+order `conj` would give them.
 """
 from __future__ import annotations
 
@@ -46,6 +54,7 @@ from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
 DEFAULT_GRID_CAP = 12
 DNF_CUBE_CAP = 200_000
 ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
+CLASS_CODES_CACHE_CAP = 1 << 16  # class-level diagrams held by a PairCodes cache
 
 
 def _sorted_pair(a: VarRef, b: VarRef) -> tuple[VarRef, VarRef]:
@@ -553,28 +562,44 @@ class CompleteType:
     def diagram_formula(self) -> Formula:
         """Minimal conjunction pinning the whole diagram: each variable is
         tied to its class representative and each representative pair is
-        pinned by the theory's pair literals."""
-        theory = self.theory
-        vs = self.grid_vars()
-        lits = []
-        reps: dict[int, VarRef] = {}
-        for i, c in enumerate(self.classes):
-            if c in reps:
-                lits.append(Eq(*_sorted_pair(reps[c], vs[i])))
-            else:
-                reps[c] = vs[i]
-        rel_tables = {rel: self.rel_table(rel) for rel, _ in theory.signature.relations}
-        for a in sorted(reps):
-            for b in sorted(reps):
-                if a >= b:
-                    continue
-                if rel_tables:
-                    for rel, table in rel_tables.items():
-                        lits.extend(theory.pair_literals(
-                            reps[a], reps[b], (a, b) in table, (b, a) in table))
-                else:
-                    lits.extend(theory.pair_literals(reps[a], reps[b], False, False))
-        return conj(lits)
+        pinned by the theory's pair literals.  The literals come from the
+        grid's literal table (`PairCodes.literal_table`) in rank order, so
+        the value equals `conj` of them without `conj`'s sorting."""
+        lits = [lit for _, lit, _ in self._diagram_literals()]
+        if len(lits) > 1:
+            return And(tuple(lits))
+        return lits[0] if lits else TRUE
+
+    def diagram_text(self) -> str:
+        """`render_formula(self.diagram_formula())`, joined from the literal
+        table's rendered texts."""
+        texts = [text for _, _, text in self._diagram_literals()]
+        if len(texts) > 1:
+            return "(" + " & ".join(texts) + ")"
+        return texts[0] if texts else "true"
+
+    def _diagram_literals(self) -> list[tuple[int, Formula, str]]:
+        """The literal-table entries of the diagram, sorted by rank: for a
+        variable j in an earlier class, the equality on (representative, j);
+        for a new representative j, the entries of the codes it has with
+        the earlier representatives.  `classes` is in restricted-growth
+        form, so class c's representative is the c-th one met."""
+        pc = pair_codes(self.theory_id)
+        table = pc.literal_table(self.k, self.n)
+        between = pc.class_codes(self.num_classes(), self.rels)
+        reps: list[int] = []
+        out = []
+        for j, c in enumerate(self.classes):
+            row = j * (j - 1) // 2
+            if c < len(reps):
+                out += table[row + reps[c]][pc.eq]
+                continue
+            crow = c * (c - 1) // 2
+            for a, i in enumerate(reps):
+                out += table[row + i][between[crow + a]]
+            reps.append(j)
+        out.sort(key=itemgetter(0))
+        return out
 
     def restrict(self, tapes: tuple[int, ...], positions: int | None = None) -> "CompleteType":
         """Sub-diagram on the listed tapes (in the listed order), keeping
@@ -705,6 +730,7 @@ class PairCodes:
                               tuple(f[x][0] for f in flags),
                               tuple(f[x][1] for f in flags))
                              for x, r in enumerate(self.rel_names))
+        self._class_codes: dict[tuple[int, tuple], tuple[int, ...]] = {}
         rows = [[0] * len(two) for _ in two]
         for d in diagrams_over(theory, 3):
             a, b, c = self.codes_of(d)
@@ -714,15 +740,47 @@ class PairCodes:
                            for mask in range(self.full + 1))
         self._one_point_cache: dict = {}
         self._one_point_cached = 0
+        self._literal_tables: dict[tuple[int, int], tuple] = {}
+
+    def literal_table(self, k: int, n: int) -> tuple:
+        """The literals that pin each pair of the k-by-n grid: entry
+        [pair_index(i, j)][code] lists (rank, literal, text) for the pair
+        i < j holding `code`, where rank is the literal's position in the
+        `sort_key` order of every literal in the table and text is its
+        rendering.  The equality code gives eq(v_i, v_j); any other code
+        gives the theory's `pair_literals` for it, relation by relation.
+        Built on first use per grid and kept."""
+        hit = self._literal_tables.get((k, n))
+        if hit is not None:
+            return hit
+        theory = THEORIES[self.theory_id]
+        vs = [VarRef(t, p) for t in range(k) for p in range(n)]
+        rows = []
+        for j, b in enumerate(vs):
+            for a in vs[:j]:
+                row = []
+                for code in range(len(self.two)):
+                    if code == self.eq:
+                        row.append([Eq(a, b)])
+                    elif self._tables:
+                        row.append([lit for _, _, fwd, bwd in self._tables
+                                    for lit in theory.pair_literals(a, b, fwd[code], bwd[code])])
+                    else:
+                        row.append(theory.pair_literals(a, b, False, False))
+                rows.append(row)
+        order = sorted({lit for row in rows for lits in row for lit in lits}, key=sort_key)
+        rank = {lit: r for r, lit in enumerate(order)}
+        hit = tuple(tuple(tuple((rank[lit], lit, render_formula(lit)) for lit in lits)
+                          for lits in row) for row in rows)
+        self._literal_tables[(k, n)] = hit
+        return hit
 
     def codes_of(self, t: CompleteType) -> tuple[int, ...]:
-        tables = [t.rel_table(r) for r in self.rel_names]
-        cl = t.classes
-        return tuple(
-            self.eq if cl[i] == cl[j] else
-            self._code_of[tuple(((cl[i], cl[j]) in tab, (cl[j], cl[i]) in tab)
-                                for tab in tables)]
-            for j in range(len(cl)) for i in range(j))
+        between = self.class_codes(t.num_classes(), t.rels)
+        eq, conv = self.eq, self.converse
+        return tuple(eq if a == b else between[pair_index(a, b)] if a < b
+                     else conv[between[pair_index(b, a)]]
+                     for j, b in enumerate(t.classes) for a in t.classes[:j])
 
     def class_tables(self, between: tuple[int, ...]):
         """Relation tables of the diagram whose classes carry the all-distinct
@@ -739,6 +797,23 @@ class PairCodes:
             table.sort()
             keyed.append((rel, tuple(table)))
         return tuple(keyed), tuple((rel, frozenset(t)) for rel, t in keyed)
+
+    def class_codes(self, c: int, rels: tuple) -> tuple[int, ...]:
+        """The all-distinct code tuple of c classes whose relation tables are
+        `rels` (as `CompleteType.rels`): the inverse of `class_tables`.
+        Diagrams of one pool share their class tables, so these are cached;
+        the cache is emptied when full."""
+        key = (c, rels)
+        hit = self._class_codes.get(key)
+        if hit is None:
+            named = dict(rels)
+            tables = [named[rel] for rel in self.rel_names]
+            hit = tuple(self._code_of[tuple(((a, b) in t, (b, a) in t) for t in tables)]
+                        for b in range(c) for a in range(b))
+            if len(self._class_codes) >= CLASS_CODES_CACHE_CAP:
+                self._class_codes.clear()
+            self._class_codes[key] = hit
+        return hit
 
     def mask(self, f: Formula, index: dict[VarRef, int]) -> int:
         """Codes of the pair of grid variables that the quantifier-free `f`

@@ -236,6 +236,30 @@ def test_theta_reindex():
     assert all(E.points[E.index(g)] in (E.points[i] for i in E.base) for g in pairs)
 
 
+@pytest.mark.parametrize("theory,k,level", [
+    ("equivinf", 2, 1), ("equivinf", 3, 1), ("dlo", 2, 1), ("dlo", 3, 1),
+    pytest.param("equivinf", 3, 2, marks=pytest.mark.slow)])
+def test_theta_fiber_matches_restrict_scan(theory, k, level):
+    tab = build_level_table(SEQS[theory], k, level)
+    # the scan by `restrict` and `key`, with the points grouped by their
+    # restrictions once rather than restricted again for every fiber
+    fibers: dict[tuple, list[int]] = {}
+    for i, q in enumerate(tab.points):
+        keys = tuple(q.restrict(tapes).key()
+                     for tapes in [(0,), *((0, j) for j in range(1, k))])
+        fibers.setdefault(keys, []).append(i)
+    for p in tab.points:
+        base, pairs = theta_reindex(p)
+        want = (base.key(), *(g.key() for g in pairs))
+        assert theta_fiber(tab, base, pairs) == fibers[want]
+    # a base that disagrees with the pairs on tape 0 has an empty fiber
+    bases = {q.restrict((0,)).key(): q.restrict((0,)) for q in tab.points}
+    base, pairs = theta_reindex(tab.points[-1])
+    for key, other in bases.items():
+        if key != base.key():
+            assert theta_fiber(tab, other, pairs) == []
+
+
 def test_theta_diagonal_two_tape():
     seq = SEQS["dlo"]
     tab = build_level_table(seq, 2, 1)

@@ -329,6 +329,41 @@ def test_diagram_formula_roundtrip():
             assert [u.key() for u in sat] == [t.key()]
 
 
+def conj_diagram_formula(t):
+    """The diagram formula as `conj` of the theory's pair literals: each
+    variable tied to its class representative, each representative pair
+    pinned relation by relation (the construction the literal table
+    replaces)."""
+    theory, vs = t.theory, t.grid_vars()
+    lits, reps = [], {}
+    for i, c in enumerate(t.classes):
+        if c in reps:
+            lits.append(Eq(reps[c], vs[i]))
+        else:
+            reps[c] = vs[i]
+    tables = [t.rel_table(rel) for rel, _ in theory.signature.relations]
+    for a, b in itertools.combinations(sorted(reps), 2):
+        for table in tables or [frozenset()]:
+            lits += theory.pair_literals(reps[a], reps[b], (a, b) in table,
+                                         (b, a) in table)
+    return conj(lits)
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_diagram_formula_matches_conj(theory):
+    widest = 4 if theory == "randomgraph" else 5
+    shapes = set()
+    for k in (1, 2):
+        for n in range(widest // k + 1):
+            for t in enumerate_types(theory, k, n):
+                expected = conj_diagram_formula(t)
+                assert t.diagram_formula() == expected, (k, n, t.classes)
+                assert t.diagram_text() == render_formula(expected), (k, n, t.classes)
+                shapes.add(type(expected).__name__)
+    # m = 0 gives true, two variables give single literals, wider grids And
+    assert {"Top", "And"} <= shapes and shapes & {"Eq", "Atom", "Not"}
+
+
 def test_canonical_form_semantic_identity():
     sig = get_theory("dlo").signature
     a = parse_formula("!lt(x0,x1)", sig)
