@@ -13,7 +13,6 @@ from .formula import (TRUE, Formula, VarRef, exists, free_vars, implies,
 from .models import (DTuple, ModelHandle, Y0, build_dtuple, evaluate,
                      make_model, tuple_type)
 from .rich import RichSequence
-from .theories import decide_sentence, diagrams_over
 
 SKOLEM_SCAN_CAP = 256
 TRUE_SLOT_SCAN_CAP = 4096
@@ -39,14 +38,13 @@ def section_schedule(theory, seq: RichSequence | None = None,
     seq = seq or RichSequence(theory)
     if steps == 0:
         return SectionSchedule(seq.theory.id, 0, (), (), (0,), ())
-    plan = seq.section_plan(steps)
-    M = seq.section_model()
-    ref = plan["reference"]
+    section = seq.section
+    plan = section.plan(steps)
     for n, bound in plan["A"].items():
         if bound <= n and n > 0:
             raise InternalConsistencyError(f"realization bound A_{n} not past {n}")
-        for d in _one_types(seq, M, ref, n):
-            if not any(_realizes(M, d, ref, n, i) for i in range(n, bound)):
+        for d in section.one_types_over(n):
+            if not any(section.realized_at(d, n, i) for i in range(n, bound)):
                 raise InternalConsistencyError(
                     f"1-type over the first {n} entries unrealised below A_{n}")
     ms = tuple(plan["m"])
@@ -54,21 +52,7 @@ def section_schedule(theory, seq: RichSequence | None = None,
         raise InternalConsistencyError("schedule slots must increase strictly")
     return SectionSchedule(seq.theory.id, steps, ms,
                            tuple(sorted(plan["A"].items())),
-                           tuple(plan["B"]), tuple(ref))
-
-
-def _one_types(seq, M, ref, n):
-    pool = diagrams_over(seq.theory, n + 1)
-    if n == 0:
-        return pool
-    want = tuple_type(M, [ref[:n]]).restrict_vars(list(range(n))).key()
-    return [d for d in pool if d.restrict_vars(list(range(n))).key() == want]
-
-
-def _realizes(M, diagram, ref, n, i):
-    asg = {VarRef(0, j): ref[j] for j in range(n)}
-    asg[VarRef(0, n)] = ref[i]
-    return evaluate(diagram.diagram_formula(), M, asg)
+                           tuple(plan["B"]), tuple(plan["reference"]))
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,7 @@ def apply_mstar(a: DTuple, sched: SectionSchedule, M: ModelHandle,
     if a.level < sched.m[-1] + 1:
         raise PreconditionError(
             f"input tuple level {a.level} below m({sched.steps - 1})+1")
-    refM = seq.section_model()
+    refM = seq.section.model
     b = tuple(a.elements[i] for i in sched.m)
     q_checks = []
     for n in range(1, sched.steps + 1):
@@ -123,7 +107,6 @@ def skolem_map(phi: Formula, seq: RichSequence) -> dict:
     """Least index i whose coordinate provably witnesses phi whenever a
     witness exists: the universal sentence is decided by the oracle, not
     merely sampled."""
-    theory = seq.theory
     xs = [v for v in free_vars(phi) if v.tape == 0]
     if any(v.tape not in (0, 1) or (v.tape == 1 and v.position != 0)
            for v in free_vars(phi)):
@@ -134,8 +117,7 @@ def skolem_map(phi: Formula, seq: RichSequence) -> dict:
     for i in range(SKOLEM_SCAN_CAP):
         inst = substitute_vars(phi, {Y0: VarRef(0, i)}) if Y0 in free_vars(phi) else phi
         body = implies(exists(Y0, phi) if Y0 in free_vars(phi) else phi, inst)
-        sentence = seq.relativize_forall(body, tape=0)
-        if decide_sentence(sentence, theory):
+        if seq.valid(body, 1):
             return {"index": i, "formula": render_formula(phi),
                     "sentence": render_formula(body),
                     "satisfiable_on_sort": render_formula(satisfiable)}

@@ -16,11 +16,10 @@ from .categorical import (apply_mstar, section_schedule, skolem_map,
 from .errors import (InternalConsistencyError, ParseError, PreconditionError,
                      ResourceCapError, TgwError)
 from .formula import free_vars, parse_formula, rename_tapes, render_formula
-from .groupoid import (Refusal, SubGroupoid, build_level_table, clopen,
-                       compose_clopen, en_clopen, invert_clopen,
-                       is_subgroupoid, project_clopen, source_clopen,
-                       target_clopen, theta_fiber, theta_reindex,
-                       verify_level_axioms)
+from .groupoid import (LevelTable, Refusal, SubGroupoid, clopen,
+                       compose_clopen, en_clopen, is_subgroupoid,
+                       project_clopen, source_clopen, target_clopen,
+                       theta_fiber, theta_reindex, verify_level_axioms)
 from .models import build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
@@ -83,7 +82,7 @@ def cmd_compose(cfg):
     V = clopen(seq, psi, arity=2)
     chi = compose_clopen(U, V)
     level = max(max(U.level, V.level), 1)
-    tab = build_level_table(seq, 2, level, cap=_cap(cfg))
+    tab = LevelTable(seq, 2, level, cap=_cap(cfg))
     comp = tab.compose_sets()
     expected = set()
     for a in tab.points_of(replace(U, level=level)):
@@ -131,7 +130,7 @@ def cmd_groupoid_verify(cfg):
     seq = _seq(cfg)
     cap = _cap(cfg)
     check_grid_cap(4 * cfg["level"], cap)  # the 4-tape amalgams, before any work
-    tab = build_level_table(seq, 2, cfg["level"], cap=cap)
+    tab = LevelTable(seq, 2, cfg["level"], cap=cap)
     try:
         report = verify_level_axioms(tab)
         certs = [_cert(k, True) for k in
@@ -147,8 +146,8 @@ def cmd_project(cfg):
     seq = _seq(cfg)
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     down = project_clopen(U, cfg["to"])
-    tab_hi = build_level_table(seq, 2, U.level, cap=_cap(cfg))
-    tab_lo = build_level_table(seq, 2, cfg["to"], cap=_cap(cfg))
+    tab_hi = LevelTable(seq, 2, U.level, cap=_cap(cfg))
+    tab_lo = LevelTable(seq, 2, cfg["to"], cap=_cap(cfg))
     expected = {tab_lo.index(tab_hi.points[i].restrict((0, 1), cfg["to"]))
                 for i in tab_hi.points_of(U)}
     agrees = tab_lo.points_of(down) == frozenset(expected)
@@ -159,7 +158,7 @@ def cmd_project(cfg):
 def cmd_theta(cfg):
     seq = _seq(cfg)
     k = cfg.get("tapes") or 3
-    tab = build_level_table(seq, k, cfg["level"], cap=_cap(cfg))
+    tab = LevelTable(seq, k, cfg["level"], cap=_cap(cfg))
     idx = cfg.get("index") or 0
     if idx >= len(tab.points):
         raise PreconditionError(f"table has only {len(tab.points)} points")

@@ -295,7 +295,8 @@ def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     if isinstance(f, Implies):
         return Implies(_subst(f.lhs, mapping), _subst(f.rhs, mapping))
     # quantified: the bound variable itself is never substituted
-    inner = {k: v for k, v in mapping.items() if k != f.var and k in free_vars(f.body)}
+    body_vars = free_vars(f.body)
+    inner = {k: v for k, v in mapping.items() if k != f.var and k in body_vars}
     var, body = f.var, f.body
     if var in inner.values():
         used = {v.position for v in all_vars(body) if v.tape == var.tape}

@@ -127,18 +127,10 @@ def contains_base(U: ClopenSet) -> bool:
 
 def clopen_le(U: ClopenSet, V: ClopenSet) -> bool:
     _common(U, V)
-    return _relativized_valid(U.seq, implies(U.formula, V.formula),
-                              max(U.arity, V.arity))
+    return U.seq.valid(implies(U.formula, V.formula), max(U.arity, V.arity))
 
 def clopen_equiv(U: ClopenSet, V: ClopenSet) -> bool:
     return clopen_le(U, V) and clopen_le(V, U)
-
-
-def _relativized_valid(seq: RichSequence, f: Formula, arity: int) -> bool:
-    out = f
-    for t in range(arity):
-        out = seq.relativize_forall(out, tape=t)
-    return decide_sentence(out, seq.theory)
 
 
 def _common(U: ClopenSet, V: ClopenSet):
@@ -152,7 +144,7 @@ def separating_type(U: ClopenSet, V: ClopenSet, cap_level: int = 3) -> CompleteT
     gap = disj([conj([U.formula, neg(V.formula)]),
                 conj([neg(U.formula), V.formula])])
     k = max(U.arity, V.arity)
-    tab = build_level_table(U.seq, k, level)
+    tab = LevelTable(U.seq, k, level)
     for p in tab.points:
         if p.satisfies_qf(eliminate_quantifiers(gap, U.theory)):
             return p
@@ -182,7 +174,7 @@ def is_subgroupoid(U: ClopenSet):
         return Refusal("symmetric", separating_type(U, inv))
     if not contains_base(U):
         bad = clopen(U.seq, neg(merge_tape(U.formula, 1, 0)))
-        table = build_level_table(U.seq, 1, max(U.level, 1))
+        table = LevelTable(U.seq, 1, max(U.level, 1))
         hits = table.points_of(ClopenSet(U.seq, 1, bad.formula, max(U.level, 1))) \
             if bad.arity == 1 else set()
         witness = table.points[min(hits)] if hits else None
@@ -323,11 +315,6 @@ def _reader(positions: list[int]):
     return itemgetter(*positions) if positions else (lambda codes: ())
 
 
-def build_level_table(seq: RichSequence, k: int, n: int,
-                      cap: int = DEFAULT_GRID_CAP) -> LevelTable:
-    return LevelTable(seq, k, n, cap)
-
-
 def _four_tape_relation(tab: LevelTable) -> dict:
     """(p, q, r) -> every s such that one 4-tape amalgam restricts to p, q,
     r, s on the tape pairs (0,1), (1,2), (2,3), (0,3).  Each point is
@@ -405,7 +392,7 @@ def verify_level_axioms(tab: LevelTable) -> dict:
 
     # source images commute with unions, so singleton generators (plus one
     # sample union) decide openness for every definable point-set
-    one_tape = build_level_table(tab.seq, 1, tab.n, tab.cap)
+    one_tape = LevelTable(tab.seq, 1, tab.n, tab.cap)
     tape1 = one_tape.restriction_index(2, (1,))
     samples = [frozenset((i,)) for i in range(npts)]
     if npts >= 2:
@@ -500,7 +487,7 @@ def cantor_branching(seq: RichSequence, level: int, extra: int) -> bool:
     """Every base point at each level up to `level` admits at least two
     incompatible extensions within `extra` further levels."""
     for n in range(level + 1):
-        for p in build_level_table(seq, 1, n).points:
+        for p in LevelTable(seq, 1, n).points:
             if not _branches(seq, p, n, extra):
                 return False
     return True
@@ -508,7 +495,7 @@ def cantor_branching(seq: RichSequence, level: int, extra: int) -> bool:
 
 def _branches(seq, p, n, extra) -> bool:
     for j in range(1, extra + 1):
-        ext = [q for q in build_level_table(seq, 1, n + j).points
+        ext = [q for q in LevelTable(seq, 1, n + j).points
                if q.restrict((0,), n).key() == p.key()]
         if len({q.key() for q in ext}) >= 2:
             return True

@@ -28,7 +28,7 @@ from .formula import (And, Atom, Bot, Eq, Exists, Forall, Formula, Implies,
                       Not, Or, Top, VarRef, exists, forall, free_vars,
                       implies, render_formula, substitute_vars)
 from .pairing import cantor_pair, cantor_unpair
-from .theories import CompleteType, Theory, get_theory
+from .theories import CompleteType, Theory, get_theory, pair_codes
 
 DEFAULT_QUANTIFIER_CAP = 8
 WITNESS_SCAN_CAP = 50_000
@@ -238,7 +238,8 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict, _depth: int = 0) -> b
         if _depth >= M.max_quantifier_depth:
             raise EvaluationCapError(
                 f"quantifier depth exceeds the cap {M.max_quantifier_depth}")
-        live = {v: e for v, e in assignment.items() if v in free_vars(f.body)}
+        body_vars = free_vars(f.body)
+        live = {v: e for v, e in assignment.items() if v in body_vars}
         params = sorted(set(live.values()))
         cands = M.witness_candidates(params)
         results = (evaluate(f.body, M, {**assignment, f.var: c}, _depth + 1)
@@ -280,7 +281,7 @@ def tuple_type(M: ModelHandle, tuples: list) -> CompleteType:
                           if M.atomic(rel, reps[i], reps[j]))
         rels.append((rel, pairs))
     t = CompleteType(theory.id, k, n, tuple(classes), tuple(sorted(rels)))
-    if not theory.diagram_admissible(t.classes, dict(t.rels)):
+    if not pair_codes(theory).admits(t):
         raise InternalConsistencyError("model produced an inadmissible diagram")
     return t
 

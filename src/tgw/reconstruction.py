@@ -6,17 +6,17 @@ structure is isomorphic to the induced structure on the sampled carrier.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .errors import (InternalConsistencyError, PreconditionError)
-from .formula import (FALSE, TRUE, Atom, Eq, Formula, VarRef, conj, disj,
-                      free_vars, neg, render_formula)
-from .groupoid import (ClopenSet, SubGroupoid, act_clopen, build_level_table,
-                       clopen, clopen_equiv, clopen_le, en_clopen,
-                       is_subgroupoid)
+from .errors import InternalConsistencyError, PreconditionError
+from .formula import (FALSE, TRUE, Atom, Eq, Formula, VarRef, conj, free_vars,
+                      implies, neg, rename_tapes, render_formula)
+from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
+                       clopen_equiv, contains_base, en_clopen, is_subgroupoid)
 from .models import DTuple, ModelHandle, build_dtuple, evaluate, make_model, tuple_type
 from .rich import RichSequence
-from .theories import canonical_form, decide_sentence, eliminate_quantifiers
+from .theories import canonical_form
 
 
 def subgroupoid_to_equivalence(H: SubGroupoid) -> Formula:
@@ -24,7 +24,7 @@ def subgroupoid_to_equivalence(H: SubGroupoid) -> Formula:
     whose clopen is H, recovered through the point table at H's level; its
     equivalence axioms are verified relative to the sort."""
     U = H.clopen
-    tab = build_level_table(U.seq, 2, U.level)
+    tab = LevelTable(U.seq, 2, U.level)
     back = tab.clopen_of(tab.points_of(U))
     E = canonical_form(back.formula, U.theory)
     _check_equivalence_axioms(U.seq, E, U.level)
@@ -32,26 +32,15 @@ def subgroupoid_to_equivalence(H: SubGroupoid) -> Formula:
 
 
 def _check_equivalence_axioms(seq: RichSequence, E: Formula, level: int):
-    from .groupoid import merge_tape
-    refl = seq.relativize_forall(merge_tape(E, 1, 0), 0, level=max(level, 1),
-                                 prune=False)
-    if not decide_sentence(refl, seq.theory):
+    if not contains_base(ClopenSet(seq, 2, E, max(level, 1))):
         raise InternalConsistencyError("recovered relation is not reflexive")
-    from .formula import implies, rename_tapes
     sym = implies(E, rename_tapes(E, {0: 1, 1: 0}))
-    if not _valid(seq, sym, 2):
+    if not seq.valid(sym, 2):
         raise InternalConsistencyError("recovered relation is not symmetric")
     tr = implies(conj([E, rename_tapes(E, {0: 1, 1: 2})]),
                  rename_tapes(E, {1: 2}))
-    if not _valid(seq, tr, 3):
+    if not seq.valid(tr, 3):
         raise InternalConsistencyError("recovered relation is not transitive")
-
-
-def _valid(seq: RichSequence, f: Formula, tapes: int) -> bool:
-    out = f
-    for t in range(tapes):
-        out = seq.relativize_forall(out, tape=t)
-    return decide_sentence(out, seq.theory)
 
 
 @dataclass(frozen=True)
@@ -92,8 +81,7 @@ def _same_class(M: ModelHandle, a: DTuple, b: DTuple, H: SubGroupoid) -> bool:
     return pair.satisfies_qf(H.clopen.formula)
 
 
-def predicate_value(X: ClopenSet, classes: list[SortClass], e: DTuple,
-                    M: ModelHandle) -> bool:
+def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> bool:
     """Evaluate the invariant clopen on one representative per tape, checking
     well-definedness across the sampled members."""
     if len(classes) != X.arity:
@@ -179,21 +167,21 @@ def reconstruct_and_compare(theory, level: int = 1, depth: int = 1,
               "bijection": bijection,
               "carrier": [M.render_element(c) for c in carrier],
               "predicates": [], "ok": bijection}
-    tab = build_level_table(seq, 2, 1)
+    tab = LevelTable(seq, 2, 1)
     for X in predicate_corpus(seq, depth):
         entry = {"formula": render_formula(X.formula), "arity": X.arity}
         entry["invariant"] = certify_invariance(X, [H1])
         table = {}
         transported = True
-        for combo in _tuples_over(classes, X.arity):
+        # the groupoid-side recovery of the same predicate
+        recovered = tab.clopen_of(tab.points_of(X)) if X.arity == 2 else X
+        for combo in itertools.product(classes, repeat=X.arity):
             try:
-                got = predicate_value(X, list(combo), e, M)
+                got = predicate_value(X, list(combo), M)
             except InternalConsistencyError:
                 entry["well_defined"] = False
                 report["ok"] = False
                 break
-            # the groupoid-side recovery of the same predicate
-            recovered = tab.clopen_of(tab.points_of(X)) if X.arity == 2 else X
             want = _eval_on(recovered, [c.rep for c in combo], M)
             key = ",".join(str(carrier.index(c.rep.elements[0])) for c in combo)
             table[key] = got
@@ -208,8 +196,3 @@ def reconstruct_and_compare(theory, level: int = 1, depth: int = 1,
         if not (entry["invariant"] and entry["well_defined"] and transported):
             report["ok"] = False
     return report
-
-
-def _tuples_over(classes, arity):
-    import itertools
-    return itertools.product(classes, repeat=arity)

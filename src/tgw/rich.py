@@ -41,10 +41,9 @@ from dataclasses import dataclass
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
-from .formula import (FALSE, TRUE, And, Bot, Eq, Forall, Formula, Implies,
-                      Top, VarRef, conj, disj, exists, forall, free_vars,
-                      implies, neg, render_formula, rename_tapes,
-                      substitute_vars)
+from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
+                      conj, disj, exists, forall, free_vars, implies, neg,
+                      render_formula, rename_tapes, substitute_vars)
 from .models import Y0, build_dtuple, evaluate, make_model, tuple_type
 from .pairing import cantor_pair, cantor_unpair
 from .theories import (canonical_form, decide_sentence, depends_on_all_vars,
@@ -166,7 +165,10 @@ class DPhiLevel:
 class RichSequence:
     """A concrete rich sequence over one of the built-in theories.  `prefix`
     pins the formulas of slots 1..len(prefix); everything else follows the
-    canonical layout, shifted past the prefix."""
+    canonical layout, shifted past the prefix.  `section` is the
+    trivialising-section state over the sequence's pinned reference tuple:
+    it builds the schedule stream's formulas, and the categorical suite
+    reads its `plan`, `model`, `one_types_over` and `realized_at`."""
 
     def __init__(self, theory, prefix=()):
         self.theory = get_theory(theory)
@@ -179,7 +181,7 @@ class RichSequence:
                     f"prefix slot {i} may only use x-positions below {i} and y0")
         self._slots: dict[int, Formula] = {}
         self._conjuncts: dict[int, Formula] = {}
-        self._section = _SectionState(self)
+        self.section = _SectionState(self)
 
     # slot layout ------------------------------------------------------------
 
@@ -187,20 +189,14 @@ class RichSequence:
     def offset(self) -> int:
         return len(self.prefix)
 
-    def canonical_slot(self, rank: int) -> int:
-        return self.offset + 6 * rank + 1
-
     def schedule_slot(self, t: int) -> int:
         return self.offset + 6 * t + 3
-
-    def copy_slot(self, j: int) -> int:
-        return self.offset + 6 * j + 5
 
     def _item(self, k: int) -> Formula:
         if k % 3 == 0:
             return _stream(self.theory).item(k // 3)
         if k % 3 == 1:
-            return self._section.step_formula((k - 1) // 3)
+            return self.section.step_formula((k - 1) // 3)
         return Eq(VarRef(0, (k - 2) // 3), Y0)
 
     def rich_formula(self, n: int) -> Formula:
@@ -304,16 +300,12 @@ class RichSequence:
         inner = self.relativize_exists(neg(body), tape, level, prune)
         return eliminate_quantifiers(neg(inner), self.theory)
 
-    # section-schedule access (used by the categorical suite) -----------------
-
-    def section_plan(self, steps: int) -> dict:
-        return self._section.plan(steps)
-
-    def canonical_tuple(self, n: int) -> tuple:
-        return tuple(self._section.tuple_prefix(n))
-
-    def section_model(self):
-        return self._section.model
+    def valid(self, f: Formula, tapes: int) -> bool:
+        """Whether `f` holds of every witness-sort tuple on each of the
+        tapes 0..tapes-1: `relativize_forall` on each tape, then decide."""
+        for t in range(tapes):
+            f = self.relativize_forall(f, tape=t)
+        return decide_sentence(f, self.theory)
 
 
 # -- the self-referential section-schedule stream ------------------------------
@@ -459,7 +451,7 @@ def witness_indices(seq: RichSequence, psi: Formula, n: int, m: int) -> list[int
     lhs = eliminate_quantifiers(projected, theory)
     rhs = seq.dphi_formula(n).simplified
     gap = disj([conj([lhs, neg(rhs)]), conj([neg(lhs), rhs])])
-    if not _valid_over_x(neg(gap), n, theory):
+    if not _valid(neg(gap), theory):
         sep = enumerate_types(theory, 1, n, gap)
         raise PreconditionError(
             "projection of psi is not the level condition; separating type: "
@@ -479,24 +471,18 @@ def witness_indices(seq: RichSequence, psi: Formula, n: int, m: int) -> list[int
     recovered = seq.relativize_exists(target, tape=2)
     gap2 = disj([conj([psi, neg(recovered)]), conj([neg(psi), recovered])])
     closed = eliminate_quantifiers(gap2, theory)
-    if not _valid_closed(neg(closed), n, m, theory):
+    if not _valid(neg(closed), theory):
         raise InternalConsistencyError(
             "witness indices failed their concluding equivalence")
     return indices
 
 
-def _valid_over_x(f: Formula, n: int, theory) -> bool:
-    g = f
-    for p in range(n - 1, -1, -1):
-        g = forall(VarRef(0, p), g)
-    return decide_sentence(g, theory)
-
-
-def _valid_closed(f: Formula, n: int, m: int, theory) -> bool:
-    g = f
-    for j in range(m - 1, -1, -1):
-        g = forall(VarRef(1, j), g)
-    return _valid_over_x(g, n, theory)
+def _valid(f: Formula, theory) -> bool:
+    """Whether `f` holds for all values of its free variables, without
+    relativising to the witness sort."""
+    for v in sorted(free_vars(f), reverse=True):
+        f = forall(v, f)
+    return decide_sentence(f, theory)
 
 
 # -- approximate bijections and the back-and-forth stages ----------------------

@@ -14,7 +14,9 @@ negation.  A complete quantifier-free diagram over finitely many variables
 is represented by a partition of the variables plus relation values on the
 partition classes (`CompleteType`); admissibility of the diagram is exactly
 consistency with the theory, so enumerating admissible diagrams enumerates
-complete types.
+complete types.  A theory is given by five hooks (see `Theory`); which
+diagrams are admissible is read off its 3-variable diagrams, not written
+per theory.
 
 Every signature is binary, so a diagram is also fixed by its 2-variable
 sub-diagrams: its pair-code tuple holds, for each pair i < j, the index of
@@ -27,7 +29,9 @@ Fraisse limit of these diagrams, `diagram_codes` generates them one variable
 at a time: a new variable relates to each earlier equality class by a code
 allowed by the triple table, and copies that code to the rest of the class.
 The partition-times-relation-table product (`rel_assignments`) only builds
-the diagrams over at most three variables that the triple table comes from.
+the diagrams over at most three variables that the triple table comes from,
+and `PairCodes.admits` decides admissibility of any diagram (such as one
+read off a model) by the same pair codes and triple table.
 
 Diagram formulas are read off the same codes.  Per grid, a literal table
 (`PairCodes.literal_table`) holds for each pair position and pair code the
@@ -62,9 +66,14 @@ def _sorted_pair(a: VarRef, b: VarRef) -> tuple[VarRef, VarRef]:
 
 
 class Theory:
-    """Base for the built-in theories; subclasses fix the signature, the
-    literal normal form, the single-existential rule, and the diagram
-    enumeration."""
+    """Base for the built-in theories.  Besides the signature, a theory is
+    five hooks: `normalize_literal` (the literal normal form),
+    `eliminate_one` (the single-existential rule), `pair_literals` and
+    `literal_conflict` (pinning and pruning literals), and `rel_assignments`
+    (the relation tables on distinct classes, which build the diagrams over
+    at most three variables).  Admissibility of larger diagrams is read off
+    the triple table of those (`PairCodes.admits`), since each theory's
+    universal part is axiomatised in at most three variables."""
 
     id: str = ""
     signature: Signature = Signature("empty")
@@ -83,9 +92,6 @@ class Theory:
         raise NotImplementedError
 
     def rel_assignments(self, num_classes: int) -> list[dict[str, frozenset]]:
-        raise NotImplementedError
-
-    def diagram_admissible(self, classes: tuple[int, ...], rels: dict[str, frozenset]) -> bool:
         raise NotImplementedError
 
     def pair_literals(self, a: VarRef, b: VarRef, forward: bool, backward: bool) -> list[Formula]:
@@ -145,9 +151,6 @@ class PureSet(Theory):
     def rel_assignments(self, num_classes):
         return [{}]
 
-    def diagram_admissible(self, classes, rels):
-        return True
-
 
 class DenseLinearOrder(Theory):
     id = "dlo"
@@ -201,20 +204,6 @@ class DenseLinearOrder(Theory):
             out.append({"lt": pairs})
         return out
 
-    def diagram_admissible(self, classes, rels):
-        lt = rels["lt"]
-        c = max(classes, default=-1) + 1
-        for i in range(c):
-            if (i, i) in lt:
-                return False
-            for j in range(c):
-                if i != j and ((i, j) in lt) == ((j, i) in lt):
-                    return False
-                for k in range(c):
-                    if (i, j) in lt and (j, k) in lt and (i, k) not in lt:
-                        return False
-        return True
-
 
 class RandomGraph(Theory):
     id = "randomgraph"
@@ -259,12 +248,6 @@ class RandomGraph(Theory):
             edges = frozenset(p for p, b in zip(pairs, bits) if b)
             out.append({"adj": edges | frozenset((j, i) for i, j in edges)})
         return out
-
-    def diagram_admissible(self, classes, rels):
-        adj = rels["adj"]
-        if any((i, i) in adj for i in set(classes)):
-            return False
-        return all((j, i) in adj for (i, j) in adj)
 
 
 class EquivInf(Theory):
@@ -316,20 +299,6 @@ class EquivInf(Theory):
                         pairs.add((i, j))
             out.append({"equiv": frozenset(pairs)})
         return out
-
-    def diagram_admissible(self, classes, rels):
-        eqv = rels["equiv"]
-        cs = sorted(set(classes))
-        for i in cs:
-            if (i, i) not in eqv:
-                return False
-            for j in cs:
-                if ((i, j) in eqv) != ((j, i) in eqv):
-                    return False
-                for k in cs:
-                    if (i, j) in eqv and (j, k) in eqv and (i, k) not in eqv:
-                        return False
-        return True
 
 
 THEORIES: dict[str, Theory] = {t.id: t for t in
@@ -815,6 +784,25 @@ class PairCodes:
             self._class_codes[key] = hit
         return hit
 
+    def admits(self, t: CompleteType) -> bool:
+        """Whether the diagram `t` is consistent with the theory: each
+        relation's diagonal is the 1-variable diagram's, every pair of
+        classes has a code and every triple of classes is allowed by
+        `triples`.  The universal part is axiomatised in at most three
+        variables, so this is exactly admissibility."""
+        c = t.num_classes()
+        named = dict(t.rels)
+        try:
+            if any(((i, i) in named[rel]) != diagonal
+                   for rel, diagonal, _, _ in self._tables for i in range(c)):
+                return False
+            between = self.class_codes(c, t.rels)
+        except KeyError:
+            return False
+        return all(self.triples[between[pair_index(a, b)]][between[pair_index(a, d)]]
+                   >> between[pair_index(b, d)] & 1
+                   for d in range(c) for b in range(d) for a in range(b))
+
     def mask(self, f: Formula, index: dict[VarRef, int]) -> int:
         """Codes of the pair of grid variables that the quantifier-free `f`
         names (at most two) on which it holds; all or none if it names
@@ -1044,46 +1032,37 @@ def depends_on_all_vars(theory, m: int, sat_keys: set) -> bool:
     pullback along forgetting any single variable (and is neither empty nor
     everything)."""
     theory = get_theory(theory)
-    pool = diagrams_over(theory, m)
-    if not sat_keys or len(sat_keys) == len(pool):
+    if not sat_keys or len(sat_keys) == len(diagrams_over(theory, m)):
         return False
-    for drop in range(m):
-        keep = [i for i in range(m) if i != drop]
-        groups: dict = {}
-        for d in pool:
-            groups.setdefault(d.restrict_vars(keep).key(), []).append(d)
-        if all(all(g.key() in sat_keys for g in members) or
-               all(g.key() not in sat_keys for g in members)
-               for members in groups.values()):
+    return not any(_is_pullback(theory, m, drop, sat_keys) for drop in range(m))
+
+
+def _is_pullback(theory: Theory, m: int, drop: int, sat_keys: set) -> bool:
+    """True iff membership in the set of m-variable diagrams named by
+    `sat_keys` is constant on each fibre of forgetting variable `drop`."""
+    keep = [i for i in range(m) if i != drop]
+    verdicts: dict = {}
+    for d in diagrams_over(theory, m):
+        inside = d.key() in sat_keys
+        if verdicts.setdefault(d.restrict_vars(keep).key(), inside) != inside:
             return False
     return True
 
 
 def _drop_dummies(theory: Theory, vs: list[VarRef], sat: list[CompleteType]):
-    """Remove variables the satisfying set does not depend on."""
-    changed = True
-    while changed and vs:
-        changed = False
-        for drop in range(len(vs) - 1, -1, -1):
-            keep = [i for i in range(len(vs)) if i != drop]
-            groups: dict = {}
-            for d in diagrams_over(theory, len(vs)):
-                groups.setdefault(d.restrict_vars(keep).key(), []).append(d)
-            satset = {d.key() for d in sat}
-            pullback = all(
-                all(m.key() in satset for m in members) or
-                all(m.key() not in satset for m in members)
-                for members in groups.values())
-            if pullback:
-                new_sat = []
-                seen = set()
-                for d in sat:
-                    r = d.restrict_vars(keep)
-                    if r.key() not in seen:
-                        seen.add(r.key())
-                        new_sat.append(r)
-                vs = [vs[i] for i in keep]
-                sat = sorted(new_sat, key=CompleteType.key)
-                changed = True
-                break
+    """Remove variables the satisfying set does not depend on, the last
+    such variable first."""
+    while vs:
+        sat_keys = {d.key() for d in sat}
+        drop = next((i for i in reversed(range(len(vs)))
+                     if _is_pullback(theory, len(vs), i, sat_keys)), None)
+        if drop is None:
+            break
+        keep = [i for i in range(len(vs)) if i != drop]
+        restricted: dict = {}
+        for d in sat:
+            r = d.restrict_vars(keep)
+            restricted.setdefault(r.key(), r)
+        vs = [vs[i] for i in keep]
+        sat = sorted(restricted.values(), key=CompleteType.key)
     return vs, sat

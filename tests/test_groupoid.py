@@ -6,8 +6,8 @@ from tgw import groupoid
 from tgw.errors import (InternalConsistencyError, PreconditionError,
                         ResourceCapError)
 from tgw.formula import FALSE, TRUE, Eq, VarRef, conj, neg, parse_formula
-from tgw.groupoid import (ClopenSet, Refusal, SubGroupoid, act_clopen,
-                          base_clopen, build_level_table, cantor_branching,
+from tgw.groupoid import (ClopenSet, LevelTable, Refusal, SubGroupoid,
+                          act_clopen, base_clopen, cantor_branching,
                           clopen, clopen_equiv, compose_clopen, contains_base,
                           en_clopen, invert_clopen, is_en_invariant,
                           is_subgroupoid, minimal_en_index, project_clopen,
@@ -118,15 +118,15 @@ def test_minimal_en_index():
 
 
 def test_build_level_table_counts():
-    assert len(build_level_table(SEQS["pureset"], 2, 1).points) == 2
-    assert len(build_level_table(SEQS["pureset"], 2, 1).base) == 1
-    assert len(build_level_table(SEQS["dlo"], 2, 1).points) == 3
-    assert len(build_level_table(SEQS["dlo"], 1, 0).points) == 1
+    assert len(LevelTable(SEQS["pureset"], 2, 1).points) == 2
+    assert len(LevelTable(SEQS["pureset"], 2, 1).base) == 1
+    assert len(LevelTable(SEQS["dlo"], 2, 1).points) == 3
+    assert len(LevelTable(SEQS["dlo"], 1, 0).points) == 1
 
 
 def test_verify_level_axioms_all_theories():
     for theory, seq in SEQS.items():
-        report = verify_level_axioms(build_level_table(seq, 2, 1))
+        report = verify_level_axioms(LevelTable(seq, 2, 1))
         assert report["associativity"] and report["neutrality"]
         assert report["inversion"] and report["openness"]
 
@@ -137,7 +137,7 @@ def test_verify_level_axioms_all_theories():
     pytest.param("dlo", (75, 3, 4683), marks=pytest.mark.slow),
 ])
 def test_verify_level_axioms_level_two(theory, counts):
-    report = verify_level_axioms(build_level_table(SEQS[theory], 2, 2))
+    report = verify_level_axioms(LevelTable(SEQS[theory], 2, 2))
     assert report["associativity"] and report["neutrality"]
     assert report["inversion"] and report["openness"]
     assert (report["points"], report["base-points"],
@@ -145,7 +145,7 @@ def test_verify_level_axioms_level_two(theory, counts):
 
 
 def test_associativity_check_catches_a_missing_amalgam(monkeypatch):
-    tab = build_level_table(SEQS["dlo"], 2, 1)
+    tab = LevelTable(SEQS["dlo"], 2, 1)
     four = groupoid._four_tape_relation(tab)
     p, q, r = min(four)
     monkeypatch.setattr(groupoid, "_four_tape_relation",
@@ -158,18 +158,18 @@ def test_associativity_check_catches_a_missing_amalgam(monkeypatch):
 def test_level_table_caps_amalgams():
     seq = SEQS["pureset"]
     with pytest.raises(ResourceCapError, match="grid of 3 variables"):
-        build_level_table(seq, 2, 1, cap=2)  # the 3-tape composition amalgams
-    tab = build_level_table(seq, 2, 1, cap=3)
+        LevelTable(seq, 2, 1, cap=2)  # the 3-tape composition amalgams
+    tab = LevelTable(seq, 2, 1, cap=3)
     assert tab.cap == 3
     with pytest.raises(ResourceCapError, match="grid of 4 variables"):
         verify_level_axioms(tab)
-    assert verify_level_axioms(build_level_table(seq, 2, 1, cap=4))["associativity"]
+    assert verify_level_axioms(LevelTable(seq, 2, 1, cap=4))["associativity"]
 
 
 def test_table_codes_and_restriction_maps():
     for theory, seq in SEQS.items():
-        tab = build_level_table(seq, 2, 2)
-        one = build_level_table(seq, 1, 2)
+        tab = LevelTable(seq, 2, 2)
+        one = LevelTable(seq, 1, 2)
         swap = tab.restriction_index(2, (1, 0))
         tape1 = one.restriction_index(2, (1,))
         for i, p in enumerate(tab.points):
@@ -185,7 +185,7 @@ def test_table_codes_and_restriction_maps():
 def test_point_clopen_agreement():
     # composition of clopens matches relational composition of point sets
     for theory, seq in SEQS.items():
-        tab = build_level_table(seq, 2, 1)
+        tab = LevelTable(seq, 2, 1)
         comp = tab.compose_sets()
         for U, V in itertools.product(corpus(theory), repeat=2):
             pu, pv = tab.points_of(U), tab.points_of(V)
@@ -207,7 +207,7 @@ def test_en_neutrality_on_levels():
 def test_clopen_roundtrip_through_points():
     # formula -> point set -> disjunction of diagrams -> equivalent formula
     for theory, seq in SEQS.items():
-        tab = build_level_table(seq, 2, 1)
+        tab = LevelTable(seq, 2, 1)
         for U in corpus(theory):
             back = tab.clopen_of(tab.points_of(U))
             assert clopen_equiv(back, U), theory
@@ -223,7 +223,7 @@ def test_en_invariance():
 
 def test_theta_reindex():
     seq = SEQS["pureset"]
-    tab3 = build_level_table(seq, 3, 1)
+    tab3 = LevelTable(seq, 3, 1)
     for p in tab3.points:
         base, pairs = theta_reindex(p)
         assert base.k == 1 and len(pairs) == 2
@@ -232,7 +232,7 @@ def test_theta_reindex():
     # all-equal point decomposes into the diagonal pair twice
     diag = [p for p in tab3.points if p.num_classes() == 1][0]
     base, pairs = theta_reindex(diag)
-    E = build_level_table(seq, 2, 1)
+    E = LevelTable(seq, 2, 1)
     assert all(E.points[E.index(g)] in (E.points[i] for i in E.base) for g in pairs)
 
 
@@ -240,7 +240,7 @@ def test_theta_reindex():
     ("equivinf", 2, 1), ("equivinf", 3, 1), ("dlo", 2, 1), ("dlo", 3, 1),
     pytest.param("equivinf", 3, 2, marks=pytest.mark.slow)])
 def test_theta_fiber_matches_restrict_scan(theory, k, level):
-    tab = build_level_table(SEQS[theory], k, level)
+    tab = LevelTable(SEQS[theory], k, level)
     # the scan by `restrict` and `key`, with the points grouped by their
     # restrictions once rather than restricted again for every fiber
     fibers: dict[tuple, list[int]] = {}
@@ -262,7 +262,7 @@ def test_theta_fiber_matches_restrict_scan(theory, k, level):
 
 def test_theta_diagonal_two_tape():
     seq = SEQS["dlo"]
-    tab = build_level_table(seq, 2, 1)
+    tab = LevelTable(seq, 2, 1)
     for b in tab.base:
         base, pairs = theta_reindex(tab.points[b])
         assert len(pairs) == 1
@@ -280,8 +280,8 @@ def test_project_clopen():
 
 def test_project_matches_point_restriction():
     for theory, seq in SEQS.items():
-        tab2 = build_level_table(seq, 2, 2)
-        tab1 = build_level_table(seq, 2, 1)
+        tab2 = LevelTable(seq, 2, 2)
+        tab1 = LevelTable(seq, 2, 1)
         for U in corpus(theory, level=2):
             down = project_clopen(U, 1)
             expected = {tab1.index(tab2.points[i].restrict((0, 1), 1))

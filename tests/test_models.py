@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from tgw.errors import EvaluationCapError, PreconditionError
+from tgw.errors import (EvaluationCapError, InternalConsistencyError,
+                        PreconditionError)
 from tgw.formula import VarRef, parse_formula
-from tgw.models import (DTuple, build_dtuple, evaluate, make_model,
-                        tuple_type)
+from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
+                        build_dtuple, evaluate, make_model, tuple_type)
 from tgw.theories import decide_sentence, enumerate_types, get_theory
 
 
@@ -156,6 +157,37 @@ def test_tuple_types_are_enumerated_types():
     t = tuple_type(M, [pts])
     keys = {u.key() for u in enumerate_types("dlo", 1, 3)}
     assert t.key() in keys
+
+
+class _ReflexiveOrder(DloModel):
+    def atomic(self, rel, a, b):
+        return a <= b
+
+
+class _DirectedGraph(RandomGraphModel):
+    def atomic(self, rel, a, b):
+        return a < b
+
+
+class _Neighbours(EquivInfModel):
+    def atomic(self, rel, a, b):
+        return abs(a - b) <= 1
+
+
+@pytest.mark.parametrize("model,elements", [
+    (_ReflexiveOrder, [0, 1]),      # a diagonal unlike the 1-variable diagram
+    (_DirectedGraph, [0, 1]),       # a class pair with no pair code
+    (_Neighbours, [0, 1, 2]),       # a class triple the triple table forbids
+])
+def test_tuple_type_refuses_inadmissible_diagrams(model, elements):
+    stub, plain = model(), model.__base__()
+    for M in (stub, plain):
+        for e in elements:
+            M.element(e)
+    with pytest.raises(InternalConsistencyError, match="inadmissible"):
+        tuple_type(stub, [elements])
+    # the model the stub alters gives an admissible diagram on the same tuple
+    assert tuple_type(plain, [elements]).num_classes() == len(elements)
 
 
 def test_model_dump_deterministic():

@@ -1,10 +1,11 @@
 import pytest
 
-from tgw.errors import PreconditionError
+from tgw.errors import InternalConsistencyError, PreconditionError
 from tgw.formula import Eq, VarRef, parse_formula
 from tgw.groupoid import SubGroupoid, clopen, en_clopen, is_subgroupoid
 from tgw.models import build_dtuple, make_model
-from tgw.reconstruction import (SortClass, predicate_corpus, predicate_value,
+from tgw.reconstruction import (SortClass, _check_equivalence_axioms,
+                                predicate_corpus, predicate_value,
                                 reconstruct_and_compare, sort_elements,
                                 subgroupoid_to_equivalence)
 from tgw.rich import RichSequence
@@ -21,6 +22,18 @@ def cl(theory, text, **kw):
 def test_equivalence_recovery_exact_for_e1():
     H = is_subgroupoid(en_clopen(SEQS["pureset"], 1))
     assert subgroupoid_to_equivalence(H) == Eq(VarRef(0, 0), VarRef(1, 0))
+
+
+@pytest.mark.parametrize("theory,text,refusal", [
+    ("dlo", "lt(x0,y0)", "not reflexive"),
+    ("dlo", "(lt(x0,y0) | eq(x0,y0))", "not symmetric"),
+    ("randomgraph", "(eq(x0,y0) | adj(x0,y0))", "not transitive"),
+])
+def test_equivalence_axioms_refusals(theory, text, refusal):
+    seq = SEQS[theory]
+    E = parse_formula(text, seq.theory.signature)
+    with pytest.raises(InternalConsistencyError, match=refusal):
+        _check_equivalence_axioms(seq, E, 1)
 
 
 def test_equivalence_recovery_true():
@@ -108,17 +121,17 @@ def test_predicate_value_examples():
     from fractions import Fraction
     zero, one = by_first[Fraction(0)], by_first[Fraction(1)]
     X = cl(theory, "lt(x0,y0)", arity=2)
-    assert predicate_value(X, [zero, one], e, M) is True
-    assert predicate_value(X, [one, zero], e, M) is False
+    assert predicate_value(X, [zero, one], M) is True
+    assert predicate_value(X, [one, zero], M) is False
     # reflexivity of the sort relation on one class twice
-    assert predicate_value(H.clopen, [zero, zero], e, M) is True
+    assert predicate_value(H.clopen, [zero, zero], M) is True
     # distinct classes are not identified
     E = cl("pureset", "eq(x0,y0)", arity=2)
     Mp = make_model("pureset")
     Hp = is_subgroupoid(en_clopen(SEQS["pureset"], 1))
     ep = build_dtuple(Mp, SEQS["pureset"], 1, cover=[0, 1])
     cp = sort_elements(ep, Hp, Mp, SEQS["pureset"], 2)
-    assert predicate_value(E, [cp[0], cp[1]], ep, Mp) is False
+    assert predicate_value(E, [cp[0], cp[1]], Mp) is False
 
 
 def test_predicate_corpus_pureset():

@@ -6,7 +6,7 @@ from tgw.errors import PreconditionError
 from tgw.formula import (FALSE, TRUE, Eq, VarRef, conj, free_vars, neg,
                          parse_formula, render_formula)
 from tgw.models import Y0, evaluate, make_model
-from tgw.rich import (BijectionStage, RichSequence, bijection_stage,
+from tgw.rich import (BijectionStage, RichSequence, _valid, bijection_stage,
                       initial_stage, is_approximate_bijection, run_stages,
                       witness_indices)
 from tgw.theories import (decide_sentence, eliminate_quantifiers, get_theory,
@@ -146,6 +146,21 @@ def test_relativize_agrees_with_model_search():
             assert got == found, (theory, text, e)
 
 
+@pytest.mark.parametrize("theory,text,tapes,on_sort,plain", [
+    # pureset slots 3 and 5 carry eq(x0,y0), so every sort tuple repeats x0
+    ("pureset", "eq(x0,x5)", 1, True, False),
+    ("pureset", "eq(x0,x1)", 1, False, False),
+    ("dlo", "(lt(x0,y0) | lt(y0,x0) | eq(x0,y0))", 2, True, True),
+    ("dlo", "lt(x0,y0)", 2, False, False),
+    ("equivinf", "((equiv(x0,y0) & equiv(y0,z0)) -> equiv(x0,z0))", 3, True, True),
+])
+def test_valid_on_sort_and_plain(theory, text, tapes, on_sort, plain):
+    seq = RichSequence(theory)
+    f = parse(text, theory)
+    assert seq.valid(f, tapes) is on_sort
+    assert _valid(f, theory) is plain
+
+
 def test_witness_indices_pureset():
     seq = RichSequence("pureset")
     ii = witness_indices(seq, Eq(VarRef(1, 0), x(0)), 1, 1)
@@ -203,7 +218,7 @@ def test_stage_count_zero_identity():
 
 
 def test_section_plan_pureset():
-    plan = RichSequence("pureset").section_plan(4)
+    plan = RichSequence("pureset").section.plan(4)
     assert plan["A"][0] == 1
     assert plan["B"][:2] == [0, 1]
     assert plan["m"] == sorted(plan["m"])
@@ -211,6 +226,6 @@ def test_section_plan_pureset():
 
 
 def test_section_plan_dlo():
-    plan = RichSequence("dlo").section_plan(3)
+    plan = RichSequence("dlo").section.plan(3)
     assert plan["A"][0] == 1 and plan["B"][1] == 1
     assert len(plan["m"]) == 3

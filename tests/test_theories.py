@@ -5,8 +5,9 @@ import pytest
 from tgw.errors import PreconditionError, ResourceCapError
 from tgw.formula import (FALSE, TRUE, Eq, VarRef, conj, free_vars, neg,
                          parse_formula, render_formula)
-from tgw.theories import (CompleteType, _product_diagrams, canonical_form,
-                          decide_sentence, diagram_codes, diagrams_over,
+from tgw.theories import (CompleteType, _drop_dummies, _product_diagrams,
+                          canonical_form, decide_sentence, depends_on_all_vars,
+                          diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
                           is_consistent, pair_codes, restriction_map,
                           set_partitions)
@@ -100,6 +101,59 @@ def equiv_ok(rel, eqbits, eqv, m):
                 if rel[(i, j)] and rel[(j, k)] and not rel[(i, k)]:
                     return False
     return True
+
+
+RAW_ORACLES = {"pureset": lambda rel, eqbits, eqv, m: True, "dlo": dlo_ok,
+               "randomgraph": graph_ok, "equivinf": equiv_ok}
+
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_admits_matches_raw_bit_oracle(theory_id):
+    # every raw relation table on c <= 3 distinct classes: `admits` agrees
+    # with the raw-bit oracle and accepts exactly the enumerated diagrams
+    # whose variables are all distinct
+    pc = pair_codes(theory_id)
+    rel_names = [r for r, _ in get_theory(theory_id).signature.relations]
+    ok = RAW_ORACLES[theory_id]
+    for c in range(4):
+        cells = [(i, j) for i in range(c) for j in range(c)]
+        accepted = set()
+        for bits in itertools.product((False, True), repeat=len(cells) * len(rel_names)):
+            rel = dict(zip(cells, bits))
+            rels = tuple((r, frozenset(p for p in cells if rel[p])) for r in rel_names)
+            t = CompleteType(theory_id, 1, c, tuple(range(c)), rels)
+            assert pc.admits(t) == ok(rel, {}, lambda _, i, j: i == j, c), (c, rels)
+            if pc.admits(t):
+                accepted.add(t.key())
+        distinct = {d.key() for d in diagrams_over(theory_id, c)
+                    if d.classes == tuple(range(c))}
+        assert accepted == distinct
+
+
+@pytest.mark.parametrize("theory_id,top", [
+    ("pureset", 3), ("dlo", 3), ("equivinf", 3), ("randomgraph", 2)])
+def test_pullback_test_shared_by_dependence_and_dummy_dropping(theory_id, top):
+    # a set S of diagrams ignores variable i iff S is the preimage of its own
+    # image under forgetting i; S depends on all its variables iff it ignores
+    # none and is neither empty nor everything, and then (and only then, for
+    # such S) dropping dummy variables keeps all of them
+    for m in range(top + 1):
+        pool = diagrams_over(theory_id, m)
+        vs = [VarRef(0, i) for i in range(m)]
+        forget = [[d.restrict_vars([i for i in range(m) if i != drop]).key() for d in pool]
+                  for drop in range(m)]
+        for size in range(len(pool) + 1):
+            for subset in itertools.combinations(range(len(pool)), size):
+                image = [{row[i] for i in subset} for row in forget]
+                ignores = any(set(subset) == {j for j, r in enumerate(row) if r in im}
+                              for row, im in zip(forget, image))
+                want = 0 < size < len(pool) and not ignores
+                keys = {pool[i].key() for i in subset}
+                assert depends_on_all_vars(theory_id, m, keys) == want, (m, subset)
+                kept, _ = _drop_dummies(get_theory(theory_id), vs,
+                                        [pool[i] for i in subset])
+                if 0 < size < len(pool):
+                    assert (len(kept) == m) == want, (m, subset)
 
 
 @pytest.mark.parametrize("theory,n,expected", [
