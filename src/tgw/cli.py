@@ -353,8 +353,11 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
         report = run(cfg)
-    except (ResourceCapError,) as e:
-        print(json.dumps({"error": str(e), "kind": "resource-cap"}, indent=2))
+    except ResourceCapError as e:
+        out = {"error": str(e), "kind": "resource-cap"}
+        out.update((k, getattr(e, k)) for k in ("cap", "limit", "observed")
+                   if getattr(e, k) is not None)
+        print(json.dumps(out, indent=2))
         return 3
     except (PreconditionError, ParseError, json.JSONDecodeError, OSError) as e:
         print(json.dumps({"error": str(e), "kind": "usage"}, indent=2))

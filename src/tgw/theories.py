@@ -102,7 +102,9 @@ class Theory:
 
     def literal_conflict(self, a: Formula, b: Formula) -> bool:
         """Theory-level contradiction between two normalized literals beyond
-        the syntactic complement (used to prune DNF cubes early)."""
+        the syntactic complement (used to prune DNF cubes early).  It may
+        hold only for literals with the same free variables: `_dnf` reads it
+        through the clash index `_clash`, which tries no other literals."""
         return False
 
     # shared helpers ---------------------------------------------------------
@@ -367,14 +369,25 @@ def _nnf(theory: Theory, f: Formula, negated: bool) -> Formula:
     return node(f.var, body)
 
 
-def _conflicts(theory: Theory, cube: frozenset, add: frozenset) -> bool:
-    for l in add:
-        nl = neg(l)
-        for m in cube:
-            if m == nl or theory.literal_conflict(l, m) or \
-                    theory.literal_conflict(m, l):
-                return True
-    return False
+_CLASH_CACHE: dict[tuple[str, Formula], frozenset] = {}
+
+
+def _clash(theory: Theory, l: Formula) -> frozenset:
+    """Every normalised literal that contradicts `l`: its complement, or one
+    `literal_conflict` relates to it either way round.  Such literals have
+    `l`'s free variables, so only the literals over those are tried."""
+    key = (theory.id, l)
+    if key not in _CLASH_CACHE:
+        vs = sorted(free_vars(l))
+        atoms = [Eq(a, b) for a in vs for b in vs] + [
+            Atom(rel, args) for rel, arity in theory.signature.relations
+            for args in itertools.product(vs, repeat=arity)]
+        lits = {theory.normalize_literal(negated, atom)
+                for atom in atoms for negated in (False, True)}
+        _CLASH_CACHE[key] = frozenset([neg(l)] + [
+            m for m in lits if isinstance(m, (Atom, Eq, Not))
+            and (theory.literal_conflict(l, m) or theory.literal_conflict(m, l))])
+    return _CLASH_CACHE[key]
 
 
 def _dnf(theory: Theory, f: Formula) -> list[frozenset]:
@@ -399,16 +412,19 @@ def _dnf(theory: Theory, f: Formula) -> list[frozenset]:
             nxt = []
             seen = set()
             for add in _dnf(theory, c):
+                bad = frozenset().union(*(_clash(theory, l) for l in add))
                 for cube in cubes:
-                    if _conflicts(theory, cube, add):
+                    if not cube.isdisjoint(bad):
                         continue
                     merged = cube | add
                     if merged in seen:
                         continue
                     seen.add(merged)
                     nxt.append(merged)
-            if len(nxt) > DNF_CUBE_CAP:
-                raise ResourceCapError("DNF cube cap exceeded")
+                    if len(nxt) > DNF_CUBE_CAP:
+                        raise ResourceCapError(
+                            "DNF cube cap exceeded", cap="dnf-cubes",
+                            limit=DNF_CUBE_CAP, observed=len(nxt))
             cubes = nxt
         return cubes
     raise InternalConsistencyError(f"not in NNF: {render_formula(f)}")
@@ -633,7 +649,8 @@ _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
 def check_grid_cap(m: int, cap: int) -> None:
     if m > cap:
         raise ResourceCapError(
-            f"grid of {m} variables exceeds the enumeration cap {cap}")
+            f"grid of {m} variables exceeds the enumeration cap {cap}",
+            cap="max-grid", limit=cap, observed=m)
 
 
 def diagrams_over(theory, m: int, cap: int = DEFAULT_GRID_CAP) -> list[CompleteType]:
@@ -1014,7 +1031,8 @@ def canonical_form(f: Formula, theory, var_cap: int = CANONICAL_VAR_CAP) -> Form
         return qf
     if len(vs) > var_cap:
         raise ResourceCapError(f"canonical form over {len(vs)} variables "
-                               f"exceeds the cap {var_cap}")
+                               f"exceeds the cap {var_cap}", cap="canonical-vars",
+                               limit=var_cap, observed=len(vs))
     to_grid = {v: VarRef(0, i) for i, v in enumerate(vs)}
     mapped = substitute_vars(qf, to_grid)
     sat = [d for d in diagrams_over(theory, len(vs)) if d.satisfies_qf(mapped)]

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from tgw import theories
 from tgw.cli import config_from_args, exit_code_for, main, run
 
 
@@ -64,7 +65,17 @@ def test_verify_cap_counts_four_tape_amalgams(capsys):
                                  "--level", "2", "--max-grid", "6"])
     assert code == 3 and rep["kind"] == "resource-cap"
     assert "grid of 8 variables" in rep["error"]
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 6, 8)
     assert time.perf_counter() - start < 5
+
+
+def test_dnf_cube_cap_fields(capsys, monkeypatch):
+    # the cap is checked as each cube is kept, so it stops one cube past it
+    monkeypatch.setattr(theories, "_QE_CACHE", {})
+    monkeypatch.setattr(theories, "DNF_CUBE_CAP", 4)
+    code, rep = capture(capsys, ["dphi", "--theory", "dlo", "--level", "10"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("dnf-cubes", 4, 5)
 
 
 def test_json_output(tmp_path, capsys):

@@ -1,10 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgw.errors import (EvaluationCapError, InternalConsistencyError,
                         PreconditionError)
-from tgw.formula import VarRef, parse_formula
+from tgw.formula import (FALSE, TRUE, And, Atom, Eq, Exists, Forall, Implies,
+                         Not, Or, VarRef, parse_formula)
 from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
                         build_dtuple, evaluate, make_model, tuple_type)
 from tgw.theories import decide_sentence, enumerate_types, get_theory
@@ -196,3 +200,68 @@ def test_model_dump_deterministic():
     assert a == b
     assert a["theory"] == "randomgraph"
     assert len(a["carrier"]) == 4
+
+
+@st.composite
+def sentences(draw, theory, max_quantifiers=3):
+    """Sentences with at most `max_quantifiers` quantifiers, each binding its
+    own variable.  Half are prenex, Q x0 .. Q x_{n-2} [!] exists x_{n-1} over
+    a cube of two or three literals that pair the innermost variable with
+    another through the theory's relation: the one-point extension problems
+    that `eliminate_one` decides.  Those are drawn from one seeded `Random`,
+    so that they vary more than Hypothesis's own draws would."""
+    rels = ["eq"] + [rel for rel, _ in sig(theory).relations]
+
+    def literal(pick, pairs, names):
+        a, b = pick(pairs)
+        rel = pick(names)
+        lit = Eq(a, b) if rel == "eq" else Atom(rel, (a, b))
+        return pick([lit, Not(lit)])
+
+    if draw(st.booleans()):
+        rnd = draw(st.randoms(use_true_random=False))
+        *outer, v = [x(i) for i in range(max_quantifiers)]
+        pairs = [p for w in outer for p in ((w, v), (v, w))]
+        f = Exists(v, And(tuple(literal(rnd.choice, pairs, rels[-1:])
+                                for _ in range(rnd.randint(2, 3)))))
+        f = rnd.choice([f, Not(f)])
+        for w in reversed(outer):
+            f = rnd.choice([Exists, Forall])(w, f)
+        return f
+    budget = [max_quantifiers]
+
+    def build(bound, depth):
+        ops = ["atom"] * 3 if bound else ["const"]
+        if depth < 3:
+            ops += ["not", "and", "or", "implies"]
+        if budget[0]:
+            ops += ["quantifier"] * 3
+        op = draw(st.sampled_from(ops))
+        if op == "const":
+            return draw(st.sampled_from([TRUE, FALSE]))
+        if op == "atom":  # x R x literals are constants: distinct variables if possible
+            return literal(lambda xs: draw(st.sampled_from(xs)),
+                           [p for p in itertools.product(bound, repeat=2)
+                            if p[0] != p[1] or len(bound) == 1], rels)
+        if op == "not":
+            return Not(build(bound, depth + 1))
+        if op == "quantifier":
+            v = x(len(bound))
+            budget[0] -= 1
+            node = draw(st.sampled_from([Exists, Forall]))
+            return node(v, build(bound + [v], depth + 1))
+        lhs, rhs = build(bound, depth + 1), build(bound, depth + 1)
+        if op == "implies":
+            return Implies(lhs, rhs)
+        return And((lhs, rhs)) if op == "and" else Or((lhs, rhs))
+
+    return build([], 0)
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_qe_decides_like_the_model(theory):
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(sentences(theory))
+    def check(f):
+        assert decide_sentence(f, theory) == evaluate(f, make_model(theory), {})
+    check()

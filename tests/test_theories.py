@@ -1,11 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgw.errors import PreconditionError, ResourceCapError
-from tgw.formula import (FALSE, TRUE, Eq, VarRef, conj, free_vars, neg,
-                         parse_formula, render_formula)
-from tgw.theories import (CompleteType, _drop_dummies, _product_diagrams,
+from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
+                         VarRef, conj, free_vars, neg, parse_formula,
+                         render_formula, sort_key)
+from tgw.rich import RichSequence
+from tgw.theories import (CompleteType, DenseLinearOrder, _clash, _dnf,
+                          _drop_dummies, _nnf, _product_diagrams,
                           canonical_form, decide_sentence, depends_on_all_vars,
                           diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
@@ -446,3 +451,144 @@ def test_canonical_form_idempotent():
 
 def test_set_partitions_bell():
     assert len(list(set_partitions(4))) == 15
+
+
+# -- DNF pruning by clash sets -----------------------------------------------
+
+class OneWayDlo(DenseLinearOrder):
+    """dlo whose `literal_conflict` sees an order atom against an equality
+    only with the atom first, so the clash index must try both orders."""
+    id = "dlo-one-way"
+
+    def literal_conflict(self, a, b):
+        return not isinstance(a, Eq) and super().literal_conflict(a, b)
+
+
+CLASH_THEORIES = [get_theory(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")]
+CLASH_THEORIES.append(OneWayDlo())
+
+
+def normalized_literals(theory, vs):
+    atoms = [Eq(a, b) for a in vs for b in vs]
+    atoms += [Atom(rel, (a, b)) for rel, _ in theory.signature.relations
+              for a in vs for b in vs]
+    lits = {theory.normalize_literal(negated, atom)
+            for atom in atoms for negated in (False, True)}
+    return sorted((l for l in lits if isinstance(l, (Atom, Eq, Not))), key=sort_key)
+
+
+@pytest.mark.parametrize("theory", CLASH_THEORIES, ids=lambda t: t.id)
+def test_clash_index_matches_pairwise_oracle(theory):
+    lits = normalized_literals(theory, [VarRef(0, i) for i in range(3)])
+    assert lits
+    for l in lits:
+        for m in lits:
+            pairwise = theory.literal_conflict(l, m)
+            assert not pairwise or free_vars(l) == free_vars(m), (l, m)
+            expected = m == neg(l) or pairwise or theory.literal_conflict(m, l)
+            assert (m in _clash(theory, l)) == expected, (theory.id, l, m)
+
+
+def _conflicts(theory, cube, add):
+    """The pairwise scan the clash index replaced (test oracle)."""
+    for l in add:
+        nl = neg(l)
+        for m in cube:
+            if m == nl or theory.literal_conflict(l, m) or \
+                    theory.literal_conflict(m, l):
+                return True
+    return False
+
+
+def dnf_pairwise(theory, f):
+    """`_dnf` with the pairwise conflict scan (test oracle)."""
+    if isinstance(f, Top):
+        return [frozenset()]
+    if isinstance(f, Bot):
+        return []
+    if isinstance(f, (Atom, Eq, Not)):
+        return [frozenset((f,))]
+    out, seen = [], set()
+    if isinstance(f, Or):
+        for c in f.children:
+            for cube in dnf_pairwise(theory, c):
+                if cube not in seen:
+                    seen.add(cube)
+                    out.append(cube)
+        return out
+    cubes = [frozenset()]
+    for c in f.children:
+        nxt, seen = [], set()
+        for add in dnf_pairwise(theory, c):
+            for cube in cubes:
+                if not _conflicts(theory, cube, add) and cube | add not in seen:
+                    seen.add(cube | add)
+                    nxt.append(cube | add)
+        cubes = nxt
+    return cubes
+
+
+def assert_dnf_matches_pairwise(theory, f):
+    for g in (_nnf(theory, f, False), _nnf(theory, f, True)):
+        assert _dnf(theory, g) == dnf_pairwise(theory, g), render_formula(f)
+
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_dnf_matches_pairwise_on_dphi_conjuncts(theory_id):
+    seq = RichSequence(theory_id)
+    shapes = set()
+    for k in range(12):
+        f = seq.dphi_conjunct(k)
+        assert_dnf_matches_pairwise(get_theory(theory_id), f)
+        shapes.add(type(f).__name__)
+    assert shapes & {"And", "Or"}
+
+
+@st.composite
+def qf_formulas(draw, theory, width=4):
+    """Quantifier-free formulas over at most `width` variables whose leaves
+    are two to four atoms on two variable pairs (maybe the same), so that
+    complements and conflicting literals meet in different branches."""
+    vs = [VarRef(0, i) for i in range(width)]
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(vs, 2))),
+                          min_size=2, max_size=2))
+    rels = ["eq"] + [r for r, _ in theory.signature.relations]
+
+    def atom(rel, pair, flip):
+        a, b = pair[::-1] if flip else pair
+        return Eq(a, b) if rel == "eq" else Atom(rel, (a, b))
+
+    palette = draw(st.lists(st.builds(atom, st.sampled_from(rels), st.sampled_from(pairs),
+                                      st.booleans()), min_size=2, max_size=4))
+
+    def build(depth):
+        op = draw(st.sampled_from(["and"] if depth == 0 else
+                                  ["leaf"] if depth == 3 else
+                                  ["leaf", "not", "and", "or", "or", "implies"]))
+        if op == "leaf":
+            leaf = draw(st.sampled_from(palette))
+            return Not(leaf) if draw(st.booleans()) else leaf
+        if op == "not":
+            return Not(build(depth + 1))
+        if op == "implies":
+            return Implies(build(depth + 1), build(depth + 1))
+        children = tuple(build(depth + 1) for _ in range(draw(st.integers(2, 3))))
+        return And(children) if op == "and" else Or(children)
+
+    return build(0)
+
+
+@pytest.mark.parametrize("theory", CLASH_THEORIES, ids=lambda t: t.id)
+def test_dnf_matches_pairwise_on_generated_formulas(theory):
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(qf_formulas(theory))
+    def check(f):
+        assert_dnf_matches_pairwise(theory, f)
+    check()
+
+
+def test_canonical_form_cap_fields():
+    f = conj(Eq(VarRef(0, i), VarRef(0, i + 1)) for i in range(3))
+    with pytest.raises(ResourceCapError) as exc:
+        canonical_form(f, "pureset", var_cap=3)
+    assert (exc.value.cap, exc.value.limit, exc.value.observed) == ("canonical-vars", 3, 4)
