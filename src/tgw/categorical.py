@@ -121,7 +121,9 @@ def skolem_map(phi: Formula, seq: RichSequence) -> dict:
             return {"index": i, "formula": render_formula(phi),
                     "sentence": render_formula(body),
                     "satisfiable_on_sort": render_formula(satisfiable)}
-    raise ResourceCapError(f"no witness index below the scan cap {SKOLEM_SCAN_CAP}")
+    raise ResourceCapError(f"no witness index below the scan cap {SKOLEM_SCAN_CAP}",
+                           cap="skolem-scan", limit=SKOLEM_SCAN_CAP,
+                           observed=SKOLEM_SCAN_CAP)
 
 
 # -- universality ---------------------------------------------------------------
@@ -131,7 +133,9 @@ def true_slots(seq: RichSequence, start: int, count: int) -> list[int]:
     i = start
     while len(out) < count:
         if i - start > TRUE_SLOT_SCAN_CAP:
-            raise ResourceCapError("ran out of trivially-true slots")
+            raise ResourceCapError("ran out of trivially-true slots",
+                                   cap="true-slot-scan", limit=TRUE_SLOT_SCAN_CAP,
+                                   observed=i - start)
         if seq.rich_formula(i) == TRUE:
             out.append(i)
         i += 1

@@ -13,18 +13,16 @@ from dataclasses import replace
 
 from .categorical import (apply_mstar, section_schedule, skolem_map,
                           universality_check)
-from .errors import (InternalConsistencyError, ParseError, PreconditionError,
-                     ResourceCapError, TgwError)
+from .errors import ParseError, PreconditionError, ResourceCapError, TgwError
 from .formula import free_vars, parse_formula, rename_tapes, render_formula
-from .groupoid import (LevelTable, Refusal, SubGroupoid, clopen,
+from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
                        compose_clopen, en_clopen, is_subgroupoid,
                        project_clopen, source_clopen, target_clopen,
                        theta_fiber, theta_reindex, verify_level_axioms)
-from .models import build_dtuple, make_model
+from .models import DEFAULT_QUANTIFIER_CAP, build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
-from .theories import (DEFAULT_GRID_CAP, THEORIES, check_grid_cap,
-                       enumerate_types, get_theory)
+from .theories import DEFAULT_GRID_CAP, THEORIES, enumerate_types, get_theory
 
 SCHEMA_VERSION = 1
 
@@ -46,6 +44,13 @@ def _cap(cfg) -> int:
     """`--max-grid`, where 0 is a cap like any other."""
     cap = cfg.get("max_grid")
     return DEFAULT_GRID_CAP if cap is None else cap
+
+
+def _model(cfg):
+    """The theory's model under `--max-depth`, where 0 is a cap like any other."""
+    depth = cfg.get("max_depth")
+    return make_model(cfg["theory"], max_quantifier_depth=DEFAULT_QUANTIFIER_CAP
+                      if depth is None else depth)
 
 
 def _cert(name, passed, **extra):
@@ -127,18 +132,12 @@ def cmd_subgroupoids(cfg):
 
 
 def cmd_groupoid_verify(cfg):
-    seq = _seq(cfg)
-    cap = _cap(cfg)
-    check_grid_cap(4 * cfg["level"], cap)  # the 4-tape amalgams, before any work
-    tab = LevelTable(seq, 2, cfg["level"], cap=cap)
-    try:
-        report = verify_level_axioms(tab)
-        certs = [_cert(k, True) for k in
-                 ("associativity", "neutrality", "inversion", "openness")]
-        items = {k: v for k, v in report.items() if not isinstance(v, bool)}
-    except InternalConsistencyError as e:
-        certs = [_cert("groupoid-axioms", False, detail=str(e))]
-        items = {}
+    report = verify_level_axioms(LevelTable(_seq(cfg), 2, cfg["level"], cap=_cap(cfg)))
+    certs = [_cert(law, True) if report[law] is True
+             else _cert(law, False, detail="{} fails at points ({})".format(
+                 law, ",".join(map(str, report[law].witness))))
+             for law in LAWS]
+    items = {k: v for k, v in report.items() if k not in LAWS}
     return items, certs
 
 
@@ -186,7 +185,7 @@ def cmd_section(cfg):
     seq = _seq(cfg)
     steps = cfg.get("steps") or 0
     sched = section_schedule(cfg["theory"], seq, steps)
-    M = make_model(cfg["theory"], max_quantifier_depth=cfg.get("max_depth") or 8)
+    M = _model(cfg)
     certs = [_cert("schedule-verified", True, m=list(sched.m),
                    B=list(sched.b_bounds))]
     items = {"m": list(sched.m), "A": [list(ab) for ab in sched.a_bounds],
@@ -210,7 +209,7 @@ def cmd_skolem(cfg):
 
 def cmd_universality(cfg):
     seq = _seq(cfg)
-    M = make_model(cfg["theory"], max_quantifier_depth=cfg.get("max_depth") or 8)
+    M = _model(cfg)
     report = universality_check(seq, k=cfg.get("k") or 1,
                                 m0=cfg.get("m0") or 1, M=M,
                                 samples=cfg.get("samples") or 8)
@@ -219,7 +218,7 @@ def cmd_universality(cfg):
 
 
 def cmd_model_dump(cfg):
-    M = make_model(cfg["theory"], max_quantifier_depth=cfg.get("max_depth") or 8)
+    M = _model(cfg)
     return M.dump(cfg["size"]), [_cert("dump-deterministic", True)]
 
 

@@ -9,6 +9,8 @@ them extend into the limit, which is the density argument this module
 leans on.  Composition of finite-level points is a relation, not a
 function; associativity and the other groupoid laws are verified for the
 relation, with composition of clopens as the formula-level counterpart.
+Composing points amalgamates them over the middle tape, so associativity
+is the amalgamation property read at one level: (p q) r == p (q r).
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import (InternalConsistencyError, PreconditionError,
+                     ResourceCapError)
 from .formula import (And, Atom, Bot, Eq, Formula, Implies, Not, Or, Top,
                       VarRef, conj, disj, free_vars, implies, neg, rename_tapes)
 from .rich import RichSequence
@@ -159,8 +162,10 @@ class SubGroupoid:
 
 @dataclass(frozen=True)
 class Refusal:
+    """A failed law and its witness: a point for the clopen sub-groupoid
+    axioms, the least failing point ids for the level-table laws."""
     axiom: str
-    witness: CompleteType | None
+    witness: CompleteType | tuple[int, ...] | None
 
     def __bool__(self):
         return False
@@ -207,11 +212,11 @@ class LevelTable:
     pair-code tuple (`theories.PairCodes`), and the index maps code tuples
     to point ids.  Amalgams are never built as `CompleteType`s: a k-tape
     type meets the per-tape condition iff its first k-1 tapes and its last
-    tape do, so the 3-tape (and, in `verify_level_axioms`, 4-tape) amalgams
-    are streamed by `diagram_codes` as one-tape extensions of the points'
-    code tuples, and their restrictions to two tapes are read through fixed
-    pair-position maps (`restriction_map`).  Grids of k*n variables and,
-    for k = 2, the 3n-variable amalgams are checked against `cap` first."""
+    tape do, so the 3-tape amalgams are streamed by `diagram_codes` as
+    one-tape extensions of the points' code tuples, and their restrictions
+    to two tapes are read through fixed pair-position maps
+    (`restriction_map`).  Grids of k*n variables and, for k = 2, the
+    3n-variable amalgams (the largest grid) are checked against `cap`."""
 
     def __init__(self, seq: RichSequence, k: int, n: int, cap: int = DEFAULT_GRID_CAP):
         check_grid_cap(k * n, cap)
@@ -236,12 +241,6 @@ class LevelTable:
     def _tape_condition(self, tape: int) -> Formula:
         return rename_tapes(self._dphi, {0: tape})
 
-    def extend_tape(self, codes: tuple[int, ...], tape: int):
-        """Code tuples of the (tape+1)-tape amalgams whose first tapes are
-        `codes` and whose new tape meets the level condition."""
-        return diagram_codes(self.seq.theory, tape + 1, self.n,
-                             self._tape_condition(tape), codes)
-
     def restriction_index(self, k: int, tapes: tuple[int, ...]):
         """Function from a k-tape code tuple to the id of its restriction to
         `tapes`.  The dict it reads is keyed by the codes as the restriction
@@ -256,8 +255,9 @@ class LevelTable:
     def _compose(self):
         index12 = self.restriction_index(3, (1, 2))
         index02 = self.restriction_index(3, (0, 2))
+        tape2 = self._tape_condition(2)
         for p, codes in enumerate(self.codes):
-            for tri in self.extend_tape(codes, 2):
+            for tri in diagram_codes(self.seq.theory, 3, self.n, tape2, codes):
                 yield p, index12(tri), index02(tri)
 
     def index(self, point: CompleteType) -> int:
@@ -284,27 +284,21 @@ class LevelTable:
                          self.n)
 
     @cached_property
-    def _inverses(self) -> tuple[int, ...]:
+    def inverses(self) -> tuple[int, ...]:
+        """Point id -> the id of its converse (tapes 0 and 1 swapped)."""
         swap = self.restriction_index(2, (1, 0))
         return tuple(map(swap, self.codes))
 
     @cached_property
-    def _base_by_tape0(self) -> dict:
+    def target_bases(self) -> tuple[int, ...]:
+        """Point id -> the base point of its tape-0 type.  A point's source
+        base point is the target base point of its inverse."""
         tape0 = self.n * (self.n - 1) // 2  # the codes of tape 0 lead each tuple
-        return {self.codes[b][:tape0]: b for b in self.base}
-
-    def inverse_index(self, i: int) -> int:
-        return self._inverses[i]
-
-    def target_base(self, i: int) -> int:
-        tape0 = self.n * (self.n - 1) // 2
+        by_tape0 = {self.codes[b][:tape0]: b for b in self.base}
         try:
-            return self._base_by_tape0[self.codes[i][:tape0]]
+            return tuple(by_tape0[codes[:tape0]] for codes in self.codes)
         except KeyError:
             raise InternalConsistencyError("missing base point for a target") from None
-
-    def source_base(self, i: int) -> int:
-        return self.target_base(self.inverse_index(i))
 
 
 def _reader(positions: list[int]):
@@ -315,100 +309,95 @@ def _reader(positions: list[int]):
     return itemgetter(*positions) if positions else (lambda codes: ())
 
 
-def _four_tape_relation(tab: LevelTable) -> dict:
-    """(p, q, r) -> every s such that one 4-tape amalgam restricts to p, q,
-    r, s on the tape pairs (0,1), (1,2), (2,3), (0,3).  Each point is
-    extended tape by tape; p is taken once per point and q once per 3-tape
-    prefix."""
-    index12 = tab.restriction_index(3, (1, 2))
-    index23 = tab.restriction_index(4, (2, 3))
-    index03 = tab.restriction_index(4, (0, 3))
-    four: dict[tuple[int, int, int], set[int]] = {}
-    try:
-        for p, codes in enumerate(tab.codes):
-            for tri in tab.extend_tape(codes, 2):
-                q = index12(tri)
-                for quad in tab.extend_tape(tri, 3):
-                    four.setdefault((p, q, index23(quad)), set()).add(index03(quad))
-    except KeyError:
-        raise InternalConsistencyError(
-            "a 4-tape amalgam restricts to a type outside the table") from None
-    return four
+# Most point triples (npts**3) the associativity join may range over:
+# pureset level 3 (203 points) fits, equivinf level 3 (2,471) is refused.
+ASSOC_TRIPLE_CAP = 10_000_000
+LAWS = ("associativity", "neutrality", "inversion", "openness")
 
 
-def _composites(comp: dict, left: bool) -> dict:
-    """(p, q, r) -> (p q) r when `left`, else p (q r), for the composition
-    relation `comp` ((a, b) -> set of composites); triples with no composite
-    are absent."""
-    by_end: dict[int, list] = {}
-    for (a, b), cs in comp.items():
-        if left:
-            by_end.setdefault(a, []).append((b, cs))
-        else:
-            by_end.setdefault(b, []).append((a, cs))
-    out: dict[tuple[int, int, int], set[int]] = {}
-    for (a, b), mids in comp.items():
-        for u in mids:
-            for other, cs in by_end.get(u, ()):
-                key = (a, b, other) if left else (other, a, b)
-                out.setdefault(key, set()).update(cs)
-    return out
+def _associativity(rows: list[dict], members: list[dict]):
+    """Least (p, q, r) with (p q) r != p (q r), where rows[a][b] holds the
+    composites of (a, b) as a bitmask and members[a][b] as a list.  For each
+    (p, q) both sides are built as r -> bitmask: the left ORs rows[a][r]
+    over a in p q, the right ORs rows[p][b] over b in q r.  Either side can
+    be non-empty only if p q is defined or some composite b of q has p b
+    defined, so only those q are visited."""
+    factors = [set() for _ in rows]  # b -> the q with b among their composites
+    for q, row in enumerate(members):
+        for cs in row.values():
+            for b in cs:
+                factors[b].add(q)
+    for p, row_p in enumerate(rows):
+        for q in sorted(set(row_p).union(*(factors[b] for b in row_p))):
+            left: dict[int, int] = {}
+            for a in members[p].get(q, ()):
+                for r, m in rows[a].items():
+                    left[r] = left.get(r, 0) | m
+            right = {}
+            for r, cs in members[q].items():
+                m = 0
+                for b in cs:
+                    m |= row_p.get(b, 0)
+                if m:
+                    right[r] = m
+            if left != right:
+                return p, q, min(r for r in left.keys() | right.keys()
+                                 if left.get(r) != right.get(r))
+    return None
+
+
+def _openness(tab: LevelTable):
+    """Least point-set whose pointwise source image differs from the points
+    of its formula-level source.  Source images commute with unions, so
+    singleton generators (plus one sample union) decide every definable
+    point-set."""
+    npts = len(tab.points)
+    one_tape = LevelTable(tab.seq, 1, tab.n, tab.cap)
+    tape1 = one_tape.restriction_index(2, (1,))
+    samples = [(i,) for i in range(npts)] + ([(0, npts - 1)] if npts >= 2 else [])
+    return next((s for s in samples
+                 if frozenset(tape1(tab.codes[i]) for i in s)
+                 != one_tape.points_of(source_clopen(tab.clopen_of(s)))), None)
 
 
 def verify_level_axioms(tab: LevelTable) -> dict:
-    """Exhaustive finite-level checks of the groupoid laws on a k=2 table:
-    relational associativity (against the four-tape amalgams), two-sided
-    neutrality of base points, inversion through the base, and openness of
-    the source map against the formula-level source.
-
-    Associativity compares (p q) r, p (q r) and the amalgams for every
-    point triple; the three relations are held as dicts without their
-    empty entries, so the comparison costs their size, not npts**3."""
+    """Exhaustive finite-level checks of the groupoid laws on a k=2 table;
+    each law in `LAWS` maps to True or to a `Refusal` holding its least
+    failing point ids.  A diagram is consistent iff every triple of its
+    variables is, so a 4-tape amalgam restricting to p, q, r, s on tapes
+    (0,1), (1,2), (2,3), (0,3) exists iff s is in (p q) r and in p (q r):
+    associativity is the whole amalgam check.  Inversion asks for the
+    target base point in p p^-1 and that (p, q, c) give (c, q^-1, p) and
+    (p^-1, c, q), which catches a composite dropped from or added to an
+    associative relation.  Neutrality is two-sided for base points, and
+    openness compares the source map with the formula-level source."""
     if tab.k != 2:
         raise PreconditionError("axioms are verified on arity-2 tables")
-    check_grid_cap(4 * tab.n, tab.cap)
-    report: dict[str, object] = {}
-    comp = tab.compose_sets()
     npts = len(tab.points)
-
-    four = _four_tape_relation(tab)
-    lhs, rhs = _composites(comp, left=True), _composites(comp, left=False)
-    if not lhs == rhs == four:
-        p, q, r = min(t for t in lhs.keys() | rhs.keys() | four.keys()
-                      if not lhs.get(t) == rhs.get(t) == four.get(t))
-        raise InternalConsistencyError(f"associativity fails at points ({p},{q},{r})")
-    report["associativity"] = True
-
-    for p in range(npts):
-        e_t, e_s = tab.target_base(p), tab.source_base(p)
-        if comp.get((e_t, p), set()) != {p} or comp.get((p, e_s), set()) != {p}:
-            raise InternalConsistencyError(f"neutrality fails at point {p}")
-    report["neutrality"] = True
-
-    for p in range(npts):
-        if tab.target_base(p) not in comp.get((p, tab.inverse_index(p)), set()):
-            raise InternalConsistencyError(f"inversion fails at point {p}")
-    report["inversion"] = True
-
-    # source images commute with unions, so singleton generators (plus one
-    # sample union) decide openness for every definable point-set
-    one_tape = LevelTable(tab.seq, 1, tab.n, tab.cap)
-    tape1 = one_tape.restriction_index(2, (1,))
-    samples = [frozenset((i,)) for i in range(npts)]
-    if npts >= 2:
-        samples.append(frozenset((0, npts - 1)))
-    for sample in samples:
-        U = tab.clopen_of(sample)
-        pointwise = frozenset(tape1(tab.codes[i]) for i in sample)
-        via_formula = one_tape.points_of(source_clopen(U))
-        if pointwise != via_formula:
-            raise InternalConsistencyError(
-                f"openness fails on point-set {sorted(sample)}")
-    report["openness"] = True
-    report["points"] = npts
-    report["base-points"] = len(tab.base)
-    report["composition-triples"] = len(tab.composition)
-    return report
+    if npts ** 3 > ASSOC_TRIPLE_CAP:
+        raise ResourceCapError(
+            f"associativity join over {npts}**3 point triples exceeds the cap "
+            f"{ASSOC_TRIPLE_CAP}", cap="assoc-triples", limit=ASSOC_TRIPLE_CAP,
+            observed=npts ** 3)
+    comp, inv, tgt = tab.composition, tab.inverses, tab.target_bases
+    rows: list[dict[int, int]] = [{} for _ in range(npts)]
+    members: list[dict[int, list]] = [{} for _ in range(npts)]
+    for a, b, c in comp:
+        rows[a][b] = rows[a].get(b, 0) | 1 << c
+        members[a].setdefault(b, []).append(c)
+    witnesses = {
+        "associativity": _associativity(rows, members),
+        "neutrality": next(((p,) for p in range(npts)
+                            if rows[tgt[p]].get(p) != 1 << p
+                            or rows[p].get(tgt[inv[p]]) != 1 << p), None),
+        "inversion": next(((p,) for p in range(npts)
+                           if not rows[p].get(inv[p], 0) >> tgt[p] & 1), None)
+        or min(((p, q, c) for p, q, c in comp
+                if (c, inv[q], p) not in comp or (inv[p], c, q) not in comp),
+               default=None),
+        "openness": _openness(tab)}
+    return {**{law: True if w is None else Refusal(law, w) for law, w in witnesses.items()},
+            "points": npts, "base-points": len(tab.base), "composition-triples": len(comp)}
 
 
 # -- fibred powers, theta, projections ----------------------------------------

@@ -237,7 +237,9 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict, _depth: int = 0) -> b
     if isinstance(f, (Exists, Forall)):
         if _depth >= M.max_quantifier_depth:
             raise EvaluationCapError(
-                f"quantifier depth exceeds the cap {M.max_quantifier_depth}")
+                f"quantifier depth exceeds the cap {M.max_quantifier_depth}",
+                cap="quantifier-depth", limit=M.max_quantifier_depth,
+                observed=_depth + 1)
         body_vars = free_vars(f.body)
         live = {v: e for v, e in assignment.items() if v in body_vars}
         params = sorted(set(live.values()))

@@ -102,13 +102,17 @@ class _CanonicalStream:
 
     def item(self, r: int) -> Formula:
         if r > CANONICAL_RANK_CAP:
-            raise ResourceCapError(f"canonical stream rank {r} exceeds the cap")
+            raise ResourceCapError(f"canonical stream rank {r} exceeds the cap",
+                                   cap="canonical-rank", limit=CANONICAL_RANK_CAP,
+                                   observed=r)
         while len(self.items) <= r:
             try:
                 self.items.append(next(self._weights))
             except StopIteration:
                 raise ResourceCapError(
-                    "canonical stream exhausted its weight cap") from None
+                    "canonical stream exhausted its weight cap",
+                    cap="canonical-weight", limit=CANONICAL_WEIGHT_CAP,
+                    observed=CANONICAL_WEIGHT_CAP + 1) from None
         return self.items[r]
 
     def rank_of(self, f: Formula) -> int:

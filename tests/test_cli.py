@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from tgw import theories
+from tgw import categorical, groupoid, rich, theories
 from tgw.cli import config_from_args, exit_code_for, main, run
+from tgw.groupoid import LevelTable
 
 
 def capture(capsys, argv):
@@ -58,15 +59,45 @@ def test_resource_cap_exit_code():
     assert main(["types", "--theory", "dlo", "--vars", "1", "--max-grid", "0"]) == 3
 
 
-def test_verify_cap_counts_four_tape_amalgams(capsys):
-    # level 2 needs 8-variable amalgams: refused before any enumeration
+def test_verify_cap_counts_composition_amalgams(capsys):
+    # level 3 composes over 9-variable amalgams: refused before any enumeration
     start = time.perf_counter()
     code, rep = capture(capsys, ["groupoid", "verify", "--theory", "randomgraph",
-                                 "--level", "2", "--max-grid", "6"])
+                                 "--level", "3", "--max-grid", "8"])
     assert code == 3 and rep["kind"] == "resource-cap"
-    assert "grid of 8 variables" in rep["error"]
-    assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 6, 8)
+    assert "grid of 9 variables" in rep["error"]
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 8, 9)
     assert time.perf_counter() - start < 5
+
+
+def test_assoc_triples_cap_fields(capsys, monkeypatch):
+    # pureset level 1 has 2 points, so its join ranges over 8 triples
+    monkeypatch.setattr(groupoid, "ASSOC_TRIPLE_CAP", 7)
+    code, rep = capture(capsys, ["groupoid", "verify", "--theory", "pureset",
+                                 "--level", "1"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("assoc-triples", 7, 8)
+
+
+@pytest.mark.parametrize("theory,level,drop,verdicts", [
+    # the relation left still cancels through inverses
+    ("pureset", 2, (3, 3, 3), {"associativity": "associativity fails at points (1,9,3)"}),
+    ("dlo", 1, (1, 2, 0), {"associativity": "associativity fails at points (1,2,1)",
+                           "inversion": "inversion fails at points (1)"}),
+])
+def test_groupoid_verify_reports_each_law(capsys, monkeypatch, theory, level,
+                                          drop, verdicts):
+    compose = LevelTable._compose
+    monkeypatch.setattr(LevelTable, "_compose",
+                        lambda self: (t for t in compose(self) if t != drop))
+    code, rep = capture(capsys, ["groupoid", "verify", "--theory", theory,
+                                 "--level", str(level)])
+    assert code == 1
+    certs = {c["name"]: c for c in rep["certificates"]}
+    assert list(certs) == ["associativity", "neutrality", "inversion", "openness"]
+    for name, cert in certs.items():
+        assert cert["passed"] == (name not in verdicts)
+        assert cert.get("detail") == verdicts.get(name)
 
 
 def test_dnf_cube_cap_fields(capsys, monkeypatch):
@@ -76,6 +107,43 @@ def test_dnf_cube_cap_fields(capsys, monkeypatch):
     code, rep = capture(capsys, ["dphi", "--theory", "dlo", "--level", "10"])
     assert code == 3 and rep["kind"] == "resource-cap"
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("dnf-cubes", 4, 5)
+
+
+def test_canonical_rank_cap_fields(capsys, monkeypatch):
+    monkeypatch.setattr(rich, "CANONICAL_RANK_CAP", 1)
+    code, rep = capture(capsys, ["universality", "--theory", "dlo", "--m0", "20"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("canonical-rank", 1, 2)
+
+
+def test_canonical_weight_cap_fields(capsys, monkeypatch):
+    # below weight 2 the stream holds only false and true
+    monkeypatch.setattr(rich, "_STREAMS", {})
+    monkeypatch.setattr(rich, "CANONICAL_WEIGHT_CAP", 1)
+    code, rep = capture(capsys, ["universality", "--theory", "dlo", "--m0", "20"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("canonical-weight", 1, 2)
+
+
+def test_skolem_scan_cap_fields(capsys, monkeypatch):
+    monkeypatch.setattr(categorical, "SKOLEM_SCAN_CAP", 0)
+    code, rep = capture(capsys, ["skolem", "--theory", "dlo", "--formula", "lt(x0,y0)"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("skolem-scan", 0, 0)
+
+
+def test_true_slot_scan_cap_fields(capsys, monkeypatch):
+    monkeypatch.setattr(categorical, "TRUE_SLOT_SCAN_CAP", 0)
+    code, rep = capture(capsys, ["universality", "--theory", "dlo"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("true-slot-scan", 0, 1)
+
+
+def test_quantifier_depth_cap_fields(capsys):
+    # 0 is a depth cap like any other, not the default
+    code, rep = capture(capsys, ["universality", "--theory", "dlo", "--max-depth", "0"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("quantifier-depth", 0, 1)
 
 
 def test_json_output(tmp_path, capsys):
