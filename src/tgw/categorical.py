@@ -27,15 +27,10 @@ class SectionSchedule:
     b_bounds: tuple[int, ...]
     reference: tuple
 
-    def window(self, k: int) -> tuple[int, int]:
-        return self.b_bounds[k], self.b_bounds[k + 1]
 
-
-def section_schedule(theory, seq: RichSequence | None = None,
-                     steps: int = 0) -> SectionSchedule:
+def section_schedule(seq: RichSequence, steps: int) -> SectionSchedule:
     """Compute the schedule and re-verify its defining property: every
     1-type over each reference prefix is realised inside its bound."""
-    seq = seq or RichSequence(theory)
     if steps == 0:
         return SectionSchedule(seq.theory.id, 0, (), (), (0,), ())
     section = seq.section

@@ -184,7 +184,7 @@ def cmd_reconstruct(cfg):
 def cmd_section(cfg):
     seq = _seq(cfg)
     steps = cfg.get("steps") or 0
-    sched = section_schedule(cfg["theory"], seq, steps)
+    sched = section_schedule(seq, steps)
     M = _model(cfg)
     certs = [_cert("schedule-verified", True, m=list(sched.m),
                    B=list(sched.b_bounds))]
@@ -250,13 +250,6 @@ def run(config: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command,
             "theory": config["theory"], "parameters": params, "items": items,
             "certificates": certificates, "timing_ms": elapsed}
-
-
-def exit_code_for(report: dict) -> int:
-    for cert in report["certificates"]:
-        if not cert["passed"]:
-            return 1
-    return 0
 
 
 def first_failure(report: dict):

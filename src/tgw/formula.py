@@ -335,11 +335,6 @@ def rename_tapes(f: Formula, perm: dict[int, int]) -> Formula:
     return go(f)
 
 
-def shift_positions(f: Formula, tape: int, delta: int) -> Formula:
-    fv = sorted(v for v in free_vars(f) if v.tape == tape)
-    return substitute_vars(f, {v: VarRef(tape, v.position + delta) for v in fv})
-
-
 # -- rendering ---------------------------------------------------------------
 
 def render_formula(f: Formula) -> str:
@@ -366,7 +361,6 @@ def render_formula(f: Formula) -> str:
 
 _TOKEN = re.compile(r"\s*(->|[()!&|.,]|[a-z][a-z0-9]*)")
 _VAR = re.compile(r"^([a-z])([0-9]+)$")
-_KEYWORDS = {"true", "false", "exists", "forall", "eq"}
 
 
 class _Lexer:

@@ -124,7 +124,7 @@ def target_clopen(U: ClopenSet) -> ClopenSet:
 
 def contains_base(U: ClopenSet) -> bool:
     diag = merge_tape(U.formula, 1, 0)
-    sentence = U.seq.relativize_forall(diag, tape=0, level=U.level, prune=False)
+    sentence = U.seq.relativize_forall(diag, tape=0)
     return decide_sentence(sentence, U.theory)
 
 
@@ -141,9 +141,10 @@ def _common(U: ClopenSet, V: ClopenSet):
         raise PreconditionError("clopens live over different sequences")
 
 
-def separating_type(U: ClopenSet, V: ClopenSet, cap_level: int = 3) -> CompleteType | None:
-    """A point table witness on which exactly one of the clopens holds."""
-    level = min(max(U.level, V.level, 1), cap_level)
+def separating_type(U: ClopenSet, V: ClopenSet) -> CompleteType | None:
+    """A point table witness on which exactly one of the clopens holds,
+    searched in a table of level at most 3."""
+    level = min(max(U.level, V.level, 1), 3)
     gap = disj([conj([U.formula, neg(V.formula)]),
                 conj([neg(U.formula), V.formula])])
     k = max(U.arity, V.arity)
@@ -236,7 +237,6 @@ class LevelTable:
                     for t in range(k - 1) for i in range(n))
         self.base = tuple(i for i, p in enumerate(self.points)
                           if p.satisfies_qf(diag))
-        self.composition = frozenset(self._compose()) if k == 2 else frozenset()
 
     def _tape_condition(self, tape: int) -> Formula:
         return rename_tapes(self._dphi, {0: tape})
@@ -251,6 +251,12 @@ class LevelTable:
                  for i, codes in enumerate(self.codes)}
         read = _reader([pos for pos, _ in rmap])
         return lambda codes: keyed[read(codes)]
+
+    @cached_property
+    def composition(self) -> frozenset[tuple[int, int, int]]:
+        """The (p, q, c) with c a composite of p and q (k = 2 only), built
+        on first use: a caller can refuse the table on its points alone."""
+        return frozenset(self._compose()) if self.k == 2 else frozenset()
 
     def _compose(self):
         index12 = self.restriction_index(3, (1, 2))
@@ -470,22 +476,3 @@ def act_clopen(U: ClopenSet, movers: list[ClopenSet]) -> ClopenSet:
 def is_en_invariant(U: ClopenSet, n: int) -> bool:
     movers = [en_clopen(U.seq, n)] * U.arity
     return clopen_equiv(act_clopen(U, movers), U)
-
-
-def cantor_branching(seq: RichSequence, level: int, extra: int) -> bool:
-    """Every base point at each level up to `level` admits at least two
-    incompatible extensions within `extra` further levels."""
-    for n in range(level + 1):
-        for p in LevelTable(seq, 1, n).points:
-            if not _branches(seq, p, n, extra):
-                return False
-    return True
-
-
-def _branches(seq, p, n, extra) -> bool:
-    for j in range(1, extra + 1):
-        ext = [q for q in LevelTable(seq, 1, n + j).points
-               if q.restrict((0,), n).key() == p.key()]
-        if len({q.key() for q in ext}) >= 2:
-            return True
-    return False

@@ -25,8 +25,7 @@ from fractions import Fraction
 from .errors import (EvaluationCapError, InternalConsistencyError,
                      PreconditionError)
 from .formula import (And, Atom, Bot, Eq, Exists, Forall, Formula, Implies,
-                      Not, Or, Top, VarRef, exists, forall, free_vars,
-                      implies, render_formula, substitute_vars)
+                      Not, Or, Top, VarRef, exists, free_vars, render_formula)
 from .pairing import cantor_pair, cantor_unpair
 from .theories import CompleteType, Theory, get_theory, pair_codes
 
@@ -364,9 +363,6 @@ def certify_dtuple(M: ModelHandle, seq, elements: tuple) -> tuple[bool, ...]:
     witness over the prefix, position k holds one."""
     checks = []
     for k in range(len(elements)):
-        phi = seq.rich_formula(k)
-        clause = forall(Y0, implies(phi, substitute_vars(phi, {Y0: VarRef(0, k)}))) \
-            if Y0 in free_vars(phi) else Top()
         asg = {VarRef(0, i): elements[i] for i in range(k + 1)}
-        checks.append(evaluate(clause, M, asg))
+        checks.append(evaluate(seq.defining_clause(k), M, asg))
     return tuple(checks)

@@ -10,37 +10,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, PreconditionError
-from .formula import (FALSE, TRUE, Atom, Eq, Formula, VarRef, conj, free_vars,
-                      implies, neg, rename_tapes, render_formula)
+from .formula import (FALSE, TRUE, Atom, Eq, VarRef, free_vars, neg,
+                      render_formula)
 from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
-                       clopen_equiv, contains_base, en_clopen, is_subgroupoid)
+                       clopen_equiv, en_clopen, is_subgroupoid)
 from .models import DTuple, ModelHandle, build_dtuple, evaluate, make_model, tuple_type
 from .rich import RichSequence
 from .theories import canonical_form
-
-
-def subgroupoid_to_equivalence(H: SubGroupoid) -> Formula:
-    """The unique (modulo the theory, on the witness sort) two-tape formula
-    whose clopen is H, recovered through the point table at H's level; its
-    equivalence axioms are verified relative to the sort."""
-    U = H.clopen
-    tab = LevelTable(U.seq, 2, U.level)
-    back = tab.clopen_of(tab.points_of(U))
-    E = canonical_form(back.formula, U.theory)
-    _check_equivalence_axioms(U.seq, E, U.level)
-    return E
-
-
-def _check_equivalence_axioms(seq: RichSequence, E: Formula, level: int):
-    if not contains_base(ClopenSet(seq, 2, E, max(level, 1))):
-        raise InternalConsistencyError("recovered relation is not reflexive")
-    sym = implies(E, rename_tapes(E, {0: 1, 1: 0}))
-    if not seq.valid(sym, 2):
-        raise InternalConsistencyError("recovered relation is not symmetric")
-    tr = implies(conj([E, rename_tapes(E, {0: 1, 1: 2})]),
-                 rename_tapes(E, {1: 2}))
-    if not seq.valid(tr, 3):
-        raise InternalConsistencyError("recovered relation is not transitive")
 
 
 @dataclass(frozen=True)
@@ -144,12 +120,11 @@ def certify_invariance(X: ClopenSet, sorts: list[SubGroupoid]) -> bool:
 
 
 def reconstruct_and_compare(theory, level: int = 1, depth: int = 1,
-                            budget: int = 8, seq: RichSequence | None = None,
-                            prefer_offset: int = 0) -> dict:
+                            budget: int = 8, prefer_offset: int = 0) -> dict:
     """Build the reconstructed language restricted to the level-1 identity
     sort and the depth-bounded invariant predicates, realise it over a base
     tuple, and verify the transport isomorphism onto the sampled carrier."""
-    seq = seq or RichSequence(theory)
+    seq = RichSequence(theory)
     M = make_model(theory)
     H1 = is_subgroupoid(en_clopen(seq, 1))
     if not isinstance(H1, SubGroupoid):

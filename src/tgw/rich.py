@@ -43,19 +43,17 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
 from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
                       conj, disj, exists, forall, free_vars, implies, neg,
-                      render_formula, rename_tapes, substitute_vars)
+                      rename_tapes, substitute_vars)
 from .models import Y0, build_dtuple, evaluate, make_model, tuple_type
-from .pairing import cantor_pair, cantor_unpair
-from .theories import (canonical_form, decide_sentence, depends_on_all_vars,
-                       diagrams_over, eliminate_quantifiers, enumerate_types,
-                       get_theory)
+from .pairing import cantor_unpair
+from .theories import (decide_sentence, depends_on_all_vars, diagrams_over,
+                       eliminate_quantifiers, get_theory)
 
 CANONICAL_RANK_CAP = 20_000
 CANONICAL_WEIGHT_CAP = 18
 CANONICAL_VAR_LIMIT = 5
 CANONICAL_POSITION_CAP = 64
 SECTION_SCAN_CAP = 2000
-STAGE_SEARCH_SLACK = 32
 
 
 # -- the canonical stream -----------------------------------------------------
@@ -65,7 +63,7 @@ class _CanonicalStream:
     (weight, support, subset) order.  Weight of a form over x-support S with
     y-flag y and c diagrams is sum(bitlen(p+1) for p in S) + y + 2*(c-1);
     charging positions by bit length keeps formulas with sparse high
-    positions (as built by the witness-index chains) at small ranks."""
+    positions at small ranks."""
 
     def __init__(self, theory):
         self.theory = theory
@@ -184,6 +182,7 @@ class RichSequence:
                 raise PreconditionError(
                     f"prefix slot {i} may only use x-positions below {i} and y0")
         self._slots: dict[int, Formula] = {}
+        self._clauses: dict[int, Formula] = {}
         self._conjuncts: dict[int, Formula] = {}
         self.section = _SectionState(self)
 
@@ -223,44 +222,33 @@ class RichSequence:
         self._slots[n] = f
         return f
 
-    def occurrences(self, k: int):
-        """Slots carrying item k, in increasing order."""
-        yield self.offset + 2 * k + 1
-        for e in itertools.count():
-            yield self.offset + 2 * (cantor_pair(e, k) + 1)
-
-    def index_of(self, psi: Formula, min_index: int = 0) -> int:
-        """Least slot >= min_index whose formula is the canonical form of
-        `psi` (so T-equivalent to it), and large enough to fit."""
-        c = canonical_form(psi, self.theory)
-        rank = _stream(self.theory).rank_of(c)
-        top = max((v.position for v in free_vars(c) if v.tape == 0), default=-1)
-        need = max(min_index, top + 1)
-        for slot in self.occurrences(3 * rank):
-            if slot >= need:
-                return slot
-
     # the witness condition ----------------------------------------------------
+
+    def defining_clause(self, k: int) -> Formula:
+        """The k-th defining clause forall y0 (phi_k -> phi_k[y0 := x_k]),
+        or `true` when phi_k does not mention y0."""
+        if k not in self._clauses:
+            phi = self.rich_formula(k)
+            self._clauses[k] = (
+                forall(Y0, implies(phi, substitute_vars(phi, {Y0: VarRef(0, k)})))
+                if Y0 in free_vars(phi) else TRUE)
+        return self._clauses[k]
 
     def dphi_conjunct(self, k: int) -> Formula:
         """Quantifier-free equivalent of the k-th defining clause, in the
         tape-0 variables x_<k, x_k."""
         if k not in self._conjuncts:
-            phi = self.rich_formula(k)
-            if Y0 not in free_vars(phi):
-                self._conjuncts[k] = TRUE
-            else:
-                clause = forall(Y0, implies(phi, substitute_vars(phi, {Y0: VarRef(0, k)})))
-                self._conjuncts[k] = eliminate_quantifiers(clause, self.theory)
+            clause = self.defining_clause(k)
+            self._conjuncts[k] = (clause if clause == TRUE
+                                  else eliminate_quantifiers(clause, self.theory))
         return self._conjuncts[k]
 
     def dphi_formula(self, n: int) -> DPhiLevel:
         clauses = []
         for k in range(n):
             phi = self.rich_formula(k)
-            clauses.append(Forall(Y0, Implies(phi, substitute_vars(phi, {Y0: VarRef(0, k)})))
-                           if Y0 in free_vars(phi) else
-                           Forall(Y0, Implies(phi, phi)))
+            clauses.append(self.defining_clause(k) if Y0 in free_vars(phi)
+                           else Forall(Y0, Implies(phi, phi)))
         raw = TRUE if not clauses else (clauses[0] if len(clauses) == 1
                                         else And(tuple(clauses)))
         simplified = conj(self.dphi_conjunct(k) for k in range(n))
@@ -277,21 +265,13 @@ class RichSequence:
                     todo.append(v.position)
         return seen
 
-    def relativize_exists(self, body: Formula, tape: int, level: int | None = None,
-                          prune: bool = True) -> Formula:
+    def relativize_exists(self, body: Formula, tape: int) -> Formula:
         """Quantifier-free form of: some witness-sort tuple on `tape`
         satisfies `body` (Lemma-style expressibility).  Equivalent to
-        quantifying all positions below the level under the level-`level`
-        condition; conjuncts unreachable from the body's positions are
-        dropped because a partial solution always extends."""
-        positions = {v.position for v in free_vars(body) if v.tape == tape}
-        if level is not None and positions and max(positions) >= level:
-            raise PreconditionError("body uses positions beyond the stated level")
-        if prune:
-            S = self._closure(positions)
-        else:
-            S = set(range(level if level is not None else
-                          (max(positions) + 1 if positions else 0)))
+        quantifying all positions below any level past the body's under
+        that level's condition; conjuncts unreachable from the body's
+        positions are dropped because a partial solution always extends."""
+        S = self._closure({v.position for v in free_vars(body) if v.tape == tape})
         constraints = [rename_tapes(self.dphi_conjunct(k), {0: tape})
                        for k in sorted(S)]
         f = conj(constraints + [body])
@@ -299,9 +279,8 @@ class RichSequence:
             f = exists(VarRef(tape, p), f)
         return eliminate_quantifiers(f, self.theory)
 
-    def relativize_forall(self, body: Formula, tape: int, level: int | None = None,
-                          prune: bool = True) -> Formula:
-        inner = self.relativize_exists(neg(body), tape, level, prune)
+    def relativize_forall(self, body: Formula, tape: int) -> Formula:
+        inner = self.relativize_exists(neg(body), tape)
         return eliminate_quantifiers(neg(inner), self.theory)
 
     def valid(self, f: Formula, tapes: int) -> bool:
@@ -436,114 +415,3 @@ class _SectionState:
 
 def _cover(model, n: int):
     return [model.element(i) for i in range(max(2 * n, 8))]
-
-
-# -- witness indices (the index-extraction lemma) ------------------------------
-
-def witness_indices(seq: RichSequence, psi: Formula, n: int, m: int) -> list[int]:
-    """Indices i_0 < ... < i_{m-1} >= n such that psi(x_<n, y_<m) says
-    exactly that some witness-sort tuple extends x_<n with y_j at position
-    i_j.  Requires (exists y_<m) psi to be equivalent to the level-n
-    condition; the concluding equivalence is verified before returning."""
-    theory = seq.theory
-    grid = {VarRef(0, p) for p in range(n)} | {VarRef(1, j) for j in range(m)}
-    if not free_vars(psi) <= grid:
-        raise PreconditionError("psi must use x_<n and y_<m only")
-    projected = psi
-    for j in range(m - 1, -1, -1):
-        projected = exists(VarRef(1, j), projected)
-    lhs = eliminate_quantifiers(projected, theory)
-    rhs = seq.dphi_formula(n).simplified
-    gap = disj([conj([lhs, neg(rhs)]), conj([neg(lhs), rhs])])
-    if not _valid(neg(gap), theory):
-        sep = enumerate_types(theory, 1, n, gap)
-        raise PreconditionError(
-            "projection of psi is not the level condition; separating type: "
-            + render_formula(sep[0].diagram_formula()))
-    indices: list[int] = []
-    shifted = rename_tapes(psi, {1: 2})
-    for j in range(m):
-        links = [Eq(VarRef(2, j), Y0)]
-        links += [Eq(VarRef(2, jj), VarRef(0, indices[jj])) for jj in range(j)]
-        chi = conj([shifted] + links)
-        for jj in range(m - 1, -1, -1):
-            chi = exists(VarRef(2, jj), chi)
-        lower = n if not indices else indices[-1] + 1
-        indices.append(seq.index_of(chi, min_index=lower))
-    target = conj([Eq(VarRef(2, p), VarRef(0, p)) for p in range(n)]
-                  + [Eq(VarRef(2, indices[j]), VarRef(1, j)) for j in range(m)])
-    recovered = seq.relativize_exists(target, tape=2)
-    gap2 = disj([conj([psi, neg(recovered)]), conj([neg(psi), recovered])])
-    closed = eliminate_quantifiers(gap2, theory)
-    if not _valid(neg(closed), theory):
-        raise InternalConsistencyError(
-            "witness indices failed their concluding equivalence")
-    return indices
-
-
-def _valid(f: Formula, theory) -> bool:
-    """Whether `f` holds for all values of its free variables, without
-    relativising to the witness sort."""
-    for v in sorted(free_vars(f), reverse=True):
-        f = forall(v, f)
-    return decide_sentence(f, theory)
-
-
-# -- approximate bijections and the back-and-forth stages ----------------------
-
-@dataclass(frozen=True)
-class BijectionStage:
-    n: int
-    f_indices: tuple[int, ...]
-    g_indices: tuple[int, ...]
-    phi: Formula
-
-
-def initial_stage() -> BijectionStage:
-    return BijectionStage(0, (), (), TRUE)
-
-
-def is_approximate_bijection(seq_a: RichSequence, seq_b: RichSequence,
-                             phi: Formula) -> bool:
-    """Both validity sentences: every tape-0 tuple of seq_a's sort matches
-    some tape-1 tuple of seq_b's sort, and conversely."""
-    fwd = seq_a.relativize_forall(seq_b.relativize_exists(phi, tape=1), tape=0)
-    bwd = seq_b.relativize_forall(seq_a.relativize_exists(phi, tape=0), tape=1)
-    return decide_sentence(fwd, seq_a.theory) and decide_sentence(bwd, seq_a.theory)
-
-
-def bijection_stage(seq_a: RichSequence, seq_b: RichSequence,
-                    prev: BijectionStage) -> BijectionStage:
-    """One back-and-forth step: link position n of each side to a witness
-    position of the other, re-verifying the approximate-bijection property.
-    The linking index is the least one that verifies; one exists because a
-    definable witness selection always does."""
-    if seq_a.theory.id != seq_b.theory.id:
-        raise PreconditionError("stages need a common theory")
-    if not is_approximate_bijection(seq_a, seq_b, prev.phi):
-        raise InternalConsistencyError("previous stage lost validity")
-    n = prev.n
-    used = [v.position for v in free_vars(prev.phi)] + [n]
-    bound = max(used) + STAGE_SEARCH_SLACK
-    phi1, i = _link(seq_a, seq_b, prev.phi, VarRef(0, n), 1, bound)
-    phi2, j = _link(seq_a, seq_b, phi1, VarRef(1, n), 0, bound)
-    return BijectionStage(n + 1, prev.f_indices + (i,),
-                          prev.g_indices + (j,), phi2)
-
-
-def _link(seq_a, seq_b, phi, anchor: VarRef, other_tape: int, bound: int):
-    for i in range(bound):
-        partner = VarRef(other_tape, i)
-        a, b = sorted((anchor, partner))
-        cand = conj([phi, Eq(a, b)])
-        if is_approximate_bijection(seq_a, seq_b, cand):
-            return cand, i
-    raise InternalConsistencyError(
-        f"no witness position up to {bound} keeps the stage valid")
-
-
-def run_stages(seq_a: RichSequence, seq_b: RichSequence, count: int) -> list[BijectionStage]:
-    stages = [initial_stage()]
-    for _ in range(count):
-        stages.append(bijection_stage(seq_a, seq_b, stages[-1]))
-    return stages

@@ -541,9 +541,6 @@ class CompleteType:
             return (not self.satisfies_qf(f.lhs)) or self.satisfies_qf(f.rhs)
         raise PreconditionError("satisfies_qf needs a quantifier-free formula")
 
-    def grid_vars(self) -> list[VarRef]:
-        return [VarRef(t, p) for t in range(self.k) for p in range(self.n)]
-
     def diagram_formula(self) -> Formula:
         """Minimal conjunction pinning the whole diagram: each variable is
         tied to its class representative and each representative pair is
@@ -1005,22 +1002,12 @@ def enumerate_types(theory, k: int, n: int, constraint: Formula = TRUE,
     return out
 
 
-def is_consistent(t: CompleteType, theory, extra: Formula = TRUE) -> bool:
-    """True iff t's diagram conjoined with `extra` is satisfiable; since the
-    diagram is complete, this is evaluation of QE(extra) in the diagram."""
-    theory = get_theory(theory)
-    grid = {VarRef(tp, p) for tp in range(t.k) for p in range(t.n)}
-    if not free_vars(extra) <= grid:
-        raise PreconditionError("extra has variables outside the type's grid")
-    return t.satisfies_qf(eliminate_quantifiers(extra, theory))
-
-
 # -- canonical forms ---------------------------------------------------------
 
 CANONICAL_VAR_CAP = 6
 
 
-def canonical_form(f: Formula, theory, var_cap: int = CANONICAL_VAR_CAP) -> Formula:
+def canonical_form(f: Formula, theory) -> Formula:
     """Semantic normal form: the disjunction of the complete diagrams of the
     formula's satisfying types over exactly the variables it depends on.
     Two formulas are T-equivalent iff their canonical forms are equal."""
@@ -1029,10 +1016,11 @@ def canonical_form(f: Formula, theory, var_cap: int = CANONICAL_VAR_CAP) -> Form
     vs = sorted(free_vars(qf))
     if not vs:
         return qf
-    if len(vs) > var_cap:
+    if len(vs) > CANONICAL_VAR_CAP:
         raise ResourceCapError(f"canonical form over {len(vs)} variables "
-                               f"exceeds the cap {var_cap}", cap="canonical-vars",
-                               limit=var_cap, observed=len(vs))
+                               f"exceeds the cap {CANONICAL_VAR_CAP}",
+                               cap="canonical-vars", limit=CANONICAL_VAR_CAP,
+                               observed=len(vs))
     to_grid = {v: VarRef(0, i) for i, v in enumerate(vs)}
     mapped = substitute_vars(qf, to_grid)
     sat = [d for d in diagrams_over(theory, len(vs)) if d.satisfies_qf(mapped)]

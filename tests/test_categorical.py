@@ -16,12 +16,12 @@ def parse(text, theory):
 
 
 def test_section_schedule_empty():
-    sched = section_schedule("dlo", SEQS["dlo"], 0)
+    sched = section_schedule(SEQS["dlo"], 0)
     assert sched.steps == 0 and sched.m == () and sched.b_bounds == (0,)
 
 
 def test_section_schedule_pureset_bounds():
-    sched = section_schedule("pureset", SEQS["pureset"], 4)
+    sched = section_schedule(SEQS["pureset"], 4)
     a = dict(sched.a_bounds)
     assert a[0] == 1           # the unique 1-type over nothing sits at entry 0
     assert sched.b_bounds[1] == 1
@@ -31,7 +31,7 @@ def test_section_schedule_pureset_bounds():
 
 def test_apply_mstar_pureset_full():
     seq = SEQS["pureset"]
-    sched = section_schedule("pureset", seq, 4)
+    sched = section_schedule(seq, 4)
     M = make_model("pureset")
     a = build_dtuple(M, seq, sched.m[-1] + 1,
                      cover=[M.element(i) for i in range(12)])
@@ -44,7 +44,7 @@ def test_apply_mstar_pureset_full():
 
 def test_apply_mstar_dlo():
     seq = SEQS["dlo"]
-    sched = section_schedule("dlo", seq, 3)
+    sched = section_schedule(seq, 3)
     M = make_model("dlo")
     a = build_dtuple(M, seq, sched.m[-1] + 1,
                      cover=[M.element(i) for i in range(12)])
@@ -54,7 +54,7 @@ def test_apply_mstar_dlo():
 
 def test_apply_mstar_level_precondition():
     seq = SEQS["dlo"]
-    sched = section_schedule("dlo", seq, 3)
+    sched = section_schedule(seq, 3)
     M = make_model("dlo")
     short = build_dtuple(M, seq, 3)
     with pytest.raises(PreconditionError):
@@ -65,7 +65,7 @@ def test_section_property_across_base_points():
     # the section's source is the same reference restriction from every
     # sampled base tuple, while its target is the sample itself
     seq = SEQS["pureset"]
-    sched = section_schedule("pureset", seq, 3)
+    sched = section_schedule(seq, 3)
     M = make_model("pureset")
     keys = set()
     for s in range(3):

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from tgw import categorical, groupoid, rich, theories
-from tgw.cli import config_from_args, exit_code_for, main, run
+from tgw.cli import config_from_args, first_failure, main, run
 from tgw.groupoid import LevelTable
 
 
@@ -67,6 +67,19 @@ def test_verify_cap_counts_composition_amalgams(capsys):
     assert code == 3 and rep["kind"] == "resource-cap"
     assert "grid of 9 variables" in rep["error"]
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 8, 9)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("theory,points", [("equivinf", 2471), ("dlo", 4683)])
+def test_verify_level_three_refused_on_points(capsys, theory, points):
+    # the join cap is checked on the points, before the composition is built
+    start = time.perf_counter()
+    code, rep = capture(capsys, ["groupoid", "verify", "--theory", theory,
+                                 "--level", "3"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert f"{points}**3" in rep["error"] and "10000000" in rep["error"]
+    assert (rep["cap"], rep["limit"], rep["observed"]) == (
+        "assoc-triples", 10_000_000, points ** 3)
     assert time.perf_counter() - start < 5
 
 
@@ -176,9 +189,9 @@ def test_config_rejects_unknown_fields():
 def test_exit_code_contract():
     rep = {"certificates": [{"name": "a", "passed": True},
                             {"name": "b", "passed": False}]}
-    assert exit_code_for(rep) == 1
+    assert first_failure(rep) == "b"
     rep["certificates"][1]["passed"] = True
-    assert exit_code_for(rep) == 0
+    assert first_failure(rep) is None
 
 
 def test_model_dump(capsys):

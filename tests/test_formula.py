@@ -5,7 +5,7 @@ from tgw.errors import ParseError, SignatureError
 from tgw.formula import (
     And, Atom, Bot, Eq, Exists, Forall, Implies, Not, Or, Signature, Top,
     VarRef, conj, disj, exists, forall, free_vars, implies, neg,
-    parse_formula, render_formula, rename_tapes, shift_positions,
+    parse_formula, render_formula, rename_tapes,
     substitute_vars,
 )
 
@@ -88,8 +88,9 @@ def test_substitute_identity():
 
 
 def test_substitute_shift():
+    # simultaneous: x0 -> x1 does not go on to x2
     f = Atom("adj", (x(0), x(1)))
-    assert shift_positions(f, 0, 2) == Atom("adj", (x(2), x(3)))
+    assert substitute_vars(f, {x(0): x(1), x(1): x(2)}) == Atom("adj", (x(1), x(2)))
 
 
 def test_substitute_requires_injective():

@@ -7,8 +7,8 @@ from tgw import groupoid
 from tgw.errors import PreconditionError, ResourceCapError
 from tgw.formula import FALSE, TRUE, Eq, VarRef, conj, neg, parse_formula
 from tgw.groupoid import (LAWS, ClopenSet, LevelTable, Refusal, SubGroupoid,
-                          act_clopen, base_clopen, cantor_branching,
-                          clopen, clopen_equiv, compose_clopen, contains_base,
+                          base_clopen, clopen, clopen_equiv, compose_clopen,
+                          contains_base,
                           en_clopen, invert_clopen, is_en_invariant,
                           is_subgroupoid, minimal_en_index, project_clopen,
                           source_clopen, target_clopen, theta_fiber,
@@ -383,11 +383,6 @@ def test_project_matches_point_restriction():
             expected = {tab1.index(tab2.points[i].restrict((0, 1), 1))
                         for i in tab2.points_of(U)}
             assert tab1.points_of(down) == frozenset(expected), theory
-
-
-def test_cantor_branching():
-    for theory, seq in SEQS.items():
-        assert cantor_branching(seq, 2, 2), theory
 
 
 def test_clopen_window_validation():

@@ -11,6 +11,7 @@ from tgw.formula import (FALSE, TRUE, And, Atom, Eq, Exists, Forall, Implies,
                          Not, Or, VarRef, parse_formula)
 from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
                         build_dtuple, evaluate, make_model, tuple_type)
+from tgw.rich import RichSequence
 from tgw.theories import decide_sentence, enumerate_types, get_theory
 
 
@@ -23,11 +24,15 @@ def sig(theory):
 
 
 class SeqStub:
-    """Minimal enumeration handle: a fixed prefix, then true forever."""
+    """Minimal enumeration handle: a fixed prefix, then true forever, with
+    the defining clauses built as a rich sequence builds them."""
 
     def __init__(self, theory_id, prefix):
         self.theory = get_theory(theory_id)
         self.prefix = [parse_formula(t, self.theory.signature) for t in prefix]
+        self._clauses = {}
+
+    defining_clause = RichSequence.defining_clause
 
     def rich_formula(self, n):
         from tgw.formula import TRUE
@@ -161,6 +166,22 @@ def test_tuple_types_are_enumerated_types():
     t = tuple_type(M, [pts])
     keys = {u.key() for u in enumerate_types("dlo", 1, 3)}
     assert t.key() in keys
+
+
+# the least prefix of each model's elements realising every 4-variable type
+REALISING_PREFIX = {"pureset": 4, "dlo": 4, "equivinf": 10, "randomgraph": 12}
+
+
+@pytest.mark.parametrize("theory", sorted(REALISING_PREFIX))
+def test_enumeration_matches_model_tuples(theory):
+    # every m-tuple over the prefix has an enumerated type, and every
+    # enumerated type is realised by one of them
+    M = make_model(theory)
+    prefix = [M.element(i) for i in range(REALISING_PREFIX[theory])]
+    for m in range(5):
+        realised = {tuple_type(M, [list(tup)]).key()
+                    for tup in itertools.product(prefix, repeat=m)}
+        assert realised == {t.key() for t in enumerate_types(theory, 1, m)}, (theory, m)
 
 
 class _ReflexiveOrder(DloModel):

@@ -3,14 +3,12 @@ import itertools
 import pytest
 
 from tgw.errors import PreconditionError
-from tgw.formula import (FALSE, TRUE, Eq, VarRef, conj, free_vars, neg,
-                         parse_formula, render_formula)
+from tgw.formula import (FALSE, TRUE, Eq, Forall, Implies, VarRef, conj,
+                         exists, forall, free_vars, neg, parse_formula,
+                         render_formula, substitute_vars)
 from tgw.models import Y0, evaluate, make_model
-from tgw.rich import (BijectionStage, RichSequence, _valid, bijection_stage,
-                      initial_stage, is_approximate_bijection, run_stages,
-                      witness_indices)
-from tgw.theories import (decide_sentence, eliminate_quantifiers, get_theory,
-                          enumerate_types)
+from tgw.rich import RichSequence
+from tgw.theories import decide_sentence, eliminate_quantifiers, get_theory
 
 
 def parse(text, theory):
@@ -21,34 +19,26 @@ def x(i):
     return VarRef(0, i)
 
 
+def relativize_exists_full(seq, body, level):
+    """The unpruned relativisation: every position below `level`
+    quantified under all of the level-`level` condition."""
+    f = conj([seq.dphi_conjunct(k) for k in range(level)] + [body])
+    for p in reversed(range(level)):
+        f = exists(x(p), f)
+    return eliminate_quantifiers(f, seq.theory)
+
+
+def plain_valid(f, theory):
+    """Validity over all values of the free variables, not relativised to
+    the witness sort."""
+    for v in sorted(free_vars(f), reverse=True):
+        f = forall(v, f)
+    return decide_sentence(f, theory)
+
+
 def test_slot_zero_is_true():
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
         assert RichSequence(theory).rich_formula(0) == TRUE
-
-
-def test_index_of_roundtrip():
-    seq = RichSequence("pureset")
-    m = seq.index_of(parse("eq(x0,y0)", "pureset"))
-    assert m >= 1
-    assert seq.rich_formula(m) == parse("eq(x0,y0)", "pureset")
-
-
-def test_index_of_dlo_padding():
-    seq = RichSequence("dlo")
-    psi = parse("lt(x0,y0)", "dlo")
-    m = seq.index_of(psi)
-    assert seq.rich_formula(m) == psi
-    high = seq.index_of(psi, min_index=40)
-    assert high >= 40
-    assert seq.rich_formula(high) == psi
-
-
-def test_index_of_respects_variable_bound():
-    seq = RichSequence("pureset")
-    psi = parse("eq(x3,y0)", "pureset")
-    m = seq.index_of(psi)
-    assert m >= 4
-    assert seq.rich_formula(m) == psi
 
 
 def test_prefix_validation():
@@ -62,6 +52,18 @@ def test_dphi_level_zero_and_one():
     lvl = seq.dphi_formula(1)
     assert render_formula(lvl.formula) == "forall y0. (true -> true)"
     assert lvl.simplified == TRUE
+
+
+def test_defining_clause_matches_plain_constructors():
+    # the raw `dphi` text renders these clauses, built before with the plain
+    # constructors
+    for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
+        seq = RichSequence(theory)
+        for k in range(20):
+            phi = seq.rich_formula(k)
+            want = (Forall(Y0, Implies(phi, substitute_vars(phi, {Y0: x(k)})))
+                    if Y0 in free_vars(phi) else TRUE)
+            assert seq.defining_clause(k) == want, (theory, k)
 
 
 def test_dphi_prefix_example():
@@ -81,14 +83,9 @@ def test_dphi_monotone_and_nonempty():
             gap = conj([seq.dphi_formula(n + 1).simplified,
                         neg(seq.dphi_formula(n).simplified)])
             g = eliminate_quantifiers(gap, theory)
-            vs = sorted(free_vars(g), reverse=True)
-            from tgw.formula import forall as fa, exists as ex
-            sentence = neg(g)
-            for v in vs:
-                sentence = fa(v, sentence)
-            assert decide_sentence(sentence, theory), (theory, n)
+            assert plain_valid(neg(g), theory), (theory, n)
             # nonemptiness, without pruning
-            assert seq.relativize_exists(TRUE, 0, level=n, prune=False) == TRUE
+            assert relativize_exists_full(seq, TRUE, n) == TRUE
 
 
 def test_relativize_prune_matches_full():
@@ -101,16 +98,12 @@ def test_relativize_prune_matches_full():
             body = parse(text, theory)
             lvl = max(v.position for v in free_vars(body) if v.tape == 0) + 1
             pruned = seq.relativize_exists(body, 0)
-            full = seq.relativize_exists(body, 0, level=lvl, prune=False)
+            full = relativize_exists_full(seq, body, lvl)
             gap = conj([pruned, neg(full)])
             gap2 = conj([full, neg(pruned)])
             for g in (gap, gap2):
                 g = eliminate_quantifiers(g, theory)
-                sentence = neg(g)
-                from tgw.formula import forall as fa
-                for v in sorted(free_vars(g), reverse=True):
-                    sentence = fa(v, sentence)
-                assert decide_sentence(sentence, theory), (theory, text)
+                assert plain_valid(neg(g), theory), (theory, text)
 
 
 def test_relativize_spec_examples():
@@ -158,63 +151,7 @@ def test_valid_on_sort_and_plain(theory, text, tapes, on_sort, plain):
     seq = RichSequence(theory)
     f = parse(text, theory)
     assert seq.valid(f, tapes) is on_sort
-    assert _valid(f, theory) is plain
-
-
-def test_witness_indices_pureset():
-    seq = RichSequence("pureset")
-    ii = witness_indices(seq, Eq(VarRef(1, 0), x(0)), 1, 1)
-    assert len(ii) == 1 and ii[0] >= 1
-    assert seq.rich_formula(ii[0]) == parse("eq(x0,y0)", "pureset")
-
-
-def test_witness_indices_dlo():
-    seq = RichSequence("dlo")
-    ii = witness_indices(seq, parse("lt(x0,y0)", "dlo"), 1, 1)
-    assert len(ii) == 1 and ii[0] >= 1
-    assert seq.rich_formula(ii[0]) == parse("lt(x0,y0)", "dlo")
-
-
-def test_witness_indices_m_zero():
-    seq = RichSequence("pureset")
-    assert witness_indices(seq, seq.dphi_formula(1).simplified, 1, 0) == []
-
-
-def test_witness_indices_two_witnesses():
-    seq = RichSequence("pureset")
-    psi = conj([Eq(VarRef(1, 0), x(0)), neg(Eq(VarRef(1, 1), x(0)))])
-    ii = witness_indices(seq, psi, 1, 2)
-    assert len(ii) == 2 and ii[0] < ii[1] and ii[0] >= 1
-
-
-def test_witness_indices_hypothesis_failure():
-    seq = RichSequence("pureset")
-    bad = conj([Eq(VarRef(1, 0), x(0)), Eq(x(0), x(1))])
-    with pytest.raises(PreconditionError, match="separating type"):
-        witness_indices(seq, bad, 2, 1)
-
-
-def test_initial_stage_and_identity_linkage():
-    seq = RichSequence("pureset")
-    s0 = initial_stage()
-    assert s0.phi == TRUE and s0.n == 0
-    s1 = bijection_stage(seq, seq, s0)
-    assert s1.f_indices == (0,) and s1.g_indices == (0,)
-    assert s1.phi == parse("eq(x0,y0)", "pureset")
-
-
-def test_three_stages_distinct_sequences():
-    seq_a = RichSequence("pureset")
-    seq_b = RichSequence("pureset", prefix=[parse("!eq(x0,y0)", "pureset")])
-    stages = run_stages(seq_a, seq_b, 3)
-    assert len(stages) == 4
-    for s in stages:
-        assert is_approximate_bijection(seq_a, seq_b, s.phi)
-
-
-def test_stage_count_zero_identity():
-    seq = RichSequence("dlo")
-    assert run_stages(seq, seq, 0) == [initial_stage()]
+    assert plain_valid(f, theory) is plain
 
 
 def test_section_plan_pureset():

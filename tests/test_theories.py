@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgw import theories
 from tgw.errors import PreconditionError, ResourceCapError
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
                          VarRef, conj, free_vars, neg, parse_formula,
@@ -14,8 +15,7 @@ from tgw.theories import (CompleteType, DenseLinearOrder, _clash, _dnf,
                           canonical_form, decide_sentence, depends_on_all_vars,
                           diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
-                          is_consistent, pair_codes, restriction_map,
-                          set_partitions)
+                          pair_codes, restriction_map, set_partitions)
 
 
 def qe(text, theory):
@@ -362,23 +362,7 @@ def test_qe_sound_on_rational_samples():
                 assert eval_dlo(f, asg) == eval_dlo(g, asg), text
 
 
-# -- consistency and canonical forms -----------------------------------------
-
-def test_is_consistent_examples():
-    sig = get_theory("dlo").signature
-    t = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", sig))[0]
-    assert is_consistent(t, "dlo", parse_formula("lt(x1,x0)", sig)) is False
-    t2 = enumerate_types("pureset", 1, 2, parse_formula("!eq(x0,x1)",
-                         get_theory("pureset").signature))[0]
-    assert is_consistent(t2, "pureset") is True
-
-    rg = get_theory("randomgraph")
-    t3 = [t for t in enumerate_types("randomgraph", 1, 2)
-          if t.satisfies_qf(parse_formula("(adj(x0,x1) & !eq(x0,x1))", rg.signature))][0]
-    extra = parse_formula(
-        "exists y0.(adj(x0,y0) & !adj(x1,y0) & !eq(y0,x0) & !eq(y0,x1))", rg.signature)
-    assert is_consistent(t3, rg, extra) is True
-
+# -- diagram formulas and canonical forms ------------------------------------
 
 def test_diagram_formula_roundtrip():
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
@@ -393,7 +377,8 @@ def conj_diagram_formula(t):
     variable tied to its class representative, each representative pair
     pinned relation by relation (the construction the literal table
     replaces)."""
-    theory, vs = t.theory, t.grid_vars()
+    theory = t.theory
+    vs = [VarRef(tp, p) for tp in range(t.k) for p in range(t.n)]
     lits, reps = [], {}
     for i, c in enumerate(t.classes):
         if c in reps:
@@ -587,8 +572,9 @@ def test_dnf_matches_pairwise_on_generated_formulas(theory):
     check()
 
 
-def test_canonical_form_cap_fields():
+def test_canonical_form_cap_fields(monkeypatch):
+    monkeypatch.setattr(theories, "CANONICAL_VAR_CAP", 3)
     f = conj(Eq(VarRef(0, i), VarRef(0, i + 1)) for i in range(3))
     with pytest.raises(ResourceCapError) as exc:
-        canonical_form(f, "pureset", var_cap=3)
+        canonical_form(f, "pureset")
     assert (exc.value.cap, exc.value.limit, exc.value.observed) == ("canonical-vars", 3, 4)
