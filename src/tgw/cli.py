@@ -31,6 +31,29 @@ CONFIG_KEYS = {"command", "theory", "vars", "tapes", "constraint", "level",
                "to", "index", "formula", "size", "json", "max_grid",
                "max_depth"}
 
+# per command: the keys it requires, and the defaults of those it may omit
+PARAMETERS = {
+    "types": (("vars",), {"tapes": 1, "constraint": "true"}),
+    "dphi": (("level",), {}),
+    "compose": (("phi", "psi"), {}),
+    "source": (("phi",), {}),
+    "subgroupoids": ((), {"depth": 1}),
+    "groupoid verify": (("level",), {}),
+    "project": (("phi", "to"), {}),
+    "theta": (("level",), {"tapes": 3, "index": 0}),
+    "reconstruct": ((), {"level": 1, "depth": 1, "budget": 8}),
+    "section": ((), {"steps": 0}),
+    "skolem": (("formula",), {}),
+    "universality": ((), {"k": 1, "m0": 1, "samples": 8}),
+    "model dump": (("size",), {}),
+}
+COMMON_DEFAULTS = {"max_grid": DEFAULT_GRID_CAP, "max_depth": DEFAULT_QUANTIFIER_CAP}
+
+# the least value of each integer parameter; a cap of 0 is a cap like any other
+LEAST = {"vars": 0, "tapes": 1, "level": 0, "depth": 0, "budget": 1, "steps": 0,
+         "samples": 1, "k": 1, "m0": 0, "to": 0, "index": 0, "size": 0,
+         "max_grid": 0, "max_depth": 0}
+
 
 def _seq(cfg) -> RichSequence:
     return RichSequence(cfg["theory"])
@@ -40,17 +63,12 @@ def _parse(cfg, text):
     return parse_formula(text, get_theory(cfg["theory"]).signature)
 
 
-def _cap(cfg) -> int:
-    """`--max-grid`, where 0 is a cap like any other."""
-    cap = cfg.get("max_grid")
-    return DEFAULT_GRID_CAP if cap is None else cap
+def _flag(key: str) -> str:
+    return "-k" if key == "k" else "--" + key.replace("_", "-")
 
 
 def _model(cfg):
-    """The theory's model under `--max-depth`, where 0 is a cap like any other."""
-    depth = cfg.get("max_depth")
-    return make_model(cfg["theory"], max_quantifier_depth=DEFAULT_QUANTIFIER_CAP
-                      if depth is None else depth)
+    return make_model(cfg["theory"], max_quantifier_depth=cfg["max_depth"])
 
 
 def _cert(name, passed, **extra):
@@ -61,9 +79,8 @@ def _cert(name, passed, **extra):
 
 def cmd_types(cfg):
     theory = get_theory(cfg["theory"])
-    constraint = _parse(cfg, cfg.get("constraint") or "true")
-    types = enumerate_types(theory, cfg.get("tapes") or 1, cfg["vars"],
-                            constraint, cap=_cap(cfg))
+    types = enumerate_types(theory, cfg["tapes"], cfg["vars"],
+                            _parse(cfg, cfg["constraint"]), cap=cfg["max_grid"])
     items = [t.diagram_text() for t in types]
     return {"count": len(items), "types": items}, [
         _cert("enumeration-deterministic", True, count=len(items))]
@@ -87,7 +104,7 @@ def cmd_compose(cfg):
     V = clopen(seq, psi, arity=2)
     chi = compose_clopen(U, V)
     level = max(max(U.level, V.level), 1)
-    tab = LevelTable(seq, 2, level, cap=_cap(cfg))
+    tab = LevelTable(seq, 2, level, cap=cfg["max_grid"])
     comp = tab.compose_sets()
     expected = set()
     for a in tab.points_of(replace(U, level=level)):
@@ -113,7 +130,7 @@ def cmd_subgroupoids(cfg):
     seq = _seq(cfg)
     items = []
     certs = []
-    for X in predicate_corpus(seq, cfg.get("depth") or 1):
+    for X in predicate_corpus(seq, cfg["depth"]):
         if X.arity != 2:
             continue
         verdict = is_subgroupoid(replace(X, level=max(X.level, 1)))
@@ -124,7 +141,7 @@ def cmd_subgroupoids(cfg):
         items.append(entry)
         certs.append(_cert(f"axioms[{entry['formula']}]", True,
                            subgroupoid=ok))
-    for n in range(cfg.get("depth") or 1, -1, -1):
+    for n in range(cfg["depth"], -1, -1):
         verdict = is_subgroupoid(en_clopen(seq, n))
         certs.append(_cert(f"level-equality[{n}]",
                            isinstance(verdict, SubGroupoid)))
@@ -132,7 +149,7 @@ def cmd_subgroupoids(cfg):
 
 
 def cmd_groupoid_verify(cfg):
-    report = verify_level_axioms(LevelTable(_seq(cfg), 2, cfg["level"], cap=_cap(cfg)))
+    report = verify_level_axioms(LevelTable(_seq(cfg), 2, cfg["level"], cap=cfg["max_grid"]))
     certs = [_cert(law, True) if report[law] is True
              else _cert(law, False, detail="{} fails at points ({})".format(
                  law, ",".join(map(str, report[law].witness))))
@@ -145,8 +162,8 @@ def cmd_project(cfg):
     seq = _seq(cfg)
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     down = project_clopen(U, cfg["to"])
-    tab_hi = LevelTable(seq, 2, U.level, cap=_cap(cfg))
-    tab_lo = LevelTable(seq, 2, cfg["to"], cap=_cap(cfg))
+    tab_hi = LevelTable(seq, 2, U.level, cap=cfg["max_grid"])
+    tab_lo = LevelTable(seq, 2, cfg["to"], cap=cfg["max_grid"])
     expected = {tab_lo.index(tab_hi.points[i].restrict((0, 1), cfg["to"]))
                 for i in tab_hi.points_of(U)}
     agrees = tab_lo.points_of(down) == frozenset(expected)
@@ -156,9 +173,8 @@ def cmd_project(cfg):
 
 def cmd_theta(cfg):
     seq = _seq(cfg)
-    k = cfg.get("tapes") or 3
-    tab = LevelTable(seq, k, cfg["level"], cap=_cap(cfg))
-    idx = cfg.get("index") or 0
+    tab = LevelTable(seq, cfg["tapes"], cfg["level"], cap=cfg["max_grid"])
+    idx = cfg["index"]
     if idx >= len(tab.points):
         raise PreconditionError(f"table has only {len(tab.points)} points")
     p = tab.points[idx]
@@ -171,9 +187,8 @@ def cmd_theta(cfg):
 
 
 def cmd_reconstruct(cfg):
-    report = reconstruct_and_compare(cfg["theory"], level=cfg.get("level") or 1,
-                                     depth=cfg.get("depth") or 1,
-                                     budget=cfg.get("budget") or 8)
+    report = reconstruct_and_compare(cfg["theory"], level=cfg["level"],
+                                     depth=cfg["depth"], budget=cfg["budget"])
     certs = [_cert("carrier-bijection", report["bijection"])]
     for p in report["predicates"]:
         certs.append(_cert(f"transport[{p['formula']}]",
@@ -183,7 +198,7 @@ def cmd_reconstruct(cfg):
 
 def cmd_section(cfg):
     seq = _seq(cfg)
-    steps = cfg.get("steps") or 0
+    steps = cfg["steps"]
     sched = section_schedule(seq, steps)
     M = _model(cfg)
     certs = [_cert("schedule-verified", True, m=list(sched.m),
@@ -210,9 +225,8 @@ def cmd_skolem(cfg):
 def cmd_universality(cfg):
     seq = _seq(cfg)
     M = _model(cfg)
-    report = universality_check(seq, k=cfg.get("k") or 1,
-                                m0=cfg.get("m0") or 1, M=M,
-                                samples=cfg.get("samples") or 8)
+    report = universality_check(seq, k=cfg["k"], m0=cfg["m0"], M=M,
+                                samples=cfg["samples"])
     return report, [_cert("all-samples-constructed",
                           report["successes"] == report["samples"])]
 
@@ -233,7 +247,9 @@ HANDLERS = {
 
 
 def run(config: dict) -> dict:
-    """Dispatch one validated configuration and assemble the report."""
+    """Check one configuration (its keys, the command's required keys and
+    each integer's least value), dispatch it with the command's defaults for
+    absent keys, and assemble the report, whose parameters are those given."""
     unknown = set(config) - CONFIG_KEYS
     if unknown:
         raise PreconditionError(f"unknown config fields: {sorted(unknown)}")
@@ -242,11 +258,21 @@ def run(config: dict) -> dict:
         raise PreconditionError(f"unknown command {command!r}")
     if config.get("theory") not in THEORIES:
         raise PreconditionError(f"theory must be one of {sorted(THEORIES)}")
+    given = {k: v for k, v in config.items() if v is not None}
+    required, defaults = PARAMETERS[command]
+    missing = [k for k in required if k not in given]
+    if missing:
+        raise PreconditionError(f"{command} requires {', '.join(map(_flag, missing))}")
+    cfg = {**COMMON_DEFAULTS, **defaults, **given}
+    for key, least in LEAST.items():
+        value = cfg.get(key)
+        if value is not None and (not isinstance(value, int) or value < least):
+            raise PreconditionError(f"{_flag(key)} must be an integer >= {least}, not {value!r}")
     started = time.monotonic()
-    items, certificates = HANDLERS[command](config)
+    items, certificates = HANDLERS[command](cfg)
     elapsed = round((time.monotonic() - started) * 1000, 3)
-    params = {k: v for k, v in sorted(config.items())
-              if k not in ("command", "theory", "json") and v is not None}
+    params = {k: v for k, v in sorted(given.items())
+              if k not in ("command", "theory", "json")}
     return {"schema_version": SCHEMA_VERSION, "command": command,
             "theory": config["theory"], "parameters": params, "items": items,
             "certificates": certificates, "timing_ms": elapsed}

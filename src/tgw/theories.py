@@ -14,24 +14,26 @@ negation.  A complete quantifier-free diagram over finitely many variables
 is represented by a partition of the variables plus relation values on the
 partition classes (`CompleteType`); admissibility of the diagram is exactly
 consistency with the theory, so enumerating admissible diagrams enumerates
-complete types.  A theory is given by five hooks (see `Theory`); which
-diagrams are admissible is read off its 3-variable diagrams, not written
-per theory.
+complete types.  A theory is given by two hooks, its literal normal form
+and its elimination rule (see `Theory`); every other fact about finite
+diagrams is decided by quantifier elimination, not written per theory.
 
 Every signature is binary, so a diagram is also fixed by its 2-variable
 sub-diagrams: its pair-code tuple holds, for each pair i < j, the index of
-that pair's sub-diagram in `diagrams_over(theory, 2)` (`PairCodes`).  Each
-theory's finite diagrams are those of its universal part, which is
-axiomatised in at most three variables (equality is a congruence, plus the
-order, adjacency or equivalence laws), so a code tuple names a consistent
-diagram iff every 3-variable sub-diagram is one.  As each theory is the
-Fraisse limit of these diagrams, `diagram_codes` generates them one variable
-at a time: a new variable relates to each earlier equality class by a code
-allowed by the triple table, and copies that code to the rest of the class.
-The partition-times-relation-table product (`rel_assignments`) only builds
-the diagrams over at most three variables that the triple table comes from,
-and `PairCodes.admits` decides admissibility of any diagram (such as one
-read off a model) by the same pair codes and triple table.
+that pair's sub-diagram in `diagrams_over(theory, 2)` (`PairCodes`).  The
+pair diagrams are the relation tables on one or two distinct elements that
+QE proves to occur, and the triple table, which codes can close a triangle,
+is QE of one existential per two codes.  Each theory's finite diagrams are
+those of its universal part, which is axiomatised in at most three
+variables (equality is a congruence, plus the order, adjacency or
+equivalence laws), so a code tuple names a consistent diagram iff every
+3-variable sub-diagram is one.  As each theory is the Fraisse limit of these
+diagrams, `diagram_codes` generates them one variable at a time: a new
+variable relates to each earlier equality class by a code allowed by the
+triple table, and copies that code to the rest of the class.  Every pool
+`diagrams_over(theory, m)` is built this way, and `PairCodes.admits` decides
+admissibility of any diagram (such as one read off a model) by the same pair
+codes and triple table.
 
 Diagram formulas are read off the same codes.  Per grid, a literal table
 (`PairCodes.literal_table`) holds for each pair position and pair code the
@@ -43,16 +45,17 @@ order `conj` would give them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import and_, itemgetter
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError, SignatureError)
 from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                       Formula, Implies, Not, Or, Signature, Top, VarRef, conj,
-                      disj, free_vars, neg, render_formula, sort_key,
+                      disj, exists, free_vars, neg, render_formula, sort_key,
                       substitute_vars)
 
 DEFAULT_GRID_CAP = 12
@@ -67,13 +70,10 @@ def _sorted_pair(a: VarRef, b: VarRef) -> tuple[VarRef, VarRef]:
 
 class Theory:
     """Base for the built-in theories.  Besides the signature, a theory is
-    five hooks: `normalize_literal` (the literal normal form),
-    `eliminate_one` (the single-existential rule), `pair_literals` and
-    `literal_conflict` (pinning and pruning literals), and `rel_assignments`
-    (the relation tables on distinct classes, which build the diagrams over
-    at most three variables).  Admissibility of larger diagrams is read off
-    the triple table of those (`PairCodes.admits`), since each theory's
-    universal part is axiomatised in at most three variables."""
+    two hooks: `normalize_literal` (the literal normal form) and
+    `eliminate_one` (the single-existential rule).  The rest is derived by
+    QE: the pair diagrams, the triple table and the pinning literals
+    (`PairCodes`), and the literals that prune DNF cubes (`_clash`)."""
 
     id: str = ""
     signature: Signature = Signature("empty")
@@ -89,23 +89,9 @@ class Theory:
         raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
 
     def eliminate_one(self, v: VarRef, lits: list[Formula]) -> Formula:
+        """A quantifier-free formula equivalent to the existential over `v`
+        of the conjunction of `lits`, normalised literals that all name v."""
         raise NotImplementedError
-
-    def rel_assignments(self, num_classes: int) -> list[dict[str, frozenset]]:
-        raise NotImplementedError
-
-    def pair_literals(self, a: VarRef, b: VarRef, forward: bool, backward: bool) -> list[Formula]:
-        """Minimal literals pinning one unordered pair of distinct diagram
-        classes, given the relation values in both directions; literals the
-        theory already implies are omitted."""
-        return [self.normalize_literal(True, Eq(a, b))]
-
-    def literal_conflict(self, a: Formula, b: Formula) -> bool:
-        """Theory-level contradiction between two normalized literals beyond
-        the syntactic complement (used to prune DNF cubes early).  It may
-        hold only for literals with the same free variables: `_dnf` reads it
-        through the clash index `_clash`, which tries no other literals."""
-        return False
 
     # shared helpers ---------------------------------------------------------
 
@@ -150,9 +136,6 @@ class PureSet(Theory):
             return self._subst_out(v, w, [l for l in lits if l is not lit])
         return TRUE  # only inequations remain; the model is infinite
 
-    def rel_assignments(self, num_classes):
-        return [{}]
-
 
 class DenseLinearOrder(Theory):
     id = "dlo"
@@ -184,28 +167,6 @@ class DenseLinearOrder(Theory):
         return conj(self.normalize_literal(False, Atom("lt", (a, b)))
                     for a in lowers for b in uppers)
 
-    def pair_literals(self, a, b, forward, backward):
-        # exactly one direction holds between distinct classes; the strict
-        # order implies the inequality
-        return [Atom("lt", (a, b) if forward else (b, a))]
-
-    def literal_conflict(self, a, b):
-        if isinstance(a, Atom) and isinstance(b, Atom):
-            return a.args == b.args[::-1]
-        if isinstance(a, Atom) and isinstance(b, Eq):
-            return set(a.args) == {b.lhs, b.rhs}
-        if isinstance(a, Eq) and isinstance(b, Atom):
-            return set(b.args) == {a.lhs, a.rhs}
-        return False
-
-    def rel_assignments(self, num_classes):
-        out = []
-        for order in itertools.permutations(range(num_classes)):
-            pairs = frozenset((order[i], order[j])
-                              for i in range(num_classes) for j in range(i + 1, num_classes))
-            out.append({"lt": pairs})
-        return out
-
 
 class RandomGraph(Theory):
     id = "randomgraph"
@@ -229,27 +190,6 @@ class RandomGraph(Theory):
         # negs exists iff the two demand sets name distinct elements
         return conj(self.normalize_literal(True, Eq(a, b))
                     for a in pos for b in negs)
-
-    def pair_literals(self, a, b, forward, backward):
-        if forward:  # adjacency is irreflexive, so it implies the inequality
-            return [Atom("adj", _sorted_pair(a, b))]
-        return [self.normalize_literal(True, Eq(a, b)),
-                Not(Atom("adj", _sorted_pair(a, b)))]
-
-    def literal_conflict(self, a, b):
-        if isinstance(a, Eq):
-            a, b = b, a
-        if isinstance(a, Atom) and isinstance(b, Eq):
-            return a.args == (b.lhs, b.rhs)
-        return False
-
-    def rel_assignments(self, num_classes):
-        pairs = [(i, j) for i in range(num_classes) for j in range(i + 1, num_classes)]
-        out = []
-        for bits in itertools.product((False, True), repeat=len(pairs)):
-            edges = frozenset(p for p, b in zip(pairs, bits) if b)
-            out.append({"adj": edges | frozenset((j, i) for i, j in edges)})
-        return out
 
 
 class EquivInf(Theory):
@@ -278,30 +218,6 @@ class EquivInf(Theory):
         # pairwise conditions are all that is required
         return conj(parts)
 
-    def pair_literals(self, a, b, forward, backward):
-        if forward:  # equivalence is reflexive, so the inequality is needed
-            return [Atom("equiv", _sorted_pair(a, b)),
-                    self.normalize_literal(True, Eq(a, b))]
-        return [Not(Atom("equiv", _sorted_pair(a, b)))]
-
-    def literal_conflict(self, a, b):
-        if isinstance(a, Eq):
-            a, b = b, a
-        if isinstance(a, Not) and isinstance(a.sub, Atom) and isinstance(b, Eq):
-            return a.sub.args == (b.lhs, b.rhs)
-        return False
-
-    def rel_assignments(self, num_classes):
-        out = []
-        for part in set_partitions(num_classes):
-            pairs = set()
-            for i in range(num_classes):
-                for j in range(num_classes):
-                    if part[i] == part[j]:
-                        pairs.add((i, j))
-            out.append({"equiv": frozenset(pairs)})
-        return out
-
 
 THEORIES: dict[str, Theory] = {t.id: t for t in
                                (PureSet(), DenseLinearOrder(), RandomGraph(), EquivInf())}
@@ -314,24 +230,6 @@ def get_theory(theory_id) -> Theory:
         return THEORIES[theory_id]
     except KeyError:
         raise PreconditionError(f"unsupported theory id {theory_id!r}") from None
-
-
-def set_partitions(m: int):
-    """All partitions of range(m) as restricted-growth strings, in
-    lexicographic order."""
-    if m == 0:
-        yield ()
-        return
-    rgs = [0] * m
-
-    def rec(i, mx):
-        if i == m:
-            yield tuple(rgs)
-            return
-        for c in range(mx + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(mx, c))
-    yield from rec(1, 0)
 
 
 # -- quantifier elimination --------------------------------------------------
@@ -369,24 +267,32 @@ def _nnf(theory: Theory, f: Formula, negated: bool) -> Formula:
     return node(f.var, body)
 
 
+def _literals(theory: Theory, vs) -> list[Formula]:
+    """The normalised literals over the variables `vs`, in `sort_key` order."""
+    atoms = [Eq(a, b) for a in vs for b in vs] + [
+        Atom(rel, args) for rel, arity in theory.signature.relations
+        for args in itertools.product(vs, repeat=arity)]
+    lits = {theory.normalize_literal(negated, atom)
+            for atom in atoms for negated in (False, True)}
+    return sorted((l for l in lits if isinstance(l, (Atom, Eq, Not))), key=sort_key)
+
+
 _CLASH_CACHE: dict[tuple[str, Formula], frozenset] = {}
 
 
 def _clash(theory: Theory, l: Formula) -> frozenset:
-    """Every normalised literal that contradicts `l`: its complement, or one
-    `literal_conflict` relates to it either way round.  Such literals have
-    `l`'s free variables, so only the literals over those are tried."""
+    """Every normalised literal that contradicts `l`: its complement, or a
+    literal m over `l`'s two variables such that the elimination rule turns
+    the existential over the later variable of `l` and m into false.  Other
+    literals share at most one variable with `l`, and pair diagrams that
+    share one amalgamate, so none contradicts `l`.  Pair codes are built by
+    QE, so this reads none."""
     key = (theory.id, l)
     if key not in _CLASH_CACHE:
         vs = sorted(free_vars(l))
-        atoms = [Eq(a, b) for a in vs for b in vs] + [
-            Atom(rel, args) for rel, arity in theory.signature.relations
-            for args in itertools.product(vs, repeat=arity)]
-        lits = {theory.normalize_literal(negated, atom)
-                for atom in atoms for negated in (False, True)}
         _CLASH_CACHE[key] = frozenset([neg(l)] + [
-            m for m in lits if isinstance(m, (Atom, Eq, Not))
-            and (theory.literal_conflict(l, m) or theory.literal_conflict(m, l))])
+            m for m in _literals(theory, vs)
+            if isinstance(theory.eliminate_one(vs[-1], [l, m]), Bot)])
     return _CLASH_CACHE[key]
 
 
@@ -544,9 +450,10 @@ class CompleteType:
     def diagram_formula(self) -> Formula:
         """Minimal conjunction pinning the whole diagram: each variable is
         tied to its class representative and each representative pair is
-        pinned by the theory's pair literals.  The literals come from the
-        grid's literal table (`PairCodes.literal_table`) in rank order, so
-        the value equals `conj` of them without `conj`'s sorting."""
+        pinned by the pinning literals of its code (`PairCodes.pins`).  The
+        literals come from the grid's literal table
+        (`PairCodes.literal_table`) in rank order, so the value equals `conj`
+        of them without `conj`'s sorting."""
         lits = [lit for _, lit, _ in self._diagram_literals()]
         if len(lits) > 1:
             return And(tuple(lits))
@@ -612,32 +519,43 @@ class CompleteType:
         return (self.classes, tuple((r, tuple(sorted(p))) for r, p in self.rels))
 
 
-def _product_diagrams(theory: Theory, m: int) -> list[CompleteType]:
-    """Every m-variable diagram as an equality partition times the theory's
-    relation tables on its classes, sorted by key."""
-    out = []
-    for classes in set_partitions(m):
-        c = max(classes, default=-1) + 1
-        for rels in theory.rel_assignments(c):
-            out.append(CompleteType(theory.id, 1, m, classes,
-                                    tuple(sorted(rels.items()))))
-    out.sort(key=CompleteType.key)
-    return out
-
-
 def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
-    if m <= 3:  # the base that the triple table is read from
-        return _product_diagrams(theory, m)
+    """Every m-variable diagram, by one-variable extension, sorted by key."""
     pc = pair_codes(theory)
     tables: dict[tuple[int, ...], tuple] = {}
     keyed = []
-    for _codes, between, _c, classes in _extensions(theory, 1, m):
-        if between not in tables:
-            tables[between] = pc.class_tables(between)
+    for _codes, between, c, classes in _extensions(theory, 1, m):
+        if between not in tables:  # it fixes c once m >= 1
+            tables[between] = pc.class_tables(between, c)
         key, rels = tables[between]
         keyed.append(((classes, key), CompleteType(theory.id, 1, m, classes, rels)))
     keyed.sort(key=lambda kt: kt[0])  # CompleteType.key, built once per table
     return [t for _, t in keyed]
+
+
+def _distinct_diagrams(theory: Theory, c: int,
+                       one: CompleteType | None = None) -> list[CompleteType]:
+    """The diagrams of c distinct variables: every relation table on c
+    classes that restricts to the 1-variable diagram `one` (if given) on
+    each class and that `decide_sentence` proves c distinct elements carry."""
+    vs = [VarRef(0, i) for i in range(c)]
+    atoms = [Atom(rel, args) for rel, _ in theory.signature.relations
+             for args in itertools.product(vs, repeat=2)]
+    out = []
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        t = CompleteType(theory.id, 1, c, tuple(range(c)), tuple(
+            (rel, frozenset((a.args[0].position, a.args[1].position)
+                            for a, bit in zip(atoms, bits) if bit and a.rel == rel))
+            for rel, _ in theory.signature.relations))
+        if one and any(t.restrict_vars([i]).rels != one.rels for i in range(c)):
+            continue
+        sentence = conj([neg(Eq(a, b)) for a, b in itertools.combinations(vs, 2)]
+                        + [a if bit else neg(a) for a, bit in zip(atoms, bits)])
+        for v in reversed(vs):
+            sentence = exists(v, sentence)
+        if decide_sentence(sentence, theory):
+            out.append(t)
+    return out
 
 
 _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
@@ -686,18 +604,23 @@ class PairCodes:
     """One theory's diagrams as pair-code tuples.
 
     The code of the pair i < j is the index, in `diagrams_over(theory, 2)`,
-    of the sub-diagram on (i, j) with i read as x0.  `triples[a][b]` is the
-    bit set of the codes c such that codes a, b, c on the pairs (h, i),
-    (h, j), (i, j) of h < i < j occur together in a 3-variable diagram.
+    of the sub-diagram on (i, j) with i read as x0; those diagrams, and the
+    1-variable one, are built here by QE.  `pins[code]` is a shortest list
+    of normalised literals on (x0, x1) that holds of that code alone.
+    `triples[a][b]` is the bit set of the codes c such that codes a, b, c on
+    the pairs (h, i), (h, j), (i, j) of h < i < j occur together in a
+    3-variable diagram: the codes on (x1, x2) of QE of the existential over
+    x0 of `pins[a]` on (x0, x1) and `pins[b]` on (x0, x2).
     """
 
     def __init__(self, theory: Theory):
-        one = diagrams_over(theory, 1)
-        two = diagrams_over(theory, 2)
+        one = _distinct_diagrams(theory, 1)
         if len(one) != 1:
             raise InternalConsistencyError("pair codes need a unique 1-variable diagram")
         self.theory_id = theory.id
-        self.one, self.two = one[0], two
+        self.one = one[0]
+        self.two = two = sorted(_distinct_diagrams(theory, 2, self.one) + [
+            CompleteType(theory.id, 1, 2, (0, 0), self.one.rels)], key=CompleteType.key)
         self.full = (1 << len(two)) - 1
         self.eq = next(c for c, d in enumerate(two) if d.classes == (0, 0))
         self.rel_names = tuple(rel for rel, _ in self.one.rels)
@@ -714,13 +637,29 @@ class PairCodes:
                               tuple(f[x][1] for f in flags))
                              for x, r in enumerate(self.rel_names))
         self._class_codes: dict[tuple[int, tuple], tuple[int, ...]] = {}
-        rows = [[0] * len(two) for _ in two]
-        for d in diagrams_over(theory, 3):
-            a, b, c = self.codes_of(d)
-            rows[a][b] |= 1 << c
-        self.triples = tuple(map(tuple, rows))
-        self._bits = tuple(tuple(c for c in range(len(two)) if mask >> c & 1)
+        x0, x1, x2 = (VarRef(0, i) for i in range(3))
+        lits = _literals(theory, (x0, x1))
+        masks = {lit: self.mask(lit, {x0: 0, x1: 1}) for lit in lits}
+        codes = range(len(two))
+        # the first of the shortest literal lists whose masks meet in the code
+        self.pins = tuple(next(list(ls) for size in range(len(lits) + 1)
+                               for ls in itertools.combinations(lits, size)
+                               if functools.reduce(and_, map(masks.get, ls), self.full) == 1 << c)
+                          for c in codes)
+
+        def closing(a, b):
+            pinned = [substitute_vars(lit, {x1: v})
+                      for code, v in ((a, x1), (b, x2)) for lit in self.pins[code]]
+            return self.mask(eliminate_quantifiers(exists(x0, conj(pinned)), theory),
+                             {x1: 0, x2: 1})
+        self._bits = tuple(tuple(c for c in codes if mask >> c & 1)
                            for mask in range(self.full + 1))
+        # swapping x1 and x2 reads the closing codes converse
+        rows = [[0] * len(two) for _ in codes]
+        for a, b in itertools.combinations_with_replacement(codes, 2):
+            rows[a][b] = closing(a, b)
+            rows[b][a] = sum(1 << self.converse[c] for c in self._bits[rows[a][b]])
+        self.triples = tuple(map(tuple, rows))
         self._one_point_cache: dict = {}
         self._one_point_cached = 0
         self._literal_tables: dict[tuple[int, int], tuple] = {}
@@ -730,27 +669,15 @@ class PairCodes:
         [pair_index(i, j)][code] lists (rank, literal, text) for the pair
         i < j holding `code`, where rank is the literal's position in the
         `sort_key` order of every literal in the table and text is its
-        rendering.  The equality code gives eq(v_i, v_j); any other code
-        gives the theory's `pair_literals` for it, relation by relation.
-        Built on first use per grid and kept."""
+        rendering.  The literals are `pins[code]` on (v_i, v_j).  Built on
+        first use per grid and kept."""
         hit = self._literal_tables.get((k, n))
         if hit is not None:
             return hit
-        theory = THEORIES[self.theory_id]
+        x0, x1 = VarRef(0, 0), VarRef(0, 1)
         vs = [VarRef(t, p) for t in range(k) for p in range(n)]
-        rows = []
-        for j, b in enumerate(vs):
-            for a in vs[:j]:
-                row = []
-                for code in range(len(self.two)):
-                    if code == self.eq:
-                        row.append([Eq(a, b)])
-                    elif self._tables:
-                        row.append([lit for _, _, fwd, bwd in self._tables
-                                    for lit in theory.pair_literals(a, b, fwd[code], bwd[code])])
-                    else:
-                        row.append(theory.pair_literals(a, b, False, False))
-                rows.append(row)
+        rows = [[[substitute_vars(lit, {x0: a, x1: b}) for lit in pins] for pins in self.pins]
+                for j, b in enumerate(vs) for a in vs[:j]]
         order = sorted({lit for row in rows for lits in row for lit in lits}, key=sort_key)
         rank = {lit: r for r, lit in enumerate(order)}
         hit = tuple(tuple(tuple((rank[lit], lit, render_formula(lit)) for lit in lits)
@@ -765,11 +692,10 @@ class PairCodes:
                      else conv[between[pair_index(b, a)]]
                      for j, b in enumerate(t.classes) for a in t.classes[:j])
 
-    def class_tables(self, between: tuple[int, ...]):
-        """Relation tables of the diagram whose classes carry the all-distinct
-        code tuple `between`: as `CompleteType.rels`, and as the sorted pair
-        tuples that `CompleteType.key` lists."""
-        c = (1 + math.isqrt(1 + 8 * len(between))) // 2
+    def class_tables(self, between: tuple[int, ...], c: int):
+        """Relation tables of the diagram whose c classes carry the
+        all-distinct code tuple `between`: as `CompleteType.rels`, and as the
+        sorted pair tuples that `CompleteType.key` lists."""
         pairs = [(a, b) for b in range(c) for a in range(b)]
         keyed = []
         for rel, diagonal, fwd, bwd in self._tables:

@@ -200,3 +200,42 @@ def test_model_dump(capsys):
     assert code == 0
     assert len(rep["items"]["carrier"]) == 4
     assert "adj" in rep["items"]["atoms"]
+
+
+USAGE_CASES = [
+    ("types --theory dlo", "types requires --vars"),
+    ("dphi --theory dlo", "dphi requires --level"),
+    ("theta --theory dlo", "theta requires --level"),
+    ("groupoid verify --theory dlo", "groupoid verify requires --level"),
+    ("compose --theory dlo --phi lt(x0,y0)", "compose requires --psi"),
+    ("project --theory dlo --phi lt(x0,y0)", "project requires --to"),
+    ("model dump --theory dlo", "model dump requires --size"),
+    ("skolem --theory dlo", "skolem requires --formula"),
+    ("source --theory dlo", "source requires --phi"),
+    ("section --theory dlo --steps -1", "--steps must be an integer >= 0, not -1"),
+    ("types --theory dlo --vars 2 --tapes 0", "--tapes must be an integer >= 1, not 0"),
+    ("reconstruct --theory dlo --budget 0", "--budget must be an integer >= 1, not 0"),
+    ("dphi --theory dlo --level -1", "--level must be an integer >= 0, not -1"),
+    ("model dump --theory dlo --size -1", "--size must be an integer >= 0, not -1"),
+    ("theta --theory dlo --level 1 --index -1", "--index must be an integer >= 0, not -1"),
+    ("types --theory dlo --vars 1 --max-grid -1", "--max-grid must be an integer >= 0, not -1"),
+    ("universality --theory dlo -k 0", "-k must be an integer >= 1, not 0"),
+    ("universality --theory dlo --samples 0", "--samples must be an integer >= 1, not 0"),
+    ("types --theory dlo --vars 1 --max-depth -1", "--max-depth must be an integer >= 0, not -1"),
+]
+
+
+@pytest.mark.parametrize("argv,error", USAGE_CASES, ids=[argv for argv, _ in USAGE_CASES])
+def test_missing_or_out_of_range_parameters_are_usage_errors(capsys, argv, error):
+    # refused up front with exit 2, not a traceback, a default or a wrong run
+    code, rep = capture(capsys, argv.split())
+    assert code == 2 and rep == {"error": error, "kind": "usage"}
+
+
+def test_explicit_zero_depth_is_honoured(capsys):
+    code, rep = capture(capsys, ["subgroupoids", "--theory", "dlo", "--depth", "0"])
+    assert code == 0 and rep["parameters"] == {"depth": 0}
+    levels = [c["name"] for c in rep["certificates"] if c["name"].startswith("level-equality")]
+    assert levels == ["level-equality[0]"]
+    # depth 0 offers the atoms and their negations only at depth 1
+    assert not any(c["formula"].startswith("!") for c in rep["items"]["candidates"])

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -10,12 +11,11 @@ from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
                          VarRef, conj, free_vars, neg, parse_formula,
                          render_formula, sort_key)
 from tgw.rich import RichSequence
-from tgw.theories import (CompleteType, DenseLinearOrder, _clash, _dnf,
-                          _drop_dummies, _nnf, _product_diagrams,
-                          canonical_form, decide_sentence, depends_on_all_vars,
-                          diagram_codes, diagrams_over,
+from tgw.theories import (CompleteType, Theory, _clash, _dnf, _drop_dummies,
+                          _nnf, _sorted_pair, canonical_form, decide_sentence,
+                          depends_on_all_vars, diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
-                          pair_codes, restriction_map, set_partitions)
+                          pair_codes, restriction_map)
 
 
 def qe(text, theory):
@@ -26,6 +26,104 @@ def qe(text, theory):
 def decide(text, theory):
     t = get_theory(theory)
     return decide_sentence(parse_formula(text, t.signature), t)
+
+
+# -- the hand-written facts that the package derives by QE (oracles) --------
+
+def set_partitions(m):
+    """All partitions of range(m) as restricted-growth strings, in
+    lexicographic order."""
+    if m == 0:
+        yield ()
+        return
+    rgs = [0] * m
+
+    def rec(i, mx):
+        if i == m:
+            yield tuple(rgs)
+            return
+        for c in range(mx + 2):
+            rgs[i] = c
+            yield from rec(i + 1, max(mx, c))
+    yield from rec(1, 0)
+
+
+def dlo_tables(c):
+    # one strict order per permutation of the classes
+    return [{"lt": frozenset((order[i], order[j]) for i in range(c) for j in range(i + 1, c))}
+            for order in itertools.permutations(range(c))]
+
+
+def graph_tables(c):
+    pairs = list(itertools.combinations(range(c), 2))
+    out = []
+    for bits in itertools.product((False, True), repeat=len(pairs)):
+        edges = frozenset(p for p, b in zip(pairs, bits) if b)
+        out.append({"adj": edges | frozenset((j, i) for i, j in edges)})
+    return out
+
+
+def equiv_tables(c):
+    return [{"equiv": frozenset((i, j) for i in range(c) for j in range(c) if part[i] == part[j])}
+            for part in set_partitions(c)]
+
+
+# the relation tables on c distinct classes
+REL_ASSIGNMENTS = {"pureset": lambda c: [{}], "dlo": dlo_tables,
+                   "randomgraph": graph_tables, "equivinf": equiv_tables}
+
+
+def product_diagrams(theory_id, m):
+    """Every m-variable diagram as an equality partition times the relation
+    tables on its classes, sorted by key."""
+    out = [CompleteType(theory_id, 1, m, classes, tuple(sorted(rels.items())))
+           for classes in set_partitions(m)
+           for rels in REL_ASSIGNMENTS[theory_id](max(classes, default=-1) + 1)]
+    return sorted(out, key=CompleteType.key)
+
+
+def pair_literals(theory_id, a, b, forward, backward):
+    """Minimal literals pinning one pair of distinct classes, given the
+    relation values both ways; literals the theory implies are omitted."""
+    ne = Not(Eq(*_sorted_pair(a, b)))
+    if theory_id == "dlo":  # the strict order implies the inequality
+        return [Atom("lt", (a, b) if forward else (b, a))]
+    if theory_id == "randomgraph":  # adjacency is irreflexive
+        adj = Atom("adj", _sorted_pair(a, b))
+        return [adj] if forward else [ne, Not(adj)]
+    if theory_id == "equivinf":  # equivalence is reflexive
+        equiv = Atom("equiv", _sorted_pair(a, b))
+        return [equiv, ne] if forward else [Not(equiv)]
+    return [ne]
+
+
+def literal_conflict(theory_id, a, b):
+    """Contradiction between two normalised literals beyond the syntactic
+    complement; symmetric, and only between literals on the same pair."""
+    if isinstance(a, Eq):
+        a, b = b, a
+    if theory_id == "dlo" and isinstance(a, Atom) and isinstance(b, Atom):
+        return a.args == b.args[::-1]  # the order is asymmetric
+    if isinstance(a, Eq) or not isinstance(b, Eq):
+        return False
+    same = {b.lhs, b.rhs}.__eq__
+    if theory_id in ("dlo", "randomgraph"):  # both relations are irreflexive
+        return isinstance(a, Atom) and same(set(a.args))
+    if theory_id == "equivinf":  # equivalence is reflexive
+        return isinstance(a, Not) and isinstance(a.sub, Atom) and same(set(a.sub.args))
+    return False
+
+
+def test_theories_define_only_the_two_hooks():
+    # a theory is its literal normal form and its elimination rule; every
+    # other fact about finite diagrams is derived from those by QE
+    subclasses = [cls for _, cls in inspect.getmembers(theories, inspect.isclass)
+                  if issubclass(cls, Theory) and cls is not Theory]
+    assert len(subclasses) == 4
+    for cls in subclasses:
+        methods = {name for name, value in vars(cls).items()
+                   if inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property))}
+        assert methods <= {"normalize_literal", "eliminate_one"}, (cls.__name__, methods)
 
 
 # -- independent brute-force oracle over raw bit tables ----------------------
@@ -180,7 +278,7 @@ def test_extension_enumerator_matches_product(theory):
     th = get_theory(theory)
     codes = pair_codes(th)
     for m in range(6 if theory == "randomgraph" else 7):
-        want = _product_diagrams(th, m)
+        want = product_diagrams(theory, m)
         assert [d.key() for d in diagrams_over(th, m)] == [d.key() for d in want]
         got = list(diagram_codes(th, 1, m))
         assert len(set(got)) == len(got) == len(want)
@@ -373,7 +471,7 @@ def test_diagram_formula_roundtrip():
 
 
 def conj_diagram_formula(t):
-    """The diagram formula as `conj` of the theory's pair literals: each
+    """The diagram formula as `conj` of the pair-literal oracle: each
     variable tied to its class representative, each representative pair
     pinned relation by relation (the construction the literal table
     replaces)."""
@@ -388,8 +486,8 @@ def conj_diagram_formula(t):
     tables = [t.rel_table(rel) for rel, _ in theory.signature.relations]
     for a, b in itertools.combinations(sorted(reps), 2):
         for table in tables or [frozenset()]:
-            lits += theory.pair_literals(reps[a], reps[b], (a, b) in table,
-                                         (b, a) in table)
+            lits += pair_literals(theory.id, reps[a], reps[b], (a, b) in table,
+                                  (b, a) in table)
     return conj(lits)
 
 
@@ -440,17 +538,7 @@ def test_set_partitions_bell():
 
 # -- DNF pruning by clash sets -----------------------------------------------
 
-class OneWayDlo(DenseLinearOrder):
-    """dlo whose `literal_conflict` sees an order atom against an equality
-    only with the atom first, so the clash index must try both orders."""
-    id = "dlo-one-way"
-
-    def literal_conflict(self, a, b):
-        return not isinstance(a, Eq) and super().literal_conflict(a, b)
-
-
 CLASH_THEORIES = [get_theory(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")]
-CLASH_THEORIES.append(OneWayDlo())
 
 
 def normalized_literals(theory, vs):
@@ -468,9 +556,7 @@ def test_clash_index_matches_pairwise_oracle(theory):
     assert lits
     for l in lits:
         for m in lits:
-            pairwise = theory.literal_conflict(l, m)
-            assert not pairwise or free_vars(l) == free_vars(m), (l, m)
-            expected = m == neg(l) or pairwise or theory.literal_conflict(m, l)
+            expected = m == neg(l) or literal_conflict(theory.id, l, m)
             assert (m in _clash(theory, l)) == expected, (theory.id, l, m)
 
 
@@ -479,8 +565,7 @@ def _conflicts(theory, cube, add):
     for l in add:
         nl = neg(l)
         for m in cube:
-            if m == nl or theory.literal_conflict(l, m) or \
-                    theory.literal_conflict(m, l):
+            if m == nl or literal_conflict(theory.id, l, m):
                 return True
     return False
 
