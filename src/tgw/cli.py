@@ -1,5 +1,8 @@
 """Command-line entry point: every subcommand runs one verification-style
-computation and emits a JSON report with a certificate list.  Exit codes:
+computation and emits a JSON report with a certificate list.  `COMMANDS`
+declares the parameters each subcommand reads, with their defaults; the flags,
+the checks on a `--config` file and the defaults applied all come from it, so
+a flag or key that a command does not read is a usage error.  Exit codes:
 0 all certificates pass, 1 a certificate failed, 2 usage error, 3 resource
 cap.  Reports are deterministic for a fixed configuration up to the timing
 field."""
@@ -26,30 +29,29 @@ from .theories import DEFAULT_GRID_CAP, THEORIES, enumerate_types, get_theory
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = {"command", "theory", "vars", "tapes", "constraint", "level",
-               "depth", "budget", "steps", "samples", "k", "m0", "phi", "psi",
-               "to", "index", "formula", "size", "json", "max_grid",
-               "max_depth"}
+REQUIRED = object()   # marks a parameter with no default
 
-# per command: the keys it requires, and the defaults of those it may omit
-PARAMETERS = {
-    "types": (("vars",), {"tapes": 1, "constraint": "true"}),
-    "dphi": (("level",), {}),
-    "compose": (("phi", "psi"), {}),
-    "source": (("phi",), {}),
-    "subgroupoids": ((), {"depth": 1}),
-    "groupoid verify": (("level",), {}),
-    "project": (("phi", "to"), {}),
-    "theta": (("level",), {"tapes": 3, "index": 0}),
-    "reconstruct": ((), {"level": 1, "depth": 1, "budget": 8}),
-    "section": ((), {"steps": 0}),
-    "skolem": (("formula",), {}),
-    "universality": ((), {"k": 1, "m0": 1, "samples": 8}),
-    "model dump": (("size",), {}),
+# per command, the parameters its handler reads, in flag order, each with its
+# default; every command also takes --theory and --json
+COMMANDS = {
+    "types": {"vars": REQUIRED, "tapes": 1, "constraint": "true",
+              "max_grid": DEFAULT_GRID_CAP},
+    "dphi": {"level": REQUIRED},
+    "compose": {"phi": REQUIRED, "psi": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
+    "source": {"phi": REQUIRED},
+    "subgroupoids": {"depth": 1},
+    "groupoid verify": {"level": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
+    "project": {"phi": REQUIRED, "to": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
+    "theta": {"level": REQUIRED, "tapes": 3, "index": 0, "max_grid": DEFAULT_GRID_CAP},
+    "reconstruct": {"level": 1, "depth": 1, "budget": 8},
+    "section": {"steps": 0, "max_depth": DEFAULT_QUANTIFIER_CAP},
+    "skolem": {"formula": REQUIRED},
+    "universality": {"k": 1, "samples": 8, "m0": 1, "max_depth": DEFAULT_QUANTIFIER_CAP},
+    "model dump": {"size": REQUIRED},
 }
-COMMON_DEFAULTS = {"max_grid": DEFAULT_GRID_CAP, "max_depth": DEFAULT_QUANTIFIER_CAP}
 
-# the least value of each integer parameter; a cap of 0 is a cap like any other
+# the least value of each integer parameter (a cap of 0 is a cap like any
+# other); every other parameter is a formula
 LEAST = {"vars": 0, "tapes": 1, "level": 0, "depth": 0, "budget": 1, "steps": 0,
          "samples": 1, "k": 1, "m0": 0, "to": 0, "index": 0, "size": 0,
          "max_grid": 0, "max_depth": 0}
@@ -232,7 +234,7 @@ def cmd_universality(cfg):
 
 
 def cmd_model_dump(cfg):
-    M = _model(cfg)
+    M = make_model(cfg["theory"])
     return M.dump(cfg["size"]), [_cert("dump-deterministic", True)]
 
 
@@ -247,34 +249,44 @@ HANDLERS = {
 
 
 def run(config: dict) -> dict:
-    """Check one configuration (its keys, the command's required keys and
-    each integer's least value), dispatch it with the command's defaults for
-    absent keys, and assemble the report, whose parameters are those given."""
-    unknown = set(config) - CONFIG_KEYS
-    if unknown:
-        raise PreconditionError(f"unknown config fields: {sorted(unknown)}")
+    """Check one configuration against its command's entry in `COMMANDS`,
+    dispatch it with the entry's defaults for absent keys, and assemble the
+    report, whose parameters are those given.  Refused as usage errors: a key
+    the command does not read, an unknown theory, a missing required key, an
+    integer that is not an `int` (a bool is not) or is below its `LEAST`
+    value, and a formula or `json` path that is not a string."""
     command = config.get("command")
-    if command not in HANDLERS:
+    if command not in COMMANDS:
         raise PreconditionError(f"unknown command {command!r}")
-    if config.get("theory") not in THEORIES:
-        raise PreconditionError(f"theory must be one of {sorted(THEORIES)}")
+    table = COMMANDS[command]
     given = {k: v for k, v in config.items() if v is not None}
-    required, defaults = PARAMETERS[command]
-    missing = [k for k in required if k not in given]
+    unread = set(given) - {"command", "theory", "json", *table}
+    if unread:
+        raise PreconditionError(f"unknown config fields for {command}: {sorted(unread)}")
+    theory = config.get("theory")
+    if not isinstance(theory, str) or theory not in THEORIES:
+        raise PreconditionError(f"theory must be one of {sorted(THEORIES)}")
+    missing = [k for k, v in table.items() if v is REQUIRED and k not in given]
     if missing:
         raise PreconditionError(f"{command} requires {', '.join(map(_flag, missing))}")
-    cfg = {**COMMON_DEFAULTS, **defaults, **given}
-    for key, least in LEAST.items():
-        value = cfg.get(key)
-        if value is not None and (not isinstance(value, int) or value < least):
-            raise PreconditionError(f"{_flag(key)} must be an integer >= {least}, not {value!r}")
+    for key in ("json", *table):
+        value = given.get(key)
+        if value is None:
+            continue
+        if key in LEAST:
+            if type(value) is not int or value < LEAST[key]:
+                raise PreconditionError(
+                    f"{_flag(key)} must be an integer >= {LEAST[key]}, not {value!r}")
+        elif not isinstance(value, str):
+            raise PreconditionError(f"{_flag(key)} must be a string, not {value!r}")
+    cfg = {**table, **given}
     started = time.monotonic()
     items, certificates = HANDLERS[command](cfg)
     elapsed = round((time.monotonic() - started) * 1000, 3)
     params = {k: v for k, v in sorted(given.items())
               if k not in ("command", "theory", "json")}
     return {"schema_version": SCHEMA_VERSION, "command": command,
-            "theory": config["theory"], "parameters": params, "items": items,
+            "theory": theory, "parameters": params, "items": items,
             "certificates": certificates, "timing_ms": elapsed}
 
 
@@ -286,83 +298,44 @@ def first_failure(report: dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per entry of `COMMANDS`, with a flag per parameter; a
+    two-word command is a subcommand of its first word."""
     top = argparse.ArgumentParser(prog="tgw", description=__doc__)
     top.add_argument("--config", help="JSON file with a base configuration")
-    sub = top.add_subparsers(dest="command")
-
-    def common(p):
+    parsers = {"": top.add_subparsers(dest="command")}
+    for command, table in COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        if group not in parsers:
+            parsers[group] = parsers[""].add_parser(group).add_subparsers()
+        p = parsers[group].add_parser(name)
+        p.set_defaults(command=command)
         p.add_argument("--theory", choices=sorted(THEORIES))
         p.add_argument("--json", help="also write the report to this path")
-        p.add_argument("--max-grid", type=int, dest="max_grid")
-        p.add_argument("--max-depth", type=int, dest="max_depth")
-
-    p = sub.add_parser("types");           common(p)
-    p.add_argument("--vars", type=int)
-    p.add_argument("--tapes", type=int)
-    p.add_argument("--constraint")
-    p = sub.add_parser("dphi");            common(p)
-    p.add_argument("--level", type=int)
-    p = sub.add_parser("compose");         common(p)
-    p.add_argument("--phi"); p.add_argument("--psi")
-    p = sub.add_parser("source");          common(p)
-    p.add_argument("--phi")
-    p = sub.add_parser("subgroupoids");    common(p)
-    p.add_argument("--depth", type=int)
-    p = sub.add_parser("groupoid")
-    gsub = p.add_subparsers(dest="groupoid_sub")
-    gv = gsub.add_parser("verify");        common(gv)
-    gv.add_argument("--level", type=int)
-    p = sub.add_parser("project");         common(p)
-    p.add_argument("--phi"); p.add_argument("--to", type=int)
-    p = sub.add_parser("theta");           common(p)
-    p.add_argument("--level", type=int)
-    p.add_argument("--tapes", type=int)
-    p.add_argument("--index", type=int)
-    p = sub.add_parser("reconstruct");     common(p)
-    p.add_argument("--level", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--budget", type=int)
-    p = sub.add_parser("section");         common(p)
-    p.add_argument("--steps", type=int)
-    p = sub.add_parser("skolem");          common(p)
-    p.add_argument("--formula")
-    p = sub.add_parser("universality");    common(p)
-    p.add_argument("-k", type=int, dest="k")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--m0", type=int)
-    p = sub.add_parser("model")
-    msub = p.add_subparsers(dest="model_sub")
-    md = msub.add_parser("dump");          common(md)
-    md.add_argument("--size", type=int)
+        for key, default in table.items():
+            p.add_argument(_flag(key), dest=key, type=int if key in LEAST else str,
+                           help="required" if default is REQUIRED else f"default {default}")
     return top
 
 
 def config_from_args(argv) -> dict:
+    """The `--config` file's keys, overridden by the flags given."""
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
+    ns = vars(parser.parse_args(argv))
+    command = ns.pop("command")
+    if command is None:
         parser.error("a subcommand is required")
-    command = ns.command
-    if command == "groupoid":
-        if getattr(ns, "groupoid_sub", None) != "verify":
-            parser.error("usage: tgw groupoid verify ...")
-        command = "groupoid verify"
-    if command == "model":
-        if getattr(ns, "model_sub", None) != "dump":
-            parser.error("usage: tgw model dump ...")
-        command = "model dump"
+    if command not in COMMANDS:  # a group named without its subcommand
+        parser.error("usage: tgw {} ...".format(
+            next(c for c in COMMANDS if c.startswith(command + " "))))
     cfg = {}
-    if getattr(ns, "config", None):
-        with open(ns.config, "r", encoding="utf-8") as fh:
+    path = ns.pop("config")
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise PreconditionError("config file must hold a JSON object")
         cfg.update(loaded)
-    overrides = {k: v for k, v in vars(ns).items()
-                 if k not in ("config", "groupoid_sub", "model_sub")
-                 and v is not None}
-    overrides["command"] = command
-    cfg.update(overrides)
+    cfg.update({k: v for k, v in ns.items() if v is not None}, command=command)
     return cfg
 
 

@@ -20,8 +20,8 @@ from operator import itemgetter
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
-from .formula import (And, Atom, Bot, Eq, Formula, Implies, Not, Or, Top,
-                      VarRef, conj, disj, free_vars, implies, neg, rename_tapes)
+from .formula import (Eq, Formula, VarRef, conj, disj, free_vars, implies, neg,
+                      rename_tapes, substitute_vars)
 from .rich import RichSequence
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
                        decide_sentence, diagram_codes, eliminate_quantifiers,
@@ -29,26 +29,10 @@ from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
 
 
 def merge_tape(f: Formula, src: int, dst: int) -> Formula:
-    """Quantifier-free diagonal substitution: every tape-src variable
-    becomes the tape-dst variable at the same position."""
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(VarRef(dst if v.tape == src else v.tape, v.position)
-                                 for v in f.args))
-    if isinstance(f, Eq):
-        a, b = (VarRef(dst if v.tape == src else v.tape, v.position)
-                for v in (f.lhs, f.rhs))
-        return Eq(a, b)
-    if isinstance(f, Not):
-        return neg(merge_tape(f.sub, src, dst))
-    if isinstance(f, And):
-        return conj(merge_tape(c, src, dst) for c in f.children)
-    if isinstance(f, Or):
-        return disj(merge_tape(c, src, dst) for c in f.children)
-    if isinstance(f, Implies):
-        return implies(merge_tape(f.lhs, src, dst), merge_tape(f.rhs, src, dst))
-    raise PreconditionError("diagonal substitution needs a quantifier-free formula")
+    """Diagonal substitution: every free tape-src variable becomes the
+    tape-dst variable at the same position."""
+    return substitute_vars(f, {v: VarRef(dst, v.position)
+                               for v in free_vars(f) if v.tape == src})
 
 
 @dataclass(frozen=True)

@@ -63,21 +63,11 @@ def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> b
     if len(classes) != X.arity:
         raise PreconditionError("need one class per tape")
     value = _eval_on(X, [c.rep for c in classes], M)
-    for choice in _member_choices(classes):
+    for choice in itertools.product(*(c.members for c in classes)):
         if _eval_on(X, choice, M) != value:
             raise InternalConsistencyError(
                 "invariant clopen took different values on one class")
     return value
-
-
-def _member_choices(classes: list[SortClass]):
-    if not classes:
-        yield []
-        return
-    head, *rest = classes
-    for m in head.members:
-        for tail in _member_choices(rest):
-            yield [m] + tail
 
 
 def _eval_on(X: ClopenSet, tuples: list[DTuple], M: ModelHandle) -> bool:

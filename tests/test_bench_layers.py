@@ -1,24 +1,28 @@
-"""The traced benchmark run (`bench/traced.py`) wraps functions and methods
-by name; every name it lists must still resolve, or a rename would leave its
-layer silently unmeasured."""
+"""The benchmark names the code it runs by strings.  The traced run
+(`bench/traced.py`) wraps functions and methods by name, and every name it
+lists must still resolve, or a rename would leave its layer silently
+unmeasured.  Each op in `bench/ops.py` is a command line, and every flag it
+passes must be one its command reads, or the op would be refused."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_traced():
-    spec = importlib.util.spec_from_file_location("bench_traced", TRACED)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-traced = load_traced()
+traced = load("traced")
 
 
 @pytest.mark.parametrize("layer", sorted(traced.LAYERS))
@@ -44,3 +48,11 @@ def test_layer_names_resolve(layer):
 def test_cli_handlers_are_functions():
     import tgw.cli as cli
     assert cli.HANDLERS and all(map(inspect.isfunction, cli.HANDLERS.values()))
+
+
+def test_benchmark_ops_parse():
+    from tgw.cli import config_from_args
+    ops = load("ops")
+    for workload in ops.WORKLOADS.values():
+        for op in workload:
+            config_from_args(op.argv)   # exits 2 on a flag its command does not read

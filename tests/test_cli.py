@@ -4,7 +4,7 @@ import time
 import pytest
 
 from tgw import categorical, groupoid, rich, theories
-from tgw.cli import config_from_args, first_failure, main, run
+from tgw.cli import COMMANDS, HANDLERS, config_from_args, first_failure, main, run
 from tgw.groupoid import LevelTable
 
 
@@ -221,7 +221,7 @@ USAGE_CASES = [
     ("types --theory dlo --vars 1 --max-grid -1", "--max-grid must be an integer >= 0, not -1"),
     ("universality --theory dlo -k 0", "-k must be an integer >= 1, not 0"),
     ("universality --theory dlo --samples 0", "--samples must be an integer >= 1, not 0"),
-    ("types --theory dlo --vars 1 --max-depth -1", "--max-depth must be an integer >= 0, not -1"),
+    ("universality --theory dlo --max-depth -1", "--max-depth must be an integer >= 0, not -1"),
 ]
 
 
@@ -239,3 +239,59 @@ def test_explicit_zero_depth_is_honoured(capsys):
     assert levels == ["level-equality[0]"]
     # depth 0 offers the atoms and their negations only at depth 1
     assert not any(c["formula"].startswith("!") for c in rep["items"]["candidates"])
+
+
+CONFIG_CASES = [
+    ("source --theory dlo", {"phi": 3}, "--phi must be a string, not 3"),
+    ("dphi --theory dlo", {"level": True}, "--level must be an integer >= 0, not True"),
+    ("dphi --theory dlo --level 1", {"json": ["report.json"]},
+     "--json must be a string, not ['report.json']"),
+    ("dphi --level 1", {"theory": ["dlo"]},
+     "theory must be one of ['dlo', 'equivinf', 'pureset', 'randomgraph']"),
+    ("types --theory dlo --vars 1", {"level": 1}, "unknown config fields for types: ['level']"),
+]
+
+
+@pytest.mark.parametrize("argv,config,error", CONFIG_CASES,
+                         ids=[f"{argv} {config}" for argv, config, _ in CONFIG_CASES])
+def test_config_values_are_checked(tmp_path, capsys, argv, config, error):
+    # a --config file is held to the same table as the flags
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, rep = capture(capsys, ["--config", str(path), *argv.split()])
+    assert code == 2 and rep == {"error": error, "kind": "usage"}
+
+
+@pytest.mark.parametrize("argv", ["dphi --theory dlo --level 1 --max-grid 0",
+                                  "model dump --theory dlo --size 1 --max-depth 0"])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv.split()[-2:])}" in capsys.readouterr().err
+
+
+CHEAP = {
+    "types": "--vars 1", "dphi": "--level 1", "compose": "--phi eq(x0,y0) --psi eq(y0,z0)",
+    "source": "--phi eq(x0,y0)", "subgroupoids": "--depth 0", "groupoid verify": "--level 1",
+    "project": "--phi eq(x0,y0) --to 0", "theta": "--level 1", "reconstruct": "--budget 2",
+    "section": "", "skolem": "--formula eq(x0,y0)", "universality": "--samples 1",
+    "model dump": "--size 2",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_handler_reads_every_parameter_it_declares(capsys, monkeypatch, command):
+    # a declared parameter that no handler reads would be accepted and ignored
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    handler = HANDLERS[command]
+    monkeypatch.setitem(HANDLERS, command, lambda cfg: handler(Recording(cfg)))
+    assert main([*command.split(), "--theory", "pureset", *CHEAP[command].split()]) == 0
+    capsys.readouterr()
+    assert set(COMMANDS[command]) <= read
