@@ -39,7 +39,7 @@ def section_schedule(seq: RichSequence, steps: int) -> SectionSchedule:
         if bound <= n and n > 0:
             raise InternalConsistencyError(f"realization bound A_{n} not past {n}")
         for d in section.one_types_over(n):
-            if not any(section.realized_at(d, n, i) for i in range(n, bound)):
+            if section.first_realization(d, n, bound) is None:
                 raise InternalConsistencyError(
                     f"1-type over the first {n} entries unrealised below A_{n}")
     ms = tuple(plan["m"])

@@ -4,12 +4,14 @@ declares the parameters each subcommand reads, with their defaults; the flags,
 the checks on a `--config` file and the defaults applied all come from it, so
 a flag or key that a command does not read is a usage error.  Exit codes:
 0 all certificates pass, 1 a certificate failed, 2 usage error, 3 resource
-cap.  Reports are deterministic for a fixed configuration up to the timing
-field."""
+cap.  A reader that closes stdout early gets no more of the report and no
+traceback, and the exit code stays the one above.  Reports are deterministic
+for a fixed configuration up to the timing field."""
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -348,16 +350,16 @@ def main(argv=None) -> int:
         out = {"error": str(e), "kind": "resource-cap"}
         out.update((k, getattr(e, k)) for k in ("cap", "limit", "observed")
                    if getattr(e, k) is not None)
-        print(json.dumps(out, indent=2))
+        _emit(json.dumps(out, indent=2))
         return 3
     except (PreconditionError, ParseError, json.JSONDecodeError, OSError) as e:
-        print(json.dumps({"error": str(e), "kind": "usage"}, indent=2))
+        _emit(json.dumps({"error": str(e), "kind": "usage"}, indent=2))
         return 2
     except TgwError as e:
-        print(json.dumps({"error": str(e), "kind": "certificate"}, indent=2))
+        _emit(json.dumps({"error": str(e), "kind": "certificate"}, indent=2))
         return 1
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    _emit(text)
     if cfg.get("json"):
         with open(cfg["json"], "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -366,6 +368,15 @@ def main(argv=None) -> int:
         print(f"certificate failed: {failed}", file=sys.stderr)
         return 1
     return 0
+
+
+def _emit(text: str) -> None:
+    """Print to stdout, dropping the output if the reader has gone."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

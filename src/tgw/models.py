@@ -9,9 +9,10 @@ realises every 1-type over the current parameters:
                  below and above everything (the order-type argument);
   equivinf    -- the parameters, a fresh member of each parameter's class,
                  and a member of a fresh class;
-  randomgraph -- the parameters, every committed vertex, and, for each
-                 adjacency pattern over the parameters not yet realised, a
-                 vertex committed on demand with exactly that pattern.
+  randomgraph -- the parameters, the first committed vertex outside them
+                 with each adjacency pattern over them, and, for each
+                 pattern no committed vertex has, a vertex committed on
+                 demand with exactly that pattern.
 
 Truth of any formula on a tuple depends only on the tuple's complete
 quantifier-free diagram (the theories eliminate quantifiers), so deciding
@@ -19,6 +20,7 @@ the body on one realisation per diagram decides the quantifier.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,13 +37,15 @@ WITNESS_SCAN_CAP = 50_000
 
 class ModelHandle:
     """A lazily extendable countable model; subclasses fix the carrier
-    enumeration, the atomic evaluator, and the witness-candidate rule."""
+    enumeration, the atomic evaluator, and the witness-candidate rule.
+    `verdicts` holds the quantifier verdicts `evaluate` memoises."""
 
     theory: Theory
     max_quantifier_depth: int
 
     def __init__(self, max_quantifier_depth: int = DEFAULT_QUANTIFIER_CAP):
         self.max_quantifier_depth = max_quantifier_depth
+        self.verdicts: dict = {}
 
     def element(self, i: int):
         raise NotImplementedError
@@ -185,21 +189,16 @@ class RandomGraphModel(ModelHandle):
         self._demand_pos[v] = pos
         return v
 
-    def has_pattern(self, w, pos, negs) -> bool:
-        return (w not in pos and w not in negs
-                and all(self.atomic("adj", w, a) for a in pos)
-                and all(not self.atomic("adj", w, b) for b in negs))
-
     def witness_candidates(self, params):
         ps = sorted(set(params))
-        committed = list(range(self.size))
-        out = list(ps) + [w for w in committed if w not in ps]
-        for mask in range(1 << len(ps)):
-            pos = frozenset(ps[i] for i in range(len(ps)) if mask >> i & 1)
-            negs = frozenset(ps) - pos
-            if not any(self.has_pattern(w, pos, negs) for w in committed):
-                out.append(self.commit_demand(pos))
-        return out
+        first: dict[int, int] = {}   # adjacency mask over ps -> its least vertex
+        for w in range(self.size):
+            if w not in ps:
+                mask = sum(1 << i for i, a in enumerate(ps) if self.atomic("adj", w, a))
+                first.setdefault(mask, w)
+        return ps + list(first.values()) + [
+            self.commit_demand(frozenset(a for i, a in enumerate(ps) if mask >> i & 1))
+            for mask in range(1 << len(ps)) if mask not in first]
 
     def carrier_size_hint(self):
         return self.size
@@ -215,46 +214,137 @@ def make_model(theory, **kw) -> ModelHandle:
 
 # -- evaluation ---------------------------------------------------------------
 
-def evaluate(f: Formula, M: ModelHandle, assignment: dict, _depth: int = 0) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Eq):
-        return _val(assignment, f.lhs) == _val(assignment, f.rhs)
-    if isinstance(f, Atom):
-        return M.atomic(f.rel, _val(assignment, f.args[0]), _val(assignment, f.args[1]))
-    if isinstance(f, Not):
-        return not evaluate(f.sub, M, assignment, _depth)
-    if isinstance(f, And):
-        return all(evaluate(c, M, assignment, _depth) for c in f.children)
-    if isinstance(f, Or):
-        return any(evaluate(c, M, assignment, _depth) for c in f.children)
-    if isinstance(f, Implies):
-        return (not evaluate(f.lhs, M, assignment, _depth)) or \
-            evaluate(f.rhs, M, assignment, _depth)
-    if isinstance(f, (Exists, Forall)):
-        if _depth >= M.max_quantifier_depth:
-            raise EvaluationCapError(
-                f"quantifier depth exceeds the cap {M.max_quantifier_depth}",
-                cap="quantifier-depth", limit=M.max_quantifier_depth,
-                observed=_depth + 1)
-        body_vars = free_vars(f.body)
-        live = {v: e for v, e in assignment.items() if v in body_vars}
-        params = sorted(set(live.values()))
-        cands = M.witness_candidates(params)
-        results = (evaluate(f.body, M, {**assignment, f.var: c}, _depth + 1)
-                   for c in cands)
-        return any(results) if isinstance(f, Exists) else all(results)
+_COMPILED: dict[Formula, Callable] = {}
+_UNASSIGNED = object()
+
+
+def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
+    """Truth of `f` in `M` under `assignment`, a map from VarRef to element.
+
+    `f` is compiled once (`compile_formula`) into closures that are then
+    called as `test(M, assignment, depth)`.  A quantifier node whose body is
+    quantifier-free memoises its verdict in `M.verdicts`, keyed by the node
+    and the values of the body's free variables.  That is exact: such a body
+    makes no call that changes the model, the candidates for fixed
+    parameters realise every 1-type over them, and a repeated
+    `witness_candidates` call on the same parameters commits nothing.  A
+    body with quantifiers of its own is not memoised, because its inner
+    quantifiers' candidate calls take the outer candidates as parameters
+    and may commit elements, which a skipped evaluation would not commit."""
+    return compile_formula(f)(M, assignment, 0)
+
+
+def compile_formula(f: Formula) -> Callable[[ModelHandle, dict, int], bool]:
+    """The closure that evaluates `f`, compiled on first use and then kept
+    per structurally equal formula; its third argument is the quantifier
+    depth the call is made at."""
+    test = _COMPILED.get(f)
+    if test is None:
+        test = _COMPILED[f] = _compile(f)
+    return test
+
+
+def _compile(f: Formula):
+    t = type(f)
+    if t is Top:
+        return lambda M, asg, depth: True
+    if t is Bot:
+        return lambda M, asg, depth: False
+    if t is Eq:
+        lhs, rhs = f.lhs, f.rhs
+
+        def eq(M, asg, depth):
+            try:
+                return asg[lhs] == asg[rhs]
+            except KeyError:
+                raise _unassigned(asg, lhs, rhs) from None
+        return eq
+    if t is Atom:
+        rel, a, b = f.rel, f.args[0], f.args[1]
+
+        def atom(M, asg, depth):
+            try:
+                ea, eb = asg[a], asg[b]
+            except KeyError:
+                raise _unassigned(asg, a, b) from None
+            return M.atomic(rel, ea, eb)
+        return atom
+    if t is Not:
+        sub = compile_formula(f.sub)
+        return lambda M, asg, depth: not sub(M, asg, depth)
+    if t is And:
+        children = tuple(map(compile_formula, f.children))
+
+        def all_of(M, asg, depth):
+            for c in children:
+                if not c(M, asg, depth):
+                    return False
+            return True
+        return all_of
+    if t is Or:
+        children = tuple(map(compile_formula, f.children))
+
+        def any_of(M, asg, depth):
+            for c in children:
+                if c(M, asg, depth):
+                    return True
+            return False
+        return any_of
+    if t is Implies:
+        lhs, rhs = compile_formula(f.lhs), compile_formula(f.rhs)
+        return lambda M, asg, depth: (not lhs(M, asg, depth)) or rhs(M, asg, depth)
+    if t is Exists or t is Forall:
+        return _compile_quantifier(f)
     raise PreconditionError(f"cannot evaluate {render_formula(f)}")
 
 
-def _val(assignment, v: VarRef):
-    try:
-        return assignment[v]
-    except KeyError:
-        raise PreconditionError(
-            f"assignment does not cover {v.render()}") from None
+def _compile_quantifier(f):
+    body = compile_formula(f.body)
+    var = f.var
+    live = tuple(sorted(free_vars(f.body)))
+    decisive = type(f) is Exists   # the body value that settles the verdict
+    memo = _quantifier_free(f.body)
+
+    def quantifier(M, asg, depth):
+        if depth >= M.max_quantifier_depth:
+            raise EvaluationCapError(
+                f"quantifier depth exceeds the cap {M.max_quantifier_depth}",
+                cap="quantifier-depth", limit=M.max_quantifier_depth,
+                observed=depth + 1)
+        values = tuple(asg.get(v, _UNASSIGNED) for v in live)
+        if memo:
+            key = (quantifier, values)
+            verdict = M.verdicts.get(key)
+            if verdict is not None:
+                return verdict
+        inner = dict(asg)
+        verdict = not decisive
+        for c in M.witness_candidates(sorted({e for e in values if e is not _UNASSIGNED})):
+            inner[var] = c
+            if bool(body(M, inner, depth + 1)) is decisive:
+                verdict = decisive
+                break
+        if memo:
+            M.verdicts[key] = verdict
+        return verdict
+    return quantifier
+
+
+def _quantifier_free(f: Formula) -> bool:
+    if isinstance(f, (Exists, Forall)):
+        return False
+    if isinstance(f, Not):
+        return _quantifier_free(f.sub)
+    if isinstance(f, Implies):
+        return _quantifier_free(f.lhs) and _quantifier_free(f.rhs)
+    if isinstance(f, (And, Or)):
+        return all(map(_quantifier_free, f.children))
+    return True
+
+
+def _unassigned(asg: dict, *vs: VarRef) -> PreconditionError:
+    v = next(v for v in vs if v not in asg)
+    return PreconditionError(f"assignment does not cover {v.render()}")
 
 
 def tuple_type(M: ModelHandle, tuples: list) -> CompleteType:
@@ -302,10 +392,7 @@ class DTuple:
 
 
 Y0 = VarRef(1, 0)
-
-
-def _is_witness(M, phi, prefix_asg, e):
-    return evaluate(phi, M, {**prefix_asg, Y0: e})
+_WITNESS_TESTS: dict[Formula, tuple[Callable, Callable]] = {}
 
 
 def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
@@ -316,53 +403,61 @@ def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
     `cover`.  `pins` forces stated positions; `base` fixes a prefix."""
     pins = pins or {}
     elements: list = []
+    asg: dict = {}   # x_i -> elements[i] for the positions placed so far
     for p in range(n):
         phi = seq.rich_formula(p)
-        asg = {VarRef(0, i): elements[i] for i in range(p)}
         if p < len(base):
-            elements.append(base[p])
-            continue
-        if p in pins:
-            elements.append(pins[p])
-            continue
-        has = evaluate(exists(Y0, phi), M, asg) if Y0 in free_vars(phi) \
-            else evaluate(phi, M, asg)
-        choice = None
-        if has:
-            for e in prefer:
-                if _is_witness(M, phi, asg, e):
-                    choice = e
-                    break
-            if choice is None:
-                bound = M.carrier_size_hint() or WITNESS_SCAN_CAP
-                for i in range(bound):
-                    e = M.element(i)
-                    if _is_witness(M, phi, asg, e):
-                        choice = e
+            choice = base[p]
+        elif p in pins:
+            choice = pins[p]
+        else:
+            has, holds = _witness_tests(phi)
+            if has(M, asg, 0):
+                for choice in _witness_scan(M, prefer):
+                    asg[Y0] = choice
+                    if holds(M, asg, 0):
                         break
-                if choice is None:
+                else:
                     raise InternalConsistencyError(
                         f"no witness found for slot {p} within the scan bound")
-        else:
-            for e in cover:
-                if e not in elements:
-                    choice = e
-                    break
-            if choice is None:
-                i = 0
-                while M.element(i) in elements:
-                    i += 1
-                choice = M.element(i)
+                del asg[Y0]
+            else:
+                choice = next((e for e in cover if e not in elements), None)
+                if choice is None:
+                    i = 0
+                    while M.element(i) in elements:
+                        i += 1
+                    choice = M.element(i)
         elements.append(choice)
+        asg[VarRef(0, p)] = choice
     checks = certify_dtuple(M, seq, tuple(elements))
     return DTuple(M.theory.id, n, tuple(elements), checks)
+
+
+def _witness_tests(phi: Formula) -> tuple[Callable, Callable]:
+    """Compiled tests of whether phi has a witness y0 over the prefix, and
+    of whether the assigned y0 is one; kept per formula like `_COMPILED`."""
+    tests = _WITNESS_TESTS.get(phi)
+    if tests is None:
+        holds = compile_formula(phi)
+        has = compile_formula(exists(Y0, phi)) if Y0 in free_vars(phi) else holds
+        tests = _WITNESS_TESTS[phi] = (has, holds)
+    return tests
+
+
+def _witness_scan(M: ModelHandle, prefer):
+    """The witness candidates in order: `prefer`, then the carrier in index
+    order up to the scan bound, which is read once `prefer` is spent."""
+    yield from prefer
+    yield from map(M.element, range(M.carrier_size_hint() or WITNESS_SCAN_CAP))
 
 
 def certify_dtuple(M: ModelHandle, seq, elements: tuple) -> tuple[bool, ...]:
     """Re-evaluate each defining clause: whenever the k-th formula has a
     witness over the prefix, position k holds one."""
     checks = []
-    for k in range(len(elements)):
-        asg = {VarRef(0, i): elements[i] for i in range(k + 1)}
-        checks.append(evaluate(seq.defining_clause(k), M, asg))
+    asg: dict = {}
+    for k, e in enumerate(elements):
+        asg[VarRef(0, k)] = e
+        checks.append(compile_formula(seq.defining_clause(k))(M, asg, 0))
     return tuple(checks)

@@ -6,6 +6,7 @@ structure is isomorphic to the induced structure on the sampled carrier.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -14,7 +15,7 @@ from .formula import (FALSE, TRUE, Atom, Eq, VarRef, free_vars, neg,
                       render_formula)
 from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
                        clopen_equiv, en_clopen, is_subgroupoid)
-from .models import DTuple, ModelHandle, build_dtuple, evaluate, make_model, tuple_type
+from .models import DTuple, ModelHandle, build_dtuple, make_model, tuple_type
 from .rich import RichSequence
 from .theories import canonical_form
 
@@ -71,11 +72,13 @@ def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> b
 
 
 def _eval_on(X: ClopenSet, tuples: list[DTuple], M: ModelHandle) -> bool:
-    asg = {}
-    for t, dt in enumerate(tuples):
-        for p in range(X.level):
-            asg[VarRef(t, p)] = dt.elements[p]
-    return evaluate(X.formula, M, asg)
+    asg = {v: tuples[v.tape].elements[v.position] for v in _window(len(tuples), X.level)}
+    return X.compiled(M, asg, 0)
+
+
+@functools.cache
+def _window(tapes: int, level: int) -> tuple[VarRef, ...]:
+    return tuple(VarRef(t, p) for t in range(tapes) for p in range(level))
 
 
 def predicate_corpus(seq: RichSequence, depth: int) -> list[ClopenSet]:
@@ -140,15 +143,18 @@ def reconstruct_and_compare(theory, level: int = 1, depth: int = 1,
         transported = True
         # the groupoid-side recovery of the same predicate
         recovered = tab.clopen_of(tab.points_of(X)) if X.arity == 2 else X
-        for combo in itertools.product(classes, repeat=X.arity):
+        # classes have distinct first elements, so a class's index is its
+        # element's index in the carrier
+        for combo in itertools.product(range(len(classes)), repeat=X.arity):
+            chosen = [classes[i] for i in combo]
             try:
-                got = predicate_value(X, list(combo), M)
+                got = predicate_value(X, chosen, M)
             except InternalConsistencyError:
                 entry["well_defined"] = False
                 report["ok"] = False
                 break
-            want = _eval_on(recovered, [c.rep for c in combo], M)
-            key = ",".join(str(carrier.index(c.rep.elements[0])) for c in combo)
+            want = _eval_on(recovered, [c.rep for c in chosen], M)
+            key = ",".join(map(str, combo))
             table[key] = got
             if got != want:
                 transported = False

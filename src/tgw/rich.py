@@ -44,7 +44,7 @@ from .errors import (InternalConsistencyError, PreconditionError,
 from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
                       conj, disj, exists, forall, free_vars, implies, neg,
                       rename_tapes, substitute_vars)
-from .models import Y0, build_dtuple, evaluate, make_model, tuple_type
+from .models import Y0, build_dtuple, compile_formula, make_model, tuple_type
 from .pairing import cantor_unpair
 from .theories import (decide_sentence, depends_on_all_vars, diagrams_over,
                        eliminate_quantifiers, get_theory)
@@ -170,7 +170,7 @@ class RichSequence:
     canonical layout, shifted past the prefix.  `section` is the
     trivialising-section state over the sequence's pinned reference tuple:
     it builds the schedule stream's formulas, and the categorical suite
-    reads its `plan`, `model`, `one_types_over` and `realized_at`."""
+    reads its `plan`, `model`, `one_types_over` and `first_realization`."""
 
     def __init__(self, theory, prefix=()):
         self.theory = get_theory(theory)
@@ -325,12 +325,16 @@ class _SectionState:
         want = tuple_type(self.model, [prefix]).restrict_vars(list(range(n))).key()
         return [d for d in pool if d.restrict_vars(list(range(n))).key() == want]
 
-    def realized_at(self, diagram, n: int, i: int) -> bool:
-        prefix = self.tuple_prefix(n)
-        c_i = self.tuple_prefix(i + 1)[i]
-        asg = {VarRef(0, j): prefix[j] for j in range(n)}
-        asg[VarRef(0, n)] = c_i
-        return evaluate(diagram.diagram_formula(), self.model, asg)
+    def first_realization(self, diagram, n: int, stop: int) -> int | None:
+        """Least i in [n, stop) such that entry i realises `diagram` over
+        the first n entries, or None."""
+        holds = compile_formula(diagram.diagram_formula())
+        asg = {VarRef(0, j): e for j, e in enumerate(self.tuple_prefix(n))}
+        for i in range(n, stop):
+            asg[VarRef(0, n)] = self.tuple_prefix(i + 1)[i]
+            if holds(self.model, asg, 0):
+                return i
+        return None
 
     def a_bound(self, n: int) -> int:
         """Least A with every 1-type over the reference prefix realised at
@@ -339,14 +343,12 @@ class _SectionState:
             return self._a[n]
         worst = n
         for d in self.one_types_over(n):
-            for i in range(n, SECTION_SCAN_CAP):
-                if self.realized_at(d, n, i):
-                    worst = max(worst, i + 1)
-                    break
-            else:
+            i = self.first_realization(d, n, SECTION_SCAN_CAP)
+            if i is None:
                 raise InternalConsistencyError(
                     f"no realization of a 1-type over the first {n} entries "
                     f"within {SECTION_SCAN_CAP} positions")
+            worst = max(worst, i + 1)
         self._a[n] = worst
         return worst
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import tgw
 from tgw import categorical, groupoid, rich, theories
 from tgw.cli import COMMANDS, HANDLERS, config_from_args, first_failure, main, run
 from tgw.groupoid import LevelTable
@@ -295,3 +300,18 @@ def test_each_handler_reads_every_parameter_it_declares(capsys, monkeypatch, com
     assert main([*command.split(), "--theory", "pureset", *CHEAP[command].split()]) == 0
     capsys.readouterr()
     assert set(COMMANDS[command]) <= read
+
+
+def test_a_closed_stdout_is_no_traceback():
+    # the reader closes the pipe before the report is written
+    src = str(Path(tgw.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "tgw", "dphi", "--theory", "dlo",
+                             "--level", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err

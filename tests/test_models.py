@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tgw import reconstruction
+from tgw.categorical import universality_check
 from tgw.errors import (EvaluationCapError, InternalConsistencyError,
                         PreconditionError)
-from tgw.formula import (FALSE, TRUE, And, Atom, Eq, Exists, Forall, Implies,
-                         Not, Or, VarRef, parse_formula)
+from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
+                         Implies, Not, Or, Top, VarRef, free_vars,
+                         parse_formula, render_formula)
 from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
                         build_dtuple, evaluate, make_model, tuple_type)
 from tgw.rich import RichSequence
@@ -286,3 +289,160 @@ def test_qe_decides_like_the_model(theory):
     def check(f):
         assert decide_sentence(f, theory) == evaluate(f, make_model(theory), {})
     check()
+
+
+def oracle_evaluate(f, M, assignment, _depth=0):
+    """The recursive evaluator the compiled one replaced, kept as the
+    reference: no compilation, no memo, and one assignment per candidate."""
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    if isinstance(f, Eq):
+        return _val(assignment, f.lhs) == _val(assignment, f.rhs)
+    if isinstance(f, Atom):
+        return M.atomic(f.rel, _val(assignment, f.args[0]), _val(assignment, f.args[1]))
+    if isinstance(f, Not):
+        return not oracle_evaluate(f.sub, M, assignment, _depth)
+    if isinstance(f, And):
+        return all(oracle_evaluate(c, M, assignment, _depth) for c in f.children)
+    if isinstance(f, Or):
+        return any(oracle_evaluate(c, M, assignment, _depth) for c in f.children)
+    if isinstance(f, Implies):
+        return (not oracle_evaluate(f.lhs, M, assignment, _depth)) or \
+            oracle_evaluate(f.rhs, M, assignment, _depth)
+    if isinstance(f, (Exists, Forall)):
+        if _depth >= M.max_quantifier_depth:
+            raise EvaluationCapError(
+                f"quantifier depth exceeds the cap {M.max_quantifier_depth}",
+                cap="quantifier-depth", limit=M.max_quantifier_depth,
+                observed=_depth + 1)
+        body_vars = free_vars(f.body)
+        live = {v: e for v, e in assignment.items() if v in body_vars}
+        params = sorted(set(live.values()))
+        cands = M.witness_candidates(params)
+        results = (oracle_evaluate(f.body, M, {**assignment, f.var: c}, _depth + 1)
+                   for c in cands)
+        return any(results) if isinstance(f, Exists) else all(results)
+    raise PreconditionError(f"cannot evaluate {render_formula(f)}")
+
+
+def _val(assignment, v):
+    try:
+        return assignment[v]
+    except KeyError:
+        raise PreconditionError(
+            f"assignment does not cover {v.render()}") from None
+
+
+FREE = (x(0), x(1))
+
+
+@st.composite
+def open_formulas(draw, theory):
+    """Formulas over the free variables FREE with at most three nested
+    quantifiers.  A quantifier binds a fresh y-variable or one of FREE,
+    which it then shadows; atoms use the variables in scope."""
+    rels = ["eq"] + [rel for rel, _ in sig(theory).relations]
+
+    def build(scope, depth, quantifiers):
+        ops = ["atom"] * 3
+        if depth < 4:
+            ops += ["not", "and", "or", "implies"]
+        if quantifiers < 3:
+            ops += ["quantifier"] * 3
+        op = draw(st.sampled_from(ops))
+        if op == "atom":
+            a, b = draw(st.sampled_from(list(itertools.product(scope, repeat=2))))
+            rel = draw(st.sampled_from(rels))
+            return Eq(a, b) if rel == "eq" else Atom(rel, (a, b))
+        if op == "not":
+            return Not(build(scope, depth + 1, quantifiers))
+        if op == "quantifier":
+            v = draw(st.sampled_from([VarRef(1, quantifiers), *FREE]))
+            node = draw(st.sampled_from([Exists, Forall]))
+            return node(v, build(sorted({*scope, v}), depth + 1, quantifiers + 1))
+        lhs = build(scope, depth + 1, quantifiers)
+        rhs = build(scope, depth + 1, quantifiers)
+        if op == "implies":
+            return Implies(lhs, rhs)
+        return And((lhs, rhs)) if op == "and" else Or((lhs, rhs))
+
+    return build(list(FREE), 0, 0)
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_compiled_evaluate_agrees_with_the_oracle(theory):
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(open_formulas(theory), st.tuples(st.integers(0, 7), st.integers(0, 7)))
+    def check(f, indices):
+        M, fresh = make_model(theory), make_model(theory)
+        want = oracle_evaluate(f, fresh, {v: fresh.element(i) for v, i in zip(FREE, indices)})
+        asg = {v: M.element(i) for v, i in zip(FREE, indices)}
+        assert evaluate(f, M, asg) == want
+        # the second evaluation reads memoised verdicts and commits nothing
+        state = dict(M.verdicts), getattr(M, "size", None)
+        assert evaluate(f, M, asg) == want
+        assert (dict(M.verdicts), getattr(M, "size", None)) == state
+    check()
+
+
+def test_randomgraph_commit_order_is_pinned():
+    # the vertices committed by two witness workloads, and the adjacency set
+    # of each vertex committed on demand, as the candidate rule first gave them
+    M = make_model("randomgraph")
+    universality_check(RichSequence("randomgraph"), k=2, M=M, samples=32)
+    assert M.size == 113
+    assert {v: tuple(sorted(pos)) for v, pos in M._demand_pos.items()} == UNIVERSALITY_DEMANDS
+
+    made = []
+
+    def recording(theory, **kw):
+        made.append(make_model(theory, **kw))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconstruction, "make_model", recording)
+        reconstruction.reconstruct_and_compare("randomgraph", budget=32)
+    assert [(R.size, R._demand_pos) for R in made] == [(32, {})]
+
+
+UNIVERSALITY_DEMANDS = {
+    8: (), 9: (0,), 10: (1,), 11: (5,), 12: (0, 5), 13: (0, 1, 5), 14: (4,),
+    15: (3,), 16: (3, 5), 17: (0, 3, 5), 18: (0, 4), 19: (0, 4), 20: (18,),
+    21: (0, 18), 22: (4, 18), 23: (0, 4, 18), 24: (6,), 25: (0, 6),
+    26: (0, 1, 6), 27: (0, 7), 28: (3, 7), 29: (8,), 30: (0, 8), 31: (0, 8),
+    32: (30,), 33: (0, 30), 34: (8, 30), 35: (0, 8, 30), 36: (9,), 37: (0, 9),
+    38: (1, 9), 39: (0, 1, 9), 40: (10,), 41: (0, 10), 42: (1, 10),
+    43: (0, 1, 10), 44: (11,), 45: (0, 11), 46: (5, 11), 47: (0, 5, 11),
+    48: (12,), 49: (1, 12), 50: (0, 1, 12), 51: (13,), 52: (3, 13),
+    53: (0, 14), 54: (0, 14), 55: (53,), 56: (0, 53), 57: (14, 53),
+    58: (0, 14, 53), 59: (15,), 60: (0, 15), 61: (3, 15), 62: (0, 3, 15),
+    63: (16,), 64: (3, 16), 65: (0, 3, 16), 66: (17,), 67: (1, 17),
+    68: (1, 18), 69: (0, 1, 18), 70: (0, 19), 71: (1, 19), 72: (0, 1, 19),
+    73: (20,), 74: (0, 20), 75: (18, 20), 76: (0, 18, 20), 77: (21,),
+    78: (1, 21), 79: (0, 1, 21), 80: (22,), 81: (0, 22), 82: (0, 18, 22),
+    83: (1, 23), 84: (0, 1, 23), 85: (0, 24), 86: (0, 24), 87: (85,),
+    88: (0, 85), 89: (24, 85), 90: (0, 24, 85), 91: (0, 25), 92: (25,),
+    93: (0, 1, 25), 94: (0, 26), 95: (3, 26), 96: (27,), 97: (0, 27),
+    98: (1, 27), 99: (28,), 100: (3, 28), 101: (0, 3, 28), 102: (0, 29),
+    103: (0, 29), 104: (102,), 105: (0, 102), 106: (29, 102),
+    107: (0, 29, 102), 108: (1, 30), 109: (0, 1, 30), 110: (0, 31),
+    111: (1, 31), 112: (0, 1, 31),
+}
+
+
+@pytest.mark.parametrize("params", [[], [0], [1, 0], [0, 2, 5]])
+def test_randomgraph_candidates_realise_each_pattern_once(params):
+    G = make_model("randomgraph")
+    G.element(5)
+    first = G.witness_candidates(params)
+    ps = sorted(set(params))
+    assert first[:len(ps)] == ps
+    masks = [sum(1 << i for i, a in enumerate(ps) if G.atomic("adj", w, a))
+             for w in first[len(ps):]]
+    assert sorted(masks) == list(range(1 << len(ps)))
+    # a repeated call commits nothing and returns the same candidates
+    size = G.size
+    assert G.witness_candidates(params) == first
+    assert G.size == size
