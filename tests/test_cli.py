@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -315,3 +316,46 @@ def test_a_closed_stdout_is_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# Each report's digest as `bench/run.py` computes it, recorded before the
+# diagrams lost their relation tables.  A change that alters a report on
+# purpose updates its digest here.
+PINNED_REPORTS = [
+    ("types --theory pureset --vars 0", 0, "c1ba818f9b1c"),
+    ("types --theory pureset --vars 1", 0, "193583d01b95"),
+    ("types --theory pureset --vars 2", 0, "805dc5cabb88"),
+    ("types --theory pureset --vars 3", 0, "1eb0b2c6f21f"),
+    ("types --theory pureset --tapes 2 --vars 2", 0, "5e06ac3d8ecc"),
+    ("types --theory dlo --vars 0", 0, "846617542206"),
+    ("types --theory dlo --vars 1", 0, "49c7a1927f3e"),
+    ("types --theory dlo --vars 2", 0, "9fe34f186f92"),
+    ("types --theory dlo --vars 3", 0, "4fd11704a9d9"),
+    ("types --theory dlo --tapes 2 --vars 2", 0, "0fff110f1dbb"),
+    ("types --theory randomgraph --vars 0", 0, "7d8efabae17e"),
+    ("types --theory randomgraph --vars 1", 0, "2158be893686"),
+    ("types --theory randomgraph --vars 2", 0, "4b2c99d75ab4"),
+    ("types --theory randomgraph --vars 3", 0, "ec91b5fabe03"),
+    ("types --theory randomgraph --tapes 2 --vars 2", 0, "f475fa0edeac"),
+    ("types --theory equivinf --vars 0", 0, "16d8063756da"),
+    ("types --theory equivinf --vars 1", 0, "4844c6eb3495"),
+    ("types --theory equivinf --vars 2", 0, "74a6ef27f8f4"),
+    ("types --theory equivinf --vars 3", 0, "5dc499c4e65a"),
+    ("types --theory equivinf --tapes 2 --vars 2", 0, "d571f933d90d"),
+    ("theta --theory equivinf --level 2 --index 7", 0, "05a4c50cd6c0"),
+    ("compose --theory dlo --phi (lt(x0,y0)&lt(x1,y1)) --psi (lt(y0,z0)&lt(y1,z1))", 0, "19ae0858c60a"),
+    ("project --theory dlo --phi (lt(x0,y0)&lt(x1,y1)) --to 0", 0, "84b33b535614"),
+    ("source --theory dlo --phi (lt(x0,x1)&eq(x1,y0))", 0, "ce8ac4a52aa6"),
+    ("groupoid verify --theory equivinf --level 1", 0, "d930fbb5e335"),
+    ("section --theory dlo --steps 3", 0, "697a945e5ec9"),
+    ("reconstruct --theory pureset --budget 8", 0, "33e2146a0bbc"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS,
+                         ids=[argv for argv, _, _ in PINNED_REPORTS])
+def test_reports_are_pinned(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    report = json.loads(capsys.readouterr().out)
+    rest = {k: v for k, v in report.items() if k != "timing_ms"}
+    assert hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()[:12] == digest
