@@ -21,9 +21,10 @@ from .categorical import (apply_mstar, section_schedule, skolem_map,
 from .errors import ParseError, PreconditionError, ResourceCapError, TgwError
 from .formula import free_vars, parse_formula, rename_tapes, render_formula
 from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
-                       compose_clopen, en_clopen, is_subgroupoid,
-                       project_clopen, source_clopen, target_clopen,
-                       theta_fiber, theta_reindex, verify_level_axioms)
+                       clopen_equiv, compose_clopen, en_clopen, invert_clopen,
+                       is_subgroupoid, project_clopen, source_clopen,
+                       target_clopen, theta_fiber, theta_reindex,
+                       verify_level_axioms)
 from .models import DEFAULT_QUANTIFIER_CAP, build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
@@ -127,7 +128,8 @@ def cmd_source(cfg):
     t = target_clopen(U)
     return ({"source": render_formula(s.formula),
              "target": render_formula(t.formula)},
-            [_cert("target-is-source-of-inverse", True)])
+            [_cert("target-is-source-of-inverse",
+                   clopen_equiv(t, source_clopen(invert_clopen(U))))])
 
 
 def cmd_subgroupoids(cfg):

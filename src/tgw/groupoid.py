@@ -26,7 +26,7 @@ from .models import compile_formula
 from .rich import RichSequence
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
                        decide_sentence, diagram_codes, eliminate_quantifiers,
-                       enumerate_types, pair_codes, restriction_map)
+                       enumerate_types, grid_index, pair_codes, restriction_map)
 
 
 def merge_tape(f: Formula, src: int, dst: int) -> Formula:
@@ -139,10 +139,8 @@ def separating_type(U: ClopenSet, V: ClopenSet) -> CompleteType | None:
                 conj([neg(U.formula), V.formula])])
     k = max(U.arity, V.arity)
     tab = LevelTable(U.seq, k, level)
-    for p in tab.points:
-        if p.satisfies_qf(eliminate_quantifiers(gap, U.theory)):
-            return p
-    return None
+    hits = tab._ids_where(eliminate_quantifiers(gap, U.theory))
+    return tab.points[hits[0]] if hits else None
 
 
 @dataclass(frozen=True)
@@ -201,13 +199,15 @@ class LevelTable:
 
     `points` are sorted by `CompleteType.key`; `codes[i]` is point i's
     pair-code tuple (`theories.PairCodes`), and the index maps code tuples
-    to point ids.  Amalgams are never built as `CompleteType`s: a k-tape
-    type meets the per-tape condition iff its first k-1 tapes and its last
-    tape do, so the 3-tape amalgams are streamed by `diagram_codes` as
-    one-tape extensions of the points' code tuples, and their restrictions
-    to two tapes are read through fixed pair-position maps
-    (`restriction_map`).  Grids of k*n variables and, for k = 2, the
-    3n-variable amalgams (the largest grid) are checked against `cap`."""
+    to point ids.  Quantifier-free formulas, such as the base diagonal and
+    clopen formulas, are tested on the code tuples (`PairCodes.predicate`).
+    Amalgams are never built as `CompleteType`s: a k-tape type meets the
+    per-tape condition iff its first k-1 tapes and its last tape do, so the
+    3-tape amalgams are streamed by `diagram_codes` as one-tape extensions
+    of the points' code tuples, and their restrictions to two tapes are read
+    through fixed pair-position maps (`restriction_map`).  Grids of k*n
+    variables and, for k = 2, the 3n-variable amalgams (the largest grid)
+    are checked against `cap`."""
 
     def __init__(self, seq: RichSequence, k: int, n: int, cap: int = DEFAULT_GRID_CAP):
         check_grid_cap(k * n, cap)
@@ -225,8 +225,7 @@ class LevelTable:
         self._index = {c: i for i, c in enumerate(self.codes)}
         diag = conj(Eq(VarRef(t, i), VarRef(t + 1, i))
                     for t in range(k - 1) for i in range(n))
-        self.base = tuple(i for i, p in enumerate(self.points)
-                          if p.satisfies_qf(diag))
+        self.base = self._ids_where(diag)
 
     def _tape_condition(self, tape: int) -> Formula:
         return rename_tapes(self._dphi, {0: tape})
@@ -271,8 +270,12 @@ class LevelTable:
     def points_of(self, U: ClopenSet) -> frozenset[int]:
         if U.level > self.n or U.arity != self.k:
             raise PreconditionError("clopen does not fit this table")
-        return frozenset(i for i, p in enumerate(self.points)
-                         if p.satisfies_qf(U.formula))
+        return frozenset(self._ids_where(U.formula))
+
+    def _ids_where(self, f: Formula) -> tuple[int, ...]:
+        """The ids of the points on which the quantifier-free `f` holds."""
+        test = self._pc.predicate(f, grid_index(self.k, self.n))
+        return tuple(i for i, codes in enumerate(self.codes) if test(codes))
 
     def clopen_of(self, indices) -> ClopenSet:
         f = disj(self.points[i].diagram_formula() for i in sorted(indices))

@@ -349,30 +349,20 @@ def _unassigned(asg: dict, *vs: VarRef) -> PreconditionError:
 
 def tuple_type(M: ModelHandle, tuples: list) -> CompleteType:
     """The complete diagram of the given same-length tuples, read off the
-    model; tape t position p is tuples[t][p]."""
+    model; tape t position p is tuples[t][p].  The relation values between
+    each two classes, both ways, are mapped straight to their pair code."""
     k = len(tuples)
     if k < 1 or len({len(t) for t in tuples}) != 1:
         raise PreconditionError("tuple_type needs tuples of one common length")
     n = len(tuples[0])
-    flat = [e for t in tuples for e in t]
-    classes = []
-    reps: list = []
-    for e in flat:
-        for c, r in enumerate(reps):
-            if r == e:
-                classes.append(c)
-                break
-        else:
-            classes.append(len(reps))
-            reps.append(e)
+    first: dict = {}  # element -> its class, numbered in order of appearance
+    classes = tuple(first.setdefault(e, len(first)) for t in tuples for e in t)
+    reps = list(first)
     theory = M.theory
-    rels = []
-    for rel, _ in theory.signature.relations:
-        pairs = frozenset((i, j) for i in range(len(reps)) for j in range(len(reps))
-                          if M.atomic(rel, reps[i], reps[j]))
-        rels.append((rel, pairs))
-    t = CompleteType(theory.id, k, n, tuple(classes), tuple(sorted(rels)))
-    if not pair_codes(theory).admits(t):
+    pc = pair_codes(theory)
+    between = pc.between_of(len(reps), lambda rel, a, b: M.atomic(rel, reps[a], reps[b]))
+    t = None if between is None else CompleteType(theory.id, k, n, classes, between)
+    if t is None or not pc.admits(t):
         raise InternalConsistencyError("model produced an inadmissible diagram")
     return t
 

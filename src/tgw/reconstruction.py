@@ -17,7 +17,7 @@ from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
                        clopen_equiv, en_clopen, is_subgroupoid)
 from .models import DTuple, ModelHandle, build_dtuple, make_model, tuple_type
 from .rich import RichSequence
-from .theories import canonical_form
+from .theories import canonical_form, grid_index, pair_codes
 
 
 @dataclass(frozen=True)
@@ -42,20 +42,17 @@ def sort_elements(e: DTuple, H: SubGroupoid, M: ModelHandle, seq: RichSequence,
         if not t.ok:
             raise InternalConsistencyError("generated tuple failed its certificate")
         tuples.append(t)
+    pc = pair_codes(M.theory)
+    same = pc.predicate(H.clopen.formula, grid_index(2, level))
     classes: list[list[DTuple]] = []
     for t in tuples:
         for cls in classes:
-            if _same_class(M, cls[0], t, H):
+            if same(pc.codes_of(tuple_type(M, [cls[0].elements, t.elements]))):
                 cls.append(t)
                 break
         else:
             classes.append([t])
     return [SortClass(cls[0], tuple(cls)) for cls in classes]
-
-
-def _same_class(M: ModelHandle, a: DTuple, b: DTuple, H: SubGroupoid) -> bool:
-    pair = tuple_type(M, [a.elements, b.elements])
-    return pair.satisfies_qf(H.clopen.formula)
 
 
 def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> bool:

@@ -322,8 +322,11 @@ class _SectionState:
         pool = diagrams_over(self.seq.theory, n + 1)
         if n == 0:
             return list(pool)
-        want = tuple_type(self.model, [prefix]).restrict_vars(list(range(n))).key()
-        return [d for d in pool if d.restrict_vars(list(range(n))).key() == want]
+        # the first n variables of a diagram hold its first classes, whose
+        # codes lead its `between`
+        ref = tuple_type(self.model, [prefix])
+        return [d for d in pool if d.classes[:n] == ref.classes
+                and d.between[:len(ref.between)] == ref.between]
 
     def first_realization(self, diagram, n: int, stop: int) -> int | None:
         """Least i in [n, stop) such that entry i realises `diagram` over

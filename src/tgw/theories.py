@@ -10,30 +10,33 @@ Each theory is complete, decidable, and eliminates quantifiers:
 Quantifier elimination works inside out: negations are pushed to literals
 (with per-theory literal normalisation), one existential is eliminated from
 each DNF cube by the theory's textbook rule, and universals go through
-negation.  A complete quantifier-free diagram over finitely many variables
-is represented by a partition of the variables plus relation values on the
-partition classes (`CompleteType`); admissibility of the diagram is exactly
-consistency with the theory, so enumerating admissible diagrams enumerates
-complete types.  A theory is given by two hooks, its literal normal form
-and its elimination rule (see `Theory`); every other fact about finite
-diagrams is decided by quantifier elimination, not written per theory.
+negation.  A theory is given by two hooks, its literal normal form and its
+elimination rule (see `Theory`); every other fact about finite diagrams is
+decided by quantifier elimination, not written per theory.
 
-Every signature is binary, so a diagram is also fixed by its 2-variable
-sub-diagrams: its pair-code tuple holds, for each pair i < j, the index of
-that pair's sub-diagram in `diagrams_over(theory, 2)` (`PairCodes`).  The
-pair diagrams are the relation tables on one or two distinct elements that
-QE proves to occur, and the triple table, which codes can close a triangle,
-is QE of one existential per two codes.  Each theory's finite diagrams are
-those of its universal part, which is axiomatised in at most three
-variables (equality is a congruence, plus the order, adjacency or
-equivalence laws), so a code tuple names a consistent diagram iff every
-3-variable sub-diagram is one.  As each theory is the Fraisse limit of these
-diagrams, `diagram_codes` generates them one variable at a time: a new
-variable relates to each earlier equality class by a code allowed by the
-triple table, and copies that code to the rest of the class.  Every pool
-`diagrams_over(theory, m)` is built this way, and `PairCodes.admits` decides
-admissibility of any diagram (such as one read off a model) by the same pair
-codes and triple table.
+Every signature is binary, so a complete quantifier-free diagram over
+finitely many variables is fixed by its equality partition and its 2-variable
+sub-diagrams between the classes.  A pair code is the index of a 2-variable
+diagram in `diagrams_over(theory, 2)`; those diagrams are the relation values
+on one or two distinct elements that QE proves to occur (`PairCodes`, the
+only holder of relation values).  A diagram (`CompleteType`) is its
+partition plus the code tuple of its classes, and every question about it,
+from its formula to the truth of a quantifier-free formula on it, is read
+off codes.  The triple table, which codes can close a triangle, is QE of one
+existential per two codes.  Each theory's finite diagrams are those of its
+universal part, which is axiomatised in at most three variables (equality is
+a congruence, plus the order, adjacency or equivalence laws), so a code
+tuple names a consistent diagram iff every 3-variable sub-diagram is one,
+and enumerating consistent code tuples enumerates complete types.  As each
+theory is the Fraisse limit of these diagrams, `diagram_codes` generates
+them one variable at a time: a new variable relates to each earlier
+equality class by a code allowed by the triple table, and copies that code
+to the rest of the class.  Every pool `diagrams_over(theory, m)` is built
+this way, and a diagram read off a model maps its relation values to codes
+(`PairCodes.between_of`) and is checked by the same triple table
+(`PairCodes.admits`).  A quantifier-free formula is tested on code tuples
+(`PairCodes.predicate`) by code masks of its parts over at most two
+variables (`PairCodes.mask`).
 
 Diagram formulas are read off the same codes.  Per grid, a literal table
 (`PairCodes.literal_table`) holds for each pair position and pair code the
@@ -49,7 +52,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError, SignatureError)
@@ -61,7 +64,6 @@ from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
 DEFAULT_GRID_CAP = 12
 DNF_CUBE_CAP = 200_000
 ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
-CLASS_CODES_CACHE_CAP = 1 << 16  # class-level diagrams held by a PairCodes cache
 
 
 def _sorted_pair(a: VarRef, b: VarRef) -> tuple[VarRef, VarRef]:
@@ -399,53 +401,19 @@ def decide_sentence(f: Formula, theory) -> bool:
 class CompleteType:
     """A complete quantifier-free diagram over a k-tapes-by-n-positions grid.
     Variable (tape, pos) maps to index tape*n + pos; `classes` is the
-    equality partition in restricted-growth form and `rels` holds the full
-    relation tables on partition classes."""
+    equality partition in restricted-growth form and `between` the pair-code
+    tuple of the classes, which are all distinct (`PairCodes`): the code of
+    classes a < b sits at `pair_index(a, b)`.  Diagrams of one pool share
+    their `between` tuples."""
 
     theory_id: str
     k: int
     n: int
     classes: tuple[int, ...]
-    rels: tuple[tuple[str, frozenset], ...]
-
-    @property
-    def theory(self) -> Theory:
-        return THEORIES[self.theory_id]
-
-    def rel_table(self, rel: str) -> frozenset:
-        for name, pairs in self.rels:
-            if name == rel:
-                return pairs
-        raise SignatureError(f"no relation {rel!r} in diagram")
+    between: tuple[int, ...]
 
     def num_classes(self) -> int:
         return max(self.classes, default=-1) + 1
-
-    def var_class(self, v: VarRef) -> int:
-        if not (0 <= v.tape < self.k and 0 <= v.position < self.n):
-            raise PreconditionError(
-                f"variable {v.render()} outside the {self.k}x{self.n} grid")
-        return self.classes[v.tape * self.n + v.position]
-
-    def satisfies_qf(self, f: Formula) -> bool:
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Eq):
-            return self.var_class(f.lhs) == self.var_class(f.rhs)
-        if isinstance(f, Atom):
-            pair = (self.var_class(f.args[0]), self.var_class(f.args[1]))
-            return pair in self.rel_table(f.rel)
-        if isinstance(f, Not):
-            return not self.satisfies_qf(f.sub)
-        if isinstance(f, And):
-            return all(self.satisfies_qf(c) for c in f.children)
-        if isinstance(f, Or):
-            return any(self.satisfies_qf(c) for c in f.children)
-        if isinstance(f, Implies):
-            return (not self.satisfies_qf(f.lhs)) or self.satisfies_qf(f.rhs)
-        raise PreconditionError("satisfies_qf needs a quantifier-free formula")
 
     def diagram_formula(self) -> Formula:
         """Minimal conjunction pinning the whole diagram: each variable is
@@ -475,7 +443,6 @@ class CompleteType:
         form, so class c's representative is the c-th one met."""
         pc = pair_codes(self.theory_id)
         table = pc.literal_table(self.k, self.n)
-        between = pc.class_codes(self.num_classes(), self.rels)
         reps: list[int] = []
         out = []
         for j, c in enumerate(self.classes):
@@ -485,7 +452,7 @@ class CompleteType:
                 continue
             crow = c * (c - 1) // 2
             for a, i in enumerate(reps):
-                out += table[row + i][between[crow + a]]
+                out += table[row + i][self.between[crow + a]]
             reps.append(j)
         out.sort(key=itemgetter(0))
         return out
@@ -503,59 +470,32 @@ class CompleteType:
 
     def _select(self, idx: list[int], k: int, n: int) -> "CompleteType":
         remap: dict[int, int] = {}
-        classes = []
-        for i in idx:
-            c = self.classes[i]
-            remap.setdefault(c, len(remap))
-            classes.append(remap[c])
-        rels = []
-        for rel, pairs in self.rels:
-            kept = frozenset((remap[a], remap[b]) for a, b in pairs
-                             if a in remap and b in remap)
-            rels.append((rel, kept))
-        return CompleteType(self.theory_id, k, n, tuple(classes), tuple(rels))
+        classes = tuple([remap.setdefault(self.classes[i], len(remap)) for i in idx])
+        kept = list(remap)  # the kept classes, by their new numbers
+        conv, between = pair_codes(self.theory_id).converse, self.between
+        sub = tuple([between[pair_index(a, b)] if a < b else conv[between[pair_index(b, a)]]
+                     for j, b in enumerate(kept) for a in kept[:j]])
+        return CompleteType(self.theory_id, k, n, classes, sub)
 
     def key(self):
-        return (self.classes, tuple((r, tuple(sorted(p))) for r, p in self.rels))
+        """The equality partition and, per relation, the sorted pairs of
+        classes it holds on (`PairCodes.class_tables`)."""
+        return self.classes, pair_codes(self.theory_id).class_tables(
+            self.between, self.num_classes())
 
 
 def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
-    """Every m-variable diagram, by one-variable extension, sorted by key."""
+    """Every m-variable diagram, by one-variable extension, sorted by key.
+    Diagrams with equal `between` tuples share one."""
     pc = pair_codes(theory)
-    tables: dict[tuple[int, ...], tuple] = {}
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     keyed = []
     for _codes, between, c, classes in _extensions(theory, 1, m):
-        if between not in tables:  # it fixes c once m >= 1
-            tables[between] = pc.class_tables(between, c)
-        key, rels = tables[between]
-        keyed.append(((classes, key), CompleteType(theory.id, 1, m, classes, rels)))
-    keyed.sort(key=lambda kt: kt[0])  # CompleteType.key, built once per table
+        between = shared.setdefault(between, between)
+        keyed.append(((classes, pc.class_tables(between, c)),
+                      CompleteType(theory.id, 1, m, classes, between)))
+    keyed.sort(key=itemgetter(0))  # CompleteType.key
     return [t for _, t in keyed]
-
-
-def _distinct_diagrams(theory: Theory, c: int,
-                       one: CompleteType | None = None) -> list[CompleteType]:
-    """The diagrams of c distinct variables: every relation table on c
-    classes that restricts to the 1-variable diagram `one` (if given) on
-    each class and that `decide_sentence` proves c distinct elements carry."""
-    vs = [VarRef(0, i) for i in range(c)]
-    atoms = [Atom(rel, args) for rel, _ in theory.signature.relations
-             for args in itertools.product(vs, repeat=2)]
-    out = []
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        t = CompleteType(theory.id, 1, c, tuple(range(c)), tuple(
-            (rel, frozenset((a.args[0].position, a.args[1].position)
-                            for a, bit in zip(atoms, bits) if bit and a.rel == rel))
-            for rel, _ in theory.signature.relations))
-        if one and any(t.restrict_vars([i]).rels != one.rels for i in range(c)):
-            continue
-        sentence = conj([neg(Eq(a, b)) for a, b in itertools.combinations(vs, 2)]
-                        + [a if bit else neg(a) for a, bit in zip(atoms, bits)])
-        for v in reversed(vs):
-            sentence = exists(v, sentence)
-        if decide_sentence(sentence, theory):
-            out.append(t)
-    return out
 
 
 _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
@@ -586,6 +526,11 @@ def pair_index(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
+def grid_index(k: int, n: int) -> dict[VarRef, int]:
+    """Variable (t, p) of the k-by-n grid -> its index t*n + p."""
+    return {VarRef(t, p): t * n + p for t in range(k) for p in range(n)}
+
+
 def restriction_map(k: int, n: int, tapes: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
     """How to read the code tuple of `CompleteType.restrict(tapes)` off the
     code tuple of a k-by-n-grid diagram: for each pair of the sub-grid, in
@@ -600,47 +545,90 @@ def restriction_map(k: int, n: int, tapes: tuple[int, ...]) -> tuple[tuple[int, 
                  for j, b in enumerate(idx) for a in idx[:j])
 
 
+def _occurs(theory: Theory, vs: list[VarRef], values: dict) -> bool:
+    """Whether distinct elements `vs` carry `values`, a dict from atoms on
+    them to bools: QE decides the existential sentence."""
+    sentence = conj([neg(Eq(a, b)) for a, b in itertools.combinations(vs, 2)]
+                    + [atom if bit else neg(atom) for atom, bit in values.items()])
+    for v in reversed(vs):
+        sentence = exists(v, sentence)
+    return decide_sentence(sentence, theory)
+
+
+@functools.cache
+def _class_pairs(c: int) -> tuple:
+    """The pairs a < b of c classes in pair order, their converses and the
+    pairs (t, t), built once so that relation tables share them."""
+    pairs = tuple((a, b) for b in range(c) for a in range(b))
+    return pairs, tuple((b, a) for a, b in pairs), tuple((t, t) for t in range(c))
+
+
+def _tables(names: tuple[str, ...], diagonal: tuple[bool, ...], flags, c: int) -> tuple:
+    """Per relation, the sorted pairs of c classes it holds on, given
+    whether it is reflexive and, per class pair a < b in pair order, the
+    pair's flags: relation x's value from a to b at 2x, from b to a at 2x+1."""
+    pairs, converses, same = _class_pairs(c)
+    out = []
+    for x, rel in enumerate(names):
+        table = [p for p, f in zip(pairs, flags) if f[2 * x]]
+        table += [p for p, f in zip(converses, flags) if f[2 * x + 1]]
+        if diagonal[x]:
+            table += same
+        table.sort()
+        out.append((rel, tuple(table)))
+    return tuple(out)
+
+
 class PairCodes:
     """One theory's diagrams as pair-code tuples.
 
-    The code of the pair i < j is the index, in `diagrams_over(theory, 2)`,
-    of the sub-diagram on (i, j) with i read as x0; those diagrams, and the
-    1-variable one, are built here by QE.  `pins[code]` is a shortest list
-    of normalised literals on (x0, x1) that holds of that code alone.
-    `triples[a][b]` is the bit set of the codes c such that codes a, b, c on
-    the pairs (h, i), (h, j), (i, j) of h < i < j occur together in a
-    3-variable diagram: the codes on (x1, x2) of QE of the existential over
-    x0 of `pins[a]` on (x0, x1) and `pins[b]` on (x0, x2).
+    The pair diagrams are the relation values, on one element and both ways
+    between two distinct ones, that QE proves to occur; this is the only
+    place that holds relation values.  `diagonal` is each relation's value
+    on one element (it is the same on every element).  Code 0 is equality
+    and the other codes number the pair diagrams of two distinct elements
+    in `CompleteType.key` order, so a code is the index of its pair diagram
+    in `diagrams_over(theory, 2)`.  The code of the pair i < j of a diagram
+    is that of its sub-diagram on (i, j) with i read as x0.  `pins[code]`
+    is a shortest list of normalised literals on (x0, x1) that holds of
+    that code alone.  `triples[a][b]` is the bit set of the codes c such
+    that codes a, b, c on the pairs (h, i), (h, j), (i, j) of h < i < j
+    occur together in a 3-variable diagram: the codes on (x1, x2) of QE of
+    the existential over x0 of `pins[a]` on (x0, x1) and `pins[b]` on
+    (x0, x2).
     """
 
     def __init__(self, theory: Theory):
-        one = _distinct_diagrams(theory, 1)
-        if len(one) != 1:
-            raise InternalConsistencyError("pair codes need a unique 1-variable diagram")
         self.theory_id = theory.id
-        self.one = one[0]
-        self.two = two = sorted(_distinct_diagrams(theory, 2, self.one) + [
-            CompleteType(theory.id, 1, 2, (0, 0), self.one.rels)], key=CompleteType.key)
-        self.full = (1 << len(two)) - 1
-        self.eq = next(c for c, d in enumerate(two) if d.classes == (0, 0))
-        self.rel_names = tuple(rel for rel, _ in self.one.rels)
-        # relation values between distinct x0, x1, both ways, per relation
-        flags = tuple(tuple(((0, 1) in d.rel_table(r), (1, 0) in d.rel_table(r))
-                            for r in self.rel_names) for d in two)
+        self.rel_names = names = tuple(rel for rel, _ in theory.signature.relations)
+        x0, x1, x2 = (VarRef(0, i) for i in range(3))
+        bits = (False, True)
+        diagonals = [d for d in itertools.product(bits, repeat=len(names))
+                     if _occurs(theory, [x0], {Atom(r, (x0, x0)): v for r, v in zip(names, d)})]
+        if len(diagonals) != 1:
+            raise InternalConsistencyError("pair codes need a unique 1-variable diagram")
+        self.diagonal = diagonal = diagonals[0]
+        on_each = {Atom(r, (v, v)): d for r, d in zip(names, diagonal) for v in (x0, x1)}
+        ways = [Atom(r, args) for r in names for args in ((x0, x1), (x1, x0))]
+        distinct = [f for f in itertools.product(bits, repeat=len(ways))
+                    if _occurs(theory, [x0, x1], {**on_each, **dict(zip(ways, f))})]
+        # an equal pair's flags are the diagonals; its classes (0, 0) put it
+        # before the distinct pairs in key order
+        self.eq = 0
+        self._flags = flags = [tuple(diagonal[i // 2] for i in range(len(ways)))] + sorted(
+            distinct, key=lambda f: _tables(names, diagonal, [f], 2))
+        self.full = (1 << len(flags)) - 1
         self._code_of = {f: c for c, f in enumerate(flags) if c != self.eq}
         self.converse = tuple(c if c == self.eq else
-                              self._code_of[tuple((b, a) for a, b in f)]
+                              self._code_of[tuple(f[i ^ 1] for i in range(len(f)))]
                               for c, f in enumerate(flags))
-        # per relation: whether it is reflexive, and per code its two ways
-        self._tables = tuple((r, (0, 0) in self.one.rel_table(r),
-                              tuple(f[x][0] for f in flags),
-                              tuple(f[x][1] for f in flags))
-                             for x, r in enumerate(self.rel_names))
-        self._class_codes: dict[tuple[int, tuple], tuple[int, ...]] = {}
-        x0, x1, x2 = (VarRef(0, i) for i in range(3))
+        # per relation: the codes on which it holds from x0 to x1, from x1
+        # to x0, and its diagonal
+        on = [sum(1 << c for c, f in enumerate(flags) if f[i]) for i in range(len(ways))]
+        self._rel_masks = {r: (on[2 * x], on[2 * x + 1], diagonal[x]) for x, r in enumerate(names)}
         lits = _literals(theory, (x0, x1))
         masks = {lit: self.mask(lit, {x0: 0, x1: 1}) for lit in lits}
-        codes = range(len(two))
+        codes = range(len(flags))
         # the first of the shortest literal lists whose masks meet in the code
         self.pins = tuple(next(list(ls) for size in range(len(lits) + 1)
                                for ls in itertools.combinations(lits, size)
@@ -655,11 +643,12 @@ class PairCodes:
         self._bits = tuple(tuple(c for c in codes if mask >> c & 1)
                            for mask in range(self.full + 1))
         # swapping x1 and x2 reads the closing codes converse
-        rows = [[0] * len(two) for _ in codes]
+        rows = [[0] * len(flags) for _ in codes]
         for a, b in itertools.combinations_with_replacement(codes, 2):
             rows[a][b] = closing(a, b)
             rows[b][a] = sum(1 << self.converse[c] for c in self._bits[rows[a][b]])
         self.triples = tuple(map(tuple, rows))
+        self._class_tables: dict[tuple[tuple[int, ...], int], tuple] = {}
         self._one_point_cache: dict = {}
         self._one_point_cached = 0
         self._literal_tables: dict[tuple[int, int], tuple] = {}
@@ -686,74 +675,73 @@ class PairCodes:
         return hit
 
     def codes_of(self, t: CompleteType) -> tuple[int, ...]:
-        between = self.class_codes(t.num_classes(), t.rels)
-        eq, conv = self.eq, self.converse
+        between, eq, conv = t.between, self.eq, self.converse
         return tuple(eq if a == b else between[pair_index(a, b)] if a < b
                      else conv[between[pair_index(b, a)]]
                      for j, b in enumerate(t.classes) for a in t.classes[:j])
 
-    def class_tables(self, between: tuple[int, ...], c: int):
-        """Relation tables of the diagram whose c classes carry the
-        all-distinct code tuple `between`: as `CompleteType.rels`, and as the
-        sorted pair tuples that `CompleteType.key` lists."""
-        pairs = [(a, b) for b in range(c) for a in range(b)]
-        keyed = []
-        for rel, diagonal, fwd, bwd in self._tables:
-            table = [p for p, code in zip(pairs, between) if fwd[code]]
-            table += [(b, a) for (a, b), code in zip(pairs, between) if bwd[code]]
-            if diagonal:
-                table += [(t, t) for t in range(c)]
-            table.sort()
-            keyed.append((rel, tuple(table)))
-        return tuple(keyed), tuple((rel, frozenset(t)) for rel, t in keyed)
+    def class_tables(self, between: tuple[int, ...], c: int) -> tuple:
+        """Per relation, the sorted pairs of the c classes with the
+        all-distinct code tuple `between` that it holds on, as
+        `CompleteType.key` lists them.  Built once per distinct `between`
+        and kept."""
+        key = (between, c)
+        if key not in self._class_tables:
+            self._class_tables[key] = _tables(self.rel_names, self.diagonal,
+                                              [self._flags[code] for code in between], c)
+        return self._class_tables[key]
 
-    def class_codes(self, c: int, rels: tuple) -> tuple[int, ...]:
-        """The all-distinct code tuple of c classes whose relation tables are
-        `rels` (as `CompleteType.rels`): the inverse of `class_tables`.
-        Diagrams of one pool share their class tables, so these are cached;
-        the cache is emptied when full."""
-        key = (c, rels)
-        hit = self._class_codes.get(key)
-        if hit is None:
-            named = dict(rels)
-            tables = [named[rel] for rel in self.rel_names]
-            hit = tuple(self._code_of[tuple(((a, b) in t, (b, a) in t) for t in tables)]
-                        for b in range(c) for a in range(b))
-            if len(self._class_codes) >= CLASS_CODES_CACHE_CAP:
-                self._class_codes.clear()
-            self._class_codes[key] = hit
-        return hit
+    def between_of(self, c: int, atomic) -> tuple[int, ...] | None:
+        """The all-distinct code tuple of c classes on which each relation
+        rel holds from class a to class b iff `atomic(rel, a, b)`; None if a
+        class's values are not the diagonal or a pair's values both ways
+        have no code, so that no consistent diagram has them."""
+        names = self.rel_names
+        if any(atomic(rel, a, a) != v for a in range(c) for rel, v in zip(names, self.diagonal)):
+            return None
+        codes = tuple(self._code_of.get(tuple(atomic(rel, *way) for rel in names
+                                              for way in ((a, b), (b, a))))
+                      for b in range(c) for a in range(b))
+        return None if None in codes else codes
 
     def admits(self, t: CompleteType) -> bool:
-        """Whether the diagram `t` is consistent with the theory: each
-        relation's diagonal is the 1-variable diagram's, every pair of
-        classes has a code and every triple of classes is allowed by
-        `triples`.  The universal part is axiomatised in at most three
-        variables, so this is exactly admissibility."""
-        c = t.num_classes()
-        named = dict(t.rels)
-        try:
-            if any(((i, i) in named[rel]) != diagonal
-                   for rel, diagonal, _, _ in self._tables for i in range(c)):
-                return False
-            between = self.class_codes(c, t.rels)
-        except KeyError:
-            return False
-        return all(self.triples[between[pair_index(a, b)]][between[pair_index(a, d)]]
-                   >> between[pair_index(b, d)] & 1
-                   for d in range(c) for b in range(d) for a in range(b))
+        """Whether the diagram `t` is consistent with the theory: every
+        triple of classes is allowed by `triples`.  Each pair of classes
+        already holds a code, and the universal part is axiomatised in at
+        most three variables, so this is exactly admissibility."""
+        b = t.between
+        return all(self.triples[b[pair_index(h, i)]][b[pair_index(h, j)]]
+                   >> b[pair_index(i, j)] & 1
+                   for j in range(t.num_classes()) for i in range(j) for h in range(i))
 
     def mask(self, f: Formula, index: dict[VarRef, int]) -> int:
         """Codes of the pair of grid variables that the quantifier-free `f`
-        names (at most two) on which it holds; all or none if it names
-        fewer than two."""
+        names (at most two) on which it holds, read off the relation values
+        of the pair diagrams; all or none if it names fewer than two."""
         vs = sorted(free_vars(f), key=index.__getitem__)
         if len(vs) > 2:
             raise PreconditionError("a code mask needs at most two variables")
-        f = substitute_vars(f, {v: VarRef(0, i) for i, v in enumerate(vs)})
-        if len(vs) < 2:
-            return self.full if self.one.satisfies_qf(f) else 0
-        return sum(1 << c for c, d in enumerate(self.two) if d.satisfies_qf(f))
+        full = self.full
+
+        def holds(g: Formula) -> int:
+            if isinstance(g, (Top, Bot)):
+                return full if isinstance(g, Top) else 0
+            if isinstance(g, Eq):
+                return full if g.lhs == g.rhs else 1 << self.eq
+            if isinstance(g, Atom):  # the first variable of the pair is x0
+                fwd, bwd, diagonal = self._rel_masks[g.rel]
+                a, b = g.args
+                return (full if diagonal else 0) if a == b else fwd if a == vs[0] else bwd
+            if isinstance(g, Not):
+                return full ^ holds(g.sub)
+            if isinstance(g, Implies):
+                return (full ^ holds(g.lhs)) | holds(g.rhs)
+            if isinstance(g, And):
+                return functools.reduce(and_, map(holds, g.children), full)
+            if isinstance(g, Or):
+                return functools.reduce(or_, map(holds, g.children), 0)
+            raise PreconditionError("a code mask needs a quantifier-free formula")
+        return holds(f)
 
     def predicate(self, f: Formula, index: dict[VarRef, int]):
         """`f` as a test on code tuples that hold its variables' pairs."""
@@ -774,6 +762,16 @@ class PairCodes:
             test = all if isinstance(f, And) else any
             return lambda codes: test(g(codes) for g in gs)
         raise PreconditionError("pair codes need a quantifier-free constraint")
+
+    def select(self, pool, f: Formula, index: dict[VarRef, int]) -> list[CompleteType]:
+        """The diagrams of `pool`, on the grid that `index` numbers, on
+        which the quantifier-free `f` holds.  Unless `f` names two variables
+        or more, it holds on all of them or none: then none is tested, and
+        all of them is `pool` itself."""
+        if len(free_vars(f)) < 2:
+            return pool if self.mask(f, index) else []
+        test = self.predicate(f, index)
+        return [d for d in pool if test(self.codes_of(d))]
 
     def _extend(self, codes, between, c, classes, j, m, units, checks):
         """(codes, between, c, classes) for each diagram over m variables
@@ -849,7 +847,7 @@ def _pruning(pc: PairCodes, k: int, n: int, qf: Formula):
     its wider conjuncts whose last variable is j.  None if a conjunct over
     fewer than two variables fails."""
     m = k * n
-    index = {VarRef(t, p): t * n + p for t in range(k) for p in range(n)}
+    index = grid_index(k, n)
     if not free_vars(qf) <= index.keys():
         raise PreconditionError("constraint has variables outside the grid")
     units: list[dict[int, int]] = [{} for _ in range(m)]
@@ -908,6 +906,8 @@ def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE,
     return map(itemgetter(0), _extensions(get_theory(theory), k, n, constraint, prefix))
 
 
+
+
 def enumerate_types(theory, k: int, n: int, constraint: Formula = TRUE,
                     cap: int = DEFAULT_GRID_CAP) -> list[CompleteType]:
     """All complete types on a k-tapes-by-n-positions grid consistent with
@@ -915,17 +915,12 @@ def enumerate_types(theory, k: int, n: int, constraint: Formula = TRUE,
     theory = get_theory(theory)
     if k < 1 or n < 0:
         raise PreconditionError("need k >= 1 and n >= 0")
-    m = k * n
-    grid = {VarRef(t, p) for t in range(k) for p in range(n)}
-    if not free_vars(constraint) <= grid:
+    index = grid_index(k, n)
+    if not free_vars(constraint) <= index.keys():
         raise PreconditionError("constraint has variables outside the grid")
     qf = eliminate_quantifiers(constraint, theory)
-    out = []
-    for d in diagrams_over(theory, m, cap):
-        t = CompleteType(theory.id, k, n, d.classes, d.rels)
-        if t.satisfies_qf(qf):
-            out.append(t)
-    return out
+    return [CompleteType(theory.id, k, n, d.classes, d.between)
+            for d in pair_codes(theory).select(diagrams_over(theory, k * n, cap), qf, index)]
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -947,9 +942,8 @@ def canonical_form(f: Formula, theory) -> Formula:
                                f"exceeds the cap {CANONICAL_VAR_CAP}",
                                cap="canonical-vars", limit=CANONICAL_VAR_CAP,
                                observed=len(vs))
-    to_grid = {v: VarRef(0, i) for i, v in enumerate(vs)}
-    mapped = substitute_vars(qf, to_grid)
-    sat = [d for d in diagrams_over(theory, len(vs)) if d.satisfies_qf(mapped)]
+    sat = pair_codes(theory).select(diagrams_over(theory, len(vs)), qf,
+                                    {v: i for i, v in enumerate(vs)})
     vs, sat = _drop_dummies(theory, vs, sat)
     if not sat:
         return FALSE

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tgw
-from tgw import categorical, groupoid, rich, theories
+from tgw import categorical, cli, groupoid, rich, theories
 from tgw.cli import COMMANDS, HANDLERS, config_from_args, first_failure, main, run
 from tgw.groupoid import LevelTable
 
@@ -50,6 +50,20 @@ def test_determinism_minus_timing(capsys):
     a.pop("timing_ms")
     b.pop("timing_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_source_certificate_is_computed(capsys, monkeypatch):
+    # the target is the source of the inverse; it is not the source itself,
+    # so a certificate judged against the source would fail
+    argv = ["source", "--theory", "dlo", "--phi", "(lt(x0,x1)&eq(x1,y0))"]
+    code, rep = capture(capsys, argv)
+    assert code == 0
+    assert rep["items"] == {"source": "true", "target": "lt(x0,x1)"}
+    assert rep["certificates"] == [{"name": "target-is-source-of-inverse", "passed": True}]
+    monkeypatch.setattr(cli, "target_clopen", groupoid.source_clopen)
+    code, rep = capture(capsys, argv)
+    assert code == 1
+    assert rep["certificates"] == [{"name": "target-is-source-of-inverse", "passed": False}]
 
 
 def test_usage_errors():

@@ -17,6 +17,8 @@ from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
 from tgw.rich import RichSequence
 from tgw.theories import decide_sentence, enumerate_types, get_theory
 
+from test_theories import satisfies_qf
+
 
 def x(i):
     return VarRef(0, i)
@@ -94,7 +96,7 @@ def test_tuple_type_examples():
 
     D = make_model("dlo")
     t2 = tuple_type(D, [[Fraction(0), Fraction(1)]])
-    assert t2.satisfies_qf(parse_formula("lt(x0,x1)", sig("dlo")))
+    assert satisfies_qf(t2, parse_formula("lt(x0,x1)", sig("dlo")))
 
     G = make_model("randomgraph")
     G.witness_candidates([0])  # posts the one-vertex patterns

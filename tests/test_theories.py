@@ -73,13 +73,54 @@ REL_ASSIGNMENTS = {"pureset": lambda c: [{}], "dlo": dlo_tables,
                    "randomgraph": graph_tables, "equivinf": equiv_tables}
 
 
+def table_key(classes, tables):
+    """`CompleteType.key` of the diagram with the equality partition
+    `classes` and the relation tables `tables` on its classes, built from
+    the tables themselves."""
+    return classes, tuple((rel, tuple(sorted(pairs))) for rel, pairs in sorted(tables.items()))
+
+
 def product_diagrams(theory_id, m):
     """Every m-variable diagram as an equality partition times the relation
-    tables on its classes, sorted by key."""
-    out = [CompleteType(theory_id, 1, m, classes, tuple(sorted(rels.items())))
+    tables on its classes: (key, classes, tables), sorted by key."""
+    out = [(table_key(classes, tables), classes, tables)
            for classes in set_partitions(m)
-           for rels in REL_ASSIGNMENTS[theory_id](max(classes, default=-1) + 1)]
-    return sorted(out, key=CompleteType.key)
+           for tables in REL_ASSIGNMENTS[theory_id](max(classes, default=-1) + 1)]
+    return sorted(out, key=lambda row: row[0])
+
+
+def from_tables(theory_id, classes, tables):
+    """The 1-by-m diagram with these classes and relation tables, read
+    through the entry point that reads a model's relation values; None if
+    some class or pair has values no diagram has."""
+    between = pair_codes(theory_id).between_of(max(classes, default=-1) + 1,
+                                               lambda rel, a, b: (a, b) in tables[rel])
+    return None if between is None else CompleteType(theory_id, 1, len(classes),
+                                                     classes, between)
+
+
+def satisfies_qf(t, f):
+    """Whether the quantifier-free `f` holds on the diagram `t`, judged
+    literal by literal on the relation tables that `t.key()` lists (the
+    evaluator the diagrams carried when they held their tables)."""
+    tables = dict(t.key()[1])
+
+    def cls(v):
+        return t.classes[v.tape * t.n + v.position]
+
+    def holds(g):
+        if isinstance(g, (Top, Bot)):
+            return isinstance(g, Top)
+        if isinstance(g, Eq):
+            return cls(g.lhs) == cls(g.rhs)
+        if isinstance(g, Atom):
+            return (cls(g.args[0]), cls(g.args[1])) in tables[g.rel]
+        if isinstance(g, Not):
+            return not holds(g.sub)
+        if isinstance(g, Implies):
+            return not holds(g.lhs) or holds(g.rhs)
+        return (all if isinstance(g, And) else any)(map(holds, g.children))
+    return holds(f)
 
 
 def pair_literals(theory_id, a, b, forward, backward):
@@ -223,10 +264,12 @@ def test_admits_matches_raw_bit_oracle(theory_id):
         accepted = set()
         for bits in itertools.product((False, True), repeat=len(cells) * len(rel_names)):
             rel = dict(zip(cells, bits))
-            rels = tuple((r, frozenset(p for p in cells if rel[p])) for r in rel_names)
-            t = CompleteType(theory_id, 1, c, tuple(range(c)), rels)
-            assert pc.admits(t) == ok(rel, {}, lambda _, i, j: i == j, c), (c, rels)
-            if pc.admits(t):
+            tables = {r: frozenset(p for p in cells if rel[p]) for r in rel_names}
+            t = from_tables(theory_id, tuple(range(c)), tables)
+            admitted = t is not None and pc.admits(t)
+            assert admitted == ok(rel, {}, lambda _, i, j: i == j, c), (c, tables)
+            if admitted:
+                assert t.key() == table_key(t.classes, tables)
                 accepted.add(t.key())
         distinct = {d.key() for d in diagrams_over(theory_id, c)
                     if d.classes == tuple(range(c))}
@@ -279,10 +322,11 @@ def test_extension_enumerator_matches_product(theory):
     codes = pair_codes(th)
     for m in range(6 if theory == "randomgraph" else 7):
         want = product_diagrams(theory, m)
-        assert [d.key() for d in diagrams_over(th, m)] == [d.key() for d in want]
+        assert [d.key() for d in diagrams_over(th, m)] == [key for key, _, _ in want]
         got = list(diagram_codes(th, 1, m))
         assert len(set(got)) == len(got) == len(want)
-        assert set(got) == {codes.codes_of(d) for d in want}
+        assert set(got) == {codes.codes_of(from_tables(theory, classes, tables))
+                            for _, classes, tables in want}
 
 
 @pytest.mark.parametrize("theory,text", [
@@ -466,7 +510,7 @@ def test_diagram_formula_roundtrip():
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
         for t in enumerate_types(theory, 1, 3):
             sat = [u for u in enumerate_types(theory, 1, 3)
-                   if u.satisfies_qf(t.diagram_formula())]
+                   if satisfies_qf(u, t.diagram_formula())]
             assert [u.key() for u in sat] == [t.key()]
 
 
@@ -475,7 +519,7 @@ def conj_diagram_formula(t):
     variable tied to its class representative, each representative pair
     pinned relation by relation (the construction the literal table
     replaces)."""
-    theory = t.theory
+    theory = get_theory(t.theory_id)
     vs = [VarRef(tp, p) for tp in range(t.k) for p in range(t.n)]
     lits, reps = [], {}
     for i, c in enumerate(t.classes):
@@ -483,7 +527,7 @@ def conj_diagram_formula(t):
             lits.append(Eq(reps[c], vs[i]))
         else:
             reps[c] = vs[i]
-    tables = [t.rel_table(rel) for rel, _ in theory.signature.relations]
+    tables = [dict(t.key()[1])[rel] for rel, _ in theory.signature.relations]
     for a, b in itertools.combinations(sorted(reps), 2):
         for table in tables or [frozenset()]:
             lits += pair_literals(theory.id, reps[a], reps[b], (a, b) in table,
@@ -663,3 +707,20 @@ def test_canonical_form_cap_fields(monkeypatch):
     with pytest.raises(ResourceCapError) as exc:
         canonical_form(f, "pureset")
     assert (exc.value.cap, exc.value.limit, exc.value.observed) == ("canonical-vars", 3, 4)
+
+
+@pytest.mark.parametrize("theory", CLASH_THEORIES, ids=lambda t: t.id)
+def test_canonical_form_is_idempotent_and_agrees_with_qe(theory):
+    # the canonical form of a generated formula is its own canonical form,
+    # and it holds on exactly the diagrams of the formula's grid on which
+    # the formula's QE does
+    pool = diagrams_over(theory, 4)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(qf_formulas(theory))
+    def check(f):
+        c = canonical_form(f, theory)
+        assert canonical_form(c, theory) == c, render_formula(f)
+        g = eliminate_quantifiers(f, theory)
+        assert all(satisfies_qf(d, c) == satisfies_qf(d, g) for d in pool), render_formula(f)
+    check()
