@@ -363,6 +363,14 @@ PINNED_REPORTS = [
     ("groupoid verify --theory equivinf --level 1", 0, "d930fbb5e335"),
     ("section --theory dlo --steps 3", 0, "697a945e5ec9"),
     ("reconstruct --theory pureset --budget 8", 0, "33e2146a0bbc"),
+    ("section --theory equivinf --steps 6", 0, "828f06d47690"),
+    ("section --theory pureset --steps 6", 0, "608022c7efd4"),
+    ("section --theory randomgraph --steps 3", 0, "c0a7767ffefb"),
+    # the recorded section-schedule defect: both print the same error report
+    ("section --theory dlo --steps 4", 1, "e4f4ec4ddc11"),
+    ("section --theory randomgraph --steps 4", 1, "e4f4ec4ddc11"),
+    ("universality --theory randomgraph -k 2 --samples 4", 0, "64b8dbc1194c"),
+    ("reconstruct --theory dlo --budget 8", 0, "5872196b8d90"),
 ]
 
 
