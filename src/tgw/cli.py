@@ -16,8 +16,8 @@ import sys
 import time
 from dataclasses import replace
 
-from .categorical import (apply_mstar, section_schedule, skolem_map,
-                          universality_check)
+from .categorical import (apply_mstar, schedule_holds, section_schedule,
+                          skolem_map, universality_check)
 from .errors import ParseError, PreconditionError, ResourceCapError, TgwError
 from .formula import free_vars, parse_formula, rename_tapes, render_formula
 from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
@@ -207,7 +207,7 @@ def cmd_section(cfg):
     steps = cfg["steps"]
     sched = section_schedule(seq, steps)
     M = _model(cfg)
-    certs = [_cert("schedule-verified", True, m=list(sched.m),
+    certs = [_cert("schedule-verified", schedule_holds(seq, sched), m=list(sched.m),
                    B=list(sched.b_bounds))]
     items = {"m": list(sched.m), "A": [list(ab) for ab in sched.a_bounds],
              "B": list(sched.b_bounds)}
@@ -217,7 +217,7 @@ def cmd_section(cfg):
         cert = apply_mstar(a, sched, M, seq)
         items["output"] = [M.render_element(e) for e in cert.output_elements]
         certs.append(_cert("reference-type-checks", cert.ok))
-        certs.append(_cert("window-property", True,
+        certs.append(_cert("window-property", cert.windows_ok,
                            windows=[list(w) for w in cert.window_checks]))
     return items, certs
 

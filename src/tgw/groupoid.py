@@ -25,8 +25,8 @@ from .formula import (Eq, Formula, VarRef, conj, disj, free_vars, implies, neg,
 from .models import compile_formula
 from .rich import RichSequence
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
-                       decide_sentence, diagram_codes, eliminate_quantifiers,
-                       enumerate_types, grid_index, pair_codes, restriction_map)
+                       diagram_codes, eliminate_quantifiers, enumerate_types,
+                       grid_index, pair_codes, restriction_map)
 
 
 def merge_tape(f: Formula, src: int, dst: int) -> Formula:
@@ -113,9 +113,7 @@ def target_clopen(U: ClopenSet) -> ClopenSet:
 
 
 def contains_base(U: ClopenSet) -> bool:
-    diag = merge_tape(U.formula, 1, 0)
-    sentence = U.seq.relativize_forall(diag, tape=0)
-    return decide_sentence(sentence, U.theory)
+    return U.seq.valid(merge_tape(U.formula, 1, 0), 1)
 
 
 def clopen_le(U: ClopenSet, V: ClopenSet) -> bool:
@@ -146,7 +144,6 @@ def separating_type(U: ClopenSet, V: ClopenSet) -> CompleteType | None:
 @dataclass(frozen=True)
 class SubGroupoid:
     clopen: ClopenSet
-    certificate: tuple[tuple[str, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -176,9 +173,7 @@ def is_subgroupoid(U: ClopenSet):
     sq = compose_clopen(U, U)
     if not clopen_equiv(sq, U):
         return Refusal("multiplicatively-closed", separating_type(U, sq))
-    cert = (("symmetric", True), ("contains-base", True),
-            ("multiplicatively-closed", True))
-    return SubGroupoid(U, cert)
+    return SubGroupoid(U)
 
 
 def minimal_en_index(H: SubGroupoid, search_bound: int) -> int:

@@ -20,6 +20,7 @@ the body on one realisation per diagram decides the quantifier.
 """
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,7 +372,6 @@ def tuple_type(M: ModelHandle, tuples: list) -> CompleteType:
 
 @dataclass(frozen=True)
 class DTuple:
-    theory_id: str
     level: int
     elements: tuple
     checks: tuple[bool, ...]
@@ -387,10 +387,8 @@ _WITNESS_TESTS: dict[Formula, tuple[Callable, Callable]] = {}
 
 def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
                  pins: dict | None = None, base=()) -> DTuple:
-    """Greedy tuple construction: position k takes a witness of the k-th
-    enumeration formula when one exists (preferred elements first, then the
-    carrier in index order), and otherwise the next element advancing
-    `cover`.  `pins` forces stated positions; `base` fixes a prefix."""
+    """Greedy tuple construction: each position takes `next_entry`, except
+    that `pins` forces stated positions and `base` fixes a prefix."""
     pins = pins or {}
     elements: list = []
     asg: dict = {}   # x_i -> elements[i] for the positions placed so far
@@ -401,27 +399,30 @@ def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
         elif p in pins:
             choice = pins[p]
         else:
-            has, holds = _witness_tests(phi)
-            if has(M, asg, 0):
-                for choice in _witness_scan(M, prefer):
-                    asg[Y0] = choice
-                    if holds(M, asg, 0):
-                        break
-                else:
-                    raise InternalConsistencyError(
-                        f"no witness found for slot {p} within the scan bound")
-                del asg[Y0]
-            else:
-                choice = next((e for e in cover if e not in elements), None)
-                if choice is None:
-                    i = 0
-                    while M.element(i) in elements:
-                        i += 1
-                    choice = M.element(i)
+            choice = next_entry(M, phi, asg, elements, cover, prefer)
         elements.append(choice)
         asg[VarRef(0, p)] = choice
     checks = certify_dtuple(M, seq, tuple(elements))
-    return DTuple(M.theory.id, n, tuple(elements), checks)
+    return DTuple(n, tuple(elements), checks)
+
+
+def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
+               cover=(), prefer=()):
+    """The entry placed after `elements`, which `asg` assigns to x_0, x_1,
+    ...: a witness y0 of `phi` when one exists (preferred elements first,
+    then the carrier in index order), and otherwise the next element
+    advancing `cover`."""
+    has, holds = _witness_tests(phi)
+    if has(M, asg, 0):
+        for choice in _witness_scan(M, prefer):
+            asg[Y0] = choice
+            if holds(M, asg, 0):
+                del asg[Y0]
+                return choice
+        raise InternalConsistencyError(
+            f"no witness found for slot {len(elements)} within the scan bound")
+    return next(e for e in itertools.chain(cover, map(M.element, itertools.count()))
+                if e not in elements)
 
 
 def _witness_tests(phi: Formula) -> tuple[Callable, Callable]:

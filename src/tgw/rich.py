@@ -16,8 +16,8 @@ optional user prefix P of length L:
              formulas behind the trivialising section; they may use the
              slot numbers of earlier steps, which is well founded)
   item 3j+2  the copy stream: eq(xj, y0), so the entry at position j is
-             echoed shortly before the j-th schedule slot; this keeps the
-             schedule's realization scans ahead of the slots they define
+             echoed shortly before the j-th schedule slot; this keeps each
+             realisation scan ahead of the slots it defines
 
 A slot falls back to `true` when its item needs x-positions >= the slot
 index, which also realises the dummy padding of richness: each item
@@ -44,10 +44,11 @@ from .errors import (InternalConsistencyError, PreconditionError,
 from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
                       conj, disj, exists, forall, free_vars, implies, neg,
                       rename_tapes, substitute_vars)
-from .models import Y0, build_dtuple, compile_formula, make_model, tuple_type
+from .models import Y0, compile_formula, make_model, next_entry, tuple_type
 from .pairing import cantor_unpair
-from .theories import (decide_sentence, depends_on_all_vars, diagrams_over,
-                       eliminate_quantifiers, get_theory)
+from .theories import (CompleteType, decide_sentence, depends_on_all_vars,
+                       diagram_codes, diagrams_over, eliminate_quantifiers,
+                       get_theory, pair_codes)
 
 CANONICAL_RANK_CAP = 20_000
 CANONICAL_WEIGHT_CAP = 18
@@ -170,7 +171,7 @@ class RichSequence:
     canonical layout, shifted past the prefix.  `section` is the
     trivialising-section state over the sequence's pinned reference tuple:
     it builds the schedule stream's formulas, and the categorical suite
-    reads its `plan`, `model`, `one_types_over` and `first_realization`."""
+    reads its `plan`, `model` and `realisations`."""
 
     def __init__(self, theory, prefix=()):
         self.theory = get_theory(theory)
@@ -294,66 +295,67 @@ class RichSequence:
 # -- the self-referential section-schedule stream ------------------------------
 
 class _SectionState:
-    """Computes the trivialising-section data for the sequence's pinned base
-    tuple: the reference tuple itself, the realization bounds A_n, the block
-    bounds B_k, and the per-step formulas placed at the schedule slots."""
+    """The trivialising-section data for the sequence's pinned reference
+    tuple, which grows one entry at a time in a model of its own.  For each
+    n, `realisations` scans the entries n, n+1, ... once and records where
+    each 1-type over the first n entries is first realised; the realisation
+    bounds A_n, the block bounds B_k and the per-step formulas placed at the
+    schedule slots all read that record."""
 
     def __init__(self, seq: RichSequence):
         self.seq = seq
         self.model = make_model(seq.theory)
         self._tuple: list = []
+        self._asg: dict = {}   # x_i -> entry i
         self._steps: dict[int, Formula] = {}
-        self._a: dict[int, int] = {}
+        self._realised: dict[int, dict[CompleteType, int]] = {}
         self._b: list[int] = [0]
         self._computing: set[int] = set()
 
     def tuple_prefix(self, n: int) -> list:
+        """The first n reference entries.  Each new entry is placed as
+        `build_dtuple` would place it and its defining clause is certified
+        once; the model first grows by `_cover`, and its witnesses depend
+        on that growth."""
         while len(self._tuple) < n:
             p = len(self._tuple)
-            ext = build_dtuple(self.model, self.seq, p + 1,
-                               cover=_cover(self.model, p + 1),
-                               base=tuple(self._tuple))
-            self._tuple = list(ext.elements)
+            cover = _cover(self.model, p + 1)
+            entry = next_entry(self.model, self.seq.rich_formula(p), self._asg,
+                               self._tuple, cover)
+            self._tuple.append(entry)
+            self._asg[VarRef(0, p)] = entry
+            if not compile_formula(self.seq.defining_clause(p))(self.model, self._asg, 0):
+                raise InternalConsistencyError(
+                    f"reference entry {p} fails its defining clause")
         return self._tuple[:n]
 
-    def one_types_over(self, n: int):
-        """Complete diagrams over (c_<n, y) consistent with the prefix type."""
+    def realisations(self, n: int) -> dict[CompleteType, int]:
+        """Each 1-type over the first n entries -> the least position i >= n
+        whose entry realises it, in position order.  One scan reads each
+        entry's type with `tuple_type` and stops once it has met every
+        1-type over the prefix, as many as `diagram_codes` extends the
+        prefix's codes by one variable."""
+        if n in self._realised:
+            return self._realised[n]
         prefix = self.tuple_prefix(n)
-        pool = diagrams_over(self.seq.theory, n + 1)
-        if n == 0:
-            return list(pool)
-        # the first n variables of a diagram hold its first classes, whose
-        # codes lead its `between`
-        ref = tuple_type(self.model, [prefix])
-        return [d for d in pool if d.classes[:n] == ref.classes
-                and d.between[:len(ref.between)] == ref.between]
-
-    def first_realization(self, diagram, n: int, stop: int) -> int | None:
-        """Least i in [n, stop) such that entry i realises `diagram` over
-        the first n entries, or None."""
-        holds = compile_formula(diagram.diagram_formula())
-        asg = {VarRef(0, j): e for j, e in enumerate(self.tuple_prefix(n))}
-        for i in range(n, stop):
-            asg[VarRef(0, n)] = self.tuple_prefix(i + 1)[i]
-            if holds(self.model, asg, 0):
-                return i
-        return None
+        codes = pair_codes(self.seq.theory).codes_of(tuple_type(self.model, [prefix]))
+        want = sum(1 for _ in diagram_codes(self.seq.theory, 1, n + 1, prefix=codes))
+        found: dict[CompleteType, int] = {}
+        for i in range(n, SECTION_SCAN_CAP):
+            found.setdefault(tuple_type(self.model, [prefix + [self.tuple_prefix(i + 1)[i]]]), i)
+            if len(found) == want:
+                break
+        else:
+            raise InternalConsistencyError(
+                f"no realization of a 1-type over the first {n} entries "
+                f"within {SECTION_SCAN_CAP} positions")
+        self._realised[n] = found
+        return found
 
     def a_bound(self, n: int) -> int:
         """Least A with every 1-type over the reference prefix realised at
         some position in [n, A)."""
-        if n in self._a:
-            return self._a[n]
-        worst = n
-        for d in self.one_types_over(n):
-            i = self.first_realization(d, n, SECTION_SCAN_CAP)
-            if i is None:
-                raise InternalConsistencyError(
-                    f"no realization of a 1-type over the first {n} entries "
-                    f"within {SECTION_SCAN_CAP} positions")
-            worst = max(worst, i + 1)
-        self._a[n] = worst
-        return worst
+        return max(self.realisations(n).values()) + 1
 
     def b_chain_through(self, n: int) -> int:
         """Index k with B_k <= n < B_{k+1}, extending the chain as needed."""
@@ -381,41 +383,34 @@ class _SectionState:
     def _build_step(self, t: int) -> Formula:
         n = t
         k = self.b_chain_through(n)
-        a_n = self.a_bound(n)
-        prefix = self.tuple_prefix(max(n + 1, a_n))
+        realised = self.realisations(n)
+        prefix = self.tuple_prefix(self.a_bound(n))
         bhat = [VarRef(0, self.seq.schedule_slot(j)) for j in range(n)]
         xk = VarRef(0, k)
 
-        def q_diagram(upto: int, extra: int | None, targets: list[VarRef]) -> Formula:
-            cols = [[prefix[j] for j in range(upto)] + ([prefix[extra]] if extra is not None else [])]
-            d = tuple_type(self.model, cols)
-            mapping = {VarRef(0, j): targets[j] for j in range(len(targets))}
-            return substitute_vars(d.diagram_formula(), mapping)
+        def pinned(d, targets: list[VarRef]) -> Formula:
+            return substitute_vars(d.diagram_formula(),
+                                   {VarRef(0, j): v for j, v in enumerate(targets)})
 
         # if the tracked entry realises the reference type of the next
-        # entry, copy it; otherwise follow the least matching realisation
-        case1 = conj([q_diagram(n + 1, None, bhat + [xk]), Eq(xk, Y0)])
-        case1_key = tuple_type(self.model, [prefix[:n + 1]]).key()
-        parts = [case1]
-        seen = {case1_key}
-        for ell in range(n + 1, a_n):
-            key = tuple_type(self.model, [prefix[:n] + [prefix[ell]]]).key()
-            if key in seen:
-                continue
-            seen.add(key)
-            guard = q_diagram(n, ell, bhat + [xk])
-            body = q_diagram(n + 1, ell, bhat + [Y0, xk])
-            parts.append(conj([guard, body]))
+        # entry (first realised at n itself), copy it; otherwise follow the
+        # least realisation of its type
+        parts = []
+        for d, ell in realised.items():
+            guard = pinned(d, bhat + [xk])
+            if ell == n:
+                parts.append(conj([guard, Eq(xk, Y0)]))
+            else:
+                body = tuple_type(self.model, [prefix[:n + 1] + [prefix[ell]]])
+                parts.append(conj([guard, pinned(body, bhat + [Y0, xk])]))
         return disj(parts)
 
     def plan(self, steps: int) -> dict:
         ms = [self.seq.schedule_slot(t) for t in range(steps)]
         for t in range(steps):
-            self.step_formula(t)
-        while self._b[-1] <= steps - 1:
-            self._b.append(self.a_bound(self._b[-1]))
-        return {"m": ms, "A": dict(sorted(self._a.items())), "B": list(self._b),
-                "steps": steps, "reference": list(self._tuple)}
+            self.step_formula(t)   # extends the block chain past t
+        return {"m": ms, "A": {n: self.a_bound(n) for n in sorted(self._realised)},
+                "B": list(self._b), "reference": list(self._tuple)}
 
 
 def _cover(model, n: int):

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from tgw.errors import PreconditionError
-from tgw.categorical import (SectionSchedule, apply_mstar, section_schedule,
-                             skolem_map, true_slots, universality_check)
+from tgw.categorical import (SectionSchedule, apply_mstar, schedule_holds,
+                             section_schedule, skolem_map, true_slots,
+                             universality_check)
 from tgw.formula import TRUE, parse_formula
-from tgw.models import build_dtuple, make_model, tuple_type
+from tgw.models import DTuple, build_dtuple, make_model, tuple_type
 from tgw.rich import RichSequence
 from tgw.theories import get_theory
 
@@ -52,6 +55,39 @@ def test_apply_mstar_dlo():
     assert cert.ok and len(cert.q_checks) == 3
 
 
+def test_apply_mstar_records_failures():
+    # the reference starts 0, 1, 2, 0, so its first three scheduled entries
+    # are distinct and the fourth repeats the first: the constant tuple loses
+    # the type at stage 2, the injective one at stage 4 and every window
+    seq = SEQS["pureset"]
+    sched = section_schedule(seq, 4)
+    assert sched.reference[:4] == (0, 1, 2, 0)
+    M = make_model("pureset")
+    level = sched.m[-1] + 1
+    const = apply_mstar(DTuple(level, (0,) * level, ()), sched, M, seq)
+    assert not const.ok
+    assert const.q_checks == ((1, True), (2, False), (3, False), (4, False))
+    assert const.windows_ok
+    injective = apply_mstar(DTuple(level, tuple(range(level)), ()), sched, M, seq)
+    assert [ok for _, ok in injective.q_checks] == [True, True, True, False]
+    assert injective.window_checks == ((0, None), (1, None))
+    assert not injective.windows_ok
+
+
+@pytest.mark.parametrize("theory,steps", [("pureset", 4), ("dlo", 3),
+                                          ("randomgraph", 3), ("equivinf", 4)])
+def test_schedule_holds_checks_the_record(theory, steps):
+    seq = SEQS[theory]
+    sched = section_schedule(seq, steps)
+    assert schedule_holds(seq, sched)
+    # an entry repeated everywhere realises only the types that repeat it
+    same = (sched.reference[0],) * len(sched.reference)
+    assert not schedule_holds(seq, replace(sched, reference=same))
+    # a bound that is not past its n
+    bounds = tuple((n, n if n == 1 else a) for n, a in sched.a_bounds)
+    assert not schedule_holds(seq, replace(sched, a_bounds=bounds))
+
+
 def test_apply_mstar_level_precondition():
     seq = SEQS["dlo"]
     sched = section_schedule(seq, 3)
@@ -72,7 +108,6 @@ def test_section_property_across_base_points():
         a = build_dtuple(M, seq, sched.m[-1] + 1, prefer=[M.element(s)],
                          cover=[M.element(i) for i in range(10)])
         cert = apply_mstar(a, sched, M, seq)
-        assert cert.input_elements == a.elements
         keys.add(tuple_type(M, [list(cert.output_elements)]).key())
     assert len(keys) == 1
 

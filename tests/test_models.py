@@ -140,7 +140,7 @@ def test_dtuple_certificate_reevaluates():
     seq = SeqStub("dlo", ["lt(x0,y0)", "lt(y0,x0)"])
     dt = build_dtuple(M, seq, 3)
     assert dt.ok
-    bad = DTuple("dlo", 2, (Fraction(0), Fraction(-1)), ())
+    bad = DTuple(2, (Fraction(0), Fraction(-1)), ())
     from tgw.models import certify_dtuple
     assert certify_dtuple(M, seq, bad.elements) == (True, False)
 

@@ -6,9 +6,11 @@ from tgw.errors import PreconditionError
 from tgw.formula import (FALSE, TRUE, Eq, Forall, Implies, VarRef, conj,
                          exists, forall, free_vars, neg, parse_formula,
                          render_formula, substitute_vars)
-from tgw.models import Y0, evaluate, make_model
-from tgw.rich import RichSequence
-from tgw.theories import decide_sentence, eliminate_quantifiers, get_theory
+from tgw.models import (Y0, certify_dtuple, compile_formula, evaluate,
+                        make_model, tuple_type)
+from tgw.rich import SECTION_SCAN_CAP, RichSequence
+from tgw.theories import (decide_sentence, diagrams_over,
+                          eliminate_quantifiers, get_theory)
 
 
 def parse(text, theory):
@@ -166,3 +168,43 @@ def test_section_plan_dlo():
     plan = RichSequence("dlo").section.plan(3)
     assert plan["A"][0] == 1 and plan["B"][1] == 1
     assert len(plan["m"]) == 3
+
+
+def one_types_over(section, n):
+    """Oracle: the complete diagrams over (c_<n, y) whose first n variables
+    hold the reference prefix's type, filtered from the whole pool."""
+    ref = tuple_type(section.model, [section.tuple_prefix(n)])
+    return [d for d in diagrams_over(section.seq.theory, n + 1)
+            if d.classes[:n] == ref.classes
+            and d.between[:len(ref.between)] == ref.between]
+
+
+def first_realization(section, diagram, n):
+    """Oracle: the least i >= n whose entry satisfies the diagram formula
+    over the first n entries, evaluated at each position in turn."""
+    holds = compile_formula(diagram.diagram_formula())
+    asg = {x(j): e for j, e in enumerate(section.tuple_prefix(n))}
+    for i in range(n, SECTION_SCAN_CAP):
+        asg[x(n)] = section.tuple_prefix(i + 1)[i]
+        if holds(section.model, asg, 0):
+            return i
+    return None
+
+
+# the steps each theory's section reaches before the recorded self-slot
+# defect, and the n whose realisations those steps read
+@pytest.mark.parametrize("theory,steps", [("pureset", 6), ("equivinf", 6),
+                                          ("dlo", 3), ("randomgraph", 3)])
+def test_realisation_scan_matches_oracles(theory, steps):
+    section = RichSequence(theory).section
+    plan = section.plan(steps)
+    for n in range(steps):
+        record = section.realisations(n)
+        types = one_types_over(section, n)
+        assert len(record) == len(types), n
+        assert {d.key(): i for d, i in record.items()} == \
+            {d.key(): first_realization(section, d, n) for d in types}, n
+        assert list(record.values()) == sorted(record.values())
+        assert section.a_bound(n) == max(record.values()) + 1
+    # each entry's defining clause was checked once, when it was placed
+    assert all(certify_dtuple(section.model, section.seq, tuple(plan["reference"])))
