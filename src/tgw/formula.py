@@ -4,25 +4,77 @@ Variables are tape-indexed: tape 0 prints as x, 1 as y, 2 as z, 3 as w, and
 tape t >= 4 as v<t>.  A variable token is <tapeletter><position>, e.g. x0,
 y12, v45 (tape 4, position 5).
 
-Connectives & and | are stored as flattened n-ary nodes with children in a
-deterministic structural order, so structurally equal formulas are equal
-Python values and can back caches.  Rendering nests n-ary nodes back into
-the binary grammar, right-associated.
+Formulas and variables are hash-consed: a constructor returns the one node
+already built from the same class and fields, so structurally equal formulas
+are the same object, compared and hashed by identity, and can back caches.
+Each node stores its structural sort key and its free variables, computed
+once from its children's.  Connectives & and | are stored as flattened
+n-ary nodes with children in sort-key order.  Rendering nests n-ary nodes
+back into the binary grammar, right-associated.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 
 from .errors import ParseError, SignatureError
 
 TAPE_LETTERS = "xyzw"
 
+# (class, *fields) -> the node.  Fields are str, int or tuples of nodes, so a
+# lookup hashes nothing deeper than one level.  The table lives as long as
+# the process.
+_NODES: dict[tuple, _Node] = {}
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class VarRef:
-    tape: int
-    position: int
+
+class _Node:
+    """A hash-consed value.  `_fields` are the constructor's arguments;
+    `_derive` returns the values of `_derived`, read off fields that are
+    themselves nodes, so nothing recurses.  Equality and hashing are
+    object identity; assignment raises."""
+
+    __slots__ = ("sort_key",)
+    _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ("sort_key",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                _set(node, name, value)
+            for name, value in zip(cls._derived, node._derive()):
+                _set(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+@total_ordering
+class VarRef(_Node):
+    """Ordered by (tape, position)."""
+
+    __slots__ = _fields = ("tape", "position")
+
+    def _derive(self):
+        return ((self.tape, self.position),)
+
+    def __lt__(self, other):
+        return self.sort_key < other.sort_key if type(other) is VarRef else NotImplemented
 
     def render(self) -> str:
         if 0 <= self.tape < 4:
@@ -32,16 +84,14 @@ class VarRef:
         raise ValueError(f"tape {self.tape} has no printable letter")
 
 
-@dataclass(frozen=True)
 class Signature:
     """Relational signature; equality is always available and not listed."""
 
-    name: str
-    relations: tuple[tuple[str, int], ...] = ()
+    __slots__ = ("name", "relations")
 
-    def __post_init__(self):
+    def __init__(self, name: str, relations: tuple[tuple[str, int], ...] = ()):
         seen = set()
-        for sym, arity in self.relations:
+        for sym, arity in relations:
             if sym in seen:
                 raise SignatureError(f"duplicate relation symbol {sym!r}")
             if sym in ("true", "false", "eq", "exists", "forall") or not sym.isalpha():
@@ -49,6 +99,8 @@ class Signature:
             if arity < 1:
                 raise SignatureError(f"relation {sym!r} must have arity >= 1")
             seen.add(sym)
+        self.name = name
+        self.relations = relations
 
     def arity(self, sym: str) -> int | None:
         for s, a in self.relations:
@@ -57,89 +109,100 @@ class Signature:
         return None
 
 
-class Formula:
-    __slots__ = ()
+class Formula(_Node):
+    """`sort_key` is a total structural order, used for canonical child
+    ordering; `free_vars` is the frozenset of free variables."""
+
+    __slots__ = ("free_vars",)
+    _derived = ("sort_key", "free_vars")
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     __slots__ = ()
 
+    def _derive(self):
+        return (0,), frozenset()
 
-@dataclass(frozen=True)
+
 class Bot(Formula):
     __slots__ = ()
 
+    def _derive(self):
+        return (1,), frozenset()
 
-@dataclass(frozen=True)
+
 class Atom(Formula):
-    rel: str
-    args: tuple[VarRef, ...]
+    __slots__ = _fields = ("rel", "args")
+
+    def _derive(self):
+        return (2, self.rel, tuple(v.sort_key for v in self.args)), frozenset(self.args)
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    lhs: VarRef
-    rhs: VarRef
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def _derive(self):
+        return ((3, "", (self.lhs.sort_key, self.rhs.sort_key)),
+                frozenset((self.lhs, self.rhs)))
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = _fields = ("sub",)
+
+    def _derive(self):
+        return (4, self.sub.sort_key), self.sub.free_vars
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    children: tuple[Formula, ...]
+class _Junction(Formula):
+    __slots__ = _fields = ("children",)
+
+    def _derive(self):
+        cs = self.children
+        return ((self._rank, tuple(c.sort_key for c in cs)),
+                frozenset().union(*(c.free_vars for c in cs)))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    children: tuple[Formula, ...]
+class And(_Junction):
+    __slots__ = ()
+    _rank = 5
 
 
-@dataclass(frozen=True)
+class Or(_Junction):
+    __slots__ = ()
+    _rank = 6
+
+
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def _derive(self):
+        return ((7, (self.lhs.sort_key, self.rhs.sort_key)),
+                self.lhs.free_vars | self.rhs.free_vars)
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: VarRef
-    body: Formula
+class _Quantifier(Formula):
+    __slots__ = _fields = ("var", "body")
+
+    def _derive(self):
+        return ((self._rank, (self.var.sort_key,), self.body.sort_key),
+                self.body.free_vars - {self.var})
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: VarRef
-    body: Formula
+class Exists(_Quantifier):
+    __slots__ = ()
+    _rank = 8
+
+
+class Forall(_Quantifier):
+    __slots__ = ()
+    _rank = 9
 
 
 TRUE = Top()
 FALSE = Bot()
 
-_RANK = {Top: 0, Bot: 1, Atom: 2, Eq: 3, Not: 4, And: 5, Or: 6, Implies: 7,
-         Exists: 8, Forall: 9}
-
-
-def sort_key(f: Formula):
-    """Total structural order used for canonical child ordering."""
-    t = type(f)
-    r = _RANK[t]
-    if t in (Top, Bot):
-        return (r,)
-    if t is Atom:
-        return (r, f.rel, tuple((v.tape, v.position) for v in f.args))
-    if t is Eq:
-        return (r, "", ((f.lhs.tape, f.lhs.position), (f.rhs.tape, f.rhs.position)))
-    if t is Not:
-        return (r, sort_key(f.sub))
-    if t in (And, Or):
-        return (r, tuple(sort_key(c) for c in f.children))
-    if t is Implies:
-        return (r, (sort_key(f.lhs), sort_key(f.rhs)))
-    return (r, ((f.var.tape, f.var.position),), sort_key(f.body))
+sort_key = attrgetter("sort_key")
+free_vars = attrgetter("free_vars")
 
 
 # -- smart constructors ------------------------------------------------------
@@ -157,30 +220,20 @@ def neg(f: Formula) -> Formula:
 
 
 def _assoc(items, node_type, absorber, neutral):
-    flat = []
+    flat = set()
     for f in items:
-        if isinstance(f, node_type):
-            flat.extend(f.children)
-        elif isinstance(f, type(absorber)):
+        if type(f) is node_type:
+            flat.update(f.children)
+        elif f is absorber:
             return absorber
-        elif isinstance(f, type(neutral)):
-            continue
-        else:
-            flat.append(f)
-    seen = set()
-    out = []
-    for f in sorted(flat, key=sort_key):
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    for f in out:
-        if neg(f) in seen:
-            return absorber
-    if not out:
-        return neutral
-    if len(out) == 1:
-        return out[0]
-    return node_type(tuple(out))
+        elif f is not neutral:
+            flat.add(f)
+    # a negation never built cannot be among the children
+    if any((f.sub if type(f) is Not else _NODES.get((Not, f))) in flat for f in flat):
+        return absorber
+    if len(flat) < 2:
+        return flat.pop() if flat else neutral
+    return node_type(tuple(sorted(flat, key=sort_key)))
 
 
 def conj(items) -> Formula:
@@ -231,25 +284,6 @@ def forall(var: VarRef, body: Formula) -> Formula:
 
 
 # -- variables ---------------------------------------------------------------
-
-def free_vars(f: Formula) -> frozenset[VarRef]:
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Eq):
-        return frozenset((f.lhs, f.rhs))
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for c in f.children:
-            out |= free_vars(c)
-        return out
-    if isinstance(f, Implies):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    return free_vars(f.body) - {f.var}
-
 
 def all_vars(f: Formula) -> frozenset[VarRef]:
     if isinstance(f, (Exists, Forall)):

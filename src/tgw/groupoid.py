@@ -44,7 +44,7 @@ class ClopenSet:
     level: int
 
     def __post_init__(self):
-        for v in free_vars(self.formula):
+        for v in sorted(free_vars(self.formula)):
             if v.tape >= self.arity or v.position >= self.level:
                 raise PreconditionError(
                     f"{v.render()} outside the {self.arity}x{self.level} window")

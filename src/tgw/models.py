@@ -237,8 +237,8 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
 
 def compile_formula(f: Formula) -> Callable[[ModelHandle, dict, int], bool]:
     """The closure that evaluates `f`, compiled on first use and then kept
-    per structurally equal formula; its third argument is the quantifier
-    depth the call is made at."""
+    per formula node (structurally equal formulas are one node); its third
+    argument is the quantifier depth the call is made at."""
     test = _COMPILED.get(f)
     if test is None:
         test = _COMPILED[f] = _compile(f)

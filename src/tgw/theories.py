@@ -66,10 +66,6 @@ DNF_CUBE_CAP = 200_000
 ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 
 
-def _sorted_pair(a: VarRef, b: VarRef) -> tuple[VarRef, VarRef]:
-    return (a, b) if (a.tape, a.position) <= (b.tape, b.position) else (b, a)
-
-
 class Theory:
     """Base for the built-in theories.  Besides the signature, a theory is
     two hooks: `normalize_literal` (the literal normal form) and
@@ -85,8 +81,7 @@ class Theory:
         if isinstance(atom, Eq):
             if atom.lhs == atom.rhs:
                 return FALSE if negated else TRUE
-            a, b = _sorted_pair(atom.lhs, atom.rhs)
-            lit = Eq(a, b)
+            lit = Eq(*sorted((atom.lhs, atom.rhs)))
             return Not(lit) if negated else lit
         raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
 
@@ -147,7 +142,7 @@ class DenseLinearOrder(Theory):
         if isinstance(atom, Eq):
             if atom.lhs == atom.rhs:
                 return FALSE if negated else TRUE
-            a, b = _sorted_pair(atom.lhs, atom.rhs)
+            a, b = sorted((atom.lhs, atom.rhs))
             if negated:  # a != b  <=>  a < b or b < a
                 return disj([Atom("lt", (a, b)), Atom("lt", (b, a))])
             return Eq(a, b)
@@ -155,7 +150,7 @@ class DenseLinearOrder(Theory):
         if a == b:
             return TRUE if negated else FALSE
         if negated:  # not a < b  <=>  b < a or a = b
-            return disj([Atom("lt", (b, a)), Eq(*_sorted_pair(a, b))])
+            return disj([Atom("lt", (b, a)), Eq(*sorted((a, b)))])
         return atom
 
     def eliminate_one(self, v, lits):
@@ -180,7 +175,7 @@ class RandomGraph(Theory):
         a, b = atom.args
         if a == b:
             return TRUE if negated else FALSE  # adjacency is irreflexive
-        lit = Atom("adj", _sorted_pair(a, b))
+        lit = Atom("adj", tuple(sorted((a, b))))
         return Not(lit) if negated else lit
 
     def eliminate_one(self, v, lits):
@@ -204,7 +199,7 @@ class EquivInf(Theory):
         a, b = atom.args
         if a == b:
             return FALSE if negated else TRUE  # reflexive
-        lit = Atom("equiv", _sorted_pair(a, b))
+        lit = Atom("equiv", tuple(sorted((a, b))))
         return Not(lit) if negated else lit
 
     def eliminate_one(self, v, lits):
@@ -338,10 +333,6 @@ def _dnf(theory: Theory, f: Formula) -> list[frozenset]:
     raise InternalConsistencyError(f"not in NNF: {render_formula(f)}")
 
 
-def _cube_formula(cube: frozenset) -> Formula:
-    return conj(sorted(cube, key=sort_key))
-
-
 def _exists_one(theory: Theory, v: VarRef, qf: Formula) -> Formula:
     if v not in free_vars(qf):
         return qf
@@ -350,7 +341,7 @@ def _exists_one(theory: Theory, v: VarRef, qf: Formula) -> Formula:
         with_v = sorted((l for l in cube if v in free_vars(l)), key=sort_key)
         rest = [l for l in cube if v not in free_vars(l)]
         reduced = theory.eliminate_one(v, with_v)
-        out.append(conj([_cube_formula(frozenset(rest)), reduced]))
+        out.append(conj(rest + [reduced]))
     return disj(out)
 
 

@@ -11,7 +11,11 @@ import pytest
 import tgw
 from tgw import categorical, cli, groupoid, rich, theories
 from tgw.cli import COMMANDS, HANDLERS, config_from_args, first_failure, main, run
+from tgw.formula import TRUE, parse_formula
 from tgw.groupoid import LevelTable
+
+
+DLO = theories.get_theory("dlo").signature
 
 
 def capture(capsys, argv):
@@ -64,6 +68,23 @@ def test_source_certificate_is_computed(capsys, monkeypatch):
     code, rep = capture(capsys, argv)
     assert code == 1
     assert rep["certificates"] == [{"name": "target-is-source-of-inverse", "passed": False}]
+    # a projection that forgets its body, used for the source and inside the
+    # target alike, keeps the target the source of the inverse; the level
+    # table's points tell
+    monkeypatch.undo()
+
+    def forget(U):
+        return groupoid.ClopenSet(U.seq, 1, TRUE, U.level)
+
+    monkeypatch.setattr(groupoid, "source_clopen", forget)
+    monkeypatch.setattr(cli, "source_clopen", forget)
+    U = groupoid.clopen(rich.RichSequence("dlo"), parse_formula(argv[-1], DLO), arity=2)
+    assert groupoid.clopen_equiv(groupoid.target_clopen(U),
+                                 cli.source_clopen(groupoid.invert_clopen(U)))
+    code, rep = capture(capsys, argv)
+    assert code == 1
+    assert rep["items"] == {"source": "true", "target": "true"}
+    assert rep["certificates"] == [{"name": "target-is-source-of-inverse", "passed": False}]
 
 
 def test_usage_errors():
@@ -77,6 +98,8 @@ def test_resource_cap_exit_code():
     assert main(["types", "--theory", "randomgraph", "--vars", "9",
                  "--tapes", "2"]) == 3
     assert main(["types", "--theory", "dlo", "--vars", "1", "--max-grid", "0"]) == 3
+    # the source certificate builds a 2-tape level table, capped on 3n variables
+    assert main(["source", "--theory", "dlo", "--phi", "lt(x0,y0)", "--max-grid", "2"]) == 3
 
 
 def test_verify_cap_counts_composition_amalgams(capsys):
@@ -380,4 +403,36 @@ def test_reports_are_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
     report = json.loads(capsys.readouterr().out)
     rest = {k: v for k, v in report.items() if k != "timing_ms"}
+    assert hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()[:12] == digest
+
+
+# Nodes hash by identity, so the order in which a set or dict of formulas is
+# iterated depends on where they sit in memory.  Each of these runs in a
+# fresh process that first builds unrelated formulas, a different number per
+# run, under its own string-hash seed.
+PERTURBED = """
+import sys
+from tgw.cli import main
+from tgw.formula import Atom, VarRef, conj, disj
+junk = [disj([conj([Atom("junk", (VarRef(9, i), VarRef(8, j))) for j in range(i % 5 + 2)]),
+              Atom("junk", (VarRef(7, i), VarRef(6, i)))])
+        for i in range(int(sys.argv[1]))]
+sys.exit(main(sys.argv[2:]))
+"""
+FRESH = [argv for argv, _, _ in PINNED_REPORTS
+         if argv.split()[0] in ("compose", "project", "source", "theta", "reconstruct",
+                                "section", "universality")]
+
+
+@pytest.mark.parametrize("run", range(len(FRESH)), ids=FRESH)
+def test_pinned_reports_in_perturbed_processes(run):
+    argv = FRESH[run]
+    _, code, digest = next(p for p in PINNED_REPORTS if p[0] == argv)
+    src = str(Path(tgw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": str(run),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", PERTURBED, str(97 * run + 13), *argv.split()],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    rest = {k: v for k, v in json.loads(proc.stdout).items() if k != "timing_ms"}
     assert hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()[:12] == digest

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import tgw
 from tgw.errors import ParseError, SignatureError
 from tgw.formula import (
-    And, Atom, Bot, Eq, Exists, Forall, Implies, Not, Or, Signature, Top,
-    VarRef, conj, disj, exists, forall, free_vars, implies, neg,
-    parse_formula, render_formula, rename_tapes,
+    FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall, Implies, Not, Or,
+    Signature, Top, VarRef, conj, disj, exists, forall, free_vars, implies,
+    neg, parse_formula, render_formula, rename_tapes, sort_key,
     substitute_vars,
 )
 
@@ -178,3 +184,127 @@ def test_substitution_maps_free_vars(f):
     m = {v: VarRef(v.tape + 4, v.position) for v in fv}
     g = substitute_vars(f, m)
     assert free_vars(g) == frozenset(m[v] for v in fv)
+
+
+# -- hash-consing --------------------------------------------------------------
+
+_RANK = {Top: 0, Bot: 1, Atom: 2, Eq: 3, Not: 4, And: 5, Or: 6, Implies: 7,
+         Exists: 8, Forall: 9}
+
+
+def recursive_sort_key(f):
+    """The structural order as it was computed before nodes stored it."""
+    t = type(f)
+    r = _RANK[t]
+    if t in (Top, Bot):
+        return (r,)
+    if t is Atom:
+        return (r, f.rel, tuple((v.tape, v.position) for v in f.args))
+    if t is Eq:
+        return (r, "", ((f.lhs.tape, f.lhs.position), (f.rhs.tape, f.rhs.position)))
+    if t is Not:
+        return (r, recursive_sort_key(f.sub))
+    if t in (And, Or):
+        return (r, tuple(recursive_sort_key(c) for c in f.children))
+    if t is Implies:
+        return (r, (recursive_sort_key(f.lhs), recursive_sort_key(f.rhs)))
+    return (r, ((f.var.tape, f.var.position),), recursive_sort_key(f.body))
+
+
+def recursive_free_vars(f):
+    if isinstance(f, (Top, Bot)):
+        return frozenset()
+    if isinstance(f, Atom):
+        return frozenset(f.args)
+    if isinstance(f, Eq):
+        return frozenset((f.lhs, f.rhs))
+    if isinstance(f, Not):
+        return recursive_free_vars(f.sub)
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*map(recursive_free_vars, f.children))
+    if isinstance(f, Implies):
+        return recursive_free_vars(f.lhs) | recursive_free_vars(f.rhs)
+    return recursive_free_vars(f.body) - {f.var}
+
+
+def sorted_assoc(items, node_type, absorber, neutral):
+    """`conj`/`disj` as they were written before nodes were hash-consed:
+    sort, then keep first occurrences, then look for complements."""
+    flat = []
+    for f in items:
+        if isinstance(f, node_type):
+            flat.extend(f.children)
+        elif isinstance(f, type(absorber)):
+            return absorber
+        elif not isinstance(f, type(neutral)):
+            flat.append(f)
+    out = []
+    for f in sorted(flat, key=recursive_sort_key):
+        if f not in out:
+            out.append(f)
+    if any(neg(f) in out for f in out):
+        return absorber
+    if len(out) < 2:
+        return out[0] if out else neutral
+    return node_type(tuple(out))
+
+
+def test_equal_constructions_are_one_object():
+    assert VarRef(0, 1) is x(1)
+    assert Eq(x(0), y(0)) is Eq(VarRef(0, 0), VarRef(1, 0))
+    assert Top() is TRUE and Bot() is FALSE
+    a, b = Atom("adj", (x(0), x(1))), Atom("adj", (x(1), x(2)))
+    assert conj([b, a]) is conj([a, conj([b, a])]) is And((a, b))
+    text = "forall y0. (lt(x0,y0) -> lt(x0,x1))"
+    f = parse_formula(text, DLO)
+    assert f is parse_formula(text, DLO)
+    assert f is Forall(y(0), Implies(Atom("lt", (x(0), y(0))), Atom("lt", (x(0), x(1)))))
+    assert {f: 1}[parse_formula(text, DLO)] == 1
+
+
+@given(_formulas(DLO))
+def test_rebuilt_formulas_are_the_same_object(f):
+    assert parse_formula(render_formula(f), DLO) is f
+    assert substitute_vars(f, {}) is f
+    assert substitute_vars(f, {v: v for v in free_vars(f)}) is f
+    assert rename_tapes(f, {}) is f
+
+
+@given(_formulas(GRAPH))
+def test_stored_keys_match_the_recursive_oracles(f):
+    assert sort_key(f) == recursive_sort_key(f)
+    assert free_vars(f) == recursive_free_vars(f)
+
+
+@given(st.lists(_formulas(DLO), max_size=5))
+def test_connectives_match_the_sorting_oracle(items):
+    assert conj(items) is sorted_assoc(items, And, FALSE, TRUE)
+    assert disj(items) is sorted_assoc(items, Or, TRUE, FALSE)
+
+
+@given(_vars, _vars)
+def test_varref_order_is_tape_then_position(a, b):
+    ka, kb = (a.tape, a.position), (b.tape, b.position)
+    assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    assert (a == b) == (ka == kb) == (a is b)
+
+
+def test_nodes_are_immutable():
+    f = Eq(x(0), y(0))
+    for node, field in ((f, "lhs"), (f, "sort_key"), (f, "free_vars"), (x(0), "tape")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, y(1))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert f.lhs is x(0) and f is Eq(x(0), y(0))
+
+
+def test_import_loads_no_dataclasses():
+    src = str(Path(tgw.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, tgw.formula; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

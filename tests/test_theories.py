@@ -12,7 +12,7 @@ from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
                          render_formula, sort_key)
 from tgw.rich import RichSequence
 from tgw.theories import (CompleteType, Theory, _clash, _dnf, _drop_dummies,
-                          _nnf, _sorted_pair, canonical_form, decide_sentence,
+                          _nnf, canonical_form, decide_sentence,
                           depends_on_all_vars, diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
                           pair_codes, restriction_map)
@@ -126,14 +126,14 @@ def satisfies_qf(t, f):
 def pair_literals(theory_id, a, b, forward, backward):
     """Minimal literals pinning one pair of distinct classes, given the
     relation values both ways; literals the theory implies are omitted."""
-    ne = Not(Eq(*_sorted_pair(a, b)))
+    ne = Not(Eq(*sorted((a, b))))
     if theory_id == "dlo":  # the strict order implies the inequality
         return [Atom("lt", (a, b) if forward else (b, a))]
     if theory_id == "randomgraph":  # adjacency is irreflexive
-        adj = Atom("adj", _sorted_pair(a, b))
+        adj = Atom("adj", tuple(sorted((a, b))))
         return [adj] if forward else [ne, Not(adj)]
     if theory_id == "equivinf":  # equivalence is reflexive
-        equiv = Atom("equiv", _sorted_pair(a, b))
+        equiv = Atom("equiv", tuple(sorted((a, b))))
         return [equiv, ne] if forward else [Not(equiv)]
     return [ne]
 
