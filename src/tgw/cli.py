@@ -21,9 +21,10 @@ from .categorical import (apply_mstar, schedule_holds, section_schedule,
 from .errors import ParseError, PreconditionError, ResourceCapError, TgwError
 from .formula import free_vars, parse_formula, rename_tapes, render_formula
 from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
-                       compose_clopen, en_clopen, is_subgroupoid,
-                       project_clopen, source_clopen, target_clopen,
-                       theta_fiber, theta_reindex, verify_level_axioms)
+                       clopen_equiv, compose_clopen, en_clopen, invert_clopen,
+                       is_subgroupoid, merge_tape, project_clopen,
+                       source_clopen, target_clopen, theta_fiber,
+                       theta_reindex, verify_level_axioms)
 from .models import DEFAULT_QUANTIFIER_CAP, build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
@@ -40,7 +41,7 @@ COMMANDS = {
               "max_grid": DEFAULT_GRID_CAP},
     "dphi": {"level": REQUIRED},
     "compose": {"phi": REQUIRED, "psi": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
-    "source": {"phi": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
+    "source": {"phi": REQUIRED},
     "subgroupoids": {"depth": 1},
     "groupoid verify": {"level": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
     "project": {"phi": REQUIRED, "to": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
@@ -125,13 +126,12 @@ def cmd_source(cfg):
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     s = source_clopen(U)
     t = target_clopen(U)
-    # the target and the source are the tape-0 and tape-1 restrictions of
-    # U's points in the level table
-    tab = LevelTable(seq, 2, U.level, cap=cfg["max_grid"])
-    tab1 = LevelTable(seq, 1, U.level, cap=cfg["max_grid"])
-    codes = [tab.codes[i] for i in tab.points_of(U)]
-    agrees = (tab1.points_of(t) == frozenset(map(tab1.restriction_index(2, (0,)), codes))
-              and tab1.points_of(s) == frozenset(map(tab1.restriction_index(2, (1,)), codes)))
+    # a groupoid's target and source units are the diagonals of U.U^-1 and
+    # U^-1.U, whose composition projects tapes apart from the projections above
+    inv = invert_clopen(U)
+    agrees = all(clopen_equiv(unit, clopen(seq, merge_tape(compose_clopen(a, b).formula, 1, 0),
+                                           arity=1, level=U.level))
+                 for unit, a, b in ((t, U, inv), (s, inv, U)))
     return ({"source": render_formula(s.formula),
              "target": render_formula(t.formula)},
             [_cert("target-is-source-of-inverse", agrees)])

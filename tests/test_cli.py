@@ -69,8 +69,8 @@ def test_source_certificate_is_computed(capsys, monkeypatch):
     assert code == 1
     assert rep["certificates"] == [{"name": "target-is-source-of-inverse", "passed": False}]
     # a projection that forgets its body, used for the source and inside the
-    # target alike, keeps the target the source of the inverse; the level
-    # table's points tell
+    # target alike, keeps the target the source of the inverse; the diagonal
+    # of U.U^-1, whose middle tape the composition projects out, tells
     monkeypatch.undo()
 
     def forget(U):
@@ -98,8 +98,6 @@ def test_resource_cap_exit_code():
     assert main(["types", "--theory", "randomgraph", "--vars", "9",
                  "--tapes", "2"]) == 3
     assert main(["types", "--theory", "dlo", "--vars", "1", "--max-grid", "0"]) == 3
-    # the source certificate builds a 2-tape level table, capped on 3n variables
-    assert main(["source", "--theory", "dlo", "--phi", "lt(x0,y0)", "--max-grid", "2"]) == 3
 
 
 def test_verify_cap_counts_composition_amalgams(capsys):

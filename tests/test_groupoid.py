@@ -389,3 +389,8 @@ def test_clopen_window_validation():
     with pytest.raises(PreconditionError):
         ClopenSet(SEQS["dlo"], 1, parse_formula("lt(x0,y0)",
                   get_theory("dlo").signature), 1)
+    # of several variables outside the window the least one is named, so
+    # the message does not hang on set order
+    with pytest.raises(PreconditionError, match="^x2 outside the 1x1 window$"):
+        ClopenSet(SEQS["dlo"], 1, parse_formula("lt(z3,x2)",
+                  get_theory("dlo").signature), 1)
