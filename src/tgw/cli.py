@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .categorical import (apply_mstar, schedule_holds, section_schedule,
                           skolem_map, universality_check)
@@ -108,14 +107,14 @@ def cmd_compose(cfg):
         psi = rename_tapes(psi, {1: 0, 2: 1})
     V = clopen(seq, psi, arity=2)
     chi = compose_clopen(U, V)
-    level = max(max(U.level, V.level), 1)
+    level = max(U.level, V.level, 1)
     tab = LevelTable(seq, 2, level, cap=cfg["max_grid"])
     comp = tab.compose_sets()
     expected = set()
-    for a in tab.points_of(replace(U, level=level)):
-        for b in tab.points_of(replace(V, level=level)):
+    for a in tab.points_of(U):
+        for b in tab.points_of(V):
             expected |= comp.get((a, b), set())
-    agrees = tab.points_of(replace(chi, level=level)) == frozenset(expected)
+    agrees = tab.points_of(chi) == frozenset(expected)
     display = rename_tapes(chi.formula, {1: 2})
     return ({"chi": render_formula(display), "level": chi.level},
             [_cert("level-table-cross-check", agrees)])
@@ -144,7 +143,7 @@ def cmd_subgroupoids(cfg):
     for X in predicate_corpus(seq, cfg["depth"]):
         if X.arity != 2:
             continue
-        verdict = is_subgroupoid(replace(X, level=max(X.level, 1)))
+        verdict = is_subgroupoid(X)
         ok = isinstance(verdict, SubGroupoid)
         entry = {"formula": render_formula(X.formula), "subgroupoid": ok}
         if isinstance(verdict, Refusal):

@@ -7,10 +7,11 @@ y12, v45 (tape 4, position 5).
 Formulas and variables are hash-consed: a constructor returns the one node
 already built from the same class and fields, so structurally equal formulas
 are the same object, compared and hashed by identity, and can back caches.
-Each node stores its structural sort key and its free variables, computed
-once from its children's.  Connectives & and | are stored as flattened
-n-ary nodes with children in sort-key order.  Rendering nests n-ary nodes
-back into the binary grammar, right-associated.
+Each node stores its structural sort key, its free variables and the
+variables its quantifiers bind, computed once from its children's, so no
+question about a node's variables walks its tree.  Connectives & and | are
+stored as flattened n-ary nodes with children in sort-key order.  Rendering
+nests n-ary nodes back into the binary grammar, right-associated.
 """
 from __future__ import annotations
 
@@ -109,33 +110,39 @@ class Signature:
         return None
 
 
+# the bound variables of every node that binds none
+_UNBOUND: frozenset[VarRef] = frozenset()
+
+
 class Formula(_Node):
     """`sort_key` is a total structural order, used for canonical child
-    ordering; `free_vars` is the frozenset of free variables."""
+    ordering; `free_vars` is the frozenset of free variables and
+    `bound_vars` that of the variables some quantifier inside binds."""
 
-    __slots__ = ("free_vars",)
-    _derived = ("sort_key", "free_vars")
+    __slots__ = ("free_vars", "bound_vars")
+    _derived = ("sort_key", "free_vars", "bound_vars")
 
 
 class Top(Formula):
     __slots__ = ()
 
     def _derive(self):
-        return (0,), frozenset()
+        return (0,), _UNBOUND, _UNBOUND
 
 
 class Bot(Formula):
     __slots__ = ()
 
     def _derive(self):
-        return (1,), frozenset()
+        return (1,), _UNBOUND, _UNBOUND
 
 
 class Atom(Formula):
     __slots__ = _fields = ("rel", "args")
 
     def _derive(self):
-        return (2, self.rel, tuple(v.sort_key for v in self.args)), frozenset(self.args)
+        return ((2, self.rel, tuple(v.sort_key for v in self.args)),
+                frozenset(self.args), _UNBOUND)
 
 
 class Eq(Formula):
@@ -143,14 +150,14 @@ class Eq(Formula):
 
     def _derive(self):
         return ((3, "", (self.lhs.sort_key, self.rhs.sort_key)),
-                frozenset((self.lhs, self.rhs)))
+                frozenset((self.lhs, self.rhs)), _UNBOUND)
 
 
 class Not(Formula):
     __slots__ = _fields = ("sub",)
 
     def _derive(self):
-        return (4, self.sub.sort_key), self.sub.free_vars
+        return (4, self.sub.sort_key), self.sub.free_vars, self.sub.bound_vars
 
 
 class _Junction(Formula):
@@ -159,7 +166,8 @@ class _Junction(Formula):
     def _derive(self):
         cs = self.children
         return ((self._rank, tuple(c.sort_key for c in cs)),
-                frozenset().union(*(c.free_vars for c in cs)))
+                frozenset().union(*(c.free_vars for c in cs)),
+                frozenset().union(*(c.bound_vars for c in cs)) or _UNBOUND)
 
 
 class And(_Junction):
@@ -177,7 +185,8 @@ class Implies(Formula):
 
     def _derive(self):
         return ((7, (self.lhs.sort_key, self.rhs.sort_key)),
-                self.lhs.free_vars | self.rhs.free_vars)
+                self.lhs.free_vars | self.rhs.free_vars,
+                self.lhs.bound_vars | self.rhs.bound_vars or _UNBOUND)
 
 
 class _Quantifier(Formula):
@@ -185,7 +194,7 @@ class _Quantifier(Formula):
 
     def _derive(self):
         return ((self._rank, (self.var.sort_key,), self.body.sort_key),
-                self.body.free_vars - {self.var})
+                self.body.free_vars - {self.var}, self.body.bound_vars | {self.var})
 
 
 class Exists(_Quantifier):
@@ -255,18 +264,8 @@ def implies(a: Formula, b: Formula) -> Formula:
 
 
 def _check_no_rebind(var, body):
-    if isinstance(body, (Exists, Forall)):
-        if body.var == var:
-            raise SignatureError(f"quantifier rebinds {var.render()} in scope")
-        _check_no_rebind(var, body.body)
-    elif isinstance(body, Not):
-        _check_no_rebind(var, body.sub)
-    elif isinstance(body, (And, Or)):
-        for c in body.children:
-            _check_no_rebind(var, c)
-    elif isinstance(body, Implies):
-        _check_no_rebind(var, body.lhs)
-        _check_no_rebind(var, body.rhs)
+    if var in body.bound_vars:
+        raise SignatureError(f"quantifier rebinds {var.render()} in scope")
 
 
 def exists(var: VarRef, body: Formula) -> Formula:
@@ -284,21 +283,6 @@ def forall(var: VarRef, body: Formula) -> Formula:
 
 
 # -- variables ---------------------------------------------------------------
-
-def all_vars(f: Formula) -> frozenset[VarRef]:
-    if isinstance(f, (Exists, Forall)):
-        return all_vars(f.body) | {f.var}
-    if isinstance(f, Not):
-        return all_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for c in f.children:
-            out |= all_vars(c)
-        return out
-    if isinstance(f, Implies):
-        return all_vars(f.lhs) | all_vars(f.rhs)
-    return free_vars(f)
-
 
 def substitute_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     """Replace free occurrences per `mapping`; bound variables are left alone
@@ -333,7 +317,7 @@ def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     inner = {k: v for k, v in mapping.items() if k != f.var and k in body_vars}
     var, body = f.var, f.body
     if var in inner.values():
-        used = {v.position for v in all_vars(body) if v.tape == var.tape}
+        used = {v.position for v in body.free_vars | body.bound_vars if v.tape == var.tape}
         used |= {v.position for v in inner.values() if v.tape == var.tape}
         fresh = VarRef(var.tape, max(used) + 1)
         body = _subst(body, {var: fresh})

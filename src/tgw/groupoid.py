@@ -22,7 +22,6 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
 from .formula import (Eq, Formula, VarRef, conj, disj, free_vars, implies, neg,
                       rename_tapes, substitute_vars)
-from .models import compile_formula
 from .rich import RichSequence
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
                        diagram_codes, eliminate_quantifiers, enumerate_types,
@@ -52,11 +51,6 @@ class ClopenSet:
     @property
     def theory(self):
         return self.seq.theory
-
-    @cached_property
-    def compiled(self):
-        """The formula compiled for evaluation in a model."""
-        return compile_formula(self.formula)
 
 
 def clopen(seq: RichSequence, formula: Formula, arity: int | None = None,

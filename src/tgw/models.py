@@ -223,13 +223,14 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     """Truth of `f` in `M` under `assignment`, a map from VarRef to element.
 
     `f` is compiled once (`compile_formula`) into closures that are then
-    called as `test(M, assignment, depth)`.  A quantifier node whose body is
-    quantifier-free memoises its verdict in `M.verdicts`, keyed by the node
-    and the values of the body's free variables.  That is exact: such a body
+    called as `test(M, assignment, depth)`.  A quantifier node whose body
+    binds no variable (its stored `bound_vars` is empty) memoises its
+    verdict in `M.verdicts`, keyed by the node and the values of the body's
+    free variables.  That is exact: such a body is quantifier-free, so it
     makes no call that changes the model, the candidates for fixed
     parameters realise every 1-type over them, and a repeated
     `witness_candidates` call on the same parameters commits nothing.  A
-    body with quantifiers of its own is not memoised, because its inner
+    body that binds variables is not memoised, because its inner
     quantifiers' candidate calls take the outer candidates as parameters
     and may commit elements, which a skipped evaluation would not commit."""
     return compile_formula(f)(M, assignment, 0)
@@ -304,7 +305,7 @@ def _compile_quantifier(f):
     var = f.var
     live = tuple(sorted(free_vars(f.body)))
     decisive = type(f) is Exists   # the body value that settles the verdict
-    memo = _quantifier_free(f.body)
+    memo = not f.body.bound_vars
 
     def quantifier(M, asg, depth):
         if depth >= M.max_quantifier_depth:
@@ -329,18 +330,6 @@ def _compile_quantifier(f):
             M.verdicts[key] = verdict
         return verdict
     return quantifier
-
-
-def _quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (Exists, Forall)):
-        return False
-    if isinstance(f, Not):
-        return _quantifier_free(f.sub)
-    if isinstance(f, Implies):
-        return _quantifier_free(f.lhs) and _quantifier_free(f.rhs)
-    if isinstance(f, (And, Or)):
-        return all(map(_quantifier_free, f.children))
-    return True
 
 
 def _unassigned(asg: dict, *vs: VarRef) -> PreconditionError:
@@ -382,7 +371,6 @@ class DTuple:
 
 
 Y0 = VarRef(1, 0)
-_WITNESS_TESTS: dict[Formula, tuple[Callable, Callable]] = {}
 
 
 def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
@@ -412,7 +400,8 @@ def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
     ...: a witness y0 of `phi` when one exists (preferred elements first,
     then the carrier in index order), and otherwise the next element
     advancing `cover`."""
-    has, holds = _witness_tests(phi)
+    holds = compile_formula(phi)
+    has = compile_formula(exists(Y0, phi)) if Y0 in free_vars(phi) else holds
     if has(M, asg, 0):
         for choice in _witness_scan(M, prefer):
             asg[Y0] = choice
@@ -423,17 +412,6 @@ def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
             f"no witness found for slot {len(elements)} within the scan bound")
     return next(e for e in itertools.chain(cover, map(M.element, itertools.count()))
                 if e not in elements)
-
-
-def _witness_tests(phi: Formula) -> tuple[Callable, Callable]:
-    """Compiled tests of whether phi has a witness y0 over the prefix, and
-    of whether the assigned y0 is one; kept per formula like `_COMPILED`."""
-    tests = _WITNESS_TESTS.get(phi)
-    if tests is None:
-        holds = compile_formula(phi)
-        has = compile_formula(exists(Y0, phi)) if Y0 in free_vars(phi) else holds
-        tests = _WITNESS_TESTS[phi] = (has, holds)
-    return tests
 
 
 def _witness_scan(M: ModelHandle, prefer):

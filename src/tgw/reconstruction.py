@@ -15,7 +15,8 @@ from .formula import (FALSE, TRUE, Atom, Eq, VarRef, free_vars, neg,
                       render_formula)
 from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
                        clopen_equiv, en_clopen, is_subgroupoid)
-from .models import DTuple, ModelHandle, build_dtuple, make_model, tuple_type
+from .models import (DTuple, ModelHandle, build_dtuple, compile_formula,
+                     make_model, tuple_type)
 from .rich import RichSequence
 from .theories import canonical_form, grid_index, pair_codes
 
@@ -70,7 +71,7 @@ def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> b
 
 def _eval_on(X: ClopenSet, tuples: list[DTuple], M: ModelHandle) -> bool:
     asg = {v: tuples[v.tape].elements[v.position] for v in _window(len(tuples), X.level)}
-    return X.compiled(M, asg, 0)
+    return compile_formula(X.formula)(M, asg, 0)
 
 
 @functools.cache

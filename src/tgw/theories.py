@@ -9,10 +9,14 @@ Each theory is complete, decidable, and eliminates quantifiers:
 
 Quantifier elimination works inside out: negations are pushed to literals
 (with per-theory literal normalisation), one existential is eliminated from
-each DNF cube by the theory's textbook rule, and universals go through
-negation.  A theory is given by two hooks, its literal normal form and its
-elimination rule (see `Theory`); every other fact about finite diagrams is
-decided by quantifier elimination, not written per theory.
+each DNF cube, and universals go through negation.  A cube with a positive
+equality v = w loses v by substitution, one rule for every theory
+(`_eliminate`); the others go to the theory's textbook rule.  Formulas
+enter QE through `_nnf`, which refuses a relation outside the theory's
+signature.  A theory is given by two hooks, its literal normal form and
+its elimination rule for cubes without a positive equality (see
+`Theory`); every other fact about finite diagrams is decided by
+quantifier elimination, not written per theory.
 
 Every signature is binary, so a complete quantifier-free diagram over
 finitely many variables is fixed by its equality partition and its 2-variable
@@ -69,9 +73,11 @@ ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 class Theory:
     """Base for the built-in theories.  Besides the signature, a theory is
     two hooks: `normalize_literal` (the literal normal form) and
-    `eliminate_one` (the single-existential rule).  The rest is derived by
-    QE: the pair diagrams, the triple table and the pinning literals
-    (`PairCodes`), and the literals that prune DNF cubes (`_clash`)."""
+    `eliminate_one` (the single-existential rule on cubes without a
+    positive equality; `_eliminate` substitutes those away for every
+    theory).  The rest is derived by QE: the pair diagrams, the triple
+    table and the pinning literals (`PairCodes`), and the literals that
+    prune DNF cubes (`_clash`)."""
 
     id: str = ""
     signature: Signature = Signature("empty")
@@ -87,37 +93,20 @@ class Theory:
 
     def eliminate_one(self, v: VarRef, lits: list[Formula]) -> Formula:
         """A quantifier-free formula equivalent to the existential over `v`
-        of the conjunction of `lits`, normalised literals that all name v."""
+        of the conjunction of `lits`, normalised literals that all name v.
+        None of them is a positive equality: `_eliminate` substitutes those
+        away before it calls this hook, so only inequations may remain."""
         raise NotImplementedError
 
-    # shared helpers ---------------------------------------------------------
-
-    def _subst_out(self, v: VarRef, w: VarRef, lits: list[Formula]) -> Formula:
-        out = []
-        for lit in lits:
-            negated = isinstance(lit, Not)
-            atom = lit.sub if negated else lit
-            out.append(self.normalize_literal(negated, substitute_vars(atom, {v: w})))
-        return conj(out)
-
-    def _find_eq(self, v: VarRef, lits: list[Formula]):
-        """First positive equality naming v, with its partner variable."""
-        for lit in lits:
-            if isinstance(lit, Eq):
-                return lit, (lit.rhs if lit.lhs == v else lit.lhs)
-        return None, None
-
-    def _demands(self, v: VarRef, lits: list[Formula], rel: str):
-        """Positive and negative rel-partners of v; negated equalities place
-        no constraint on a fresh witness and are dropped."""
+    def _demands(self, v: VarRef, lits: list[Formula]):
+        """Positive and negative relation partners of v; negated equalities
+        place no constraint on a fresh witness and are dropped."""
         pos, negs = [], []
         for lit in lits:
             negated = isinstance(lit, Not)
             atom = lit.sub if negated else lit
             if isinstance(atom, Eq):
                 continue
-            if atom.rel != rel:
-                raise SignatureError(f"unexpected relation {atom.rel!r}")
             w = atom.args[1] if atom.args[0] == v else atom.args[0]
             (negs if negated else pos).append(w)
         return pos, negs
@@ -128,9 +117,6 @@ class PureSet(Theory):
     signature = Signature("pureset")
 
     def eliminate_one(self, v, lits):
-        lit, w = self._find_eq(v, lits)
-        if lit is not None:
-            return self._subst_out(v, w, [l for l in lits if l is not lit])
         return TRUE  # only inequations remain; the model is infinite
 
 
@@ -154,9 +140,6 @@ class DenseLinearOrder(Theory):
         return atom
 
     def eliminate_one(self, v, lits):
-        lit, w = self._find_eq(v, lits)
-        if lit is not None:
-            return self._subst_out(v, w, [l for l in lits if l is not lit])
         lowers = [l.args[0] for l in lits if isinstance(l, Atom) and l.args[1] == v]
         uppers = [l.args[1] for l in lits if isinstance(l, Atom) and l.args[0] == v]
         # density and lack of endpoints: a witness exists iff every lower
@@ -179,10 +162,7 @@ class RandomGraph(Theory):
         return Not(lit) if negated else lit
 
     def eliminate_one(self, v, lits):
-        lit, w = self._find_eq(v, lits)
-        if lit is not None:
-            return self._subst_out(v, w, [l for l in lits if l is not lit])
-        pos, negs = self._demands(v, lits, "adj")
+        pos, negs = self._demands(v, lits)
         # extension axiom: a fresh witness adjacent to all of pos and none of
         # negs exists iff the two demand sets name distinct elements
         return conj(self.normalize_literal(True, Eq(a, b))
@@ -203,10 +183,7 @@ class EquivInf(Theory):
         return Not(lit) if negated else lit
 
     def eliminate_one(self, v, lits):
-        lit, w = self._find_eq(v, lits)
-        if lit is not None:
-            return self._subst_out(v, w, [l for l in lits if l is not lit])
-        pos, negs = self._demands(v, lits, "equiv")
+        pos, negs = self._demands(v, lits)
         parts = [self.normalize_literal(False, Atom("equiv", (a, b)))
                  for a, b in itertools.combinations(pos, 2)]
         parts += [self.normalize_literal(True, Atom("equiv", (a, b)))
@@ -239,6 +216,9 @@ def _nnf(theory: Theory, f: Formula, negated: bool) -> Formula:
         return FALSE if negated else TRUE
     if isinstance(f, Bot):
         return TRUE if negated else FALSE
+    if isinstance(f, Atom) and theory.signature.arity(f.rel) != len(f.args):
+        raise SignatureError(
+            f"{theory.id} has no relation {f.rel!r} of arity {len(f.args)}")
     if isinstance(f, (Atom, Eq)):
         return theory.normalize_literal(negated, f)
     if isinstance(f, Not):
@@ -262,6 +242,24 @@ def _nnf(theory: Theory, f: Formula, negated: bool) -> Formula:
     if isinstance(body, (Top, Bot)):
         return body
     return node(f.var, body)
+
+
+def _eliminate(theory: Theory, v: VarRef, lits: list[Formula]) -> Formula:
+    """The existential over `v` of the conjunction of `lits`, normalised
+    literals that all name v.  One rule serves every theory: a positive
+    equality v = w puts w for v in the other literals, normalised again.
+    Without one, the theory's `eliminate_one` decides."""
+    eq = next((lit for lit in lits if isinstance(lit, Eq)), None)
+    if eq is None:
+        return theory.eliminate_one(v, lits)
+    w = eq.rhs if eq.lhs == v else eq.lhs
+    out = []
+    for lit in lits:
+        if lit is not eq:
+            negated = isinstance(lit, Not)
+            atom = lit.sub if negated else lit
+            out.append(theory.normalize_literal(negated, substitute_vars(atom, {v: w})))
+    return conj(out)
 
 
 def _literals(theory: Theory, vs) -> list[Formula]:
@@ -289,7 +287,7 @@ def _clash(theory: Theory, l: Formula) -> frozenset:
         vs = sorted(free_vars(l))
         _CLASH_CACHE[key] = frozenset([neg(l)] + [
             m for m in _literals(theory, vs)
-            if isinstance(theory.eliminate_one(vs[-1], [l, m]), Bot)])
+            if isinstance(_eliminate(theory, vs[-1], [l, m]), Bot)])
     return _CLASH_CACHE[key]
 
 
@@ -340,7 +338,7 @@ def _exists_one(theory: Theory, v: VarRef, qf: Formula) -> Formula:
     for cube in _dnf(theory, qf):
         with_v = sorted((l for l in cube if v in free_vars(l)), key=sort_key)
         rest = [l for l in cube if v not in free_vars(l)]
-        reduced = theory.eliminate_one(v, with_v)
+        reduced = _eliminate(theory, v, with_v)
         out.append(conj(rest + [reduced]))
     return disj(out)
 

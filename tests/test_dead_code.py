@@ -3,7 +3,11 @@ the package outside its own body, so no code is reached from the tests
 alone.  A reference is a loaded name or attribute of the same name, so a
 method counts as used when any attribute of its name is read.  Dunder
 methods are called by Python itself, and the names `bench/traced.py`
-lists in `LAYERS` are wrapped by name in the traced benchmark run."""
+lists in `LAYERS` are wrapped by name in the traced benchmark run.
+
+Every name a module imports at module level is loaded in that module, so
+no import outlives the code that read it.  `from __future__` imports and
+the package's `__init__` (whose imports would be re-exports) are exempt."""
 import ast
 from pathlib import Path
 
@@ -54,3 +58,27 @@ def unreferenced() -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced() == []
+
+
+def unused_imports() -> list[str]:
+    """module.name of every module-level import the module never loads."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

@@ -227,6 +227,52 @@ def recursive_free_vars(f):
     return recursive_free_vars(f.body) - {f.var}
 
 
+def recursive_bound_vars(f):
+    if isinstance(f, Not):
+        return recursive_bound_vars(f.sub)
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*map(recursive_bound_vars, f.children))
+    if isinstance(f, Implies):
+        return recursive_bound_vars(f.lhs) | recursive_bound_vars(f.rhs)
+    if isinstance(f, (Exists, Forall)):
+        return recursive_bound_vars(f.body) | {f.var}
+    return frozenset()
+
+
+def all_vars(f):
+    """Every variable of `f`, free or bound, as the walker that fresh
+    bound-variable choice read before nodes stored their bound variables."""
+    if isinstance(f, (Exists, Forall)):
+        return all_vars(f.body) | {f.var}
+    if isinstance(f, Not):
+        return all_vars(f.sub)
+    if isinstance(f, (And, Or)):
+        out = frozenset()
+        for c in f.children:
+            out |= all_vars(c)
+        return out
+    if isinstance(f, Implies):
+        return all_vars(f.lhs) | all_vars(f.rhs)
+    return free_vars(f)
+
+
+def check_no_rebind(var, body):
+    """The walk `exists` and `forall` made over their body before nodes
+    stored their bound variables."""
+    if isinstance(body, (Exists, Forall)):
+        if body.var == var:
+            raise SignatureError(f"quantifier rebinds {var.render()} in scope")
+        check_no_rebind(var, body.body)
+    elif isinstance(body, Not):
+        check_no_rebind(var, body.sub)
+    elif isinstance(body, (And, Or)):
+        for c in body.children:
+            check_no_rebind(var, c)
+    elif isinstance(body, Implies):
+        check_no_rebind(var, body.lhs)
+        check_no_rebind(var, body.rhs)
+
+
 def sorted_assoc(items, node_type, absorber, neutral):
     """`conj`/`disj` as they were written before nodes were hash-consed:
     sort, then keep first occurrences, then look for complements."""
@@ -274,6 +320,34 @@ def test_rebuilt_formulas_are_the_same_object(f):
 def test_stored_keys_match_the_recursive_oracles(f):
     assert sort_key(f) == recursive_sort_key(f)
     assert free_vars(f) == recursive_free_vars(f)
+    assert f.bound_vars == recursive_bound_vars(f)
+    assert f.free_vars | f.bound_vars == all_vars(f)
+
+
+@given(_vars, _formulas(GRAPH))
+def test_quantifiers_refuse_rebinding_like_the_walker(v, body):
+    try:
+        check_no_rebind(v, body)
+        rebinds = False
+    except SignatureError:
+        rebinds = True
+    for q in (exists, forall):
+        if rebinds:
+            with pytest.raises(SignatureError, match="rebinds"):
+                q(v, body)
+        else:
+            assert q(v, body).free_vars == body.free_vars - {v}
+
+
+def test_nodes_that_bind_nothing_share_one_empty_set():
+    a = Atom("adj", (x(0), x(1)))
+    q = exists(y(0), Atom("adj", (x(0), y(0))))
+    empty = TRUE.bound_vars
+    assert not empty and all(
+        f.bound_vars is empty
+        for f in (FALSE, a, Eq(x(0), y(0)), neg(a), conj([a, neg(Eq(x(0), x(1)))]),
+                  implies(a, Eq(x(1), x(2)))))
+    assert q.bound_vars == {y(0)} and conj([a, q]).bound_vars == {y(0)}
 
 
 @given(st.lists(_formulas(DLO), max_size=5))

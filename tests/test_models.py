@@ -389,6 +389,26 @@ def test_compiled_evaluate_agrees_with_the_oracle(theory):
     check()
 
 
+def quantifier_free(f):
+    """The walk that chose which quantifier bodies memoise before nodes
+    stored their bound variables."""
+    if isinstance(f, (Exists, Forall)):
+        return False
+    if isinstance(f, Not):
+        return quantifier_free(f.sub)
+    if isinstance(f, Implies):
+        return quantifier_free(f.lhs) and quantifier_free(f.rhs)
+    if isinstance(f, (And, Or)):
+        return all(map(quantifier_free, f.children))
+    return True
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(open_formulas("equivinf"))
+def test_memo_flag_matches_the_quantifier_free_walker(f):
+    assert (not f.bound_vars) == quantifier_free(f)
+
+
 def test_randomgraph_commit_order_is_pinned():
     # the vertices committed by two witness workloads, and the adjacency set
     # of each vertex committed on demand, as the candidate rule first gave them

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgw import theories
-from tgw.errors import PreconditionError, ResourceCapError
+from tgw.errors import PreconditionError, ResourceCapError, SignatureError
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
-                         VarRef, conj, free_vars, neg, parse_formula,
-                         render_formula, sort_key)
+                         VarRef, conj, exists, forall, free_vars, neg,
+                         parse_formula, render_formula, sort_key,
+                         substitute_vars)
 from tgw.rich import RichSequence
 from tgw.theories import (CompleteType, Theory, _clash, _dnf, _drop_dummies,
                           _nnf, canonical_form, decide_sentence,
@@ -430,6 +431,26 @@ def test_decide_equivinf():
     assert decide("forall x0. exists y0. (equiv(x0,y0) & !eq(x0,y0))", "equivinf") is True
     assert decide("forall x0. exists y0. !equiv(x0,y0)", "equivinf") is True
     assert decide("forall x0. forall x1. equiv(x0,x1)", "equivinf") is False
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_qe_refuses_relations_outside_the_signature(theory):
+    # the parser checks the signature; a formula built through the API is
+    # checked where it enters QE, under any connective or quantifier
+    x0, x1, x2 = (VarRef(0, i) for i in range(3))
+    own = [rel for rel, _ in get_theory(theory).signature.relations]
+    bad = [Atom(rel, (x0, x1)) for rel in ("lt", "adj", "equiv") if rel not in own]
+    bad += [Atom(rel, args) for rel in own for args in ((x0,), (x0, x1, x2))]
+    assert len(bad) == (3 if theory == "pureset" else 4)
+    for atom in bad:
+        arity = len(atom.args)
+        chained = conj([atom, substitute_vars(atom, {x0: x1, x1: x2})])
+        for f in (atom, neg(atom), exists(x1, chained), forall(x0, exists(x1, atom))):
+            with pytest.raises(SignatureError,
+                               match=f"^{theory} has no relation '{atom.rel}' of arity {arity}$"):
+                eliminate_quantifiers(f, theory)
+        with pytest.raises(SignatureError, match=f"'{atom.rel}' of arity {arity}"):
+            decide_sentence(exists(x0, Atom(atom.rel, (x0,) * arity)), theory)
 
 
 def test_decide_requires_sentence():
