@@ -4,27 +4,21 @@ selection, and ball-surjectivity of the coordinate maps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
 from .formula import (TRUE, Formula, VarRef, exists, free_vars, implies,
                       render_formula, substitute_vars)
 from .models import (DTuple, ModelHandle, Y0, build_dtuple, compile_formula,
                      evaluate, make_model, tuple_type)
+from .record import Record
 from .rich import RichSequence
 
 SKOLEM_SCAN_CAP = 256
 TRUE_SLOT_SCAN_CAP = 4096
 
 
-@dataclass(frozen=True)
-class SectionSchedule:
-    steps: int
-    m: tuple[int, ...]
-    a_bounds: tuple[tuple[int, int], ...]
-    b_bounds: tuple[int, ...]
-    reference: tuple
+class SectionSchedule(Record):
+    __slots__ = ("steps", "m", "a_bounds", "b_bounds", "reference")
 
 
 def section_schedule(seq: RichSequence, steps: int) -> SectionSchedule:
@@ -43,6 +37,7 @@ def schedule_holds(seq: RichSequence, sched: SectionSchedule) -> bool:
     entry satisfies the 1-type's diagram over the first n entries in the
     section model."""
     section = seq.section
+    M = section.model
     for n, bound in sched.a_bounds:
         if bound <= n and n > 0:
             return False
@@ -50,16 +45,13 @@ def schedule_holds(seq: RichSequence, sched: SectionSchedule) -> bool:
         for d, i in section.realisations(n).items():
             asg[VarRef(0, n)] = sched.reference[i]
             if not (n <= i < bound
-                    and compile_formula(d.diagram_formula())(section.model, asg, 0)):
+                    and compile_formula(d.diagram_formula(), M.theory)(M, asg, 0)):
                 return False
     return True
 
 
-@dataclass(frozen=True)
-class TrivialisationCertificate:
-    output_elements: tuple
-    q_checks: tuple[tuple[int, bool], ...]
-    window_checks: tuple[tuple[int, int | None], ...]
+class TrivialisationCertificate(Record):
+    __slots__ = ("output_elements", "q_checks", "window_checks")
 
     @property
     def ok(self) -> bool:

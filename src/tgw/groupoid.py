@@ -14,7 +14,6 @@ is the amalgamation property read at one level: (p q) r == p (q r).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -22,6 +21,7 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
 from .formula import (Eq, Formula, VarRef, conj, disj, free_vars, implies, neg,
                       rename_tapes, substitute_vars)
+from .record import Record
 from .rich import RichSequence
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
                        diagram_codes, eliminate_quantifiers, enumerate_types,
@@ -35,18 +35,14 @@ def merge_tape(f: Formula, src: int, dst: int) -> Formula:
                                for v in free_vars(f) if v.tape == src})
 
 
-@dataclass(frozen=True)
-class ClopenSet:
-    seq: RichSequence
-    arity: int
-    formula: Formula
-    level: int
+class ClopenSet(Record):
+    __slots__ = ("seq", "arity", "formula", "level")
 
-    def __post_init__(self):
-        for v in sorted(free_vars(self.formula)):
-            if v.tape >= self.arity or v.position >= self.level:
-                raise PreconditionError(
-                    f"{v.render()} outside the {self.arity}x{self.level} window")
+    def __init__(self, seq: RichSequence, arity: int, formula: Formula, level: int):
+        super().__init__(seq, arity, formula, level)
+        for v in sorted(free_vars(formula)):
+            if v.tape >= arity or v.position >= level:
+                raise PreconditionError(f"{v.render()} outside the {arity}x{level} window")
 
     @property
     def theory(self):
@@ -135,17 +131,15 @@ def separating_type(U: ClopenSet, V: ClopenSet) -> CompleteType | None:
     return tab.points[hits[0]] if hits else None
 
 
-@dataclass(frozen=True)
-class SubGroupoid:
-    clopen: ClopenSet
+class SubGroupoid(Record):
+    __slots__ = ("clopen",)
 
 
-@dataclass(frozen=True)
-class Refusal:
-    """A failed law and its witness: a point for the clopen sub-groupoid
-    axioms, the least failing point ids for the level-table laws."""
-    axiom: str
-    witness: CompleteType | tuple[int, ...] | None
+class Refusal(Record):
+    """A failed law (`axiom`) and its `witness`: a point for the clopen
+    sub-groupoid axioms, the least failing point ids for the level-table
+    laws."""
+    __slots__ = ("axiom", "witness")
 
     def __bool__(self):
         return False

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (EvaluationCapError, InternalConsistencyError,
                      PreconditionError)
 from .formula import (And, Atom, Bot, Eq, Exists, Forall, Formula, Implies,
                       Not, Or, Top, VarRef, exists, free_vars, render_formula)
 from .pairing import cantor_pair, cantor_unpair
+from .record import Record
 from .theories import CompleteType, Theory, get_theory, pair_codes
 
 DEFAULT_QUANTIFIER_CAP = 8
@@ -52,6 +51,9 @@ class ModelHandle:
         raise NotImplementedError
 
     def atomic(self, rel: str, a, b) -> bool:
+        """Whether `rel` holds of (a, b); `rel` is taken to be in the
+        signature (`compile_formula` checks that once per formula and
+        theory)."""
         raise NotImplementedError
 
     def witness_candidates(self, params: list) -> list:
@@ -97,6 +99,7 @@ class DloModel(ModelHandle):
     sequence, hitting every rational exactly once."""
 
     def __init__(self, **kw):
+        from fractions import Fraction   # imported here: only this model needs it
         super().__init__(**kw)
         self.theory = get_theory("dlo")
         self._seq = [Fraction(0)]
@@ -116,7 +119,7 @@ class DloModel(ModelHandle):
     def witness_candidates(self, params):
         vals = sorted(set(params))
         if not vals:
-            return [Fraction(0)]
+            return [self.element(0)]
         out = list(vals)
         out += [a + (b - a) / 2 for a, b in zip(vals, vals[1:])]
         out += [vals[0] - 1, vals[-1] + 1]
@@ -216,6 +219,7 @@ def make_model(theory, **kw) -> ModelHandle:
 # -- evaluation ---------------------------------------------------------------
 
 _COMPILED: dict[Formula, Callable] = {}
+_IN_SIGNATURE: set[tuple[Formula, str]] = set()   # (formula, theory id) checked
 _UNASSIGNED = object()
 
 
@@ -233,17 +237,40 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     body that binds variables is not memoised, because its inner
     quantifiers' candidate calls take the outer candidates as parameters
     and may commit elements, which a skipped evaluation would not commit."""
-    return compile_formula(f)(M, assignment, 0)
+    return compile_formula(f, M.theory)(M, assignment, 0)
 
 
-def compile_formula(f: Formula) -> Callable[[ModelHandle, dict, int], bool]:
+def compile_formula(f: Formula, theory: Theory | None = None
+                    ) -> Callable[[ModelHandle, dict, int], bool]:
     """The closure that evaluates `f`, compiled on first use and then kept
     per formula node (structurally equal formulas are one node); its third
-    argument is the quantifier depth the call is made at."""
+    argument is the quantifier depth the call is made at.  Given the
+    models' `theory`, it first refuses (`SignatureError`) a formula with a
+    relation outside the signature; that check runs once per formula and
+    theory, so the compiled atoms call `ModelHandle.atomic` unchecked."""
+    if theory is not None and (f, theory.id) not in _IN_SIGNATURE:
+        _check_signature(f, theory)
+        _IN_SIGNATURE.add((f, theory.id))
     test = _COMPILED.get(f)
     if test is None:
         test = _COMPILED[f] = _compile(f)
     return test
+
+
+def _check_signature(f: Formula, theory: Theory) -> None:
+    t = type(f)
+    if t is Atom:
+        theory.check_relation(f)
+    elif t is And or t is Or:
+        for c in f.children:
+            _check_signature(c, theory)
+    elif t is Not:
+        _check_signature(f.sub, theory)
+    elif t is Implies:
+        _check_signature(f.lhs, theory)
+        _check_signature(f.rhs, theory)
+    elif t is Exists or t is Forall:
+        _check_signature(f.body, theory)
 
 
 def _compile(f: Formula):
@@ -359,11 +386,8 @@ def tuple_type(M: ModelHandle, tuples: list) -> CompleteType:
 
 # -- witness-enumeration tuples ----------------------------------------------
 
-@dataclass(frozen=True)
-class DTuple:
-    level: int
-    elements: tuple
-    checks: tuple[bool, ...]
+class DTuple(Record):
+    __slots__ = ("level", "elements", "checks")
 
     @property
     def ok(self) -> bool:
@@ -400,8 +424,8 @@ def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
     ...: a witness y0 of `phi` when one exists (preferred elements first,
     then the carrier in index order), and otherwise the next element
     advancing `cover`."""
-    holds = compile_formula(phi)
-    has = compile_formula(exists(Y0, phi)) if Y0 in free_vars(phi) else holds
+    holds = compile_formula(phi, M.theory)
+    has = compile_formula(exists(Y0, phi), M.theory) if Y0 in free_vars(phi) else holds
     if has(M, asg, 0):
         for choice in _witness_scan(M, prefer):
             asg[Y0] = choice
@@ -428,5 +452,5 @@ def certify_dtuple(M: ModelHandle, seq, elements: tuple) -> tuple[bool, ...]:
     asg: dict = {}
     for k, e in enumerate(elements):
         asg[VarRef(0, k)] = e
-        checks.append(compile_formula(seq.defining_clause(k))(M, asg, 0))
+        checks.append(compile_formula(seq.defining_clause(k), M.theory)(M, asg, 0))
     return tuple(checks)

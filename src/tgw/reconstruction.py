@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, PreconditionError
 from .formula import (FALSE, TRUE, Atom, Eq, VarRef, free_vars, neg,
@@ -17,14 +16,13 @@ from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
                        clopen_equiv, en_clopen, is_subgroupoid)
 from .models import (DTuple, ModelHandle, build_dtuple, compile_formula,
                      make_model, tuple_type)
+from .record import Record
 from .rich import RichSequence
 from .theories import canonical_form, grid_index, pair_codes
 
 
-@dataclass(frozen=True)
-class SortClass:
-    rep: DTuple
-    members: tuple[DTuple, ...]
+class SortClass(Record):
+    __slots__ = ("rep", "members")
 
 
 def sort_elements(e: DTuple, H: SubGroupoid, M: ModelHandle, seq: RichSequence,
@@ -71,7 +69,7 @@ def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> b
 
 def _eval_on(X: ClopenSet, tuples: list[DTuple], M: ModelHandle) -> bool:
     asg = {v: tuples[v.tape].elements[v.position] for v in _window(len(tuples), X.level)}
-    return compile_formula(X.formula)(M, asg, 0)
+    return compile_formula(X.formula, M.theory)(M, asg, 0)
 
 
 @functools.cache

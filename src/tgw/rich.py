@@ -37,7 +37,6 @@ uses that pruning.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
@@ -46,6 +45,7 @@ from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
                       rename_tapes, substitute_vars)
 from .models import Y0, compile_formula, make_model, next_entry, tuple_type
 from .pairing import cantor_unpair
+from .record import Record
 from .theories import (CompleteType, decide_sentence, depends_on_all_vars,
                        diagram_codes, diagrams_over, eliminate_quantifiers,
                        get_theory, pair_codes)
@@ -158,11 +158,8 @@ def _stream(theory) -> _CanonicalStream:
 
 # -- rich sequences -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DPhiLevel:
-    n: int
-    formula: Formula
-    simplified: Formula
+class DPhiLevel(Record):
+    __slots__ = ("n", "formula", "simplified")
 
 
 class RichSequence:
@@ -324,7 +321,8 @@ class _SectionState:
                                self._tuple, cover)
             self._tuple.append(entry)
             self._asg[VarRef(0, p)] = entry
-            if not compile_formula(self.seq.defining_clause(p))(self.model, self._asg, 0):
+            if not compile_formula(self.seq.defining_clause(p), self.model.theory)(
+                    self.model, self._asg, 0):
                 raise InternalConsistencyError(
                     f"reference entry {p} fails its defining clause")
         return self._tuple[:n]

@@ -55,7 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import and_, itemgetter, or_
 
 from .errors import (InternalConsistencyError, PreconditionError,
@@ -64,6 +63,7 @@ from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                       Formula, Implies, Not, Or, Signature, Top, VarRef, conj,
                       disj, exists, free_vars, neg, render_formula, sort_key,
                       substitute_vars)
+from .record import Record, _set
 
 DEFAULT_GRID_CAP = 12
 DNF_CUBE_CAP = 200_000
@@ -90,6 +90,13 @@ class Theory:
             lit = Eq(*sorted((atom.lhs, atom.rhs)))
             return Not(lit) if negated else lit
         raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
+
+    def check_relation(self, atom: Atom) -> None:
+        """Refuse an atom whose relation, at its arity, is not in the
+        signature."""
+        if self.signature.arity(atom.rel) != len(atom.args):
+            raise SignatureError(
+                f"{self.id} has no relation {atom.rel!r} of arity {len(atom.args)}")
 
     def eliminate_one(self, v: VarRef, lits: list[Formula]) -> Formula:
         """A quantifier-free formula equivalent to the existential over `v`
@@ -216,9 +223,8 @@ def _nnf(theory: Theory, f: Formula, negated: bool) -> Formula:
         return FALSE if negated else TRUE
     if isinstance(f, Bot):
         return TRUE if negated else FALSE
-    if isinstance(f, Atom) and theory.signature.arity(f.rel) != len(f.args):
-        raise SignatureError(
-            f"{theory.id} has no relation {f.rel!r} of arity {len(f.args)}")
+    if isinstance(f, Atom):
+        theory.check_relation(f)
     if isinstance(f, (Atom, Eq)):
         return theory.normalize_literal(negated, f)
     if isinstance(f, Not):
@@ -386,8 +392,7 @@ def decide_sentence(f: Formula, theory) -> bool:
 
 # -- complete types ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompleteType:
+class CompleteType(Record):
     """A complete quantifier-free diagram over a k-tapes-by-n-positions grid.
     Variable (tape, pos) maps to index tape*n + pos; `classes` is the
     equality partition in restricted-growth form and `between` the pair-code
@@ -395,11 +400,25 @@ class CompleteType:
     classes a < b sits at `pair_index(a, b)`.  Diagrams of one pool share
     their `between` tuples."""
 
-    theory_id: str
-    k: int
-    n: int
-    classes: tuple[int, ...]
-    between: tuple[int, ...]
+    __slots__ = ("theory_id", "k", "n", "classes", "between")
+
+    def __init__(self, theory_id: str, k: int, n: int, classes: tuple[int, ...],
+                 between: tuple[int, ...]):
+        _set(self, "theory_id", theory_id)
+        _set(self, "k", k)
+        _set(self, "n", n)
+        _set(self, "classes", classes)
+        _set(self, "between", between)
+
+    # spelled out: every `LevelTable.index` lookup hashes a diagram
+    def __eq__(self, other):
+        if type(other) is not CompleteType:
+            return NotImplemented
+        return (self.theory_id, self.k, self.n, self.classes, self.between) == \
+            (other.theory_id, other.k, other.n, other.classes, other.between)
+
+    def __hash__(self):
+        return hash((self.theory_id, self.k, self.n, self.classes, self.between))
 
     def num_classes(self) -> int:
         return max(self.classes, default=-1) + 1
@@ -718,6 +737,8 @@ class PairCodes:
             if isinstance(g, Eq):
                 return full if g.lhs == g.rhs else 1 << self.eq
             if isinstance(g, Atom):  # the first variable of the pair is x0
+                if len(g.args) != 2 or g.rel not in self._rel_masks:
+                    get_theory(self.theory_id).check_relation(g)
                 fwd, bwd, diagonal = self._rel_masks[g.rel]
                 a, b = g.args
                 return (full if diagonal else 0) if a == b else fwd if a == vs[0] else bwd

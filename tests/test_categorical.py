@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -82,10 +81,12 @@ def test_schedule_holds_checks_the_record(theory, steps):
     assert schedule_holds(seq, sched)
     # an entry repeated everywhere realises only the types that repeat it
     same = (sched.reference[0],) * len(sched.reference)
-    assert not schedule_holds(seq, replace(sched, reference=same))
+    assert not schedule_holds(seq, SectionSchedule(sched.steps, sched.m, sched.a_bounds,
+                                                   sched.b_bounds, same))
     # a bound that is not past its n
     bounds = tuple((n, n if n == 1 else a) for n, a in sched.a_bounds)
-    assert not schedule_holds(seq, replace(sched, a_bounds=bounds))
+    assert not schedule_holds(seq, SectionSchedule(sched.steps, sched.m, bounds,
+                                                   sched.b_bounds, sched.reference))
 
 
 def test_apply_mstar_level_precondition():

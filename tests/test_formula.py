@@ -374,11 +374,15 @@ def test_nodes_are_immutable():
 
 
 def test_import_loads_no_dataclasses():
+    # the CLI's whole import (every command's modules) is start-up cost of
+    # each `tgw` process; only the dlo model needs `fractions`
     src = str(Path(tgw.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, tgw.formula; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
+    for module, absent in (("tgw.formula", {"dataclasses", "inspect"}),
+                           ("tgw.cli", {"dataclasses", "inspect", "fractions", "decimal"})):
+        out = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys, {module}; print(sorted({sorted(absent)} & sys.modules.keys()))"],
+            env=env, capture_output=True, text=True, timeout=60, check=True).stdout
+        assert out.strip() == "[]", module

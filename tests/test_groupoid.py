@@ -4,8 +4,8 @@ import itertools
 import pytest
 
 from tgw import groupoid
-from tgw.errors import PreconditionError, ResourceCapError
-from tgw.formula import FALSE, TRUE, Eq, VarRef, conj, neg, parse_formula
+from tgw.errors import PreconditionError, ResourceCapError, SignatureError
+from tgw.formula import FALSE, TRUE, Atom, Eq, VarRef, conj, neg, parse_formula
 from tgw.groupoid import (LAWS, ClopenSet, LevelTable, Refusal, SubGroupoid,
                           base_clopen, clopen, clopen_equiv, compose_clopen,
                           contains_base,
@@ -383,6 +383,18 @@ def test_project_matches_point_restriction():
             expected = {tab1.index(tab2.points[i].restrict((0, 1), 1))
                         for i in tab2.points_of(U)}
             assert tab1.points_of(down) == frozenset(expected), theory
+
+
+def test_points_of_refuses_relations_outside_the_signature():
+    # a clopen built directly, not through `clopen`, skips QE's check and
+    # reaches the pair-code masks
+    seq = SEQS["dlo"]
+    x0, y0 = VarRef(0, 0), VarRef(1, 0)
+    table = LevelTable(seq, 2, 1)
+    for atom in (Atom("adj", (x0, y0)), Atom("lt", (x0, y0, x0))):
+        with pytest.raises(SignatureError,
+                           match=f"^dlo has no relation '{atom.rel}' of arity {len(atom.args)}$"):
+            table.points_of(ClopenSet(seq, 2, atom, 1))
 
 
 def test_clopen_window_validation():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tgw import reconstruction
 from tgw.categorical import universality_check
 from tgw.errors import (EvaluationCapError, InternalConsistencyError,
-                        PreconditionError)
+                        PreconditionError, SignatureError)
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                          Implies, Not, Or, Top, VarRef, free_vars,
                          parse_formula, render_formula)
@@ -79,6 +79,31 @@ def test_evaluate_missing_assignment():
     M = make_model("dlo")
     with pytest.raises(PreconditionError):
         evaluate(parse_formula("lt(x0,x1)", sig("dlo")), M, {x(0): Fraction(0)})
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_evaluate_refuses_relations_outside_the_signature(theory):
+    # each model's `atomic` reads only its own relation, so a formula built
+    # through the API is checked against the model's theory, whatever other
+    # theory's model evaluated it first
+    owners = {"lt": "dlo", "adj": "randomgraph", "equiv": "equivinf"}
+    own = [rel for rel, _ in sig(theory).relations]
+    x0, x1, x2 = x(0), x(1), x(2)
+    bad = [Atom(rel, (x0, x1)) for rel in owners if rel not in own]
+    bad += [Atom(rel, args) for rel in own for args in ((x0,), (x0, x1, x2))]
+    assert len(bad) == (3 if theory == "pureset" else 4)
+    M = make_model(theory)
+    for atom in bad:
+        arity = len(atom.args)
+        sentence = atom
+        for v in sorted(free_vars(atom), reverse=True):
+            sentence = Exists(v, sentence)
+        if atom.rel not in own:
+            evaluate(sentence, make_model(owners[atom.rel]), {})
+        for f in (sentence, Not(sentence), Forall(x2, Or((sentence, Eq(x2, x2))))):
+            with pytest.raises(SignatureError,
+                               match=f"^{theory} has no relation '{atom.rel}' of arity {arity}$"):
+                evaluate(f, M, {})
 
 
 def test_evaluate_depth_cap():
