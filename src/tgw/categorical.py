@@ -11,24 +11,10 @@ from .formula import (TRUE, Formula, VarRef, exists, free_vars, implies,
 from .models import (DTuple, ModelHandle, Y0, build_dtuple, compile_formula,
                      evaluate, make_model, tuple_type)
 from .record import Record
-from .rich import RichSequence
+from .rich import RichSequence, SectionSchedule
 
 SKOLEM_SCAN_CAP = 256
 TRUE_SLOT_SCAN_CAP = 4096
-
-
-class SectionSchedule(Record):
-    __slots__ = ("steps", "m", "a_bounds", "b_bounds", "reference")
-
-
-def section_schedule(seq: RichSequence, steps: int) -> SectionSchedule:
-    """The schedule slots, the realisation and block bounds, and the
-    reference tuple of the first `steps` section steps."""
-    if steps == 0:
-        return SectionSchedule(0, (), (), (0,), ())
-    plan = seq.section.plan(steps)
-    return SectionSchedule(steps, tuple(plan["m"]), tuple(sorted(plan["A"].items())),
-                           tuple(plan["B"]), tuple(plan["reference"]))
 
 
 def schedule_holds(seq: RichSequence, sched: SectionSchedule) -> bool:

@@ -295,6 +295,15 @@ def substitute_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     return _subst(f, live)
 
 
+def identify_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
+    """Replace variables per `mapping` in a quantifier-free formula, where two
+    variables may map to one: with no binder to capture an image, identifying
+    variables is sound."""
+    if f.bound_vars:
+        raise SignatureError("identify_vars takes a quantifier-free formula")
+    return _subst(f, mapping)
+
+
 def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     if not mapping:
         return f

@@ -1,8 +1,8 @@
 """Reconstruction from the groupoid presentation: sorts are certified
 clopen sub-groupoids, predicates are invariant clopens, and both are
-realised over a base tuple in a lab model as quotients of generated
-witness tuples.  The desk-scale comparison then checks that the realised
-structure is isomorphic to the induced structure on the sampled carrier.
+realised in a lab model as quotients of generated witness tuples.  The
+desk-scale comparison then checks that the realised structure is
+isomorphic to the induced structure on the sampled carrier.
 """
 from __future__ import annotations
 
@@ -25,15 +25,14 @@ class SortClass(Record):
     __slots__ = ("rep", "members")
 
 
-def sort_elements(e: DTuple, H: SubGroupoid, M: ModelHandle, seq: RichSequence,
+def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
                   budget: int) -> list[SortClass]:
-    """Generate up to `budget` witness tuples (varying the preferred first
-    witnesses) and quotient them by H-membership of their pair types."""
+    """Generate up to `budget` witness tuples at H's level (varying the
+    preferred first witnesses) and quotient them by H-membership of their
+    pair types."""
     if budget <= 0:
         raise PreconditionError("budget must be positive")
-    level = e.level
-    if level < H.clopen.level:
-        raise PreconditionError("base tuple level below the sort's level")
+    level = H.clopen.level
     tuples = []
     for i in range(budget):
         t = build_dtuple(M, seq, level, cover=[M.element(j) for j in range(budget)],
@@ -108,25 +107,21 @@ def certify_invariance(X: ClopenSet, sorts: list[SubGroupoid]) -> bool:
     return clopen_equiv(act_clopen(X, movers[:X.arity]), X)
 
 
-def reconstruct_and_compare(theory, level: int = 1, depth: int = 1,
-                            budget: int = 8, prefer_offset: int = 0) -> dict:
+def reconstruct_and_compare(theory, depth: int = 1, budget: int = 8) -> dict:
     """Build the reconstructed language restricted to the level-1 identity
-    sort and the depth-bounded invariant predicates, realise it over a base
-    tuple, and verify the transport isomorphism onto the sampled carrier."""
+    sort and the depth-bounded invariant predicates, realise it on sampled
+    witness tuples, and verify the transport isomorphism onto the sampled
+    carrier."""
     seq = RichSequence(theory)
     M = make_model(theory)
     H1 = is_subgroupoid(en_clopen(seq, 1))
     if not isinstance(H1, SubGroupoid):
         raise InternalConsistencyError("the level-1 identity relation must certify")
-    working = max(level, 1)
-    e = build_dtuple(M, seq, working,
-                     cover=[M.element(i) for i in range(budget)],
-                     prefer=[M.element(prefer_offset)])
-    classes = sort_elements(e, H1, M, seq, budget)
+    classes = sort_elements(H1, M, seq, budget)
     carrier = [c.rep.elements[0] for c in classes]
     bijection = (len(set(carrier)) == len(carrier)
                  and set(carrier) == {M.element(i) for i in range(budget)})
-    report = {"theory": seq.theory.id, "level": level, "depth": depth,
+    report = {"theory": seq.theory.id, "level": H1.clopen.level, "depth": depth,
               "budget": budget, "sorts": 1, "classes": len(classes),
               "bijection": bijection,
               "carrier": [M.render_element(c) for c in carrier],

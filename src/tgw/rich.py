@@ -2,13 +2,11 @@
 
 A rich sequence assigns to every index n a formula in variables x_<n and a
 single y, such that every formula (up to theory equivalence, with dummy
-padding) occurs at arbitrarily large indices.  Slot layout, after an
-optional user prefix P of length L:
+padding) occurs at arbitrarily large indices.  Slot layout:
 
   slot 0            true (always)
-  slots 1..L        P (validated: slot i may use x-positions < i only)
-  slot n = L+u, u odd   first occurrence of item (u-1)/2
-  slot n = L+u, u even  repeat: item k where (e, k) = cantor_unpair(u/2 - 1)
+  slot n, n odd     first occurrence of item (n-1)/2
+  slot n, n even    repeat: item k where (e, k) = cantor_unpair(n/2 - 1)
 
   item 3r    the canonical stream: rank 0 false, rank 1 true, then every
              minimal diagram-union normal form once, in weight order
@@ -41,8 +39,8 @@ import itertools
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
 from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
-                      conj, disj, exists, forall, free_vars, implies, neg,
-                      rename_tapes, substitute_vars)
+                      conj, disj, exists, forall, free_vars, identify_vars,
+                      implies, neg, rename_tapes, substitute_vars)
 from .models import Y0, compile_formula, make_model, next_entry, tuple_type
 from .pairing import cantor_unpair
 from .record import Record
@@ -163,22 +161,14 @@ class DPhiLevel(Record):
 
 
 class RichSequence:
-    """A concrete rich sequence over one of the built-in theories.  `prefix`
-    pins the formulas of slots 1..len(prefix); everything else follows the
-    canonical layout, shifted past the prefix.  `section` is the
-    trivialising-section state over the sequence's pinned reference tuple:
-    it builds the schedule stream's formulas, and the categorical suite
-    reads its `plan`, `model` and `realisations`."""
+    """A concrete rich sequence over one of the built-in theories, in the
+    slot layout above.  `section` is the trivialising-section state over the
+    sequence's pinned reference tuple: it builds the schedule stream's
+    formulas, and the categorical suite reads its `plan`, `model` and
+    `realisations`."""
 
-    def __init__(self, theory, prefix=()):
+    def __init__(self, theory):
         self.theory = get_theory(theory)
-        self.prefix = tuple(prefix)
-        for i, f in enumerate(self.prefix, start=1):
-            bad = [v for v in free_vars(f)
-                   if not (v.tape == 0 and v.position < i) and v != Y0]
-            if bad:
-                raise PreconditionError(
-                    f"prefix slot {i} may only use x-positions below {i} and y0")
         self._slots: dict[int, Formula] = {}
         self._clauses: dict[int, Formula] = {}
         self._conjuncts: dict[int, Formula] = {}
@@ -186,12 +176,8 @@ class RichSequence:
 
     # slot layout ------------------------------------------------------------
 
-    @property
-    def offset(self) -> int:
-        return len(self.prefix)
-
     def schedule_slot(self, t: int) -> int:
-        return self.offset + 6 * t + 3
+        return 6 * t + 3
 
     def _item(self, k: int) -> Formula:
         if k % 3 == 0:
@@ -205,15 +191,12 @@ class RichSequence:
             raise PreconditionError("negative index")
         if n == 0:
             return TRUE
-        if n <= self.offset:
-            return self.prefix[n - 1]
         if n in self._slots:
             return self._slots[n]
-        u = n - self.offset
-        if u % 2:
-            f = self._item((u - 1) // 2)
+        if n % 2:
+            f = self._item((n - 1) // 2)
         else:
-            _e, k = cantor_unpair(u // 2 - 1)
+            _e, k = cantor_unpair(n // 2 - 1)
             f = self._item(k)
         if any(v.tape == 0 and v.position >= n for v in free_vars(f)):
             f = TRUE  # dummy padding: the item reappears at later slots
@@ -291,6 +274,10 @@ class RichSequence:
 
 # -- the self-referential section-schedule stream ------------------------------
 
+class SectionSchedule(Record):
+    __slots__ = ("steps", "m", "a_bounds", "b_bounds", "reference")
+
+
 class _SectionState:
     """The trivialising-section data for the sequence's pinned reference
     tuple, which grows one entry at a time in a model of its own.  For each
@@ -344,9 +331,10 @@ class _SectionState:
             if len(found) == want:
                 break
         else:
-            raise InternalConsistencyError(
-                f"no realization of a 1-type over the first {n} entries "
-                f"within {SECTION_SCAN_CAP} positions")
+            raise ResourceCapError(
+                f"no realization of every 1-type over the first {n} entries "
+                f"within {SECTION_SCAN_CAP} positions", cap="section-scan",
+                limit=SECTION_SCAN_CAP, observed=max(SECTION_SCAN_CAP - n, 0))
         self._realised[n] = found
         return found
 
@@ -386,9 +374,10 @@ class _SectionState:
         bhat = [VarRef(0, self.seq.schedule_slot(j)) for j in range(n)]
         xk = VarRef(0, k)
 
+        # x_k may be an earlier slot: two diagram variables can land on one
         def pinned(d, targets: list[VarRef]) -> Formula:
-            return substitute_vars(d.diagram_formula(),
-                                   {VarRef(0, j): v for j, v in enumerate(targets)})
+            return identify_vars(d.diagram_formula(),
+                                 {VarRef(0, j): v for j, v in enumerate(targets)})
 
         # if the tracked entry realises the reference type of the next
         # entry (first realised at n itself), copy it; otherwise follow the
@@ -403,12 +392,15 @@ class _SectionState:
                 parts.append(conj([guard, pinned(body, bhat + [Y0, xk])]))
         return disj(parts)
 
-    def plan(self, steps: int) -> dict:
-        ms = [self.seq.schedule_slot(t) for t in range(steps)]
+    def plan(self, steps: int) -> SectionSchedule:
+        """The first `steps` schedule slots, with the realisation bounds, block
+        bounds and reference tuple as far as the state has computed them."""
         for t in range(steps):
             self.step_formula(t)   # extends the block chain past t
-        return {"m": ms, "A": {n: self.a_bound(n) for n in sorted(self._realised)},
-                "B": list(self._b), "reference": list(self._tuple)}
+        return SectionSchedule(
+            steps, tuple(self.seq.schedule_slot(t) for t in range(steps)),
+            tuple((n, self.a_bound(n)) for n in sorted(self._realised)),
+            tuple(self._b), tuple(self._tuple))
 
 
 def _cover(model, n: int):

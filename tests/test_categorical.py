@@ -2,12 +2,11 @@
 import pytest
 
 from tgw.errors import PreconditionError
-from tgw.categorical import (SectionSchedule, apply_mstar, schedule_holds,
-                             section_schedule, skolem_map, true_slots,
-                             universality_check)
+from tgw.categorical import (apply_mstar, schedule_holds, skolem_map,
+                             true_slots, universality_check)
 from tgw.formula import TRUE, parse_formula
 from tgw.models import DTuple, build_dtuple, make_model, tuple_type
-from tgw.rich import RichSequence
+from tgw.rich import RichSequence, SectionSchedule
 from tgw.theories import get_theory
 
 SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")}
@@ -18,12 +17,13 @@ def parse(text, theory):
 
 
 def test_section_schedule_empty():
-    sched = section_schedule(SEQS["dlo"], 0)
+    # the record holds what the state has computed, so the state is fresh
+    sched = RichSequence("dlo").section.plan(0)
     assert sched.steps == 0 and sched.m == () and sched.b_bounds == (0,)
 
 
 def test_section_schedule_pureset_bounds():
-    sched = section_schedule(SEQS["pureset"], 4)
+    sched = SEQS["pureset"].section.plan(4)
     a = dict(sched.a_bounds)
     assert a[0] == 1           # the unique 1-type over nothing sits at entry 0
     assert sched.b_bounds[1] == 1
@@ -33,7 +33,7 @@ def test_section_schedule_pureset_bounds():
 
 def test_apply_mstar_pureset_full():
     seq = SEQS["pureset"]
-    sched = section_schedule(seq, 4)
+    sched = seq.section.plan(4)
     M = make_model("pureset")
     a = build_dtuple(M, seq, sched.m[-1] + 1,
                      cover=[M.element(i) for i in range(12)])
@@ -46,7 +46,7 @@ def test_apply_mstar_pureset_full():
 
 def test_apply_mstar_dlo():
     seq = SEQS["dlo"]
-    sched = section_schedule(seq, 3)
+    sched = seq.section.plan(3)
     M = make_model("dlo")
     a = build_dtuple(M, seq, sched.m[-1] + 1,
                      cover=[M.element(i) for i in range(12)])
@@ -59,7 +59,7 @@ def test_apply_mstar_records_failures():
     # are distinct and the fourth repeats the first: the constant tuple loses
     # the type at stage 2, the injective one at stage 4 and every window
     seq = SEQS["pureset"]
-    sched = section_schedule(seq, 4)
+    sched = seq.section.plan(4)
     assert sched.reference[:4] == (0, 1, 2, 0)
     M = make_model("pureset")
     level = sched.m[-1] + 1
@@ -77,7 +77,7 @@ def test_apply_mstar_records_failures():
                                           ("randomgraph", 3), ("equivinf", 4)])
 def test_schedule_holds_checks_the_record(theory, steps):
     seq = SEQS[theory]
-    sched = section_schedule(seq, steps)
+    sched = seq.section.plan(steps)
     assert schedule_holds(seq, sched)
     # an entry repeated everywhere realises only the types that repeat it
     same = (sched.reference[0],) * len(sched.reference)
@@ -91,7 +91,7 @@ def test_schedule_holds_checks_the_record(theory, steps):
 
 def test_apply_mstar_level_precondition():
     seq = SEQS["dlo"]
-    sched = section_schedule(seq, 3)
+    sched = seq.section.plan(3)
     M = make_model("dlo")
     short = build_dtuple(M, seq, 3)
     with pytest.raises(PreconditionError):
@@ -102,7 +102,7 @@ def test_section_property_across_base_points():
     # the section's source is the same reference restriction from every
     # sampled base tuple, while its target is the sample itself
     seq = SEQS["pureset"]
-    sched = section_schedule(seq, 3)
+    sched = seq.section.plan(3)
     M = make_model("pureset")
     keys = set()
     for s in range(3):

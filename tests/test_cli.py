@@ -47,8 +47,7 @@ def test_compose_example(capsys):
 
 
 def test_determinism_minus_timing(capsys):
-    argv = ["reconstruct", "--theory", "dlo", "--level", "1", "--depth", "1",
-            "--budget", "4"]
+    argv = ["reconstruct", "--theory", "dlo", "--depth", "1", "--budget", "4"]
     _, a = capture(capsys, argv)
     _, b = capture(capsys, argv)
     a.pop("timing_ms")
@@ -186,6 +185,15 @@ def test_skolem_scan_cap_fields(capsys, monkeypatch):
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("skolem-scan", 0, 0)
 
 
+def test_section_scan_cap_fields(capsys, monkeypatch):
+    # pureset realises the last 1-type over its first entry at position 3,
+    # past a scan of positions 1 and 2
+    monkeypatch.setattr(rich, "SECTION_SCAN_CAP", 3)
+    code, rep = capture(capsys, ["section", "--theory", "pureset", "--steps", "2"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("section-scan", 3, 2)
+
+
 def test_true_slot_scan_cap_fields(capsys, monkeypatch):
     monkeypatch.setattr(categorical, "TRUE_SLOT_SCAN_CAP", 0)
     code, rep = capture(capsys, ["universality", "--theory", "dlo"])
@@ -304,7 +312,8 @@ def test_config_values_are_checked(tmp_path, capsys, argv, config, error):
 
 
 @pytest.mark.parametrize("argv", ["dphi --theory dlo --level 1 --max-grid 0",
-                                  "model dump --theory dlo --size 1 --max-depth 0"])
+                                  "model dump --theory dlo --size 1 --max-depth 0",
+                                  "reconstruct --theory dlo --level 1"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
@@ -336,6 +345,62 @@ def test_each_handler_reads_every_parameter_it_declares(capsys, monkeypatch, com
     assert main([*command.split(), "--theory", "pureset", *CHEAP[command].split()]) == 0
     capsys.readouterr()
     assert set(COMMANDS[command]) <= read
+
+
+# For each parameter of each command: the rest of a cheap pureset invocation
+# and two accepted values, whose reports must differ.
+VARIED = {
+    ("types", "vars"): ("", "1", "2"),
+    ("types", "tapes"): ("--vars 1", "1", "2"),
+    ("types", "constraint"): ("--vars 2", "true", "eq(x0,x1)"),
+    ("types", "max_grid"): ("--vars 1", "0", "12"),
+    ("dphi", "level"): ("", "1", "4"),
+    ("compose", "phi"): ("--psi eq(y0,z0)", "eq(x0,y0)", "true"),
+    ("compose", "psi"): ("--phi eq(x0,y0)", "eq(y0,z0)", "true"),
+    ("compose", "max_grid"): ("--phi eq(x0,y0) --psi eq(y0,z0)", "0", "12"),
+    ("source", "phi"): ("", "eq(x0,y0)", "eq(x0,x1)"),
+    ("subgroupoids", "depth"): ("", "0", "1"),
+    ("groupoid verify", "level"): ("", "0", "1"),
+    ("groupoid verify", "max_grid"): ("--level 1", "0", "12"),
+    ("project", "phi"): ("--to 1", "eq(x0,y0)", "!eq(x0,y0)"),
+    ("project", "to"): ("--phi (eq(x0,y0)&eq(x1,y1))", "0", "1"),
+    ("project", "max_grid"): ("--phi eq(x0,y0) --to 0", "0", "12"),
+    ("theta", "level"): ("", "0", "1"),
+    ("theta", "tapes"): ("--level 1", "2", "3"),
+    ("theta", "index"): ("--level 1", "0", "1"),
+    ("theta", "max_grid"): ("--level 1", "0", "12"),
+    ("reconstruct", "depth"): ("--budget 2", "0", "1"),
+    ("reconstruct", "budget"): ("", "2", "3"),
+    ("section", "steps"): ("", "0", "1"),
+    ("section", "max_depth"): ("--steps 1", "0", "8"),
+    ("skolem", "formula"): ("", "eq(x0,y0)", "!eq(x0,y0)"),
+    ("universality", "k"): ("--samples 1", "1", "2"),
+    ("universality", "samples"): ("", "1", "2"),
+    ("universality", "m0"): ("--samples 1", "1", "8"),
+    ("universality", "max_depth"): ("--samples 1", "0", "8"),
+    ("model dump", "size"): ("", "1", "2"),
+}
+# the item that repeats a parameter's value back
+ECHOES = {("dphi", "level"): "level", ("project", "to"): "level",
+          ("reconstruct", "depth"): "depth", ("reconstruct", "budget"): "budget",
+          ("skolem", "formula"): "formula", ("universality", "samples"): "samples"}
+PARAMETERS = [(command, key) for command, table in COMMANDS.items() for key in table]
+
+
+@pytest.mark.parametrize("command,key", PARAMETERS,
+                         ids=[f"{c} {cli._flag(k)}" for c, k in PARAMETERS])
+def test_every_parameter_changes_some_report(capsys, command, key):
+    # a parameter whose value only its own echo shows computes nothing
+    rest, *values = VARIED[command, key]
+    reports = []
+    for value in values:
+        main([*command.split(), "--theory", "pureset", *rest.split(), cli._flag(key), value])
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timing_ms", None)
+        report.get("parameters", {}).pop(key, None)
+        report.get("items", {}).pop(ECHOES.get((command, key)), None)
+        reports.append(report)
+    assert reports[0] != reports[1]
 
 
 def test_a_closed_stdout_is_no_traceback():
@@ -387,6 +452,9 @@ PINNED_REPORTS = [
     ("section --theory equivinf --steps 6", 0, "828f06d47690"),
     ("section --theory pureset --steps 6", 0, "608022c7efd4"),
     ("section --theory randomgraph --steps 3", 0, "c0a7767ffefb"),
+    # x_16's block index 3 is also slot m_0, so its diagram identifies the two
+    ("section --theory pureset --steps 17", 0, "77ac9cd371c2"),
+    ("section --theory equivinf --steps 17", 0, "fb557ade90c2"),
     # the recorded section-schedule defect: both print the same error report
     ("section --theory dlo --steps 4", 1, "e4f4ec4ddc11"),
     ("section --theory randomgraph --steps 4", 1, "e4f4ec4ddc11"),

@@ -7,7 +7,14 @@ lists in `LAYERS` are wrapped by name in the traced benchmark run.
 
 Every name a module imports at module level is loaded in that module, so
 no import outlives the code that read it.  `from __future__` imports and
-the package's `__init__` (whose imports would be re-exports) are exempt."""
+the package's `__init__` (whose imports would be re-exports) are exempt.
+
+Every parameter with a default is passed by some call in the package, so no
+default stands in for a value only tests set.  A call reaches the functions
+and methods of its name; a class call reaches the class's `__init__`, and
+`super().f(...)` the `f` its class inherits.  A call through `*args` or
+`**kw` passes every parameter of that kind.  `cli.main`'s `argv` is exempt:
+the console entry point calls `main` with none."""
 import ast
 from pathlib import Path
 
@@ -82,3 +89,78 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+ENTRY = ("cli", "main", "argv")   # the console script calls main()
+
+
+def unused_parameters() -> list[str]:
+    """module.function(parameter) of every parameter with a default that no
+    call in the package passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    functions = [(module, qualname, node) for module, tree in trees.items()
+                 for qualname, node in definitions(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    methods = {item for cls in classes.values() for item in cls.body
+               if isinstance(item, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)}
+
+    def inherited(cls_name, name):
+        cls = classes.get(cls_name)
+        while cls is not None:
+            own = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == name]
+            if own:
+                return own
+            cls = next((classes[b.id] for b in cls.bases
+                        if isinstance(b, ast.Name) and b.id in classes), None)
+        return []
+
+    def callees(call, cls_name):
+        f = call.func
+        if isinstance(f, ast.Name) and f.id in classes:
+            return inherited(f.id, "__init__")
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Call) \
+                and getattr(f.value.func, "id", None) == "super":
+            base = next(b.id for b in classes[cls_name].bases if isinstance(b, ast.Name))
+            return inherited(base, f.attr)
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if name == "__init__":
+            return []
+        return [node for _, _, node in functions if node.name == name]
+
+    passed: dict[ast.FunctionDef, set[str]] = {}
+
+    def visit(node, cls_name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                for fn in callees(child, cls_name):
+                    a = fn.args
+                    positional = [p.arg for p in a.posonlyargs + a.args]
+                    if fn in methods:   # self is bound, not passed
+                        positional = positional[1:]
+                    got = passed.setdefault(fn, set())
+                    if any(isinstance(x, ast.Starred) for x in child.args):
+                        got.update(positional)
+                    got.update(positional[:len(child.args)])
+                    if any(k.arg is None for k in child.keywords):
+                        got.update(positional, (p.arg for p in a.kwonlyargs))
+                    got.update(k.arg for k in child.keywords if k.arg)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
+
+    for tree in trees.values():
+        visit(tree, None)
+    unused = []
+    for module, qualname, fn in functions:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + \
+            [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        unused += [f"{module}.{qualname}({p.arg})" for p in defaulted
+                   if p.arg not in passed.get(fn, ()) and (module, qualname, p.arg) != ENTRY]
+    return unused
+
+
+def test_every_default_parameter_is_passed():
+    assert unused_parameters() == []

@@ -10,9 +10,9 @@ import tgw
 from tgw.errors import ParseError, SignatureError
 from tgw.formula import (
     FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall, Implies, Not, Or,
-    Signature, Top, VarRef, conj, disj, exists, forall, free_vars, implies,
-    neg, parse_formula, render_formula, rename_tapes, sort_key,
-    substitute_vars,
+    Signature, Top, VarRef, conj, disj, exists, forall, free_vars,
+    identify_vars, implies, neg, parse_formula, render_formula, rename_tapes,
+    sort_key, substitute_vars,
 )
 
 DLO = Signature("dlo", (("lt", 2),))
@@ -103,6 +103,15 @@ def test_substitute_requires_injective():
     f = conj([Eq(x(0), y(0)), Eq(x(1), y(0))])
     with pytest.raises(SignatureError):
         substitute_vars(f, {x(0): x(2), x(1): x(2)})
+
+
+def test_identify_vars_only_in_quantifier_free_formulas():
+    # with no binder to capture an image, two variables may become one
+    f = conj([Eq(x(0), y(0)), Atom("lt", (x(1), y(0)))])
+    assert identify_vars(f, {x(0): x(2), x(1): x(2)}) == \
+        conj([Eq(x(2), y(0)), Atom("lt", (x(2), y(0)))])
+    with pytest.raises(SignatureError):
+        identify_vars(Exists(y(0), Eq(x(0), y(0))), {x(0): x(1)})
 
 
 def test_substitute_alpha_renames_on_capture():

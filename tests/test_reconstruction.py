@@ -5,7 +5,7 @@ from tgw.formula import (TRUE, Eq, VarRef, conj, implies, parse_formula,
                          rename_tapes)
 from tgw.groupoid import (ClopenSet, LevelTable, SubGroupoid, clopen,
                           contains_base, en_clopen, is_subgroupoid)
-from tgw.models import build_dtuple, make_model
+from tgw.models import make_model
 from tgw.reconstruction import (predicate_corpus, predicate_value,
                                 reconstruct_and_compare, sort_elements)
 from tgw.rich import RichSequence
@@ -81,8 +81,7 @@ def test_sort_elements_classes():
     seq = SEQS[theory]
     M = make_model(theory)
     H = is_subgroupoid(en_clopen(seq, 1))
-    e = build_dtuple(M, seq, 1, cover=[M.element(i) for i in range(8)])
-    classes = sort_elements(e, H, M, seq, 8)
+    classes = sort_elements(H, M, seq, 8)
     firsts = [c.rep.elements[0] for c in classes]
     assert len(set(firsts)) == len(firsts) == 8
 
@@ -92,8 +91,7 @@ def test_sort_elements_coarse_relation():
     seq = SEQS[theory]
     M = make_model(theory)
     H = is_subgroupoid(cl(theory, "true", arity=2, level=1))
-    e = build_dtuple(M, seq, 1, cover=[M.element(i) for i in range(4)])
-    classes = sort_elements(e, H, M, seq, 8)
+    classes = sort_elements(H, M, seq, 8)
     assert len(classes) == 1
     assert len(classes[0].members) == 8
 
@@ -105,9 +103,8 @@ def test_sort_refinement():
     M = make_model(theory)
     fine = is_subgroupoid(en_clopen(seq, 1))
     coarse = is_subgroupoid(cl(theory, "equiv(x0,y0)", arity=2))
-    e = build_dtuple(M, seq, 1, cover=[M.element(i) for i in range(8)])
-    fine_classes = sort_elements(e, fine, M, seq, 8)
-    coarse_classes = sort_elements(e, coarse, M, seq, 8)
+    fine_classes = sort_elements(fine, M, seq, 8)
+    coarse_classes = sort_elements(coarse, M, seq, 8)
     assert len(coarse_classes) <= len(fine_classes)
 
 
@@ -116,9 +113,8 @@ def test_sort_elements_budget_zero():
     seq = SEQS[theory]
     M = make_model(theory)
     H = is_subgroupoid(en_clopen(seq, 1))
-    e = build_dtuple(M, seq, 1)
     with pytest.raises(PreconditionError):
-        sort_elements(e, H, M, seq, 0)
+        sort_elements(H, M, seq, 0)
 
 
 def test_predicate_value_examples():
@@ -126,8 +122,7 @@ def test_predicate_value_examples():
     seq = SEQS[theory]
     M = make_model(theory)
     H = is_subgroupoid(en_clopen(seq, 1))
-    e = build_dtuple(M, seq, 1, cover=[M.element(i) for i in range(4)])
-    classes = sort_elements(e, H, M, seq, 4)
+    classes = sort_elements(H, M, seq, 4)
     by_first = {c.rep.elements[0]: c for c in classes}
     from fractions import Fraction
     zero, one = by_first[Fraction(0)], by_first[Fraction(1)]
@@ -140,8 +135,7 @@ def test_predicate_value_examples():
     E = cl("pureset", "eq(x0,y0)", arity=2)
     Mp = make_model("pureset")
     Hp = is_subgroupoid(en_clopen(SEQS["pureset"], 1))
-    ep = build_dtuple(Mp, SEQS["pureset"], 1, cover=[0, 1])
-    cp = sort_elements(ep, Hp, Mp, SEQS["pureset"], 2)
+    cp = sort_elements(Hp, Mp, SEQS["pureset"], 2)
     assert predicate_value(E, [cp[0], cp[1]], Mp) is False
 
 
@@ -153,22 +147,8 @@ def test_predicate_corpus_pureset():
 
 @pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
 def test_reconstruct_and_compare(theory):
-    report = reconstruct_and_compare(theory, level=1, depth=1, budget=8)
+    report = reconstruct_and_compare(theory, depth=1, budget=8)
     assert report["ok"] and report["bijection"]
     assert report["classes"] == 8
     assert all(p["invariant"] and p["well_defined"] and p["transported"]
                for p in report["predicates"])
-
-
-def test_reconstruction_fixed_point():
-    # a second round from a different base point is isomorphic: same class
-    # count and identical predicate tables under the carrier identification
-    a = reconstruct_and_compare("dlo", level=1, depth=1, budget=4)
-    b = reconstruct_and_compare("dlo", level=1, depth=1, budget=4,
-                                prefer_offset=1)
-    assert a["classes"] == b["classes"]
-    ta = {p["formula"]: p["table"] for p in a["predicates"]}
-    tb = {p["formula"]: p["table"] for p in b["predicates"]}
-    assert set(ta) == set(tb)
-    for k in ta:
-        assert set(ta[k].values()) == set(tb[k].values()) or ta[k] == tb[k]

@@ -2,13 +2,13 @@
 frozen, equal when their fields are equal, and hashed alike then."""
 import pytest
 
-from tgw.categorical import SectionSchedule, TrivialisationCertificate
+from tgw.categorical import TrivialisationCertificate
 from tgw.errors import PreconditionError
 from tgw.formula import TRUE, Eq, VarRef
 from tgw.groupoid import ClopenSet, Refusal, SubGroupoid
 from tgw.models import DTuple
 from tgw.reconstruction import SortClass
-from tgw.rich import DPhiLevel, RichSequence
+from tgw.rich import DPhiLevel, RichSequence, SectionSchedule
 from tgw.theories import CompleteType
 
 SEQ = RichSequence("dlo")

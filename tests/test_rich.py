@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from tgw.errors import PreconditionError
 from tgw.formula import (FALSE, TRUE, Eq, Forall, Implies, VarRef, conj,
                          exists, forall, free_vars, neg, parse_formula,
                          render_formula, substitute_vars)
@@ -43,11 +42,6 @@ def test_slot_zero_is_true():
         assert RichSequence(theory).rich_formula(0) == TRUE
 
 
-def test_prefix_validation():
-    with pytest.raises(PreconditionError):
-        RichSequence("pureset", prefix=[parse("eq(x1,y0)", "pureset")])
-
-
 def test_dphi_level_zero_and_one():
     seq = RichSequence("pureset")
     assert seq.dphi_formula(0).formula == TRUE
@@ -68,19 +62,10 @@ def test_defining_clause_matches_plain_constructors():
             assert seq.defining_clause(k) == want, (theory, k)
 
 
-def test_dphi_prefix_example():
-    seq = RichSequence("pureset", prefix=[parse("!eq(x0,y0)", "pureset")])
-    lvl = seq.dphi_formula(2)
-    assert lvl.simplified == parse("!eq(x0,x1)", "pureset")
-
-
 def test_dphi_monotone_and_nonempty():
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
         seq = RichSequence(theory)
         for n in range(6):
-            step = conj([seq.dphi_formula(n + 1).simplified,
-                         neg(seq.dphi_formula(n).simplified)])
-            holds = seq.relativize_exists(conj([step, FALSE]), 0)  # vacuous guard
             # monotonicity: level n+1 implies level n
             gap = conj([seq.dphi_formula(n + 1).simplified,
                         neg(seq.dphi_formula(n).simplified)])
@@ -158,16 +143,16 @@ def test_valid_on_sort_and_plain(theory, text, tapes, on_sort, plain):
 
 def test_section_plan_pureset():
     plan = RichSequence("pureset").section.plan(4)
-    assert plan["A"][0] == 1
-    assert plan["B"][:2] == [0, 1]
-    assert plan["m"] == sorted(plan["m"])
-    assert len(plan["m"]) == 4
+    assert dict(plan.a_bounds)[0] == 1
+    assert plan.b_bounds[:2] == (0, 1)
+    assert list(plan.m) == sorted(plan.m)
+    assert len(plan.m) == 4
 
 
 def test_section_plan_dlo():
     plan = RichSequence("dlo").section.plan(3)
-    assert plan["A"][0] == 1 and plan["B"][1] == 1
-    assert len(plan["m"]) == 3
+    assert dict(plan.a_bounds)[0] == 1 and plan.b_bounds[1] == 1
+    assert len(plan.m) == 3
 
 
 def one_types_over(section, n):
@@ -207,4 +192,4 @@ def test_realisation_scan_matches_oracles(theory, steps):
         assert list(record.values()) == sorted(record.values())
         assert section.a_bound(n) == max(record.values()) + 1
     # each entry's defining clause was checked once, when it was placed
-    assert all(certify_dtuple(section.model, section.seq, tuple(plan["reference"])))
+    assert all(certify_dtuple(section.model, section.seq, plan.reference))
