@@ -9,7 +9,7 @@ from .errors import (InternalConsistencyError, PreconditionError,
 from .formula import (TRUE, Formula, VarRef, exists, free_vars, implies,
                       render_formula, substitute_vars)
 from .models import (DTuple, ModelHandle, Y0, build_dtuple, compile_formula,
-                     evaluate, make_model, tuple_type)
+                     evaluate, tuple_type)
 from .record import Record
 from .rich import RichSequence, SectionSchedule
 
@@ -31,7 +31,7 @@ def schedule_holds(seq: RichSequence, sched: SectionSchedule) -> bool:
         for d, i in section.realisations(n).items():
             asg[VarRef(0, n)] = sched.reference[i]
             if not (n <= i < bound
-                    and compile_formula(d.diagram_formula(), M.theory)(M, asg, 0)):
+                    and compile_formula(d.diagram_formula(), M.theory)(M, asg)):
                 return False
     return True
 
@@ -115,12 +115,11 @@ def true_slots(seq: RichSequence, start: int, count: int) -> list[int]:
     return out
 
 
-def universality_check(seq: RichSequence, k: int = 1, m0: int = 1,
-                       M: ModelHandle | None = None, samples: int = 8) -> dict:
+def universality_check(seq: RichSequence, k: int, m0: int, M: ModelHandle,
+                       samples: int) -> dict:
     """For sampled (tuple, target) pairs, rebuild a witness tuple that keeps
     the first m0 entries and hits the target on k trivially-true
     coordinates; every sample must succeed."""
-    M = M or make_model(seq.theory)
     slots = true_slots(seq, m0, k)
     level = slots[-1] + 1
     transcripts = []

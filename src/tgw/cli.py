@@ -26,7 +26,7 @@ from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
                        is_subgroupoid, merge_tape, project_clopen,
                        source_clopen, target_clopen, theta_fiber,
                        theta_reindex, verify_level_axioms)
-from .models import DEFAULT_QUANTIFIER_CAP, build_dtuple, make_model
+from .models import build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
 from .theories import DEFAULT_GRID_CAP, THEORIES, enumerate_types, get_theory
@@ -48,9 +48,9 @@ COMMANDS = {
     "project": {"phi": REQUIRED, "to": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
     "theta": {"level": REQUIRED, "tapes": 3, "index": 0, "max_grid": DEFAULT_GRID_CAP},
     "reconstruct": {"depth": 1, "budget": 8},
-    "section": {"steps": 0, "max_depth": DEFAULT_QUANTIFIER_CAP},
+    "section": {"steps": 0},
     "skolem": {"formula": REQUIRED},
-    "universality": {"k": 1, "samples": 8, "m0": 1, "max_depth": DEFAULT_QUANTIFIER_CAP},
+    "universality": {"k": 1, "samples": 8, "m0": 1},
     "model dump": {"size": REQUIRED},
 }
 
@@ -58,7 +58,7 @@ COMMANDS = {
 # other); every other parameter is a formula
 LEAST = {"vars": 0, "tapes": 1, "level": 0, "depth": 0, "budget": 1, "steps": 0,
          "samples": 1, "k": 1, "m0": 0, "to": 0, "index": 0, "size": 0,
-         "max_grid": 0, "max_depth": 0}
+         "max_grid": 0}
 
 
 def _seq(cfg) -> RichSequence:
@@ -71,10 +71,6 @@ def _parse(cfg, text):
 
 def _flag(key: str) -> str:
     return "-k" if key == "k" else "--" + key.replace("_", "-")
-
-
-def _model(cfg):
-    return make_model(cfg["theory"], max_quantifier_depth=cfg["max_depth"])
 
 
 def _cert(name, passed, **extra):
@@ -208,7 +204,7 @@ def cmd_section(cfg):
     seq = _seq(cfg)
     steps = cfg["steps"]
     sched = seq.section.plan(steps)
-    M = _model(cfg)
+    M = make_model(cfg["theory"])
     certs = [_cert("schedule-verified", schedule_holds(seq, sched), m=list(sched.m),
                    B=list(sched.b_bounds))]
     items = {"m": list(sched.m), "A": [list(ab) for ab in sched.a_bounds],
@@ -230,7 +226,7 @@ def cmd_skolem(cfg):
 
 def cmd_universality(cfg):
     seq = _seq(cfg)
-    M = _model(cfg)
+    M = make_model(cfg["theory"])
     report = universality_check(seq, k=cfg["k"], m0=cfg["m0"], M=M,
                                 samples=cfg["samples"])
     return report, [_cert("all-samples-constructed",
@@ -349,10 +345,8 @@ def main(argv=None) -> int:
         cfg = config_from_args(argv)
         report = run(cfg)
     except ResourceCapError as e:
-        out = {"error": str(e), "kind": "resource-cap"}
-        out.update((k, getattr(e, k)) for k in ("cap", "limit", "observed")
-                   if getattr(e, k) is not None)
-        _emit(json.dumps(out, indent=2))
+        _emit(json.dumps({"error": str(e), "kind": "resource-cap", "cap": e.cap,
+                          "limit": e.limit, "observed": e.observed}, indent=2))
         return 3
     except (PreconditionError, ParseError, json.JSONDecodeError, OSError) as e:
         _emit(json.dumps({"error": str(e), "kind": "usage"}, indent=2))

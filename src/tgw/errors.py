@@ -24,16 +24,12 @@ class PreconditionError(TgwError):
 
 class ResourceCapError(TgwError):
     """A configured desk-scale cap was exceeded (never silent truncation).
-    Where known, `cap` names the cap, `limit` is its value and `observed` the
-    value that passed it."""
+    `cap` names the cap, `limit` is its value and `observed` the value that
+    passed it."""
 
-    def __init__(self, message, cap=None, limit=None, observed=None):
+    def __init__(self, message, cap, limit, observed):
         super().__init__(message)
         self.cap, self.limit, self.observed = cap, limit, observed
-
-
-class EvaluationCapError(ResourceCapError):
-    """Quantifier-depth cap exceeded during model evaluation."""
 
 
 class InternalConsistencyError(TgwError):

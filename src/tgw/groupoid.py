@@ -110,6 +110,7 @@ def clopen_le(U: ClopenSet, V: ClopenSet) -> bool:
     _common(U, V)
     return U.seq.valid(implies(U.formula, V.formula), max(U.arity, V.arity))
 
+
 def clopen_equiv(U: ClopenSet, V: ClopenSet) -> bool:
     return clopen_le(U, V) and clopen_le(V, U)
 
@@ -140,9 +141,6 @@ class Refusal(Record):
     sub-groupoid axioms, the least failing point ids for the level-table
     laws."""
     __slots__ = ("axiom", "witness")
-
-    def __bool__(self):
-        return False
 
 
 def is_subgroupoid(U: ClopenSet):
@@ -235,7 +233,7 @@ class LevelTable:
         index02 = self.restriction_index(3, (0, 2))
         tape2 = self._tape_condition(2)
         for p, codes in enumerate(self.codes):
-            for tri in diagram_codes(self.seq.theory, 3, self.n, tape2, codes):
+            for tri in diagram_codes(self.seq.theory, 3, self.n, tape2, prefix=codes):
                 yield p, index12(tri), index02(tri)
 
     def index(self, point: CompleteType) -> int:

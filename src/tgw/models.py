@@ -23,15 +23,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 
-from .errors import (EvaluationCapError, InternalConsistencyError,
-                     PreconditionError)
+from .errors import (InternalConsistencyError, PreconditionError,
+                     ResourceCapError)
 from .formula import (And, Atom, Bot, Eq, Exists, Forall, Formula, Implies,
                       Not, Or, Top, VarRef, exists, free_vars, render_formula)
 from .pairing import cantor_pair, cantor_unpair
 from .record import Record
 from .theories import CompleteType, Theory, get_theory, pair_codes
 
-DEFAULT_QUANTIFIER_CAP = 8
 WITNESS_SCAN_CAP = 50_000
 
 
@@ -41,10 +40,8 @@ class ModelHandle:
     `verdicts` holds the quantifier verdicts `evaluate` memoises."""
 
     theory: Theory
-    max_quantifier_depth: int
 
-    def __init__(self, max_quantifier_depth: int = DEFAULT_QUANTIFIER_CAP):
-        self.max_quantifier_depth = max_quantifier_depth
+    def __init__(self):
         self.verdicts: dict = {}
 
     def element(self, i: int):
@@ -79,9 +76,7 @@ class ModelHandle:
 
 
 class PureSetModel(ModelHandle):
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.theory = get_theory("pureset")
+    theory = get_theory("pureset")
 
     def element(self, i):
         return i
@@ -98,10 +93,11 @@ class DloModel(ModelHandle):
     """The rationals; the carrier enumerates 0 and then +/- the Calkin-Wilf
     sequence, hitting every rational exactly once."""
 
-    def __init__(self, **kw):
+    theory = get_theory("dlo")
+
+    def __init__(self):
         from fractions import Fraction   # imported here: only this model needs it
-        super().__init__(**kw)
-        self.theory = get_theory("dlo")
+        super().__init__()
         self._seq = [Fraction(0)]
         self._cw = Fraction(1)
 
@@ -133,9 +129,7 @@ class EquivInfModel(ModelHandle):
     """Naturals carrying class tags through the Cantor pairing, so every
     class is infinite and there are infinitely many of them."""
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.theory = get_theory("equivinf")
+    theory = get_theory("equivinf")
 
     def element(self, i):
         return i
@@ -164,17 +158,15 @@ class RandomGraphModel(ModelHandle):
     a posted extension demand still commits a dedicated fresh vertex with
     edges to exactly the demanded set.  Committed bits never change."""
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        self.theory = get_theory("randomgraph")
+    theory = get_theory("randomgraph")
+
+    def __init__(self):
+        super().__init__()
         self.size = 0
         self._demand_pos: dict[int, frozenset] = {}
 
-    def ensure_size(self, n):
-        self.size = max(self.size, n)
-
     def element(self, i):
-        self.ensure_size(i + 1)
+        self.size = max(self.size, i + 1)
         return i
 
     def atomic(self, rel, a, b):
@@ -212,8 +204,8 @@ _MODELS = {"pureset": PureSetModel, "dlo": DloModel,
            "equivinf": EquivInfModel, "randomgraph": RandomGraphModel}
 
 
-def make_model(theory, **kw) -> ModelHandle:
-    return _MODELS[get_theory(theory).id](**kw)
+def make_model(theory) -> ModelHandle:
+    return _MODELS[get_theory(theory).id]()
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -227,7 +219,7 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     """Truth of `f` in `M` under `assignment`, a map from VarRef to element.
 
     `f` is compiled once (`compile_formula`) into closures that are then
-    called as `test(M, assignment, depth)`.  A quantifier node whose body
+    called as `test(M, assignment)`.  A quantifier node whose body
     binds no variable (its stored `bound_vars` is empty) memoises its
     verdict in `M.verdicts`, keyed by the node and the values of the body's
     free variables.  That is exact: such a body is quantifier-free, so it
@@ -237,17 +229,17 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     body that binds variables is not memoised, because its inner
     quantifiers' candidate calls take the outer candidates as parameters
     and may commit elements, which a skipped evaluation would not commit."""
-    return compile_formula(f, M.theory)(M, assignment, 0)
+    return compile_formula(f, M.theory)(M, assignment)
 
 
 def compile_formula(f: Formula, theory: Theory | None = None
-                    ) -> Callable[[ModelHandle, dict, int], bool]:
-    """The closure that evaluates `f`, compiled on first use and then kept
-    per formula node (structurally equal formulas are one node); its third
-    argument is the quantifier depth the call is made at.  Given the
-    models' `theory`, it first refuses (`SignatureError`) a formula with a
-    relation outside the signature; that check runs once per formula and
-    theory, so the compiled atoms call `ModelHandle.atomic` unchecked."""
+                    ) -> Callable[[ModelHandle, dict], bool]:
+    """The closure `test(M, assignment)` that evaluates `f`, compiled on
+    first use and then kept per formula node (structurally equal formulas
+    are one node).  Given the models' `theory`, it first refuses
+    (`SignatureError`) a formula with a relation outside the signature;
+    that check runs once per formula and theory, so the compiled atoms
+    call `ModelHandle.atomic` unchecked."""
     if theory is not None and (f, theory.id) not in _IN_SIGNATURE:
         _check_signature(f, theory)
         _IN_SIGNATURE.add((f, theory.id))
@@ -276,13 +268,13 @@ def _check_signature(f: Formula, theory: Theory) -> None:
 def _compile(f: Formula):
     t = type(f)
     if t is Top:
-        return lambda M, asg, depth: True
+        return lambda M, asg: True
     if t is Bot:
-        return lambda M, asg, depth: False
+        return lambda M, asg: False
     if t is Eq:
         lhs, rhs = f.lhs, f.rhs
 
-        def eq(M, asg, depth):
+        def eq(M, asg):
             try:
                 return asg[lhs] == asg[rhs]
             except KeyError:
@@ -291,7 +283,7 @@ def _compile(f: Formula):
     if t is Atom:
         rel, a, b = f.rel, f.args[0], f.args[1]
 
-        def atom(M, asg, depth):
+        def atom(M, asg):
             try:
                 ea, eb = asg[a], asg[b]
             except KeyError:
@@ -300,28 +292,28 @@ def _compile(f: Formula):
         return atom
     if t is Not:
         sub = compile_formula(f.sub)
-        return lambda M, asg, depth: not sub(M, asg, depth)
+        return lambda M, asg: not sub(M, asg)
     if t is And:
         children = tuple(map(compile_formula, f.children))
 
-        def all_of(M, asg, depth):
+        def all_of(M, asg):
             for c in children:
-                if not c(M, asg, depth):
+                if not c(M, asg):
                     return False
             return True
         return all_of
     if t is Or:
         children = tuple(map(compile_formula, f.children))
 
-        def any_of(M, asg, depth):
+        def any_of(M, asg):
             for c in children:
-                if c(M, asg, depth):
+                if c(M, asg):
                     return True
             return False
         return any_of
     if t is Implies:
         lhs, rhs = compile_formula(f.lhs), compile_formula(f.rhs)
-        return lambda M, asg, depth: (not lhs(M, asg, depth)) or rhs(M, asg, depth)
+        return lambda M, asg: (not lhs(M, asg)) or rhs(M, asg)
     if t is Exists or t is Forall:
         return _compile_quantifier(f)
     raise PreconditionError(f"cannot evaluate {render_formula(f)}")
@@ -334,12 +326,7 @@ def _compile_quantifier(f):
     decisive = type(f) is Exists   # the body value that settles the verdict
     memo = not f.body.bound_vars
 
-    def quantifier(M, asg, depth):
-        if depth >= M.max_quantifier_depth:
-            raise EvaluationCapError(
-                f"quantifier depth exceeds the cap {M.max_quantifier_depth}",
-                cap="quantifier-depth", limit=M.max_quantifier_depth,
-                observed=depth + 1)
+    def quantifier(M, asg):
         values = tuple(asg.get(v, _UNASSIGNED) for v in live)
         if memo:
             key = (quantifier, values)
@@ -350,7 +337,7 @@ def _compile_quantifier(f):
         verdict = not decisive
         for c in M.witness_candidates(sorted({e for e in values if e is not _UNASSIGNED})):
             inner[var] = c
-            if bool(body(M, inner, depth + 1)) is decisive:
+            if bool(body(M, inner)) is decisive:
                 verdict = decisive
                 break
         if memo:
@@ -397,7 +384,7 @@ class DTuple(Record):
 Y0 = VarRef(1, 0)
 
 
-def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
+def build_dtuple(M: ModelHandle, seq, n: int, cover, prefer=(),
                  pins: dict | None = None, base=()) -> DTuple:
     """Greedy tuple construction: each position takes `next_entry`, except
     that `pins` forces stated positions and `base` fixes a prefix."""
@@ -419,19 +406,25 @@ def build_dtuple(M: ModelHandle, seq, n: int, cover=(), prefer=(),
 
 
 def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
-               cover=(), prefer=()):
+               cover, prefer=()):
     """The entry placed after `elements`, which `asg` assigns to x_0, x_1,
     ...: a witness y0 of `phi` when one exists (preferred elements first,
     then the carrier in index order), and otherwise the next element
-    advancing `cover`."""
+    advancing `cover`.  A scan that stops at `WITNESS_SCAN_CAP` without a
+    witness is refused with a cap error."""
     holds = compile_formula(phi, M.theory)
     has = compile_formula(exists(Y0, phi), M.theory) if Y0 in free_vars(phi) else holds
-    if has(M, asg, 0):
+    if has(M, asg):
         for choice in _witness_scan(M, prefer):
             asg[Y0] = choice
-            if holds(M, asg, 0):
+            if holds(M, asg):
                 del asg[Y0]
                 return choice
+        if M.carrier_size_hint() is None:   # the scan stopped at the cap
+            raise ResourceCapError(
+                f"no witness found for slot {len(elements)} within the scan cap "
+                f"{WITNESS_SCAN_CAP}", cap="witness-scan", limit=WITNESS_SCAN_CAP,
+                observed=len(prefer) + WITNESS_SCAN_CAP)
         raise InternalConsistencyError(
             f"no witness found for slot {len(elements)} within the scan bound")
     return next(e for e in itertools.chain(cover, map(M.element, itertools.count()))
@@ -452,5 +445,5 @@ def certify_dtuple(M: ModelHandle, seq, elements: tuple) -> tuple[bool, ...]:
     asg: dict = {}
     for k, e in enumerate(elements):
         asg[VarRef(0, k)] = e
-        checks.append(compile_formula(seq.defining_clause(k), M.theory)(M, asg, 0))
+        checks.append(compile_formula(seq.defining_clause(k), M.theory)(M, asg))
     return tuple(checks)

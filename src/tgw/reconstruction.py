@@ -68,7 +68,7 @@ def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> b
 
 def _eval_on(X: ClopenSet, tuples: list[DTuple], M: ModelHandle) -> bool:
     asg = {v: tuples[v.tape].elements[v.position] for v in _window(len(tuples), X.level)}
-    return compile_formula(X.formula, M.theory)(M, asg, 0)
+    return compile_formula(X.formula, M.theory)(M, asg)
 
 
 @functools.cache
@@ -107,7 +107,7 @@ def certify_invariance(X: ClopenSet, sorts: list[SubGroupoid]) -> bool:
     return clopen_equiv(act_clopen(X, movers[:X.arity]), X)
 
 
-def reconstruct_and_compare(theory, depth: int = 1, budget: int = 8) -> dict:
+def reconstruct_and_compare(theory, depth: int, budget: int) -> dict:
     """Build the reconstructed language restricted to the level-1 identity
     sort and the depth-bounded invariant predicates, realise it on sampled
     witness tuples, and verify the transport isomorphism onto the sampled

@@ -309,7 +309,7 @@ class _SectionState:
             self._tuple.append(entry)
             self._asg[VarRef(0, p)] = entry
             if not compile_formula(self.seq.defining_clause(p), self.model.theory)(
-                    self.model, self._asg, 0):
+                    self.model, self._asg):
                 raise InternalConsistencyError(
                     f"reference entry {p} fails its defining clause")
         return self._tuple[:n]
@@ -319,12 +319,18 @@ class _SectionState:
         whose entry realises it, in position order.  One scan reads each
         entry's type with `tuple_type` and stops once it has met every
         1-type over the prefix, as many as `diagram_codes` extends the
-        prefix's codes by one variable."""
+        prefix's codes by one variable.  A scan that cannot meet them all
+        before `SECTION_SCAN_CAP` is refused before it starts."""
         if n in self._realised:
             return self._realised[n]
         prefix = self.tuple_prefix(n)
         codes = pair_codes(self.seq.theory).codes_of(tuple_type(self.model, [prefix]))
         want = sum(1 for _ in diagram_codes(self.seq.theory, 1, n + 1, prefix=codes))
+        if want > SECTION_SCAN_CAP - n:
+            raise ResourceCapError(
+                f"{want} 1-types over the first {n} entries cannot all be realised "
+                f"within {SECTION_SCAN_CAP} positions", cap="section-scan",
+                limit=SECTION_SCAN_CAP, observed=n + want)
         found: dict[CompleteType, int] = {}
         for i in range(n, SECTION_SCAN_CAP):
             found.setdefault(tuple_type(self.model, [prefix + [self.tuple_prefix(i + 1)[i]]]), i)
@@ -334,7 +340,7 @@ class _SectionState:
             raise ResourceCapError(
                 f"no realization of every 1-type over the first {n} entries "
                 f"within {SECTION_SCAN_CAP} positions", cap="section-scan",
-                limit=SECTION_SCAN_CAP, observed=max(SECTION_SCAN_CAP - n, 0))
+                limit=SECTION_SCAN_CAP, observed=SECTION_SCAN_CAP - n)
         self._realised[n] = found
         return found
 

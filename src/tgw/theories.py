@@ -904,8 +904,8 @@ def _extensions(theory, k: int, n: int, constraint: Formula = TRUE,
                       start, m, *pruning)
 
 
-def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE,
-                  prefix: tuple[int, ...] = ()):
+def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE, *,
+                  prefix: tuple[int, ...]):
     """Stream the pair-code tuples of the diagrams on the k-by-n grid
     (variable (t, p) is t*n + p) that are consistent with the theory and the
     quantifier-free `constraint` and extend the code tuple `prefix` of the
@@ -916,10 +916,8 @@ def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE,
     return map(itemgetter(0), _extensions(get_theory(theory), k, n, constraint, prefix))
 
 
-
-
-def enumerate_types(theory, k: int, n: int, constraint: Formula = TRUE,
-                    cap: int = DEFAULT_GRID_CAP) -> list[CompleteType]:
+def enumerate_types(theory, k: int, n: int, constraint: Formula,
+                    cap: int) -> list[CompleteType]:
     """All complete types on a k-tapes-by-n-positions grid consistent with
     the theory and with `constraint`, in deterministic order."""
     theory = get_theory(theory)

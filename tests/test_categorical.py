@@ -93,7 +93,7 @@ def test_apply_mstar_level_precondition():
     seq = SEQS["dlo"]
     sched = seq.section.plan(3)
     M = make_model("dlo")
-    short = build_dtuple(M, seq, 3)
+    short = build_dtuple(M, seq, 3, ())
     with pytest.raises(PreconditionError):
         apply_mstar(short, sched, M, seq)
 
@@ -137,7 +137,7 @@ def test_true_slots_are_true():
 
 @pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
 def test_universality_all_theories(theory):
-    rep = universality_check(SEQS[theory], k=2, m0=1, samples=4)
+    rep = universality_check(SEQS[theory], k=2, m0=1, M=make_model(theory), samples=4)
     assert rep["successes"] == rep["samples"] == 4
 
 
@@ -146,6 +146,6 @@ def test_universality_identity_target():
     M = make_model("dlo")
     slots = true_slots(seq, 1, 1)
     a = build_dtuple(M, seq, slots[0] + 1, cover=[M.element(i) for i in range(8)])
-    b = build_dtuple(M, seq, slots[0] + 1, base=a.elements[:1],
+    b = build_dtuple(M, seq, slots[0] + 1, (), base=a.elements[:1],
                      pins={slots[0]: a.elements[slots[0]]})
     assert b.ok and b.elements[slots[0]] == a.elements[slots[0]]

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import tgw
-from tgw import categorical, cli, groupoid, rich, theories
+from tgw import categorical, cli, groupoid, models, rich, theories
 from tgw.cli import COMMANDS, HANDLERS, config_from_args, first_failure, main, run
-from tgw.formula import TRUE, parse_formula
+from tgw.formula import TRUE, Exists, Forall, parse_formula
 from tgw.groupoid import LevelTable
 
 
@@ -194,18 +194,27 @@ def test_section_scan_cap_fields(capsys, monkeypatch):
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("section-scan", 3, 2)
 
 
+def test_section_scan_that_cannot_fit_is_refused_before_it_runs(capsys, monkeypatch):
+    # over its first two entries the random graph has six 1-types, which
+    # positions 2..5 cannot all realise
+    monkeypatch.setattr(rich, "SECTION_SCAN_CAP", 6)
+    code, rep = capture(capsys, ["section", "--theory", "randomgraph", "--steps", "3"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("section-scan", 6, 8)
+
+
+def test_witness_scan_cap_fields(capsys, monkeypatch):
+    monkeypatch.setattr(models, "WITNESS_SCAN_CAP", 0)
+    code, rep = capture(capsys, ["universality", "--theory", "dlo", "--samples", "1"])
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("witness-scan", 0, 0)
+
+
 def test_true_slot_scan_cap_fields(capsys, monkeypatch):
     monkeypatch.setattr(categorical, "TRUE_SLOT_SCAN_CAP", 0)
     code, rep = capture(capsys, ["universality", "--theory", "dlo"])
     assert code == 3 and rep["kind"] == "resource-cap"
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("true-slot-scan", 0, 1)
-
-
-def test_quantifier_depth_cap_fields(capsys):
-    # 0 is a depth cap like any other, not the default
-    code, rep = capture(capsys, ["universality", "--theory", "dlo", "--max-depth", "0"])
-    assert code == 3 and rep["kind"] == "resource-cap"
-    assert (rep["cap"], rep["limit"], rep["observed"]) == ("quantifier-depth", 0, 1)
 
 
 def test_json_output(tmp_path, capsys):
@@ -270,7 +279,6 @@ USAGE_CASES = [
     ("types --theory dlo --vars 1 --max-grid -1", "--max-grid must be an integer >= 0, not -1"),
     ("universality --theory dlo -k 0", "-k must be an integer >= 1, not 0"),
     ("universality --theory dlo --samples 0", "--samples must be an integer >= 1, not 0"),
-    ("universality --theory dlo --max-depth -1", "--max-depth must be an integer >= 0, not -1"),
 ]
 
 
@@ -347,6 +355,31 @@ def test_each_handler_reads_every_parameter_it_declares(capsys, monkeypatch, com
     assert set(COMMANDS[command]) <= read
 
 
+def test_commands_evaluate_at_most_one_quantifier(capsys, monkeypatch):
+    # rich formulas are quantifier-free, so the model evaluates only
+    # exists y0. phi_k and the clauses forall y0 (phi_k -> phi_k[y0 := x_k])
+    compiled = []
+    compile_one = models._compile
+
+    def recording(f):
+        compiled.append(f)
+        return compile_one(f)
+
+    monkeypatch.setattr(models, "_COMPILED", {})
+    monkeypatch.setattr(models, "_compile", recording)
+    runs = [[*command.split(), "--theory", theory, *CHEAP[command].split()]
+            for command in COMMANDS for theory in theories.THEORIES]
+    runs += [[*argv, "--theory", theory] for theory in theories.THEORIES
+             for argv in (["section", "--steps", "6"], ["universality"], ["reconstruct"])]
+    for argv in runs:
+        assert main(argv) in (0, 1), argv
+        capsys.readouterr()
+    # every subformula is compiled too, so depth 1 means: some quantifier,
+    # and no quantifier whose body binds a variable
+    quantifiers = [f for f in compiled if isinstance(f, (Exists, Forall))]
+    assert quantifiers and not any(f.body.bound_vars for f in quantifiers)
+
+
 # For each parameter of each command: the rest of a cheap pureset invocation
 # and two accepted values, whose reports must differ.
 VARIED = {
@@ -372,12 +405,10 @@ VARIED = {
     ("reconstruct", "depth"): ("--budget 2", "0", "1"),
     ("reconstruct", "budget"): ("", "2", "3"),
     ("section", "steps"): ("", "0", "1"),
-    ("section", "max_depth"): ("--steps 1", "0", "8"),
     ("skolem", "formula"): ("", "eq(x0,y0)", "!eq(x0,y0)"),
     ("universality", "k"): ("--samples 1", "1", "2"),
     ("universality", "samples"): ("", "1", "2"),
     ("universality", "m0"): ("--samples 1", "1", "8"),
-    ("universality", "max_depth"): ("--samples 1", "0", "8"),
     ("model dump", "size"): ("", "1", "2"),
 }
 # the item that repeats a parameter's value back

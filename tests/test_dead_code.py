@@ -10,11 +10,14 @@ no import outlives the code that read it.  `from __future__` imports and
 the package's `__init__` (whose imports would be re-exports) are exempt.
 
 Every parameter with a default is passed by some call in the package, so no
-default stands in for a value only tests set.  A call reaches the functions
-and methods of its name; a class call reaches the class's `__init__`, and
-`super().f(...)` the `f` its class inherits.  A call through `*args` or
-`**kw` passes every parameter of that kind.  `cli.main`'s `argv` is exempt:
-the console entry point calls `main` with none."""
+default stands in for a value only tests set, and left unset by some call,
+so no default stands in for a value only tests leave out.  A call reaches
+the functions and methods of its name; a class call reaches the class's
+`__init__`, and `super().f(...)` the `f` its class inherits.  A call through
+`*args` or `**kw` may pass every parameter of that kind: that counts as
+passing it for the first check and as leaving it unset for the second.
+`cli.main`'s `argv` is exempt: the console entry point calls `main` with
+none."""
 import ast
 from pathlib import Path
 
@@ -94,9 +97,11 @@ def test_every_import_is_used():
 ENTRY = ("cli", "main", "argv")   # the console script calls main()
 
 
-def unused_parameters() -> list[str]:
-    """module.function(parameter) of every parameter with a default that no
-    call in the package passes."""
+def parameter_calls():
+    """(module, qualified name, defaulted parameter names, calls) for
+    every function in the package, where each call is the pair (parameters
+    it names or fills by position, parameters it may fill through `*args`
+    or `**kw`)."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
@@ -130,7 +135,7 @@ def unused_parameters() -> list[str]:
             return []
         return [node for _, _, node in functions if node.name == name]
 
-    passed: dict[ast.FunctionDef, set[str]] = {}
+    calls: dict[ast.FunctionDef, list[tuple[set[str], set[str]]]] = {}
 
     def visit(node, cls_name):
         for child in ast.iter_child_nodes(node):
@@ -140,27 +145,46 @@ def unused_parameters() -> list[str]:
                     positional = [p.arg for p in a.posonlyargs + a.args]
                     if fn in methods:   # self is bound, not passed
                         positional = positional[1:]
-                    got = passed.setdefault(fn, set())
-                    if any(isinstance(x, ast.Starred) for x in child.args):
-                        got.update(positional)
-                    got.update(positional[:len(child.args)])
+                    starred = [isinstance(x, ast.Starred) for x in child.args]
+                    named = set(positional[:starred.index(True) if any(starred) else len(starred)])
+                    named.update(k.arg for k in child.keywords if k.arg)
+                    spread = set(positional) if any(starred) else set()
                     if any(k.arg is None for k in child.keywords):
-                        got.update(positional, (p.arg for p in a.kwonlyargs))
-                    got.update(k.arg for k in child.keywords if k.arg)
+                        spread.update(positional, (p.arg for p in a.kwonlyargs))
+                    calls.setdefault(fn, []).append((named, spread))
             visit(child, child.name if isinstance(child, ast.ClassDef) else cls_name)
 
     for tree in trees.values():
         visit(tree, None)
-    unused = []
     for module, qualname, fn in functions:
         a = fn.args
         positional = a.posonlyargs + a.args
         defaulted = positional[len(positional) - len(a.defaults):] + \
             [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        unused += [f"{module}.{qualname}({p.arg})" for p in defaulted
-                   if p.arg not in passed.get(fn, ()) and (module, qualname, p.arg) != ENTRY]
-    return unused
+        yield (module, qualname, [p.arg for p in defaulted if (module, qualname, p.arg) != ENTRY],
+               calls.get(fn, []))
+
+
+def unused_parameters() -> list[str]:
+    """module.function(parameter) of every parameter with a default that no
+    call in the package passes."""
+    return [f"{module}.{qualname}({p})"
+            for module, qualname, defaulted, calls in parameter_calls()
+            for p in defaulted if not any(p in named | spread for named, spread in calls)]
 
 
 def test_every_default_parameter_is_passed():
     assert unused_parameters() == []
+
+
+def always_passed_parameters() -> list[str]:
+    """module.function(parameter) of every parameter with a default that
+    every call in the package passes by name or position; a call through
+    `*args` or `**kw` counts as leaving it unset."""
+    return [f"{module}.{qualname}({p})"
+            for module, qualname, defaulted, calls in parameter_calls()
+            for p in defaulted if calls and all(p in named for named, _ in calls)]
+
+
+def test_no_default_parameter_is_always_passed():
+    assert always_passed_parameters() == []

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 
 from tgw import reconstruction
 from tgw.categorical import universality_check
-from tgw.errors import (EvaluationCapError, InternalConsistencyError,
-                        PreconditionError, SignatureError)
+from tgw.errors import (InternalConsistencyError, PreconditionError,
+                        SignatureError)
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                          Implies, Not, Or, Top, VarRef, free_vars,
                          parse_formula, render_formula)
 from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
                         build_dtuple, evaluate, make_model, tuple_type)
 from tgw.rich import RichSequence
-from tgw.theories import decide_sentence, enumerate_types, get_theory
+from tgw.theories import (DEFAULT_GRID_CAP, decide_sentence, enumerate_types,
+                          get_theory)
 
 from test_theories import satisfies_qf
 
@@ -106,13 +107,6 @@ def test_evaluate_refuses_relations_outside_the_signature(theory):
                 evaluate(f, M, {})
 
 
-def test_evaluate_depth_cap():
-    M = make_model("pureset", max_quantifier_depth=1)
-    f = parse_formula("exists y0. exists y1. !eq(y0,y1)", sig("pureset"))
-    with pytest.raises(EvaluationCapError):
-        evaluate(f, M, {})
-
-
 def test_tuple_type_examples():
     M = make_model("pureset")
     t = tuple_type(M, [[0], [0]])
@@ -131,7 +125,7 @@ def test_tuple_type_examples():
 
 def test_build_dtuple_level_zero():
     M = make_model("dlo")
-    dt = build_dtuple(M, SeqStub("dlo", []), 0)
+    dt = build_dtuple(M, SeqStub("dlo", []), 0, ())
     assert dt.elements == () and dt.ok
 
 
@@ -144,7 +138,7 @@ def test_build_dtuple_pureset_cover_and_witness():
 
 def test_build_dtuple_dlo_least_witness_above():
     M = make_model("dlo")
-    dt = build_dtuple(M, SeqStub("dlo", ["lt(x0,y0)"]), 2)
+    dt = build_dtuple(M, SeqStub("dlo", ["lt(x0,y0)"]), 2, ())
     assert dt.elements[0] == Fraction(0)
     # least-index rational above 0 in the carrier order 0, 1, -1, 1/2, ...
     assert dt.elements[1] == Fraction(1)
@@ -163,7 +157,7 @@ def test_build_dtuple_extension_keeps_prefix():
 def test_dtuple_certificate_reevaluates():
     M = make_model("dlo")
     seq = SeqStub("dlo", ["lt(x0,y0)", "lt(y0,x0)"])
-    dt = build_dtuple(M, seq, 3)
+    dt = build_dtuple(M, seq, 3, ())
     assert dt.ok
     bad = DTuple(2, (Fraction(0), Fraction(-1)), ())
     from tgw.models import certify_dtuple
@@ -194,7 +188,7 @@ def test_tuple_types_are_enumerated_types():
     M = make_model("dlo")
     pts = [Fraction(0), Fraction(1), Fraction(1)]
     t = tuple_type(M, [pts])
-    keys = {u.key() for u in enumerate_types("dlo", 1, 3)}
+    keys = {u.key() for u in enumerate_types("dlo", 1, 3, TRUE, DEFAULT_GRID_CAP)}
     assert t.key() in keys
 
 
@@ -211,7 +205,8 @@ def test_enumeration_matches_model_tuples(theory):
     for m in range(5):
         realised = {tuple_type(M, [list(tup)]).key()
                     for tup in itertools.product(prefix, repeat=m)}
-        assert realised == {t.key() for t in enumerate_types(theory, 1, m)}, (theory, m)
+        want = enumerate_types(theory, 1, m, TRUE, DEFAULT_GRID_CAP)
+        assert realised == {t.key() for t in want}, (theory, m)
 
 
 class _ReflexiveOrder(DloModel):
@@ -318,7 +313,7 @@ def test_qe_decides_like_the_model(theory):
     check()
 
 
-def oracle_evaluate(f, M, assignment, _depth=0):
+def oracle_evaluate(f, M, assignment):
     """The recursive evaluator the compiled one replaced, kept as the
     reference: no compilation, no memo, and one assignment per candidate."""
     if isinstance(f, Top):
@@ -330,25 +325,20 @@ def oracle_evaluate(f, M, assignment, _depth=0):
     if isinstance(f, Atom):
         return M.atomic(f.rel, _val(assignment, f.args[0]), _val(assignment, f.args[1]))
     if isinstance(f, Not):
-        return not oracle_evaluate(f.sub, M, assignment, _depth)
+        return not oracle_evaluate(f.sub, M, assignment)
     if isinstance(f, And):
-        return all(oracle_evaluate(c, M, assignment, _depth) for c in f.children)
+        return all(oracle_evaluate(c, M, assignment) for c in f.children)
     if isinstance(f, Or):
-        return any(oracle_evaluate(c, M, assignment, _depth) for c in f.children)
+        return any(oracle_evaluate(c, M, assignment) for c in f.children)
     if isinstance(f, Implies):
-        return (not oracle_evaluate(f.lhs, M, assignment, _depth)) or \
-            oracle_evaluate(f.rhs, M, assignment, _depth)
+        return (not oracle_evaluate(f.lhs, M, assignment)) or \
+            oracle_evaluate(f.rhs, M, assignment)
     if isinstance(f, (Exists, Forall)):
-        if _depth >= M.max_quantifier_depth:
-            raise EvaluationCapError(
-                f"quantifier depth exceeds the cap {M.max_quantifier_depth}",
-                cap="quantifier-depth", limit=M.max_quantifier_depth,
-                observed=_depth + 1)
         body_vars = free_vars(f.body)
         live = {v: e for v, e in assignment.items() if v in body_vars}
         params = sorted(set(live.values()))
         cands = M.witness_candidates(params)
-        results = (oracle_evaluate(f.body, M, {**assignment, f.var: c}, _depth + 1)
+        results = (oracle_evaluate(f.body, M, {**assignment, f.var: c})
                    for c in cands)
         return any(results) if isinstance(f, Exists) else all(results)
     raise PreconditionError(f"cannot evaluate {render_formula(f)}")
@@ -438,19 +428,19 @@ def test_randomgraph_commit_order_is_pinned():
     # the vertices committed by two witness workloads, and the adjacency set
     # of each vertex committed on demand, as the candidate rule first gave them
     M = make_model("randomgraph")
-    universality_check(RichSequence("randomgraph"), k=2, M=M, samples=32)
+    universality_check(RichSequence("randomgraph"), k=2, m0=1, M=M, samples=32)
     assert M.size == 113
     assert {v: tuple(sorted(pos)) for v, pos in M._demand_pos.items()} == UNIVERSALITY_DEMANDS
 
     made = []
 
-    def recording(theory, **kw):
-        made.append(make_model(theory, **kw))
+    def recording(theory):
+        made.append(make_model(theory))
         return made[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reconstruction, "make_model", recording)
-        reconstruction.reconstruct_and_compare("randomgraph", budget=32)
+        reconstruction.reconstruct_and_compare("randomgraph", depth=1, budget=32)
     assert [(R.size, R._demand_pos) for R in made] == [(32, {})]
 
 

@@ -171,7 +171,7 @@ def first_realization(section, diagram, n):
     asg = {x(j): e for j, e in enumerate(section.tuple_prefix(n))}
     for i in range(n, SECTION_SCAN_CAP):
         asg[x(n)] = section.tuple_prefix(i + 1)[i]
-        if holds(section.model, asg, 0):
+        if holds(section.model, asg):
             return i
     return None
 

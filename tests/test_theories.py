@@ -12,7 +12,7 @@ from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
                          parse_formula, render_formula, sort_key,
                          substitute_vars)
 from tgw.rich import RichSequence
-from tgw.theories import (CompleteType, Theory, _clash, _dnf, _drop_dummies,
+from tgw.theories import (DEFAULT_GRID_CAP, CompleteType, Theory, _clash, _dnf, _drop_dummies,
                           _nnf, canonical_form, decide_sentence,
                           depends_on_all_vars, diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
@@ -310,7 +310,7 @@ def test_pullback_test_shared_by_dependence_and_dummy_dropping(theory_id, top):
     ("equivinf", 2, 3), ("equivinf", 3, 12),
 ])
 def test_enumerate_matches_brute_force(theory, n, expected):
-    got = enumerate_types(theory, 1, n)
+    got = enumerate_types(theory, 1, n, TRUE, DEFAULT_GRID_CAP)
     assert len(got) == expected
     assert brute_force_count(theory, n) == expected
 
@@ -324,7 +324,7 @@ def test_extension_enumerator_matches_product(theory):
     for m in range(6 if theory == "randomgraph" else 7):
         want = product_diagrams(theory, m)
         assert [d.key() for d in diagrams_over(th, m)] == [key for key, _, _ in want]
-        got = list(diagram_codes(th, 1, m))
+        got = list(diagram_codes(th, 1, m, prefix=()))
         assert len(set(got)) == len(got) == len(want)
         assert set(got) == {codes.codes_of(from_tables(theory, classes, tables))
                             for _, classes, tables in want}
@@ -341,18 +341,18 @@ def test_diagram_codes_constraint_and_prefix(theory, text):
     th = get_theory(theory)
     codes = pair_codes(th)
     f = qe(text, theory)
-    want = {codes.codes_of(t) for t in enumerate_types(th, 2, 2, f)}
-    assert set(diagram_codes(th, 2, 2, f)) == want
+    want = {codes.codes_of(t) for t in enumerate_types(th, 2, 2, f, DEFAULT_GRID_CAP)}
+    assert set(diagram_codes(th, 2, 2, f, prefix=())) == want
     # extending the tape-0 prefixes reaches the same set
     tape0 = {c[:1] for c in want}
-    assert {c for p in tape0 for c in diagram_codes(th, 2, 2, f, p)} == want
+    assert {c for p in tape0 for c in diagram_codes(th, 2, 2, f, prefix=p)} == want
 
 
 def test_restriction_map_matches_restrict():
     for theory in ("dlo", "equivinf"):
         codes = pair_codes(theory)
         conv = codes.converse
-        for t in enumerate_types(theory, 3, 2):
+        for t in enumerate_types(theory, 3, 2, TRUE, DEFAULT_GRID_CAP):
             full = codes.codes_of(t)
             for tapes in [(1, 0), (2, 0), (1,), (0, 2), (2, 1, 0)]:
                 rmap = restriction_map(3, 2, tapes)
@@ -363,31 +363,32 @@ def test_restriction_map_matches_restrict():
 
 
 def test_enumerate_deterministic_and_distinct():
-    a = enumerate_types("dlo", 1, 3)
-    b = enumerate_types("dlo", 1, 3)
+    a = enumerate_types("dlo", 1, 3, TRUE, DEFAULT_GRID_CAP)
+    b = enumerate_types("dlo", 1, 3, TRUE, DEFAULT_GRID_CAP)
     assert [t.key() for t in a] == [t.key() for t in b]
     assert len({t.key() for t in a}) == len(a)
 
 
 def test_enumerate_level_zero():
-    assert len(enumerate_types("dlo", 1, 0)) == 1
+    assert len(enumerate_types("dlo", 1, 0, TRUE, DEFAULT_GRID_CAP)) == 1
 
 
 def test_enumerate_cap():
     with pytest.raises(ResourceCapError):
-        enumerate_types("randomgraph", 2, 7)
+        enumerate_types("randomgraph", 2, 7, TRUE, DEFAULT_GRID_CAP)
 
 
 def test_enumerate_with_constraint():
-    got = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", get_theory("dlo").signature))
+    got = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", get_theory("dlo").signature),
+                          DEFAULT_GRID_CAP)
     assert len(got) == 1
 
 
 def test_type_monotone_refinement():
     # each (1,n)-type extends to at least one (1,n+1)-type
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
-        small = enumerate_types(theory, 1, 2)
-        big = enumerate_types(theory, 1, 3)
+        small = enumerate_types(theory, 1, 2, TRUE, DEFAULT_GRID_CAP)
+        big = enumerate_types(theory, 1, 3, TRUE, DEFAULT_GRID_CAP)
         restricted = {t.restrict((0,), 2).key() for t in big}
         assert {t.key() for t in small} <= restricted
 
@@ -529,8 +530,8 @@ def test_qe_sound_on_rational_samples():
 
 def test_diagram_formula_roundtrip():
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
-        for t in enumerate_types(theory, 1, 3):
-            sat = [u for u in enumerate_types(theory, 1, 3)
+        for t in enumerate_types(theory, 1, 3, TRUE, DEFAULT_GRID_CAP):
+            sat = [u for u in enumerate_types(theory, 1, 3, TRUE, DEFAULT_GRID_CAP)
                    if satisfies_qf(u, t.diagram_formula())]
             assert [u.key() for u in sat] == [t.key()]
 
@@ -562,7 +563,7 @@ def test_diagram_formula_matches_conj(theory):
     shapes = set()
     for k in (1, 2):
         for n in range(widest // k + 1):
-            for t in enumerate_types(theory, k, n):
+            for t in enumerate_types(theory, k, n, TRUE, DEFAULT_GRID_CAP):
                 expected = conj_diagram_formula(t)
                 assert t.diagram_formula() == expected, (k, n, t.classes)
                 assert t.diagram_text() == render_formula(expected), (k, n, t.classes)
