@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
-from .formula import (TRUE, Formula, VarRef, exists, free_vars, implies,
-                      render_formula, substitute_vars)
+from .formula import (TRUE, Formula, VarRef, exists, free_vars,
+                      identify_vars, implies, render_formula)
 from .models import (DTuple, ModelHandle, Y0, build_dtuple, compile_formula,
                      evaluate, tuple_type)
 from .record import Record
@@ -88,7 +88,7 @@ def skolem_map(phi: Formula, seq: RichSequence) -> dict:
     satisfiable = seq.relativize_exists(
         exists(Y0, phi) if Y0 in free_vars(phi) else phi, tape=0)
     for i in range(SKOLEM_SCAN_CAP):
-        inst = substitute_vars(phi, {Y0: VarRef(0, i)}) if Y0 in free_vars(phi) else phi
+        inst = identify_vars(phi, {Y0: VarRef(0, i)}) if Y0 in free_vars(phi) else phi
         body = implies(exists(Y0, phi) if Y0 in free_vars(phi) else phi, inst)
         if seq.valid(body, 1):
             return {"index": i, "formula": render_formula(phi),

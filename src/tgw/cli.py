@@ -11,7 +11,6 @@ one above.  Reports are deterministic for a fixed configuration up to the
 timing field."""
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -191,6 +190,8 @@ def cmd_theta(cfg):
 
 
 def cmd_reconstruct(cfg):
+    if cfg["depth"] > 1:  # the predicate grammar adds nothing past negations
+        raise PreconditionError(f"--depth must be 0 or 1, not {cfg['depth']}")
     report = reconstruct_and_compare(cfg["theory"], depth=cfg["depth"],
                                      budget=cfg["budget"])
     certs = [_cert("carrier-bijection", report["bijection"])]
@@ -297,45 +298,133 @@ def first_failure(report: dict):
     return None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per entry of `COMMANDS`, with a flag per parameter; a
-    two-word command is a subcommand of its first word."""
-    top = argparse.ArgumentParser(prog="tgw", description=__doc__)
-    top.add_argument("--config", help="JSON file with a base configuration")
-    parsers = {"": top.add_subparsers(dest="command")}
-    for command, table in COMMANDS.items():
-        group, _, name = command.rpartition(" ")
-        if group not in parsers:
-            parsers[group] = parsers[""].add_parser(group).add_subparsers()
-        p = parsers[group].add_parser(name)
-        p.set_defaults(command=command)
-        p.add_argument("--theory", choices=sorted(THEORIES))
-        p.add_argument("--json", help="also write the report to this path")
-        for key, default in table.items():
-            p.add_argument(_flag(key), dest=key, type=int if key in LEAST else str,
-                           help="required" if default is REQUIRED else f"default {default}")
-    return top
+def _spelling(key: str) -> str:
+    return f"{_flag(key)} {'N' if key in LEAST else 'FORMULA'}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: tgw [-h] [--config FILE] COMMAND [FLAGS]"
+    flags = " ".join(f"[{_spelling(key)}]" for key in COMMANDS[command])
+    return f"usage: tgw {command} [-h] [--theory THEORY] [--json PATH] {flags}"
+
+
+def _help(command: str | None = None) -> str:
+    """Usage, then one line per flag: every parameter of a command says
+    whether it is required or what its default is."""
+    rows = [("--theory THEORY", "one of " + ", ".join(sorted(THEORIES))),
+            ("--json PATH", "also write the report to this path")]
+    if command is None:
+        rows.insert(0, ("--config FILE", "JSON file with a base configuration"))
+    for name in COMMANDS if command is None else [command]:
+        if command is None:
+            rows.append(("", name + ":"))
+        rows += [(_spelling(key), "required" if default is REQUIRED else f"default {default}")
+                 for key, default in COMMANDS[name].items()]
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += [__doc__, ""]
+    lines += [f"  {a:<20}  {b}" if a else f"\n{b}" for a, b in rows]
+    return "\n".join(lines)
+
+
+def _usage_error(message: str, command: str | None = None):
+    """Refuse the command line as argparse does: usage and message on
+    stderr, exit 2."""
+    print(_usage(command), file=sys.stderr)
+    print(f"tgw: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flag_value(tokens: list[str], i: int, command: str | None):
+    """(flag, value, next index) for the flag token at `i`, whose value is
+    joined by `=` (`-k` also takes it attached) or is the next token; a
+    token that is a flag itself is no value, but a negative number is."""
+    token = tokens[i]
+    if token.startswith("--"):
+        flag, eq, value = token.partition("=")
+        if eq:
+            return flag, value, i + 1
+    else:
+        flag, value = token[:2], token[2:].removeprefix("=")
+        if value:
+            return flag, value, i + 1
+    nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+    if nxt is None or (nxt[:1] == "-" and nxt != "-" and not nxt[1:].replace(".", "", 1).isdigit()):
+        _usage_error(f"argument {flag}: expected one argument", command)
+    return flag, nxt, i + 2
 
 
 def config_from_args(argv) -> dict:
-    """The `--config` file's keys, overridden by the flags given."""
-    parser = build_parser()
-    ns = vars(parser.parse_args(argv))
-    command = ns.pop("command")
-    if command is None:
-        parser.error("a subcommand is required")
-    if command not in COMMANDS:  # a group named without its subcommand
-        parser.error("usage: tgw {} ...".format(
-            next(c for c in COMMANDS if c.startswith(command + " "))))
+    """The `--config` file's keys, overridden by the flags given.  The
+    command line is `[--config FILE] COMMAND [FLAG VALUE]...`, where a flag
+    is `--theory`, `--json` or one of the command's `COMMANDS` parameters
+    and a later flag overrides an earlier one; `-h` prints help.  Anything
+    else is refused with exit 2, as is a theory that does not exist or an
+    integer parameter that is not an integer."""
+    tokens = list(argv)
+    unread: list[str] = []
+    path = None
+    i = 0
+    while i < len(tokens) and tokens[i].startswith("-"):
+        if tokens[i] in ("-h", "--help"):
+            print(_help())
+            raise SystemExit(0)
+        if tokens[i].partition("=")[0] != "--config":
+            unread.append(tokens[i])
+            i += 1
+            continue
+        _, path, i = _flag_value(tokens, i, None)
+    if i == len(tokens):
+        _usage_error("a subcommand is required")
+    words = list(dict.fromkeys(c.split()[0] for c in COMMANDS))
+    command = tokens[i]
+    if command not in words:
+        _usage_error("argument command: invalid choice: {!r} (choose from {})".format(
+            command, ", ".join(map(repr, words))))
+    i += 1
+    if command not in COMMANDS:  # a group: its subcommand follows
+        group = [c for c in COMMANDS if c.startswith(command + " ")]
+        if i < len(tokens) and f"{command} {tokens[i]}" in COMMANDS:
+            command = f"{command} {tokens[i]}"
+            i += 1
+        elif i < len(tokens) and tokens[i] in ("-h", "--help"):
+            print("\n\n".join(map(_help, group)))
+            raise SystemExit(0)
+        else:
+            _usage_error(f"usage: tgw {group[0]} ...")
+    keys = {_flag(key): key for key in ("theory", "json", *COMMANDS[command])}
+    given = {}
+    while i < len(tokens):
+        token = tokens[i]
+        if token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(0)
+        key = keys.get(token.partition("=")[0] if token.startswith("--") else token[:2])
+        if key is None:
+            unread.append(token)
+            i += 1
+            continue
+        flag, value, i = _flag_value(tokens, i, command)
+        if key == "theory" and value not in THEORIES:
+            _usage_error("argument --theory: invalid choice: {!r} (choose from {})".format(
+                value, ", ".join(map(repr, sorted(THEORIES)))), command)
+        if key in LEAST:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {flag}: invalid int value: {value!r}", command)
+        given[key] = value
+    if unread:
+        _usage_error("unrecognized arguments: " + " ".join(unread))
     cfg = {}
-    path = ns.pop("config")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise PreconditionError("config file must hold a JSON object")
         cfg.update(loaded)
-    cfg.update({k: v for k, v in ns.items() if v is not None}, command=command)
+    cfg.update(given, command=command)
     return cfg
 
 

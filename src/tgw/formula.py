@@ -285,22 +285,24 @@ def forall(var: VarRef, body: Formula) -> Formula:
 # -- variables ---------------------------------------------------------------
 
 def substitute_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
-    """Replace free occurrences per `mapping`; bound variables are left alone
-    and alpha-renamed when they collide with a substitution image."""
+    """Rename free occurrences per `mapping`; bound variables are left alone
+    and alpha-renamed when they collide with a substitution image.  A
+    renaming keeps distinct free variables distinct: two of them mapped to
+    one image, or one mapped onto a free variable left unmapped, is refused
+    (`identify_vars` is the substitution that may merge them)."""
     fv = free_vars(f)
     live = {k: v for k, v in mapping.items() if k in fv}
-    images = list(live.values())
-    if len(set(images)) != len(images):
+    images = set(live.values())
+    if len(images) != len(live) or not images.isdisjoint(fv - live.keys()):
         raise SignatureError("substitution map is not injective on free variables")
     return _subst(f, live)
 
 
 def identify_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
-    """Replace variables per `mapping` in a quantifier-free formula, where two
-    variables may map to one: with no binder to capture an image, identifying
-    variables is sound."""
-    if f.bound_vars:
-        raise SignatureError("identify_vars takes a quantifier-free formula")
+    """Replace free variables per `mapping`, where two variables may map to
+    one or a variable onto another free one.  `_subst` renames any binder
+    that an image would fall under, so identifying variables is sound under
+    quantifiers too."""
     return _subst(f, mapping)
 
 
@@ -365,23 +367,36 @@ def rename_tapes(f: Formula, perm: dict[int, int]) -> Formula:
 # -- rendering ---------------------------------------------------------------
 
 def render_formula(f: Formula) -> str:
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, Atom):
-        return f"{f.rel}({','.join(v.render() for v in f.args)})"
-    if isinstance(f, Eq):
-        return f"eq({f.lhs.render()},{f.rhs.render()})"
-    if isinstance(f, Not):
-        return "!" + render_formula(f.sub)
-    if isinstance(f, (And, Or)):
-        op = " & " if isinstance(f, And) else " | "
-        return "(" + op.join(render_formula(c) for c in f.children) + ")"
-    if isinstance(f, Implies):
-        return f"({render_formula(f.lhs)} -> {render_formula(f.rhs)})"
-    kw = "exists" if isinstance(f, Exists) else "forall"
-    return f"{kw} {f.var.render()}. {render_formula(f.body)}"
+    """The formula's text.  A formula is a DAG of hash-consed nodes, so each
+    distinct node is rendered once per call."""
+    texts: dict[Formula, str] = {}
+
+    def render(g: Formula) -> str:
+        text = texts.get(g)
+        if text is not None:
+            return text
+        if isinstance(g, Top):
+            text = "true"
+        elif isinstance(g, Bot):
+            text = "false"
+        elif isinstance(g, Atom):
+            text = f"{g.rel}({','.join(v.render() for v in g.args)})"
+        elif isinstance(g, Eq):
+            text = f"eq({g.lhs.render()},{g.rhs.render()})"
+        elif isinstance(g, Not):
+            text = "!" + render(g.sub)
+        elif isinstance(g, (And, Or)):
+            op = " & " if isinstance(g, And) else " | "
+            text = "(" + op.join(map(render, g.children)) + ")"
+        elif isinstance(g, Implies):
+            text = f"({render(g.lhs)} -> {render(g.rhs)})"
+        else:
+            kw = "exists" if isinstance(g, Exists) else "forall"
+            text = f"{kw} {g.var.render()}. {render(g.body)}"
+        texts[g] = text
+        return text
+
+    return render(f)
 
 
 # -- parsing -----------------------------------------------------------------

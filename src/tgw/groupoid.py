@@ -19,8 +19,8 @@ from operator import itemgetter
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
-from .formula import (Eq, Formula, VarRef, conj, disj, free_vars, implies, neg,
-                      rename_tapes, substitute_vars)
+from .formula import (Eq, Formula, VarRef, conj, disj, free_vars,
+                      identify_vars, implies, neg, rename_tapes)
 from .record import Record
 from .rich import RichSequence
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
@@ -30,9 +30,9 @@ from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
 
 def merge_tape(f: Formula, src: int, dst: int) -> Formula:
     """Diagonal substitution: every free tape-src variable becomes the
-    tape-dst variable at the same position."""
-    return substitute_vars(f, {v: VarRef(dst, v.position)
-                               for v in free_vars(f) if v.tape == src})
+    tape-dst variable at the same position, which may already be free."""
+    return identify_vars(f, {v: VarRef(dst, v.position)
+                             for v in free_vars(f) if v.tape == src})
 
 
 class ClopenSet(Record):

@@ -12,11 +12,11 @@ Quantifier elimination works inside out: negations are pushed to literals
 each DNF cube, and universals go through negation.  A cube with a positive
 equality v = w loses v by substitution, one rule for every theory
 (`_eliminate`); the others go to the theory's textbook rule.  Formulas
-enter QE through `_nnf`, which refuses a relation outside the theory's
-signature.  A theory is given by two hooks, its literal normal form and
-its elimination rule for cubes without a positive equality (see
-`Theory`); every other fact about finite diagrams is decided by
-quantifier elimination, not written per theory.
+enter QE through the NNF walk (`_Elimination.nnf`), which refuses a
+relation outside the theory's signature.  A theory is given by two hooks,
+its literal normal form and its elimination rule for cubes without a
+positive equality (see `Theory`); every other fact about finite diagrams
+is decided by quantifier elimination, not written per theory.
 
 Every signature is binary, so a complete quantifier-free diagram over
 finitely many variables is fixed by its equality partition and its 2-variable
@@ -61,8 +61,8 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError, SignatureError)
 from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                       Formula, Implies, Not, Or, Signature, Top, VarRef, conj,
-                      disj, exists, free_vars, neg, render_formula, sort_key,
-                      substitute_vars)
+                      disj, exists, free_vars, identify_vars, neg,
+                      render_formula, sort_key, substitute_vars)
 from .record import Record, _set
 
 DEFAULT_GRID_CAP = 12
@@ -218,38 +218,6 @@ def get_theory(theory_id) -> Theory:
 _QE_CACHE: dict[tuple[str, Formula], Formula] = {}
 
 
-def _nnf(theory: Theory, f: Formula, negated: bool) -> Formula:
-    if isinstance(f, Top):
-        return FALSE if negated else TRUE
-    if isinstance(f, Bot):
-        return TRUE if negated else FALSE
-    if isinstance(f, Atom):
-        theory.check_relation(f)
-    if isinstance(f, (Atom, Eq)):
-        return theory.normalize_literal(negated, f)
-    if isinstance(f, Not):
-        return _nnf(theory, f.sub, not negated)
-    if isinstance(f, And):
-        parts = [_nnf(theory, c, negated) for c in f.children]
-        return disj(parts) if negated else conj(parts)
-    if isinstance(f, Or):
-        parts = [_nnf(theory, c, negated) for c in f.children]
-        return conj(parts) if negated else disj(parts)
-    if isinstance(f, Implies):
-        if negated:
-            return conj([_nnf(theory, f.lhs, False), _nnf(theory, f.rhs, True)])
-        return disj([_nnf(theory, f.lhs, True), _nnf(theory, f.rhs, False)])
-    if isinstance(f, Exists):
-        body = _nnf(theory, f.body, negated)
-        node = Forall if negated else Exists
-    else:
-        body = _nnf(theory, f.body, negated)
-        node = Exists if negated else Forall
-    if isinstance(body, (Top, Bot)):
-        return body
-    return node(f.var, body)
-
-
 def _eliminate(theory: Theory, v: VarRef, lits: list[Formula]) -> Formula:
     """The existential over `v` of the conjunction of `lits`, normalised
     literals that all name v.  One rule serves every theory: a positive
@@ -264,7 +232,7 @@ def _eliminate(theory: Theory, v: VarRef, lits: list[Formula]) -> Formula:
         if lit is not eq:
             negated = isinstance(lit, Not)
             atom = lit.sub if negated else lit
-            out.append(theory.normalize_literal(negated, substitute_vars(atom, {v: w})))
+            out.append(theory.normalize_literal(negated, identify_vars(atom, {v: w})))
     return conj(out)
 
 
@@ -297,72 +265,136 @@ def _clash(theory: Theory, l: Formula) -> frozenset:
     return _CLASH_CACHE[key]
 
 
-def _dnf(theory: Theory, f: Formula) -> list[frozenset]:
-    if isinstance(f, Top):
-        return [frozenset()]
-    if isinstance(f, Bot):
-        return []
-    if isinstance(f, (Atom, Eq, Not)):
-        return [frozenset((f,))]
-    if isinstance(f, Or):
-        out = []
-        seen = set()
-        for c in f.children:
-            for cube in _dnf(theory, c):
-                if cube not in seen:
-                    seen.add(cube)
-                    out.append(cube)
-        return out
-    if isinstance(f, And):
-        cubes = [frozenset()]
-        for c in f.children:
-            nxt = []
+class _Elimination:
+    """One quantifier elimination.  Formulas are hash-consed DAGs in which a
+    subformula recurs (a defining clause holds phi_k under both polarities),
+    so the walks are memoised per node: NNF per (node, polarity), DNF per
+    node.  The memos live as long as the elimination, so nothing outlives
+    one `eliminate_quantifiers` miss and `DNF_CUBE_CAP` bounds the cubes of
+    each node as it is expanded."""
+
+    __slots__ = ("theory", "_nnfs", "_dnfs")
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self._nnfs: dict[tuple[Formula, bool], Formula] = {}
+        self._dnfs: dict[Formula, list[frozenset]] = {}
+
+    def nnf(self, f: Formula, negated: bool) -> Formula:
+        """`f`, negated if asked, with negations pushed to the literals and
+        each literal normalised; a relation outside the signature is refused."""
+        key = (f, negated)
+        hit = self._nnfs.get(key)
+        if hit is None:
+            hit = self._nnfs[key] = self._nnf_node(f, negated)
+        return hit
+
+    def _nnf_node(self, f: Formula, negated: bool) -> Formula:
+        theory = self.theory
+        if isinstance(f, Top):
+            return FALSE if negated else TRUE
+        if isinstance(f, Bot):
+            return TRUE if negated else FALSE
+        if isinstance(f, Atom):
+            theory.check_relation(f)
+        if isinstance(f, (Atom, Eq)):
+            return theory.normalize_literal(negated, f)
+        if isinstance(f, Not):
+            return self.nnf(f.sub, not negated)
+        if isinstance(f, And):
+            parts = [self.nnf(c, negated) for c in f.children]
+            return disj(parts) if negated else conj(parts)
+        if isinstance(f, Or):
+            parts = [self.nnf(c, negated) for c in f.children]
+            return conj(parts) if negated else disj(parts)
+        if isinstance(f, Implies):
+            if negated:
+                return conj([self.nnf(f.lhs, False), self.nnf(f.rhs, True)])
+            return disj([self.nnf(f.lhs, True), self.nnf(f.rhs, False)])
+        body = self.nnf(f.body, negated)
+        if isinstance(body, (Top, Bot)):
+            return body
+        node = (Forall if negated else Exists) if isinstance(f, Exists) else \
+            (Exists if negated else Forall)
+        return node(f.var, body)
+
+    def dnf(self, f: Formula) -> list[frozenset]:
+        """The cubes of the NNF formula `f`, each a set of literals, with
+        cubes that hold a clashing pair (`_clash`) pruned as they are joined."""
+        hit = self._dnfs.get(f)
+        if hit is None:
+            hit = self._dnfs[f] = self._dnf_node(f)
+        return hit
+
+    def _dnf_node(self, f: Formula) -> list[frozenset]:
+        if isinstance(f, Top):
+            return [frozenset()]
+        if isinstance(f, Bot):
+            return []
+        if isinstance(f, (Atom, Eq, Not)):
+            return [frozenset((f,))]
+        if isinstance(f, Or):
+            out = []
             seen = set()
-            for add in _dnf(theory, c):
-                bad = frozenset().union(*(_clash(theory, l) for l in add))
-                for cube in cubes:
-                    if not cube.isdisjoint(bad):
-                        continue
-                    merged = cube | add
-                    if merged in seen:
-                        continue
-                    seen.add(merged)
-                    nxt.append(merged)
-                    if len(nxt) > DNF_CUBE_CAP:
-                        raise ResourceCapError(
-                            "DNF cube cap exceeded", cap="dnf-cubes",
-                            limit=DNF_CUBE_CAP, observed=len(nxt))
-            cubes = nxt
-        return cubes
-    raise InternalConsistencyError(f"not in NNF: {render_formula(f)}")
+            for c in f.children:
+                for cube in self.dnf(c):
+                    if cube not in seen:
+                        seen.add(cube)
+                        out.append(cube)
+            return out
+        if isinstance(f, And):
+            theory = self.theory
+            cubes = [frozenset()]
+            for c in f.children:
+                nxt = []
+                seen = set()
+                for add in self.dnf(c):
+                    bad = frozenset().union(*(_clash(theory, l) for l in add))
+                    for cube in cubes:
+                        if not cube.isdisjoint(bad):
+                            continue
+                        merged = cube | add
+                        if merged in seen:
+                            continue
+                        seen.add(merged)
+                        nxt.append(merged)
+                        if len(nxt) > DNF_CUBE_CAP:
+                            raise ResourceCapError(
+                                "DNF cube cap exceeded", cap="dnf-cubes",
+                                limit=DNF_CUBE_CAP, observed=len(nxt))
+                cubes = nxt
+            return cubes
+        raise InternalConsistencyError(f"not in NNF: {render_formula(f)}")
 
+    def exists_one(self, v: VarRef, qf: Formula) -> Formula:
+        if v not in free_vars(qf):
+            return qf
+        # cubes of one DNF share few distinct sets of literals on v
+        reduced: dict[frozenset, Formula] = {}
+        out = []
+        for cube in self.dnf(qf):
+            with_v = frozenset(l for l in cube if v in free_vars(l))
+            if with_v not in reduced:
+                reduced[with_v] = _eliminate(self.theory, v, sorted(with_v, key=sort_key))
+            rest = [l for l in cube if v not in free_vars(l)]
+            out.append(conj(rest + [reduced[with_v]]))
+        return disj(out)
 
-def _exists_one(theory: Theory, v: VarRef, qf: Formula) -> Formula:
-    if v not in free_vars(qf):
-        return qf
-    out = []
-    for cube in _dnf(theory, qf):
-        with_v = sorted((l for l in cube if v in free_vars(l)), key=sort_key)
-        rest = [l for l in cube if v not in free_vars(l)]
-        reduced = _eliminate(theory, v, with_v)
-        out.append(conj(rest + [reduced]))
-    return disj(out)
-
-
-def _elim(theory: Theory, f: Formula) -> Formula:
-    if isinstance(f, (Top, Bot, Atom, Eq, Not)):
-        return f
-    if isinstance(f, And):
-        return conj(_elim(theory, c) for c in f.children)
-    if isinstance(f, Or):
-        return disj(_elim(theory, c) for c in f.children)
-    if isinstance(f, Exists):
-        return _exists_one(theory, f.var, _elim(theory, f.body))
-    if isinstance(f, Forall):
-        inner = _elim(theory, f.body)
-        negated = _nnf(theory, neg(inner), False)
-        return _nnf(theory, neg(_exists_one(theory, f.var, negated)), False)
-    raise InternalConsistencyError("unexpected node after NNF")
+    def elim(self, f: Formula) -> Formula:
+        """QE of the NNF formula `f`, inside out."""
+        if isinstance(f, (Top, Bot, Atom, Eq, Not)):
+            return f
+        if isinstance(f, And):
+            return conj(self.elim(c) for c in f.children)
+        if isinstance(f, Or):
+            return disj(self.elim(c) for c in f.children)
+        if isinstance(f, Exists):
+            return self.exists_one(f.var, self.elim(f.body))
+        if isinstance(f, Forall):
+            # forall v. g is not exists v. not g
+            negated = self.nnf(self.elim(f.body), True)
+            return self.nnf(self.exists_one(f.var, negated), True)
+        raise InternalConsistencyError("unexpected node after NNF")
 
 
 def eliminate_quantifiers(f: Formula, theory) -> Formula:
@@ -372,8 +404,8 @@ def eliminate_quantifiers(f: Formula, theory) -> Formula:
     key = (theory.id, f)
     hit = _QE_CACHE.get(key)
     if hit is None:
-        hit = _elim(theory, _nnf(theory, f, False))
-        _QE_CACHE[key] = hit
+        qe = _Elimination(theory)
+        hit = _QE_CACHE[key] = qe.elim(qe.nnf(f, False))
     return hit
 
 
@@ -927,8 +959,10 @@ def enumerate_types(theory, k: int, n: int, constraint: Formula,
     if not free_vars(constraint) <= index.keys():
         raise PreconditionError("constraint has variables outside the grid")
     qf = eliminate_quantifiers(constraint, theory)
-    return [CompleteType(theory.id, k, n, d.classes, d.between)
-            for d in pair_codes(theory).select(diagrams_over(theory, k * n, cap), qf, index)]
+    selected = pair_codes(theory).select(diagrams_over(theory, k * n, cap), qf, index)
+    if k == 1:  # the pool's diagrams are the 1-by-n types
+        return list(selected)
+    return [CompleteType(theory.id, k, n, d.classes, d.between) for d in selected]
 
 
 # -- canonical forms ---------------------------------------------------------

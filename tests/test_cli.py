@@ -279,6 +279,8 @@ USAGE_CASES = [
     ("types --theory dlo --vars 1 --max-grid -1", "--max-grid must be an integer >= 0, not -1"),
     ("universality --theory dlo -k 0", "-k must be an integer >= 1, not 0"),
     ("universality --theory dlo --samples 0", "--samples must be an integer >= 1, not 0"),
+    # the predicate grammar adds nothing past depth 1
+    ("reconstruct --theory dlo --depth 2", "--depth must be 0 or 1, not 2"),
 ]
 
 
@@ -321,12 +323,52 @@ def test_config_values_are_checked(tmp_path, capsys, argv, config, error):
 
 @pytest.mark.parametrize("argv", ["dphi --theory dlo --level 1 --max-grid 0",
                                   "model dump --theory dlo --size 1 --max-depth 0",
-                                  "reconstruct --theory dlo --level 1"])
+                                  "reconstruct --theory dlo --level 1",
+                                  # flags are spelled in full
+                                  "dphi --theory dlo --lev 1"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv.split()[-2:])}" in capsys.readouterr().err
+
+
+def test_flag_values_joined_by_equals_or_attached_to_k():
+    assert config_from_args(["dphi", "--theory=dlo", "--level=3"]) == \
+        {"command": "dphi", "theory": "dlo", "level": 3}
+    for argv in (["-k", "2"], ["-k=2"], ["-k2"]):
+        assert config_from_args(["universality", *argv])["k"] == 2
+    # a later flag overrides an earlier one; a negative number is a value
+    assert config_from_args(["section", "--steps", "1", "--steps", "-1"])["steps"] == -1
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_names_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        config_from_args([*(command.split() if command else ()), "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in [command] if command else COMMANDS:
+        for key, default in COMMANDS[name].items():
+            note = "required" if default is cli.REQUIRED else f"default {default}"
+            assert any(line.split()[:1] == [cli._flag(key)] and line.endswith(note)
+                       for line in out.splitlines()), (name, key)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("", "a subcommand is required"),
+    ("groupoid", "usage: tgw groupoid verify ..."),
+    ("nosuch", "argument command: invalid choice: 'nosuch'"),
+    ("types --theory dlo --vars x", "argument --vars: invalid int value: 'x'"),
+    ("types --theory dlo --vars", "argument --vars: expected one argument"),
+    ("--config", "argument --config: expected one argument"),
+])
+def test_malformed_command_lines_exit_2_with_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tgw") and f"tgw: error: {message}" in err
 
 
 CHEAP = {

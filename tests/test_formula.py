@@ -105,13 +105,23 @@ def test_substitute_requires_injective():
         substitute_vars(f, {x(0): x(2), x(1): x(2)})
 
 
-def test_identify_vars_only_in_quantifier_free_formulas():
-    # with no binder to capture an image, two variables may become one
+def test_substitute_refuses_a_merge_with_an_unmapped_variable():
+    # x1 is free and keeps its name, so x0 -> x1 would make the two one
+    with pytest.raises(SignatureError):
+        substitute_vars(Atom("lt", (x(0), x(1))), {x(0): x(1)})
+
+
+def test_identify_vars_merges_variables_under_binders():
+    # two variables may become one, or one may become another free one
     f = conj([Eq(x(0), y(0)), Atom("lt", (x(1), y(0)))])
     assert identify_vars(f, {x(0): x(2), x(1): x(2)}) == \
         conj([Eq(x(2), y(0)), Atom("lt", (x(2), y(0)))])
-    with pytest.raises(SignatureError):
-        identify_vars(Exists(y(0), Eq(x(0), y(0))), {x(0): x(1)})
+    assert identify_vars(Exists(y(0), Eq(x(0), y(0))), {x(0): x(1)}) == \
+        Exists(y(0), Eq(x(1), y(0)))
+    # a binder that an image would fall under is renamed first
+    g = identify_vars(conj([Atom("lt", (x(0), x(1))), Exists(x(1), Atom("lt", (x(0), x(1))))]),
+                      {x(0): x(1)})
+    assert g == conj([Atom("lt", (x(1), x(1))), Exists(x(2), Atom("lt", (x(1), x(2))))])
 
 
 def test_substitute_alpha_renames_on_capture():
@@ -175,6 +185,34 @@ def _quant_safe(q, v, body):
 @given(_formulas(DLO))
 def test_parse_render_roundtrip(f):
     assert parse_formula(render_formula(f), DLO) == f
+
+
+def render_tree(f):
+    """Rendering before its per-node memo: a tree walk (test oracle)."""
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, Atom):
+        return f"{f.rel}({','.join(v.render() for v in f.args)})"
+    if isinstance(f, Eq):
+        return f"eq({f.lhs.render()},{f.rhs.render()})"
+    if isinstance(f, Not):
+        return "!" + render_tree(f.sub)
+    if isinstance(f, (And, Or)):
+        op = " & " if isinstance(f, And) else " | "
+        return "(" + op.join(render_tree(c) for c in f.children) + ")"
+    if isinstance(f, Implies):
+        return f"({render_tree(f.lhs)} -> {render_tree(f.rhs)})"
+    kw = "exists" if isinstance(f, Exists) else "forall"
+    return f"{kw} {f.var.render()}. {render_tree(f.body)}"
+
+
+@given(_formulas(GRAPH))
+def test_render_matches_the_tree_walk(f):
+    shared = Implies(f, Implies(neg(f), f))   # f three times, as one node
+    assert render_formula(f) == render_tree(f)
+    assert render_formula(shared) == render_tree(shared)
 
 
 @given(_formulas(GRAPH))
@@ -389,7 +427,8 @@ def test_import_loads_no_dataclasses():
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for module, absent in (("tgw.formula", {"dataclasses", "inspect"}),
-                           ("tgw.cli", {"dataclasses", "inspect", "fractions", "decimal"})):
+                           ("tgw.cli", {"dataclasses", "inspect", "fractions", "decimal",
+                                        "argparse", "gettext"})):
         out = subprocess.run(
             [sys.executable, "-S", "-c",
              f"import sys, {module}; print(sorted({sorted(absent)} & sys.modules.keys()))"],

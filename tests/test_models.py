@@ -18,7 +18,8 @@ from tgw.rich import RichSequence
 from tgw.theories import (DEFAULT_GRID_CAP, decide_sentence, enumerate_types,
                           get_theory)
 
-from test_theories import satisfies_qf
+from test_formula import render_tree
+from test_theories import assert_walks_match_trees, satisfies_qf
 
 
 def x(i):
@@ -310,6 +311,18 @@ def test_qe_decides_like_the_model(theory):
     @given(sentences(theory))
     def check(f):
         assert decide_sentence(f, theory) == evaluate(f, make_model(theory), {})
+    check()
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_memoised_walks_match_tree_walks_on_sentences(theory):
+    t = get_theory(theory)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(sentences(theory))
+    def check(f):
+        assert_walks_match_trees(t, f)
+        assert render_formula(f) == render_tree(f)
     check()
 
 

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from tgw import theories
 from tgw.errors import PreconditionError, ResourceCapError, SignatureError
-from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Implies, Not, Or, Top,
-                         VarRef, conj, exists, forall, free_vars, neg,
-                         parse_formula, render_formula, sort_key,
-                         substitute_vars)
+from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
+                         Implies, Not, Or, Top, VarRef, conj, disj, exists,
+                         forall, free_vars, identify_vars, neg, parse_formula,
+                         render_formula, sort_key)
 from tgw.rich import RichSequence
-from tgw.theories import (DEFAULT_GRID_CAP, CompleteType, Theory, _clash, _dnf, _drop_dummies,
-                          _nnf, canonical_form, decide_sentence,
+from tgw.theories import (DEFAULT_GRID_CAP, CompleteType, Theory, _clash, _drop_dummies,
+                          _eliminate, _Elimination, canonical_form, decide_sentence,
                           depends_on_all_vars, diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
                           pair_codes, restriction_map)
+
+from test_formula import render_tree
 
 
 def qe(text, theory):
@@ -445,7 +447,7 @@ def test_qe_refuses_relations_outside_the_signature(theory):
     assert len(bad) == (3 if theory == "pureset" else 4)
     for atom in bad:
         arity = len(atom.args)
-        chained = conj([atom, substitute_vars(atom, {x0: x1, x1: x2})])
+        chained = conj([atom, identify_vars(atom, {x0: x1, x1: x2})])
         for f in (atom, neg(atom), exists(x1, chained), forall(x0, exists(x1, atom))):
             with pytest.raises(SignatureError,
                                match=f"^{theory} has no relation '{atom.rel}' of arity {arity}$"):
@@ -665,8 +667,9 @@ def dnf_pairwise(theory, f):
 
 
 def assert_dnf_matches_pairwise(theory, f):
-    for g in (_nnf(theory, f, False), _nnf(theory, f, True)):
-        assert _dnf(theory, g) == dnf_pairwise(theory, g), render_formula(f)
+    qe = _Elimination(theory)
+    for g in (qe.nnf(f, False), qe.nnf(f, True)):
+        assert qe.dnf(g) == dnf_pairwise(theory, g), render_formula(f)
 
 
 @pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
@@ -678,6 +681,96 @@ def test_dnf_matches_pairwise_on_dphi_conjuncts(theory_id):
         assert_dnf_matches_pairwise(get_theory(theory_id), f)
         shapes.add(type(f).__name__)
     assert shapes & {"And", "Or"}
+
+
+# -- the QE walks before their per-node memo (test oracles) --------------------
+# Each walks its formula as a tree, so a shared subformula is walked once per
+# occurrence; they must give the memoised walks' results node for node.
+# `dnf_pairwise` above is the DNF walk's tree oracle.
+
+def nnf_tree(theory, f, negated):
+    if isinstance(f, Top):
+        return FALSE if negated else TRUE
+    if isinstance(f, Bot):
+        return TRUE if negated else FALSE
+    if isinstance(f, Atom):
+        theory.check_relation(f)
+    if isinstance(f, (Atom, Eq)):
+        return theory.normalize_literal(negated, f)
+    if isinstance(f, Not):
+        return nnf_tree(theory, f.sub, not negated)
+    if isinstance(f, And):
+        parts = [nnf_tree(theory, c, negated) for c in f.children]
+        return disj(parts) if negated else conj(parts)
+    if isinstance(f, Or):
+        parts = [nnf_tree(theory, c, negated) for c in f.children]
+        return conj(parts) if negated else disj(parts)
+    if isinstance(f, Implies):
+        if negated:
+            return conj([nnf_tree(theory, f.lhs, False), nnf_tree(theory, f.rhs, True)])
+        return disj([nnf_tree(theory, f.lhs, True), nnf_tree(theory, f.rhs, False)])
+    if isinstance(f, Exists):
+        body = nnf_tree(theory, f.body, negated)
+        node = Forall if negated else Exists
+    else:
+        body = nnf_tree(theory, f.body, negated)
+        node = Exists if negated else Forall
+    if isinstance(body, (Top, Bot)):
+        return body
+    return node(f.var, body)
+
+
+def qe_tree(theory, f):
+    def exists_one(v, qf):
+        if v not in free_vars(qf):
+            return qf
+        out = []
+        for cube in dnf_pairwise(theory, qf):
+            with_v = sorted((l for l in cube if v in free_vars(l)), key=sort_key)
+            rest = [l for l in cube if v not in free_vars(l)]
+            out.append(conj(rest + [_eliminate(theory, v, with_v)]))
+        return disj(out)
+
+    def elim(g):
+        if isinstance(g, (Top, Bot, Atom, Eq, Not)):
+            return g
+        if isinstance(g, And):
+            return conj(elim(c) for c in g.children)
+        if isinstance(g, Or):
+            return disj(elim(c) for c in g.children)
+        if isinstance(g, Exists):
+            return exists_one(g.var, elim(g.body))
+        inner = elim(g.body)
+        negated = nnf_tree(theory, neg(inner), False)
+        return nnf_tree(theory, neg(exists_one(g.var, negated)), False)
+
+    return elim(nnf_tree(theory, f, False))
+
+
+def assert_walks_match_trees(theory, f):
+    """The memoised NNF, DNF and QE of `f` are the tree walks' results."""
+    qe = _Elimination(theory)
+    for negated in (False, True):
+        g = qe.nnf(f, negated)
+        assert g is nnf_tree(theory, f, negated), render_formula(f)
+        if not g.bound_vars:
+            assert qe.dnf(g) == dnf_pairwise(theory, g), render_formula(f)
+    assert qe.elim(qe.nnf(f, False)) is qe_tree(theory, f), render_formula(f)
+
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_memoised_walks_match_tree_walks_on_dphi(theory_id):
+    # levels 0-12: each defining clause, its quantifier-free conjunct, and
+    # the level's formulas as rendered
+    theory = get_theory(theory_id)
+    seq = RichSequence(theory_id)
+    for k in range(13):
+        assert_walks_match_trees(theory, seq.defining_clause(k))
+        assert_walks_match_trees(theory, seq.dphi_conjunct(k))
+        assert seq.dphi_conjunct(k) is qe_tree(theory, seq.defining_clause(k))
+        level = seq.dphi_formula(k)
+        for f in (level.formula, level.simplified):
+            assert render_formula(f) == render_tree(f)
 
 
 @st.composite
