@@ -84,6 +84,10 @@ def skolem_map(phi: Formula, seq: RichSequence) -> dict:
     if any(v.tape not in (0, 1) or (v.tape == 1 and v.position != 0)
            for v in free_vars(phi)):
         raise PreconditionError("phi must use x-variables and y0 only")
+    # the scan quantifies y0 and the x-variables around phi, so a quantifier
+    # in phi on an x-variable, or on y0 where y0 is free, would rebind it
+    if any(v.tape == 0 for v in phi.bound_vars) or Y0 in phi.bound_vars & free_vars(phi):
+        raise PreconditionError("phi must not bind x-variables, nor y0 where it is free")
     n = max((v.position for v in xs), default=-1) + 1
     satisfiable = seq.relativize_exists(
         exists(Y0, phi) if Y0 in free_vars(phi) else phi, tape=0)

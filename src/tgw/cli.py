@@ -28,7 +28,8 @@ from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
 from .models import build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
-from .theories import DEFAULT_GRID_CAP, THEORIES, enumerate_types, get_theory
+from .theories import (DEFAULT_GRID_CAP, THEORIES, diagram_texts, enumerate_types,
+                       get_theory)
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +83,7 @@ def cmd_types(cfg):
     theory = get_theory(cfg["theory"])
     types = enumerate_types(theory, cfg["tapes"], cfg["vars"],
                             _parse(cfg, cfg["constraint"]), cap=cfg["max_grid"])
-    items = [t.diagram_text() for t in types]
+    items = diagram_texts(types)
     return {"count": len(items), "types": items}, [
         _cert("enumeration-deterministic", True, count=len(items))]
 

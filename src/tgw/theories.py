@@ -35,12 +35,15 @@ and enumerating consistent code tuples enumerates complete types.  As each
 theory is the Fraisse limit of these diagrams, `diagram_codes` generates
 them one variable at a time: a new variable relates to each earlier
 equality class by a code allowed by the triple table, and copies that code
-to the rest of the class.  Every pool `diagrams_over(theory, m)` is built
-this way, and a diagram read off a model maps its relation values to codes
-(`PairCodes.between_of`) and is checked by the same triple table
-(`PairCodes.admits`).  A quantifier-free formula is tested on code tuples
-(`PairCodes.predicate`) by code masks of its parts over at most two
-variables (`PairCodes.mask`).
+to the rest of the class.  A diagram is consistent iff its diagram on its
+classes is, so a pool `diagrams_over(theory, m)` is built as a product
+instead: every equality partition of the m variables times the
+all-distinct code tuples of its classes, which grow one class at a time by
+the same triple-table step (`_diagrams`).  A diagram read off a model maps
+its relation values to codes (`PairCodes.between_of`) and is checked by the
+same triple table (`PairCodes.admits`).  A quantifier-free formula is tested
+on code tuples (`PairCodes.predicate`) by code masks of its parts over at
+most two variables (`PairCodes.mask`).
 
 Diagram formulas are read off the same codes.  Per grid, a literal table
 (`PairCodes.literal_table`) holds for each pair position and pair code the
@@ -48,7 +51,9 @@ literals that pin that pair, each with its rank in the `sort_key` order of
 all the grid's literals and with its rendered text; a diagram's formula is
 the equality entries tying variables to their class representatives plus
 the code entries of the representative pairs, sorted by rank, which is the
-order `conj` would give them.
+order `conj` would give them.  The first list depends on the partition
+alone and the second on the representatives and `between`, so rendering
+many diagrams reuses both (`diagram_texts`).
 """
 from __future__ import annotations
 
@@ -462,40 +467,15 @@ class CompleteType(Record):
         literals come from the grid's literal table
         (`PairCodes.literal_table`) in rank order, so the value equals `conj`
         of them without `conj`'s sorting."""
-        lits = [lit for _, lit, _ in self._diagram_literals()]
+        lits = [lit for _, lit, _ in _DiagramLiterals(self.theory_id, self.k, self.n)(self)]
         if len(lits) > 1:
             return And(tuple(lits))
         return lits[0] if lits else TRUE
 
     def diagram_text(self) -> str:
         """`render_formula(self.diagram_formula())`, joined from the literal
-        table's rendered texts."""
-        texts = [text for _, _, text in self._diagram_literals()]
-        if len(texts) > 1:
-            return "(" + " & ".join(texts) + ")"
-        return texts[0] if texts else "true"
-
-    def _diagram_literals(self) -> list[tuple[int, Formula, str]]:
-        """The literal-table entries of the diagram, sorted by rank: for a
-        variable j in an earlier class, the equality on (representative, j);
-        for a new representative j, the entries of the codes it has with
-        the earlier representatives.  `classes` is in restricted-growth
-        form, so class c's representative is the c-th one met."""
-        pc = pair_codes(self.theory_id)
-        table = pc.literal_table(self.k, self.n)
-        reps: list[int] = []
-        out = []
-        for j, c in enumerate(self.classes):
-            row = j * (j - 1) // 2
-            if c < len(reps):
-                out += table[row + reps[c]][pc.eq]
-                continue
-            crow = c * (c - 1) // 2
-            for a, i in enumerate(reps):
-                out += table[row + i][self.between[crow + a]]
-            reps.append(j)
-        out.sort(key=itemgetter(0))
-        return out
+        table's rendered texts (see `diagram_texts`)."""
+        return diagram_texts([self])[0]
 
     def restrict(self, tapes: tuple[int, ...], positions: int | None = None) -> "CompleteType":
         """Sub-diagram on the listed tapes (in the listed order), keeping
@@ -524,18 +504,97 @@ class CompleteType(Record):
             self.between, self.num_classes())
 
 
+class _DiagramLiterals:
+    """The literal-table entries (`PairCodes.literal_table`) of a theory's
+    diagrams on the k-by-n grid, sorted by rank, from memoised parts.  Per
+    equality partition: its class representatives (`classes` is in
+    restricted-growth form, so class c's is the c-th variable to start a
+    class) and the entries of the equalities tying every other variable to
+    its representative.  Per (representatives, `between`): the entries of the
+    codes of the representative pairs.  A diagram's entries are the two
+    lists merged by rank.  The memos live as long as this object."""
+
+    __slots__ = ("eq", "table", "_parts", "_codes")
+
+    def __init__(self, theory_id: str, k: int, n: int):
+        pc = pair_codes(theory_id)
+        self.eq = pc.eq
+        self.table = pc.literal_table(k, n)
+        self._parts: dict[tuple[int, ...], tuple] = {}
+        self._codes: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
+
+    def __call__(self, t: CompleteType) -> list[tuple[int, Formula, str]]:
+        part = self._parts.get(t.classes)
+        if part is None:
+            reps: list[int] = []
+            eqs = []
+            for j, c in enumerate(t.classes):
+                if c < len(reps):
+                    eqs += self.table[j * (j - 1) // 2 + reps[c]][self.eq]
+                else:
+                    reps.append(j)
+            eqs.sort(key=itemgetter(0))
+            part = self._parts[t.classes] = (tuple(reps), eqs)
+        reps, eqs = part
+        key = (reps, t.between)
+        codes = self._codes.get(key)
+        if codes is None:
+            codes = []
+            for b, j in enumerate(reps):
+                row, crow = j * (j - 1) // 2, b * (b - 1) // 2
+                for a, i in enumerate(reps[:b]):
+                    codes += self.table[row + i][t.between[crow + a]]
+            codes.sort(key=itemgetter(0))
+            self._codes[key] = codes
+        return sorted(eqs + codes, key=itemgetter(0))
+
+
+def diagram_texts(types: list[CompleteType]) -> list[str]:
+    """`render_formula(t.diagram_formula())` for each diagram `t` of
+    `types`, joined from the literal table's rendered texts; diagrams on one
+    grid share memoised parts for this call."""
+    grids: dict[tuple[str, int, int], _DiagramLiterals] = {}
+    out = []
+    for t in types:
+        grid = (t.theory_id, t.k, t.n)
+        entries = grids.get(grid)
+        if entries is None:
+            entries = grids[grid] = _DiagramLiterals(*grid)
+        texts = [text for _, _, text in entries(t)]
+        out.append("(" + " & ".join(texts) + ")" if len(texts) > 1
+                   else texts[0] if texts else "true")
+    return out
+
+
+def _partitions(m: int) -> list[tuple[int, ...]]:
+    """The equality partitions of m variables in restricted-growth form, in
+    lexicographic order: each partition of j variables, in order, extended
+    by every class the next variable can join or start."""
+    parts = [()]
+    for _ in range(m):
+        parts = [p + (c,) for p in parts for c in range(max(p, default=-1) + 2)]
+    return parts
+
+
 def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
-    """Every m-variable diagram, by one-variable extension, sorted by key.
-    Diagrams with equal `between` tuples share one."""
+    """Every m-variable diagram, sorted by key, as a product: a diagram is
+    consistent iff its diagram on its classes is, so the pool is each
+    equality partition times the all-distinct code tuples of its c classes.
+    The tuples on c + 1 classes are those on c, each extended by a new
+    class (`PairCodes._one_point`), and each list is sorted once by its
+    class tables; partitions come in lexicographic order, so the product
+    is in `CompleteType.key` order.  Diagrams with equal `between` tuples
+    share one."""
     pc = pair_codes(theory)
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    keyed = []
-    for _codes, between, c, classes in _extensions(theory, 1, m):
-        between = shared.setdefault(between, between)
-        keyed.append(((classes, pc.class_tables(between, c)),
-                      CompleteType(theory.id, 1, m, classes, between)))
-    keyed.sort(key=itemgetter(0))  # CompleteType.key
-    return [t for _, t in keyed]
+    tuples = [[()]]
+    for c in range(m):
+        tuples.append([b + v for b in tuples[c]
+                       for v, joined in pc._one_point(b, c, None) if joined < 0])
+    for c, level in enumerate(tuples):
+        level.sort(key=lambda b: pc.class_tables(b, c))
+    return [CompleteType(theory.id, 1, m, classes, between)
+            for classes in _partitions(m)
+            for between in tuples[max(classes, default=-1) + 1]]
 
 
 _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
@@ -847,8 +906,9 @@ class PairCodes:
         code tuple `between`: one code per class (within `masks`, if given),
         chosen class by class against the triple table, each with the class
         the variable joins (-1 if it starts its own).  They depend on the
-        classes alone, so they are cached; the cache is emptied when full."""
-        key = (between, masks)
+        classes alone, so they are cached; the cache is emptied when full.
+        The key holds c, since `between` is () for both c = 0 and c = 1."""
+        key = (between, c, masks)
         hit = self._one_point_cache.get(key)
         if hit is not None:
             return hit
@@ -907,8 +967,8 @@ def _pruning(pc: PairCodes, k: int, n: int, qf: Formula):
     return [tuple(u.items()) for u in units], checks
 
 
-def _extensions(theory, k: int, n: int, constraint: Formula = TRUE,
-                prefix: tuple[int, ...] = ()):
+def _extensions(theory, k: int, n: int, constraint: Formula,
+                prefix: tuple[int, ...]):
     """Iterator of (codes, between, c, classes) for `diagram_codes`; see
     `PairCodes._extend`."""
     pc = pair_codes(theory)

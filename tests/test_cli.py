@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -281,13 +282,18 @@ USAGE_CASES = [
     ("universality --theory dlo --samples 0", "--samples must be an integer >= 1, not 0"),
     # the predicate grammar adds nothing past depth 1
     ("reconstruct --theory dlo --depth 2", "--depth must be 0 or 1, not 2"),
+    # the scan quantifies y0 and the x-variables around phi
+    ("skolem --theory dlo --formula '(lt(x0,y0) & exists x1. (lt(x1,y0) & lt(x0,x1)))'",
+     "phi must not bind x-variables, nor y0 where it is free"),
+    ("skolem --theory dlo --formula '(lt(x0,y0) & exists y0. lt(x0,y0))'",
+     "phi must not bind x-variables, nor y0 where it is free"),
 ]
 
 
 @pytest.mark.parametrize("argv,error", USAGE_CASES, ids=[argv for argv, _ in USAGE_CASES])
 def test_missing_or_out_of_range_parameters_are_usage_errors(capsys, argv, error):
     # refused up front with exit 2, not a traceback, a default or a wrong run
-    code, rep = capture(capsys, argv.split())
+    code, rep = capture(capsys, shlex.split(argv))
     assert code == 2 and rep == {"error": error, "kind": "usage"}
 
 
@@ -515,6 +521,10 @@ PINNED_REPORTS = [
     ("types --theory equivinf --vars 2", 0, "74a6ef27f8f4"),
     ("types --theory equivinf --vars 3", 0, "5dc499c4e65a"),
     ("types --theory equivinf --tapes 2 --vars 2", 0, "d571f933d90d"),
+    # the benchmark's three `types` ops
+    ("types --theory equivinf --vars 7", 0, "4f42bf83198d"),
+    ("types --theory dlo --vars 6", 0, "ea0cb2e71d5a"),
+    ("types --theory dlo --vars 5 --constraint (lt(x0,x1)&lt(x2,x3))", 0, "680507d49f81"),
     ("theta --theory equivinf --level 2 --index 7", 0, "05a4c50cd6c0"),
     ("compose --theory dlo --phi (lt(x0,y0)&lt(x1,y1)) --psi (lt(y0,z0)&lt(y1,z1))", 0, "19ae0858c60a"),
     ("project --theory dlo --phi (lt(x0,y0)&lt(x1,y1)) --to 0", 0, "84b33b535614"),

@@ -332,6 +332,59 @@ def test_extension_enumerator_matches_product(theory):
                             for _, classes, tables in want}
 
 
+def extension_pool(theory, m):
+    """The m-variable pool by one-variable extension, each diagram paired
+    with its key and the lot sorted (the route the partition-by-class-tuple
+    product replaces); equal `between` tuples are shared."""
+    pc = pair_codes(theory)
+    shared, keyed = {}, []
+    for _codes, between, c, classes in theories._extensions(theory, 1, m, TRUE, ()):
+        between = shared.setdefault(between, between)
+        keyed.append(((classes, pc.class_tables(between, c)),
+                      CompleteType(theory.id, 1, m, classes, between)))
+    keyed.sort(key=lambda row: row[0])
+    return [t for _, t in keyed]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theory,m", [("pureset", 7), ("dlo", 7), ("equivinf", 7),
+                                      ("randomgraph", 6)])
+def test_product_pool_matches_extension_route(theory, m):
+    th = get_theory(theory)
+    for size in range(m + 1):
+        pool = theories._diagrams(th, size)
+        assert pool == extension_pool(th, size), size
+        # one tuple object per distinct `between`
+        assert len({id(d.between) for d in pool}) == len({d.between for d in pool})
+
+
+@pytest.mark.parametrize("m,bell", enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]))
+def test_partitions_are_bell_many_in_lexicographic_order(m, bell):
+    parts = theories._partitions(m)
+    assert len(parts) == len(set(parts)) == bell
+    assert parts == sorted(parts) == list(set_partitions(m))
+
+
+def test_one_point_cache_tells_no_classes_from_one():
+    # between is () for c = 0 and c = 1; an empty c = 0 entry once stood in
+    # for the one-class extensions and broke the next pool build
+    th = get_theory("dlo")
+    pc = pair_codes(th)
+    assert pc._one_point((), 0, None) == [((), -1)]
+    assert pc._one_point((), 1, None) == [((pc.eq,), 0)] + [
+        ((code,), -1) for code in range(1, len(pc.converse))]
+    assert theories._diagrams(th, 4) == diagrams_over(th, 4)
+
+
+@pytest.mark.parametrize("theory,m", [("equivinf", 7), ("dlo", 6)])
+def test_pool_texts_render_their_formulas(theory, m):
+    pool = diagrams_over(theory, m)
+    # one memo for the whole pool, and a fresh one per diagram
+    texts = theories.diagram_texts(pool)
+    assert texts == [render_formula(d.diagram_formula()) for d in pool]
+    assert texts == [d.diagram_text() for d in pool]
+
+
 @pytest.mark.parametrize("theory,text", [
     ("dlo", "((lt(x0,x1) | eq(x0,y1)) & lt(y0,x1))"),
     ("dlo", "(lt(x0,y0) | lt(y1,x1))"),
