@@ -95,11 +95,14 @@ def cmd_dphi(cfg):
 
 
 def cmd_compose(cfg):
+    """chi = phi.psi, printed over (x, z).  phi is read over (x, y); psi is
+    read over (y, z) when it names only tapes 1 and 2, and over (x, y)
+    otherwise."""
     seq = _seq(cfg)
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     psi = _parse(cfg, cfg["psi"])
     tapes = {v.tape for v in free_vars(psi)}
-    if tapes <= {1, 2}:  # the (y,z) spelling of the second factor
+    if tapes <= {1, 2}:
         psi = rename_tapes(psi, {1: 0, 2: 1})
     V = clopen(seq, psi, arity=2)
     chi = compose_clopen(U, V)

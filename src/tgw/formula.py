@@ -2,7 +2,9 @@
 
 Variables are tape-indexed: tape 0 prints as x, 1 as y, 2 as z, 3 as w, and
 tape t >= 4 as v<t>.  A variable token is <tapeletter><position>, e.g. x0,
-y12, v45 (tape 4, position 5).
+y12, v45 (tape 4, position 5).  Every renaming of free variables, moving
+them between tapes included, is one capture-avoiding substitution, which
+renames a binder only when an image would fall under it.
 
 Formulas and variables are hash-consed: a constructor returns the one node
 already built from the same class and fields, so structurally equal formulas
@@ -338,30 +340,12 @@ def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
 
 
 def rename_tapes(f: Formula, perm: dict[int, int]) -> Formula:
-    """Total tape renaming (applies to bound variables too; safe because it
-    is a bijection on the whole variable space)."""
-    def go(g):
-        if isinstance(g, (Top, Bot)):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.rel, tuple(VarRef(perm.get(v.tape, v.tape), v.position) for v in g.args))
-        if isinstance(g, Eq):
-            return Eq(VarRef(perm.get(g.lhs.tape, g.lhs.tape), g.lhs.position),
-                      VarRef(perm.get(g.rhs.tape, g.rhs.tape), g.rhs.position))
-        if isinstance(g, Not):
-            return Not(go(g.sub))
-        if isinstance(g, And):
-            return conj(go(c) for c in g.children)
-        if isinstance(g, Or):
-            return disj(go(c) for c in g.children)
-        if isinstance(g, Implies):
-            return Implies(go(g.lhs), go(g.rhs))
-        v = VarRef(perm.get(g.var.tape, g.var.tape), g.var.position)
-        return type(g)(v, go(g.body))
-    values = [perm.get(t, t) for t in perm]
-    if len(set(values)) != len(values):
-        raise SignatureError("tape renaming must be injective")
-    return go(f)
+    """Move each free variable of `f` on a tape in `perm` to tape
+    `perm[tape]` at the same position, by `substitute_vars`: a bound
+    variable keeps its name unless an image would fall under it, and a map
+    that merges two free variables is refused (`SignatureError`)."""
+    return substitute_vars(f, {v: VarRef(perm[v.tape], v.position)
+                               for v in free_vars(f) if v.tape in perm})
 
 
 # -- rendering ---------------------------------------------------------------

@@ -49,8 +49,7 @@ class ModelHandle:
 
     def atomic(self, rel: str, a, b) -> bool:
         """Whether `rel` holds of (a, b); `rel` is taken to be in the
-        signature (`compile_formula` checks that once per formula and
-        theory)."""
+        signature (`compile_formula` checks each atom as it compiles)."""
         raise NotImplementedError
 
     def witness_candidates(self, params: list) -> list:
@@ -210,62 +209,43 @@ def make_model(theory) -> ModelHandle:
 
 # -- evaluation ---------------------------------------------------------------
 
-_COMPILED: dict[Formula, Callable] = {}
-_IN_SIGNATURE: set[tuple[Formula, str]] = set()   # (formula, theory id) checked
+_COMPILED: dict[tuple[Formula, Theory], Callable] = {}
 _UNASSIGNED = object()
 
 
 def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     """Truth of `f` in `M` under `assignment`, a map from VarRef to element.
 
-    `f` is compiled once (`compile_formula`) into closures that are then
-    called as `test(M, assignment)`.  A quantifier node whose body
-    binds no variable (its stored `bound_vars` is empty) memoises its
-    verdict in `M.verdicts`, keyed by the node and the values of the body's
-    free variables.  That is exact: such a body is quantifier-free, so it
-    makes no call that changes the model, the candidates for fixed
-    parameters realise every 1-type over them, and a repeated
-    `witness_candidates` call on the same parameters commits nothing.  A
-    body that binds variables is not memoised, because its inner
-    quantifiers' candidate calls take the outer candidates as parameters
-    and may commit elements, which a skipped evaluation would not commit."""
+    `f` is compiled once per theory (`compile_formula`) into closures that
+    are then called as `test(M, assignment)`; a relation outside `M`'s
+    signature is refused (`SignatureError`) as its atom compiles.  A
+    quantifier node whose body binds no variable (its stored `bound_vars`
+    is empty) memoises its verdict in `M.verdicts`, keyed by the node and
+    the values of the body's free variables.  That is exact: such a body
+    is quantifier-free, so it makes no call that changes the model, the
+    candidates for fixed parameters realise every 1-type over them, and a
+    repeated `witness_candidates` call on the same parameters commits
+    nothing.  A body that binds variables is not memoised, because its
+    inner quantifiers' candidate calls take the outer candidates as
+    parameters and may commit elements, which a skipped evaluation would
+    not commit."""
     return compile_formula(f, M.theory)(M, assignment)
 
 
-def compile_formula(f: Formula, theory: Theory | None = None
-                    ) -> Callable[[ModelHandle, dict], bool]:
-    """The closure `test(M, assignment)` that evaluates `f`, compiled on
-    first use and then kept per formula node (structurally equal formulas
-    are one node).  Given the models' `theory`, it first refuses
-    (`SignatureError`) a formula with a relation outside the signature;
-    that check runs once per formula and theory, so the compiled atoms
-    call `ModelHandle.atomic` unchecked."""
-    if theory is not None and (f, theory.id) not in _IN_SIGNATURE:
-        _check_signature(f, theory)
-        _IN_SIGNATURE.add((f, theory.id))
-    test = _COMPILED.get(f)
+def compile_formula(f: Formula, theory: Theory) -> Callable[[ModelHandle, dict], bool]:
+    """The closure `test(M, assignment)` that evaluates `f` in models of
+    `theory`, compiled on first use and then kept per formula node and
+    theory (structurally equal formulas are one node).  Each atom is
+    checked against the signature as it compiles (`SignatureError` for a
+    relation outside it), so a kept closure calls `ModelHandle.atomic`
+    unchecked."""
+    test = _COMPILED.get((f, theory))
     if test is None:
-        test = _COMPILED[f] = _compile(f)
+        test = _COMPILED[f, theory] = _compile(f, theory)
     return test
 
 
-def _check_signature(f: Formula, theory: Theory) -> None:
-    t = type(f)
-    if t is Atom:
-        theory.check_relation(f)
-    elif t is And or t is Or:
-        for c in f.children:
-            _check_signature(c, theory)
-    elif t is Not:
-        _check_signature(f.sub, theory)
-    elif t is Implies:
-        _check_signature(f.lhs, theory)
-        _check_signature(f.rhs, theory)
-    elif t is Exists or t is Forall:
-        _check_signature(f.body, theory)
-
-
-def _compile(f: Formula):
+def _compile(f: Formula, theory: Theory):
     t = type(f)
     if t is Top:
         return lambda M, asg: True
@@ -281,6 +261,7 @@ def _compile(f: Formula):
                 raise _unassigned(asg, lhs, rhs) from None
         return eq
     if t is Atom:
+        theory.check_relation(f)
         rel, a, b = f.rel, f.args[0], f.args[1]
 
         def atom(M, asg):
@@ -291,10 +272,10 @@ def _compile(f: Formula):
             return M.atomic(rel, ea, eb)
         return atom
     if t is Not:
-        sub = compile_formula(f.sub)
+        sub = compile_formula(f.sub, theory)
         return lambda M, asg: not sub(M, asg)
     if t is And:
-        children = tuple(map(compile_formula, f.children))
+        children = tuple(compile_formula(c, theory) for c in f.children)
 
         def all_of(M, asg):
             for c in children:
@@ -303,7 +284,7 @@ def _compile(f: Formula):
             return True
         return all_of
     if t is Or:
-        children = tuple(map(compile_formula, f.children))
+        children = tuple(compile_formula(c, theory) for c in f.children)
 
         def any_of(M, asg):
             for c in children:
@@ -312,15 +293,15 @@ def _compile(f: Formula):
             return False
         return any_of
     if t is Implies:
-        lhs, rhs = compile_formula(f.lhs), compile_formula(f.rhs)
+        lhs, rhs = compile_formula(f.lhs, theory), compile_formula(f.rhs, theory)
         return lambda M, asg: (not lhs(M, asg)) or rhs(M, asg)
     if t is Exists or t is Forall:
-        return _compile_quantifier(f)
+        return _compile_quantifier(f, theory)
     raise PreconditionError(f"cannot evaluate {render_formula(f)}")
 
 
-def _compile_quantifier(f):
-    body = compile_formula(f.body)
+def _compile_quantifier(f, theory):
+    body = compile_formula(f.body, theory)
     var = f.var
     live = tuple(sorted(free_vars(f.body)))
     decisive = type(f) is Exists   # the body value that settles the verdict

@@ -83,9 +83,7 @@ def predicate_corpus(seq: RichSequence, depth: int) -> list[ClopenSet]:
     x0, y0 = VarRef(0, 0), VarRef(1, 0)
     atoms = [Eq(x0, y0)]
     for rel, _ in theory.signature.relations:
-        atoms.append(Atom(rel, (x0, y0)))
-        if theory.id == "dlo":
-            atoms.append(Atom(rel, (y0, x0)))
+        atoms += [Atom(rel, (x0, y0)), Atom(rel, (y0, x0))]
     formulas = [TRUE, FALSE] + atoms
     if depth >= 1:
         formulas += [neg(a) for a in atoms]

@@ -47,6 +47,20 @@ def test_compose_example(capsys):
     assert rep["certificates"][0]["name"] == "level-table-cross-check"
 
 
+@pytest.mark.parametrize("theory, rel", [("equivinf", "equiv"), ("dlo", "lt")])
+def test_compose_keeps_psi_binder_apart_from_the_moved_tapes(capsys, theory, rel):
+    # psi is spelled over (y, z) and moved onto (x, y); its binder x0 must not
+    # capture the moved y0, so chi does not depend on the binder's name
+    chis = []
+    for bound in ("x0", "w0"):
+        psi = f"exists {bound}. ({rel}(y0,{bound}) & {rel}({bound},z0))"
+        code, rep = capture(capsys, ["compose", "--theory", theory,
+                                     "--phi", f"{rel}(x0,y0)", "--psi", psi])
+        assert code == 0
+        chis.append(rep["items"]["chi"])
+    assert chis == [f"{rel}(x0,z0)"] * 2
+
+
 def test_determinism_minus_timing(capsys):
     argv = ["reconstruct", "--theory", "dlo", "--depth", "1", "--budget", "4"]
     _, a = capture(capsys, argv)
@@ -409,9 +423,9 @@ def test_commands_evaluate_at_most_one_quantifier(capsys, monkeypatch):
     compiled = []
     compile_one = models._compile
 
-    def recording(f):
+    def recording(f, theory):
         compiled.append(f)
-        return compile_one(f)
+        return compile_one(f, theory)
 
     monkeypatch.setattr(models, "_COMPILED", {})
     monkeypatch.setattr(models, "_compile", recording)

@@ -9,6 +9,10 @@ Every name a module imports at module level is loaded in that module, so
 no import outlives the code that read it.  `from __future__` imports and
 the package's `__init__` (whose imports would be re-exports) are exempt.
 
+Every name a module assigns at module level is loaded somewhere in the
+package, so no constant or cache outlives its last reader.  Dunder names
+such as `__version__` are read by tools outside it and are exempt.
+
 Every parameter with a default is passed by some call in the package, so no
 default stands in for a value only tests set, and left unset by some call,
 so no default stands in for a value only tests leave out.  A call reaches
@@ -92,6 +96,24 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def unread_globals() -> list[str]:
+    """module.name of every module-level assignment that no code in the
+    package loads, by name or as an attribute."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    loaded = {node.id if isinstance(node, ast.Name) else node.attr
+              for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}.{target.id}" for module, tree in trees.items()
+            for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for target in ast.walk(stmt)
+            if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+            and target.id not in loaded and not target.id.startswith("__")]
+
+
+def test_every_module_level_name_is_read():
+    assert unread_globals() == []
 
 
 ENTRY = ("cli", "main", "argv")   # the console script calls main()

@@ -14,6 +14,7 @@ from tgw.formula import (
     identify_vars, implies, neg, parse_formula, render_formula, rename_tapes,
     sort_key, substitute_vars,
 )
+from tgw.models import evaluate, make_model
 
 DLO = Signature("dlo", (("lt", 2),))
 GRAPH = Signature("randomgraph", (("adj", 2),))
@@ -136,7 +137,7 @@ def test_substitute_alpha_renames_on_capture():
 def test_rename_tapes_total():
     f = Exists(y(0), Atom("lt", (x(0), y(0))))
     g = rename_tapes(f, {0: 1, 1: 0})
-    assert g == Exists(x(0), Atom("lt", (y(0), x(0))))
+    assert g == Exists(y(1), Atom("lt", (y(0), y(1))))
 
 
 def test_signature_validation():
@@ -223,6 +224,21 @@ def test_substitution_composes(f):
     m2 = {v: VarRef(v.tape, v.position + 11) for v in mid}
     composed = {v: m2.get(m1[v], m1[v]) for v in fv}
     assert substitute_vars(substitute_vars(f, m1), m2) == substitute_vars(f, composed)
+
+
+# the tape maps the package moves formulas by
+TAPE_MAPS = ({1: 0, 2: 1}, {0: 1, 1: 2}, {2: 1}, {1: 0}, {0: 1, 1: 0})
+
+
+@given(_formulas(DLO), st.lists(st.integers(0, 5), min_size=16, max_size=16))
+def test_rename_tapes_keeps_truth(f, indices):
+    M = make_model("dlo")
+    asg = {v: M.element(i) for v, i in zip(sorted(free_vars(f)), indices)}
+    for perm in TAPE_MAPS:
+        moved = {VarRef(perm.get(v.tape, v.tape), v.position): e for v, e in asg.items()}
+        if len(moved) < len(asg):   # the map merges two free variables
+            continue
+        assert evaluate(rename_tapes(f, perm), M, moved) == evaluate(f, M, asg), perm
 
 
 @given(_formulas(DLO))

@@ -167,7 +167,7 @@ def one_types_over(section, n):
 def first_realization(section, diagram, n):
     """Oracle: the least i >= n whose entry satisfies the diagram formula
     over the first n entries, evaluated at each position in turn."""
-    holds = compile_formula(diagram.diagram_formula())
+    holds = compile_formula(diagram.diagram_formula(), section.model.theory)
     asg = {x(j): e for j, e in enumerate(section.tuple_prefix(n))}
     for i in range(n, SECTION_SCAN_CAP):
         asg[x(n)] = section.tuple_prefix(i + 1)[i]
