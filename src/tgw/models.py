@@ -37,12 +37,23 @@ WITNESS_SCAN_CAP = 50_000
 class ModelHandle:
     """A lazily extendable countable model; subclasses fix the carrier
     enumeration, the atomic evaluator, and the witness-candidate rule.
-    `verdicts` holds the quantifier verdicts `evaluate` memoises."""
+    `verdicts` holds the quantifier verdicts `evaluate` memoises, and
+    `candidates` the witness candidates it has asked for, keyed by the
+    sorted parameter tuple.
+
+    The candidate memo is exact: a repeated `witness_candidates` call on the
+    same parameters would return the same list and commit nothing.  The
+    pureset, dlo and equivinf candidates are pure functions of the
+    parameters.  A randomgraph call leaves every adjacency pattern over its
+    parameters realised by a committed vertex, and each vertex committed
+    later has a larger index, so the least vertex with each pattern never
+    changes and no pattern is demanded again."""
 
     theory: Theory
 
     def __init__(self):
         self.verdicts: dict = {}
+        self.candidates: dict[tuple, list] = {}
 
     def element(self, i: int):
         raise NotImplementedError
@@ -109,7 +120,9 @@ class DloModel(ModelHandle):
         return self._seq[i]
 
     def atomic(self, rel, a, b):
-        return a < b
+        """a < b by cross-multiplying, which is exact because a Fraction's
+        denominator is positive, and skips `Fraction.__lt__`'s dispatch."""
+        return a.numerator * b.denominator < b.numerator * a.denominator
 
     def witness_candidates(self, params):
         vals = sorted(set(params))
@@ -130,11 +143,18 @@ class EquivInfModel(ModelHandle):
 
     theory = get_theory("equivinf")
 
+    def __init__(self):
+        super().__init__()
+        self._class: dict[int, int] = {}   # element -> its class, decoded once
+
     def element(self, i):
         return i
 
     def class_of(self, e):
-        return cantor_unpair(e)[0]
+        c = self._class.get(e)
+        if c is None:
+            c = self._class[e] = cantor_unpair(e)[0]
+        return c
 
     def atomic(self, rel, a, b):
         return self.class_of(a) == self.class_of(b)
@@ -171,11 +191,12 @@ class RandomGraphModel(ModelHandle):
     def atomic(self, rel, a, b):
         if a == b:
             return False
-        if max(a, b) >= self.size:
+        u, w = (a, b) if a < b else (b, a)
+        if w >= self.size:
             raise InternalConsistencyError("adjacency queried beyond committed part")
-        u, w = min(a, b), max(a, b)
-        if w in self._demand_pos:
-            return u in self._demand_pos[w]
+        pos = self._demand_pos.get(w)
+        if pos is not None:
+            return u in pos
         return bool(w >> u & 1)
 
     def commit_demand(self, pos: frozenset) -> int:
@@ -218,17 +239,24 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
 
     `f` is compiled once per theory (`compile_formula`) into closures that
     are then called as `test(M, assignment)`; a relation outside `M`'s
-    signature is refused (`SignatureError`) as its atom compiles.  A
-    quantifier node whose body binds no variable (its stored `bound_vars`
-    is empty) memoises its verdict in `M.verdicts`, keyed by the node and
-    the values of the body's free variables.  That is exact: such a body
-    is quantifier-free, so it makes no call that changes the model, the
-    candidates for fixed parameters realise every 1-type over them, and a
-    repeated `witness_candidates` call on the same parameters commits
-    nothing.  A body that binds variables is not memoised, because its
-    inner quantifiers' candidate calls take the outer candidates as
-    parameters and may commit elements, which a skipped evaluation would
-    not commit."""
+    signature is refused (`SignatureError`) as its atom compiles.
+
+    Every quantifier node reads its candidates through `M.candidates`, so
+    each parameter set is asked of `witness_candidates` once per model.
+    That is exact, as `ModelHandle` says: pureset, dlo and equivinf
+    candidates are pure functions of the parameters, and a randomgraph
+    call leaves nothing to commit on a repeat and the same least vertex
+    for each pattern.
+
+    A quantifier node whose body binds no variable (its stored
+    `bound_vars` is empty) also memoises its verdict in `M.verdicts`,
+    keyed by the node and the values of the body's free variables.  That
+    is exact: such a body is quantifier-free, so it makes no call that
+    changes the model, the candidates for fixed parameters realise every
+    1-type over them, and they are fixed by the candidate memo.  A body
+    that binds variables is not memoised, because its inner quantifiers'
+    candidate calls take the outer candidates as parameters and may commit
+    elements, which a skipped evaluation would not commit."""
     return compile_formula(f, M.theory)(M, assignment)
 
 
@@ -314,9 +342,13 @@ def _compile_quantifier(f, theory):
             verdict = M.verdicts.get(key)
             if verdict is not None:
                 return verdict
+        params = tuple(sorted({e for e in values if e is not _UNASSIGNED}))
+        candidates = M.candidates.get(params)
+        if candidates is None:
+            candidates = M.candidates[params] = M.witness_candidates(list(params))
         inner = dict(asg)
         verdict = not decisive
-        for c in M.witness_candidates(sorted({e for e in values if e is not _UNASSIGNED})):
+        for c in candidates:
             inner[var] = c
             if bool(body(M, inner)) is decisive:
                 verdict = decisive

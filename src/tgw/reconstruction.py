@@ -15,21 +15,25 @@ from .formula import (FALSE, TRUE, Atom, Eq, VarRef, free_vars, neg,
 from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
                        clopen_equiv, en_clopen, is_subgroupoid)
 from .models import (DTuple, ModelHandle, build_dtuple, compile_formula,
-                     make_model, tuple_type)
+                     make_model)
 from .record import Record
 from .rich import RichSequence
-from .theories import canonical_form, grid_index, pair_codes
+from .theories import canonical_form
 
 
 class SortClass(Record):
+    """Witness tuples identified by a sort's relation, in the order they
+    were generated; `rep` is the first of `members`."""
+
     __slots__ = ("rep", "members")
 
 
 def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
                   budget: int) -> list[SortClass]:
     """Generate up to `budget` witness tuples at H's level (varying the
-    preferred first witnesses) and quotient them by H-membership of their
-    pair types."""
+    preferred first witnesses) and quotient them by H: a tuple joins the
+    first class whose rep it is H-related to, by H's quantifier-free
+    formula evaluated on the pair."""
     if budget <= 0:
         raise PreconditionError("budget must be positive")
     level = H.clopen.level
@@ -40,12 +44,10 @@ def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
         if not t.ok:
             raise InternalConsistencyError("generated tuple failed its certificate")
         tuples.append(t)
-    pc = pair_codes(M.theory)
-    same = pc.predicate(H.clopen.formula, grid_index(2, level))
     classes: list[list[DTuple]] = []
     for t in tuples:
         for cls in classes:
-            if same(pc.codes_of(tuple_type(M, [cls[0].elements, t.elements]))):
+            if _eval_on(H.clopen, [cls[0], t], M):
                 cls.append(t)
                 break
         else:
@@ -54,12 +56,15 @@ def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
 
 
 def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> bool:
-    """Evaluate the invariant clopen on one representative per tape, checking
-    well-definedness across the sampled members."""
+    """The invariant clopen's value on one representative per tape, checked
+    to be well defined across the sampled members.  Each member tuple is
+    evaluated once; the reps' tuple comes first in the product, since each
+    class's rep is its first member."""
     if len(classes) != X.arity:
         raise PreconditionError("need one class per tape")
-    value = _eval_on(X, [c.rep for c in classes], M)
-    for choice in itertools.product(*(c.members for c in classes)):
+    choices = itertools.product(*(c.members for c in classes))
+    value = _eval_on(X, next(choices), M)
+    for choice in choices:
         if _eval_on(X, choice, M) != value:
             raise InternalConsistencyError(
                 "invariant clopen took different values on one class")

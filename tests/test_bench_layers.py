@@ -56,3 +56,14 @@ def test_benchmark_ops_parse():
     for workload in ops.WORKLOADS.values():
         for op in workload:
             config_from_args(op.argv)   # exits 2 on a flag its command does not read
+
+
+def test_every_benchmark_op_is_pinned():
+    # an op's report is pinned at exit 0, or, for a known defect, at the
+    # defect's exit code until the fix re-pins it at exit 0
+    from test_cli import PINNED_REPORTS
+    pinned = {(argv, code) for argv, code, _ in PINNED_REPORTS}
+    ops = load("ops")
+    unpinned = [op.text for workload in ops.WORKLOADS.values() for op in workload
+                if not {(op.text, 0), (op.text, op.fails and op.fails[0])} & pinned]
+    assert unpinned == []

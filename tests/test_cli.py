@@ -557,6 +557,31 @@ PINNED_REPORTS = [
     ("section --theory randomgraph --steps 4", 1, "e4f4ec4ddc11"),
     ("universality --theory randomgraph -k 2 --samples 4", 0, "64b8dbc1194c"),
     ("reconstruct --theory dlo --budget 8", 0, "5872196b8d90"),
+    # every other benchmark op (`bench/ops.py`)
+    ("groupoid verify --theory equivinf --level 2", 0, "174bfc33997c"),
+    ("groupoid verify --theory pureset --level 2", 0, "377d295a8faf"),
+    ("groupoid verify --theory dlo --level 1", 0, "aaa2be2f134b"),
+    ("groupoid verify --theory randomgraph --level 1", 0, "89d9bab68e3b"),
+    ("project --theory dlo --phi (lt(x0,y0)&lt(x1,y1)) --to 1", 0, "e89bb3fa9aa7"),
+    ("section --theory pureset --steps 2", 0, "24739c94aad2"),
+    ("dphi --theory dlo --level 20", 0, "064dba1363c7"),
+    ("dphi --theory randomgraph --level 20", 0, "6254f3921731"),
+    ("dphi --theory equivinf --level 24", 0, "e3c5b10b1747"),
+    ("dphi --theory pureset --level 24", 0, "65d571e9b16d"),
+    ("subgroupoids --theory dlo --depth 1", 0, "8c445955b622"),
+    ("subgroupoids --theory equivinf --depth 1", 0, "38037873da81"),
+    ("subgroupoids --theory randomgraph --depth 1", 0, "a29e26e59d24"),
+    ("source --theory equivinf --phi (equiv(x0,y0)&!eq(x0,y0))", 0, "c05efe6a00a8"),
+    ("compose --theory equivinf --phi equiv(x0,y0) --psi equiv(y0,z0)", 0, "461242062dff"),
+    ("skolem --theory dlo --formula lt(x0,y0)", 0, "a3ab15637c6a"),
+    ("skolem --theory randomgraph --formula adj(x0,y0)", 0, "346c05b8a1eb"),
+    ("groupoid verify --theory pureset --level 1", 0, "48e2f6e134f7"),
+    ("universality --theory equivinf -k 3 --samples 32", 0, "3a0a64cf71e6"),
+    ("universality --theory randomgraph -k 2 --samples 32", 0, "1590db6eccb9"),
+    ("universality --theory dlo -k 2 --samples 32", 0, "2eae0db8d044"),
+    ("reconstruct --theory dlo --budget 32", 0, "a7ddca29f41f"),
+    ("reconstruct --theory randomgraph --budget 32", 0, "ec9946b9a2ad"),
+    ("model dump --theory dlo --size 200", 0, "d5a294e4b394"),
 ]
 
 

@@ -496,3 +496,43 @@ def test_randomgraph_candidates_realise_each_pattern_once(params):
     size = G.size
     assert G.witness_candidates(params) == first
     assert G.size == size
+
+
+def _candidates_through_the_memo(M, indices):
+    """Evaluate `exists y0` over a body whose parameters are the elements at
+    `indices`, so the quantifier asks `M.candidates` for them."""
+    y0 = VarRef(1, 0)
+    body = Or(tuple(Eq(y0, x(i)) for i in range(len(indices)))) if indices else Eq(y0, y0)
+    evaluate(Exists(y0, body), M, {x(i): M.element(j) for i, j in enumerate(indices)})
+    return tuple(sorted({M.element(j) for j in indices}))
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_candidate_memo_matches_fresh_calls_on_the_grown_model(theory):
+    M = make_model(theory)
+    M.element(5)
+    keys = [_candidates_through_the_memo(M, ix) for ix in ([], [0], [3, 1], [0, 2, 5], [4, 4])]
+    assert set(keys) <= set(M.candidates)
+    memoised = {key: list(M.candidates[key]) for key in keys}
+    # grow the model: more elements, candidates over other parameters, and
+    # on the graph, vertices committed on demand
+    M.element(200)
+    for ix in ([7], [9, 150], [1, 6, 200], [0, 1, 2, 3]):
+        _candidates_through_the_memo(M, ix)
+    if theory == "randomgraph":
+        for pos in (frozenset(), frozenset({0}), frozenset({1, 3}), frozenset({0, 2, 5})):
+            M.commit_demand(pos)
+    state = getattr(M, "size", None), dict(getattr(M, "_demand_pos", {}))
+    for key, cands in memoised.items():
+        assert M.candidates[key] == cands
+        assert M.witness_candidates(list(key)) == cands, key
+    assert (getattr(M, "size", None), dict(getattr(M, "_demand_pos", {}))) == state
+
+
+def test_cheap_atoms_match_their_definitions():
+    from tgw.pairing import cantor_unpair
+    D, E = make_model("dlo"), make_model("equivinf")
+    dlo = [D.element(i) for i in range(60)]
+    assert all(D.atomic("lt", a, b) == (a < b) for a in dlo for b in dlo)
+    assert all(E.atomic("equiv", a, b) == (cantor_unpair(a)[0] == cantor_unpair(b)[0])
+               for a in range(60) for b in range(60))

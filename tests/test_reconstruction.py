@@ -1,6 +1,6 @@
 import pytest
 
-from tgw.errors import PreconditionError
+from tgw.errors import InternalConsistencyError, PreconditionError
 from tgw.formula import (TRUE, Eq, VarRef, conj, implies, parse_formula,
                          rename_tapes)
 from tgw.groupoid import (ClopenSet, LevelTable, SubGroupoid, clopen,
@@ -152,3 +152,30 @@ def test_reconstruct_and_compare(theory):
     assert report["classes"] == 8
     assert all(p["invariant"] and p["well_defined"] and p["transported"]
                for p in report["predicates"])
+
+
+def test_predicate_value_evaluates_each_member_tuple_once(monkeypatch):
+    from fractions import Fraction
+
+    from tgw import reconstruction
+    from tgw.models import DTuple
+    from tgw.reconstruction import SortClass
+
+    def one(q):
+        return DTuple(1, (Fraction(q),), (True,))
+
+    M = make_model("dlo")
+    X = cl("dlo", "lt(x0,y0)", arity=2)
+    # 0 < 1 but not 2 < 1: the first class is not well defined under X
+    split = SortClass(one(0), (one(0), one(2)))
+    with pytest.raises(InternalConsistencyError):
+        predicate_value(X, [split, SortClass(one(1), (one(1),))], M)
+
+    calls = []
+    eval_on = reconstruction._eval_on
+    monkeypatch.setattr(reconstruction, "_eval_on",
+                        lambda *args: calls.append(args) or eval_on(*args))
+    singles = [SortClass(one(q), (one(q),)) for q in (0, 1)]
+    assert predicate_value(X, singles, M) is True
+    assert predicate_value(X, singles[::-1], M) is False
+    assert len(calls) == 2
