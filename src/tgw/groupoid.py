@@ -49,13 +49,10 @@ class ClopenSet(Record):
         return self.seq.theory
 
 
-def clopen(seq: RichSequence, formula: Formula, arity: int | None = None,
+def clopen(seq: RichSequence, formula: Formula, arity: int,
            level: int | None = None) -> ClopenSet:
-    fv = free_vars(formula)
-    if arity is None:
-        arity = max((v.tape for v in fv), default=0) + 1
     if level is None:
-        level = max((v.position for v in fv), default=-1) + 1
+        level = max((v.position for v in free_vars(formula)), default=-1) + 1
     return ClopenSet(seq, arity, eliminate_quantifiers(formula, seq.theory), level)
 
 
@@ -150,12 +147,9 @@ def is_subgroupoid(U: ClopenSet):
     if not clopen_equiv(inv, U):
         return Refusal("symmetric", separating_type(U, inv))
     if not contains_base(U):
-        bad = clopen(U.seq, neg(merge_tape(U.formula, 1, 0)))
         table = LevelTable(U.seq, 1, max(U.level, 1))
-        hits = table.points_of(ClopenSet(U.seq, 1, bad.formula, max(U.level, 1))) \
-            if bad.arity == 1 else set()
-        witness = table.points[min(hits)] if hits else None
-        return Refusal("contains-base", witness)
+        bad = eliminate_quantifiers(neg(merge_tape(U.formula, 1, 0)), U.theory)
+        return Refusal("contains-base", table.points[table._ids_where(bad)[0]])
     sq = compose_clopen(U, U)
     if not clopen_equiv(sq, U):
         return Refusal("multiplicatively-closed", separating_type(U, sq))

@@ -29,8 +29,11 @@ whose k-th conjunct has a small quantifier-free equivalent C_k.  Because a
 tuple satisfying the first n conditions always extends one level further
 (pick any witness, or anything at all), existential quantification over the
 witness sort relativises to finite levels, and conjuncts whose position is
-not reachable from the body's positions can be dropped; `relativize_exists`
-uses that pruning.
+not reachable from the body's positions can be dropped.  `relativize_exists`
+uses that pruning, and so does `valid`: f fails on the witness sort iff some
+diagram on the closures of f's positions meets their conjuncts C_k and
+not-f.  Tapes share no conjunct, so the closures of all tapes, renamed onto
+one grid, are searched for that diagram at once by `diagram_codes`.
 """
 from __future__ import annotations
 
@@ -44,9 +47,9 @@ from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
 from .models import Y0, compile_formula, make_model, next_entry, tuple_type
 from .pairing import cantor_unpair
 from .record import Record
-from .theories import (CompleteType, decide_sentence, depends_on_all_vars,
-                       diagram_codes, diagrams_over, eliminate_quantifiers,
-                       get_theory, pair_codes)
+from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
+                       depends_on_all_vars, diagram_codes, diagrams_over,
+                       eliminate_quantifiers, get_theory, pair_codes)
 
 CANONICAL_RANK_CAP = 20_000
 CANONICAL_WEIGHT_CAP = 18
@@ -261,15 +264,29 @@ class RichSequence:
         return eliminate_quantifiers(f, self.theory)
 
     def relativize_forall(self, body: Formula, tape: int) -> Formula:
+        """Quantifier-free form of: every witness-sort tuple on `tape`
+        satisfies `body`, by two syntactic QEs.  No command calls it: it is
+        kept as the oracle of `valid`'s search and as a traced layer."""
         inner = self.relativize_exists(neg(body), tape)
         return eliminate_quantifiers(neg(inner), self.theory)
 
     def valid(self, f: Formula, tapes: int) -> bool:
         """Whether `f` holds of every witness-sort tuple on each of the
-        tapes 0..tapes-1: `relativize_forall` on each tape, then decide."""
+        tapes 0..tapes-1: no diagram on the closures of f's positions,
+        renamed tape after tape onto one grid, meets their conjuncts C_k and
+        not-f.  The closures suffice since a partial solution extends, and
+        one grid since tapes share no conjunct.  A grid of more than
+        `DEFAULT_GRID_CAP` variables is refused."""
+        bad = eliminate_quantifiers(neg(f), self.theory)
+        grid: dict[VarRef, VarRef] = {}
         for t in range(tapes):
-            f = self.relativize_forall(f, tape=t)
-        return decide_sentence(f, self.theory)
+            for p in sorted(self._closure({v.position for v in free_vars(bad)
+                                           if v.tape == t})):
+                grid[VarRef(t, p)] = VarRef(0, len(grid))
+        check_grid_cap(len(grid), DEFAULT_GRID_CAP)
+        search = substitute_vars(conj([bad] + [
+            rename_tapes(self.dphi_conjunct(v.position), {0: v.tape}) for v in grid]), grid)
+        return next(diagram_codes(self.theory, 1, len(grid), search, prefix=()), None) is None
 
 
 # -- the self-referential section-schedule stream ------------------------------

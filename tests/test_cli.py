@@ -200,6 +200,20 @@ def test_skolem_scan_cap_fields(capsys, monkeypatch):
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("skolem-scan", 0, 0)
 
 
+@pytest.mark.slow
+def test_skolem_scan_reaches_the_dnf_cap_in_time():
+    # each scanned index is one counter-example search; the scan stops at
+    # index 33, whose defining conjunct passes the DNF cap when eliminated
+    src = str(Path(tgw.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tgw", "skolem", "--theory", "equivinf",
+                           "--formula", "(equiv(x0,y0)&!eq(x1,y0))"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["cap"] == "dnf-cubes"
+
+
 def test_section_scan_cap_fields(capsys, monkeypatch):
     # pureset realises the last 1-type over its first entry at position 3,
     # past a scan of positions 1 and 2
@@ -575,6 +589,9 @@ PINNED_REPORTS = [
     ("compose --theory equivinf --phi equiv(x0,y0) --psi equiv(y0,z0)", 0, "461242062dff"),
     ("skolem --theory dlo --formula lt(x0,y0)", 0, "a3ab15637c6a"),
     ("skolem --theory randomgraph --formula adj(x0,y0)", 0, "346c05b8a1eb"),
+    # the slowest scans that pass: index 15 on both
+    ("skolem --theory dlo --formula lt(y0,x0)", 0, "7e1a68442e67"),
+    ("skolem --theory equivinf --formula (equiv(x0,y0)&!eq(x0,y0))", 0, "ccfa436cd622"),
     ("groupoid verify --theory pureset --level 1", 0, "48e2f6e134f7"),
     ("universality --theory equivinf -k 3 --samples 32", 0, "3a0a64cf71e6"),
     ("universality --theory randomgraph -k 2 --samples 32", 0, "1590db6eccb9"),

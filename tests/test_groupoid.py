@@ -10,16 +10,17 @@ from tgw.groupoid import (LAWS, ClopenSet, LevelTable, Refusal, SubGroupoid,
                           base_clopen, clopen, clopen_equiv, compose_clopen,
                           contains_base,
                           en_clopen, invert_clopen, is_en_invariant,
-                          is_subgroupoid, minimal_en_index, project_clopen,
-                          source_clopen, target_clopen, theta_fiber,
-                          theta_reindex, verify_level_axioms)
+                          is_subgroupoid, merge_tape, minimal_en_index,
+                          project_clopen, source_clopen, target_clopen,
+                          theta_fiber, theta_reindex, verify_level_axioms)
+from tgw.reconstruction import predicate_corpus
 from tgw.rich import RichSequence
 from tgw.theories import diagram_codes, get_theory
 
 SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")}
 
 
-def cl(theory, text, arity=None, level=None):
+def cl(theory, text, arity, level=None):
     seq = SEQS[theory]
     return clopen(seq, parse_formula(text, seq.theory.signature), arity=arity,
                   level=level)
@@ -94,6 +95,22 @@ def test_contains_base_examples():
     assert contains_base(en_clopen(SEQS["pureset"], 1)) is True
     assert contains_base(cl("dlo", "lt(x0,y0)", arity=2)) is False
     assert contains_base(cl("dlo", "true", arity=2, level=1)) is True
+
+
+@pytest.mark.parametrize("theory", ["equivinf", "randomgraph"])
+def test_contains_base_refusal_witness_is_least_failing_point(theory):
+    # two refusals from the subgroupoids corpus, and one at level 2, where
+    # the 1-tape table has more than one point
+    clopens = [X for X in predicate_corpus(SEQS[theory], 1) if X.arity == 2]
+    clopens.append(cl(theory, "(eq(x0,y1) & eq(x1,y0))", arity=2, level=2))
+    refusals = [(U, v) for U in clopens for v in [is_subgroupoid(U)]
+                if isinstance(v, Refusal) and v.axiom == "contains-base"]
+    assert len(refusals) == 3
+    for U, verdict in refusals:
+        table = LevelTable(U.seq, 1, U.level)
+        holds = table.points_of(ClopenSet(U.seq, 1, merge_tape(U.formula, 1, 0), U.level))
+        assert (verdict.witness.k, verdict.witness.n) == (1, U.level)
+        assert table.index(verdict.witness) == min(set(range(len(table.points))) - holds)
 
 
 def test_subgroupoid_examples():

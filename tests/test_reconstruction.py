@@ -71,7 +71,7 @@ def test_lemma_round_trip_corpus():
         for text in texts:
             E = parse_formula(text, SEQS[theory].theory.signature)
             H = is_subgroupoid(clopen(SEQS[theory], E, arity=2,
-                                      level=max(1, clopen(SEQS[theory], E).level)))
+                                      level=max(1, clopen(SEQS[theory], E, arity=2).level)))
             assert isinstance(H, SubGroupoid), (theory, text)
             assert recovered(H) == canonical_form(E, theory), (theory, text)
 

@@ -1,15 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tgw.cli import main
 from tgw.formula import (FALSE, TRUE, Eq, Forall, Implies, VarRef, conj,
                          exists, forall, free_vars, neg, parse_formula,
                          render_formula, substitute_vars)
 from tgw.models import (Y0, certify_dtuple, compile_formula, evaluate,
                         make_model, tuple_type)
 from tgw.rich import SECTION_SCAN_CAP, RichSequence
-from tgw.theories import (decide_sentence, diagrams_over,
+from tgw.theories import (THEORIES, decide_sentence, diagrams_over,
                           eliminate_quantifiers, get_theory)
+
+from test_models import open_formulas
 
 
 def parse(text, theory):
@@ -139,6 +144,65 @@ def test_valid_on_sort_and_plain(theory, text, tapes, on_sort, plain):
     f = parse(text, theory)
     assert seq.valid(f, tapes) is on_sort
     assert plain_valid(f, theory) is plain
+
+
+def valid_by_qe(seq, f, tapes):
+    """The route `valid` replaced, kept as its oracle: `relativize_forall`
+    on each tape in turn, then decide the sentence left."""
+    for t in range(tapes):
+        f = seq.relativize_forall(f, tape=t)
+    return decide_sentence(f, seq.theory)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_valid_agrees_with_qe_on_open_formulas(theory):
+    seq = RichSequence(theory)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(open_formulas(theory), st.sampled_from([(0, 1), (3, 5), (2, 6)]))
+    def check(f, at):
+        # the witness condition constrains nothing on x0, x1 alone, so the
+        # free variables are also moved to positions where it does; the
+        # oracle's quantifiers would rebind variables that f binds, so it is
+        # given f's quantifier-free equivalent
+        f = substitute_vars(f, {x(0): x(at[0]), x(1): x(at[1])})
+        assert seq.valid(f, 1) is valid_by_qe(seq, eliminate_quantifiers(f, theory), 1)
+    check()
+
+
+# Commands whose `valid` calls are replayed against the oracle.  The skolem
+# scans of lt(y0,x0) on dlo and (equiv(x0,y0)&!eq(x0,y0)) on equivinf agree
+# too, but the oracle takes seconds on each, and minutes on the scan of
+# (equiv(x0,y0)&!eq(x1,y0)); universality decides no validity.
+VALID_COMMANDS = (
+    [f"subgroupoids --theory {t} --depth {d}" for t in THEORIES for d in (0, 1, 2)]
+    + [f"reconstruct --theory {t} --budget 8" for t in THEORIES]
+    + ["source --theory pureset --phi eq(x0,y0)",
+       "source --theory dlo --phi (lt(x0,x1)&eq(x1,y0))",
+       "source --theory equivinf --phi (equiv(x0,y0)&!eq(x0,y0))",
+       "source --theory randomgraph --phi (adj(x0,y0)&!eq(x1,y1))",
+       "skolem --theory pureset --formula (!eq(x0,y0)&!eq(x1,y0))",
+       "skolem --theory dlo --formula lt(x0,y0)",
+       "skolem --theory equivinf --formula !equiv(x0,y0)",
+       "skolem --theory randomgraph --formula adj(x0,y0)"])
+
+
+def test_valid_agrees_with_qe_on_the_calls_commands_make(capsys, monkeypatch):
+    calls = {}
+    search = RichSequence.valid
+
+    def record(seq, f, tapes):
+        calls[seq.theory.id, f, tapes] = verdict = search(seq, f, tapes)
+        return verdict
+    monkeypatch.setattr(RichSequence, "valid", record)
+    for argv in VALID_COMMANDS:
+        assert main(argv.split()) == 0, argv
+    capsys.readouterr()
+    seqs = {t: RichSequence(t) for t in THEORIES}
+    assert {tapes for _, _, tapes in calls} == {1, 2}
+    assert set(calls.values()) == {True, False}
+    for (theory, f, tapes), verdict in calls.items():
+        assert valid_by_qe(seqs[theory], f, tapes) is verdict, (theory, render_formula(f))
 
 
 def test_section_plan_pureset():
