@@ -8,13 +8,18 @@ a usage error.  Exit codes: 0 all certificates pass, 1 a certificate
 failed, 2 usage error, 3 resource cap.  A reader that closes stdout early
 gets no more of the report and no traceback, and the exit code stays the
 one above.  Reports are deterministic for a fixed configuration up to the
-timing field."""
+timing field.  A report prints as `json.dumps(report, indent=2,
+sort_keys=True)` would print it, written in blocks as it is walked rather
+than built as one string; the `--json` file gets the same bytes.  An error
+report, printed in place of the report with exit 1, 2 or 3, keeps its keys
+in the order written."""
 from __future__ import annotations
 
 import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .categorical import (apply_mstar, schedule_holds, skolem_map,
                           universality_check)
@@ -438,20 +443,16 @@ def main(argv=None) -> int:
         cfg = config_from_args(argv)
         report = run(cfg)
     except ResourceCapError as e:
-        _emit(json.dumps({"error": str(e), "kind": "resource-cap", "cap": e.cap,
-                          "limit": e.limit, "observed": e.observed}, indent=2))
-        return 3
+        return _refuse(3, {"error": str(e), "kind": "resource-cap", "cap": e.cap,
+                           "limit": e.limit, "observed": e.observed})
     except (PreconditionError, ParseError, json.JSONDecodeError, OSError) as e:
-        _emit(json.dumps({"error": str(e), "kind": "usage"}, indent=2))
-        return 2
+        return _refuse(2, {"error": str(e), "kind": "usage"})
     except TgwError as e:
-        _emit(json.dumps({"error": str(e), "kind": "certificate"}, indent=2))
-        return 1
-    text = json.dumps(report, indent=2, sort_keys=True)
-    _emit(text)
+        return _refuse(1, {"error": str(e), "kind": "certificate"})
+    _emit(lambda fh: _write_report(report, fh))
     if cfg.get("json"):
         with open(cfg["json"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _write_report(report, fh)
     failed = first_failure(report)
     if failed is not None:
         print(f"certificate failed: {failed}", file=sys.stderr)
@@ -459,13 +460,90 @@ def main(argv=None) -> int:
     return 0
 
 
-def _emit(text: str) -> None:
-    """Print to stdout, dropping the output if the reader has gone."""
+def _refuse(code: int, error: dict) -> int:
+    """Print an error report, its keys in the order given, and return `code`."""
+    _emit(lambda fh: print(json.dumps(error, indent=2), file=fh))
+    return code
+
+
+def _emit(write) -> None:
+    """Call `write(sys.stdout)` and flush, dropping the output if the reader
+    has gone."""
     try:
-        print(text, flush=True)
+        write(sys.stdout)
+        sys.stdout.flush()
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit: let that go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+_BLOCK = 4096   # pieces joined into one write to the stream
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (float("inf"), float("-inf")):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# each scalar type's JSON text, as `json` writes it with `ensure_ascii`
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _write_report(report, fh) -> None:
+    """Write `json.dumps(report, indent=2, sort_keys=True)` and a newline to
+    `fh`, the same text without building it whole: the pieces collected are
+    written and dropped once a list element leaves more than `_BLOCK` of
+    them.  A dict key that is not a `str` raises `TypeError`, as does a value
+    whose exact type is none of dict, list, tuple and the keys of
+    `_SCALARS`."""
+    pieces: list[str] = []
+    put = pieces.append
+
+    def walk(v, nl):
+        text = _SCALARS.get(type(v))
+        if text is not None:
+            put(text(v))
+            return
+        inner = nl + "  "
+        if isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            sep = "[" + inner
+            for x in v:
+                text = _SCALARS.get(type(x))
+                if text is not None:
+                    put(sep + text(x))
+                else:
+                    put(sep)
+                    walk(x, inner)
+                sep = "," + inner
+                if len(pieces) > _BLOCK:
+                    fh.write("".join(pieces))
+                    pieces.clear()
+            put(nl + "]")
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            sep = "{" + inner
+            for key in sorted(v):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                put(sep + encode_basestring_ascii(key) + ": ")
+                walk(v[key], inner)
+                sep = "," + inner
+            put(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not a report value")
+
+    walk(report, "\n")
+    put("\n")
+    fh.write("".join(pieces))
 
 
 if __name__ == "__main__":

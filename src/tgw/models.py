@@ -133,6 +133,19 @@ class DloModel(ModelHandle):
         out += [vals[0] - 1, vals[-1] + 1]
         return sorted(out)
 
+    def dump(self, size):
+        """The base dump, with `lt` read off each element's rank in the
+        sorted carrier: the carrier lists distinct rationals, so a < b exactly
+        when a's rank is lower."""
+        carrier = [self.element(i) for i in range(size)]
+        rank = [0] * size
+        for r, i in enumerate(sorted(range(size), key=carrier.__getitem__)):
+            rank[i] = r
+        return {"theory": self.theory.id,
+                "carrier": [self.render_element(e) for e in carrier],
+                "atoms": {"lt": [[i, j] for i, r in enumerate(rank)
+                                 for j, s in enumerate(rank) if r < s]}}
+
     def render_element(self, e):
         return f"{e.numerator}/{e.denominator}"
 

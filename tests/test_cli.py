@@ -1,13 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tgw
 from tgw import categorical, cli, groupoid, models, rich, theories
@@ -250,11 +254,12 @@ def test_json_output(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["dphi", "--theory", "pureset", "--level", "1",
                  "--json", str(path)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 0
     saved = json.loads(path.read_text())
     assert saved["command"] == "dphi"
     assert saved["items"]["raw"] == "forall y0. (true -> true)"
+    assert path.read_bytes() == out.encode()
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -510,19 +515,74 @@ def test_every_parameter_changes_some_report(capsys, command, key):
     assert reports[0] != reports[1]
 
 
-def test_a_closed_stdout_is_no_traceback():
+def assert_closed_stdout_is_no_traceback(argv):
     # the reader closes the pipe before the report is written
     src = str(Path(tgw.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "tgw", "dphi", "--theory", "dlo",
-                             "--level", "2"],
+    proc = subprocess.Popen([sys.executable, "-m", "tgw", *argv.split()],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_a_closed_stdout_is_no_traceback():
+    assert_closed_stdout_is_no_traceback("dphi --theory dlo --level 2")
+
+
+def test_a_closed_stdout_is_no_traceback_in_a_report_of_many_blocks():
+    # 602 KB, many blocks: the pipe breaks at a block's write, mid-walk
+    assert_closed_stdout_is_no_traceback("types --theory dlo --vars 6")
+
+
+class CountingIO(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'),
+                              st.characters()))
+json_scalars = st.one_of(
+    json_text, st.integers(), st.sampled_from([-(2 ** 100), 10 ** 40]),
+    st.floats(), st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(), st.none())
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.lists(kids, max_size=5).map(tuple),
+                           st.dictionaries(json_text, kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_report_writer_matches_json_dumps(value):
+    fh = io.StringIO()
+    cli._write_report(value, fh)
+    assert fh.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_flushes_long_lists_in_blocks():
+    value = {"items": {"rows": [[i, -i, str(i), {"x": 0.5}] for i in range(cli._BLOCK)]},
+             "empty": [[], {}, ()]}
+    fh = CountingIO()
+    cli._write_report(value, fh)
+    assert fh.writes > 2
+    assert fh.getvalue() == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {True: 0}, {(1,): 0},
+                                   {"a": {1, 2}}, [object()], [Fraction(1, 2)]])
+def test_report_writer_refuses_non_str_keys_and_non_json_values(value):
+    with pytest.raises(TypeError):
+        cli._write_report(value, io.StringIO())
 
 
 # Each report's digest as `bench/run.py` computes it, recorded before the
@@ -606,7 +666,9 @@ PINNED_REPORTS = [
                          ids=[argv for argv, _, _ in PINNED_REPORTS])
 def test_reports_are_pinned(capsys, argv, code, digest):
     assert main(argv.split()) == code
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
     rest = {k: v for k, v in report.items() if k != "timing_ms"}
     assert hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()[:12] == digest
 

@@ -12,8 +12,9 @@ from tgw.errors import (InternalConsistencyError, PreconditionError,
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                          Implies, Not, Or, Top, VarRef, free_vars,
                          parse_formula, render_formula)
-from tgw.models import (DloModel, DTuple, EquivInfModel, RandomGraphModel,
-                        build_dtuple, evaluate, make_model, tuple_type)
+from tgw.models import (DloModel, DTuple, EquivInfModel, ModelHandle,
+                        RandomGraphModel, build_dtuple, evaluate, make_model,
+                        tuple_type)
 from tgw.rich import RichSequence
 from tgw.theories import (DEFAULT_GRID_CAP, decide_sentence, enumerate_types,
                           get_theory)
@@ -247,6 +248,12 @@ def test_model_dump_deterministic():
     assert a == b
     assert a["theory"] == "randomgraph"
     assert len(a["carrier"]) == 4
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 37, 200])
+def test_dlo_dump_by_ranks_matches_the_atomic_dump(size):
+    # the base dump asks `atomic` of every ordered pair
+    assert DloModel().dump(size) == ModelHandle.dump(DloModel(), size)
 
 
 @st.composite
