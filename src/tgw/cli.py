@@ -113,12 +113,8 @@ def cmd_compose(cfg):
     chi = compose_clopen(U, V)
     level = max(U.level, V.level, 1)
     tab = LevelTable(seq, 2, level, cap=cfg["max_grid"])
-    comp = tab.compose_sets()
-    expected = set()
-    for a in tab.points_of(U):
-        for b in tab.points_of(V):
-            expected |= comp.get((a, b), set())
-    agrees = tab.points_of(chi) == frozenset(expected)
+    pu, pv = tab.points_of(U), tab.points_of(V)
+    agrees = tab.points_of(chi) == {c for a, b, c in tab.composition if a in pu and b in pv}
     display = rename_tapes(chi.formula, {1: 2})
     return ({"chi": render_formula(display), "level": chi.level},
             [_cert("level-table-cross-check", agrees)])
@@ -192,8 +188,9 @@ def cmd_theta(cfg):
     p = tab.points[idx]
     base, pairs = theta_reindex(p)
     fiber = theta_fiber(tab, base, pairs)
-    return ({"base": base.diagram_text(),
-             "pairs": [g.diagram_text() for g in pairs],
+    base_text, *pair_texts = diagram_texts([base, *pairs])
+    return ({"base": base_text,
+             "pairs": pair_texts,
              "fiber_size": len(fiber)},
             [_cert("fiber-contains-point", idx in fiber)])
 

@@ -297,18 +297,14 @@ def substitute_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     images = set(live.values())
     if len(images) != len(live) or not images.isdisjoint(fv - live.keys()):
         raise SignatureError("substitution map is not injective on free variables")
-    return _subst(f, live)
+    return identify_vars(f, live)
 
 
 def identify_vars(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     """Replace free variables per `mapping`, where two variables may map to
-    one or a variable onto another free one.  `_subst` renames any binder
-    that an image would fall under, so identifying variables is sound under
+    one or a variable onto another free one.  A binder that an image would
+    fall under is renamed, so identifying variables is sound under
     quantifiers too."""
-    return _subst(f, mapping)
-
-
-def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     if not mapping:
         return f
     if isinstance(f, (Top, Bot)):
@@ -318,13 +314,13 @@ def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
     if isinstance(f, Eq):
         return Eq(mapping.get(f.lhs, f.lhs), mapping.get(f.rhs, f.rhs))
     if isinstance(f, Not):
-        return Not(_subst(f.sub, mapping))
+        return Not(identify_vars(f.sub, mapping))
     if isinstance(f, And):
-        return conj(_subst(c, mapping) for c in f.children)
+        return conj(identify_vars(c, mapping) for c in f.children)
     if isinstance(f, Or):
-        return disj(_subst(c, mapping) for c in f.children)
+        return disj(identify_vars(c, mapping) for c in f.children)
     if isinstance(f, Implies):
-        return Implies(_subst(f.lhs, mapping), _subst(f.rhs, mapping))
+        return Implies(identify_vars(f.lhs, mapping), identify_vars(f.rhs, mapping))
     # quantified: the bound variable itself is never substituted
     body_vars = free_vars(f.body)
     inner = {k: v for k, v in mapping.items() if k != f.var and k in body_vars}
@@ -333,9 +329,9 @@ def _subst(f: Formula, mapping: dict[VarRef, VarRef]) -> Formula:
         used = {v.position for v in body.free_vars | body.bound_vars if v.tape == var.tape}
         used |= {v.position for v in inner.values() if v.tape == var.tape}
         fresh = VarRef(var.tape, max(used) + 1)
-        body = _subst(body, {var: fresh})
+        body = identify_vars(body, {var: fresh})
         var = fresh
-    body = _subst(body, inner)
+    body = identify_vars(body, inner)
     return type(f)(var, body)
 
 

@@ -179,7 +179,7 @@ class LevelTable:
     Amalgams are never built as `CompleteType`s: a k-tape type meets the
     per-tape condition iff its first k-1 tapes and its last tape do, so the
     3-tape amalgams are streamed by `diagram_codes` as one-tape extensions
-    of the points' code tuples, and their restrictions to two tapes are read
+    of the points, and their restrictions to two tapes are read
     through fixed pair-position maps (`restriction_map`).  Grids of k*n
     variables and, for k = 2, the 3n-variable amalgams (the largest grid)
     are checked against `cap`."""
@@ -226,8 +226,8 @@ class LevelTable:
         index12 = self.restriction_index(3, (1, 2))
         index02 = self.restriction_index(3, (0, 2))
         tape2 = self._tape_condition(2)
-        for p, codes in enumerate(self.codes):
-            for tri in diagram_codes(self.seq.theory, 3, self.n, tape2, prefix=codes):
+        for p, point in enumerate(self.points):
+            for tri in diagram_codes(self.seq.theory, 3, self.n, tape2, prefix=point):
                 yield p, index12(tri), index02(tri)
 
     def index(self, point: CompleteType) -> int:
@@ -235,12 +235,6 @@ class LevelTable:
             return self._index[self._pc.codes_of(point)]
         except KeyError:
             raise PreconditionError("point does not belong to this table") from None
-
-    def compose_sets(self):
-        out: dict[tuple[int, int], set[int]] = {}
-        for a, b, c in self.composition:
-            out.setdefault((a, b), set()).add(c)
-        return out
 
     def points_of(self, U: ClopenSet) -> frozenset[int]:
         if U.level > self.n or U.arity != self.k:

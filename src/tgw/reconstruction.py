@@ -12,8 +12,8 @@ import itertools
 from .errors import InternalConsistencyError, PreconditionError
 from .formula import (FALSE, TRUE, Atom, Eq, VarRef, free_vars, neg,
                       render_formula)
-from .groupoid import (ClopenSet, LevelTable, SubGroupoid, act_clopen,
-                       clopen_equiv, en_clopen, is_subgroupoid)
+from .groupoid import (ClopenSet, LevelTable, SubGroupoid, en_clopen,
+                       is_en_invariant, is_subgroupoid)
 from .models import (DTuple, ModelHandle, build_dtuple, compile_formula,
                      make_model)
 from .record import Record
@@ -103,13 +103,6 @@ def predicate_corpus(seq: RichSequence, depth: int) -> list[ClopenSet]:
     return out
 
 
-def certify_invariance(X: ClopenSet, sorts: list[SubGroupoid]) -> bool:
-    movers = [s.clopen for s in sorts]
-    if len(movers) == 1 and X.arity == 2:
-        movers = movers * 2
-    return clopen_equiv(act_clopen(X, movers[:X.arity]), X)
-
-
 def reconstruct_and_compare(theory, depth: int, budget: int) -> dict:
     """Build the reconstructed language restricted to the level-1 identity
     sort and the depth-bounded invariant predicates, realise it on sampled
@@ -132,7 +125,7 @@ def reconstruct_and_compare(theory, depth: int, budget: int) -> dict:
     tab = LevelTable(seq, 2, 1)
     for X in predicate_corpus(seq, depth):
         entry = {"formula": render_formula(X.formula), "arity": X.arity}
-        entry["invariant"] = certify_invariance(X, [H1])
+        entry["invariant"] = is_en_invariant(X, H1.clopen.level)
         table = {}
         transported = True
         # the groupoid-side recovery of the same predicate

@@ -49,7 +49,7 @@ from .pairing import cantor_unpair
 from .record import Record
 from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
                        depends_on_all_vars, diagram_codes, diagrams_over,
-                       eliminate_quantifiers, get_theory, pair_codes)
+                       eliminate_quantifiers, get_theory)
 
 CANONICAL_RANK_CAP = 20_000
 CANONICAL_WEIGHT_CAP = 18
@@ -94,8 +94,7 @@ class _CanonicalStream:
             var_list = [VarRef(0, p) for p in support] + ([Y0] if has_y else [])
             back = {VarRef(0, i): v for i, v in enumerate(var_list)}
             for combo in itertools.combinations(range(len(pool)), c):
-                keys = {pool[i].key() for i in combo}
-                if not depends_on_all_vars(self.theory, m, keys):
+                if not depends_on_all_vars(self.theory, m, {pool[i] for i in combo}):
                     continue
                 yield disj(substitute_vars(pool[i].diagram_formula(), back)
                            for i in combo)
@@ -286,7 +285,7 @@ class RichSequence:
         check_grid_cap(len(grid), DEFAULT_GRID_CAP)
         search = substitute_vars(conj([bad] + [
             rename_tapes(self.dphi_conjunct(v.position), {0: v.tape}) for v in grid]), grid)
-        return next(diagram_codes(self.theory, 1, len(grid), search, prefix=()), None) is None
+        return next(diagram_codes(self.theory, 1, len(grid), search), None) is None
 
 
 # -- the self-referential section-schedule stream ------------------------------
@@ -336,13 +335,13 @@ class _SectionState:
         whose entry realises it, in position order.  One scan reads each
         entry's type with `tuple_type` and stops once it has met every
         1-type over the prefix, as many as `diagram_codes` extends the
-        prefix's codes by one variable.  A scan that cannot meet them all
-        before `SECTION_SCAN_CAP` is refused before it starts."""
+        prefix's `tuple_type` by one variable.  A scan that cannot meet them
+        all before `SECTION_SCAN_CAP` is refused before it starts."""
         if n in self._realised:
             return self._realised[n]
         prefix = self.tuple_prefix(n)
-        codes = pair_codes(self.seq.theory).codes_of(tuple_type(self.model, [prefix]))
-        want = sum(1 for _ in diagram_codes(self.seq.theory, 1, n + 1, prefix=codes))
+        want = sum(1 for _ in diagram_codes(self.seq.theory, 1, n + 1,
+                                            prefix=tuple_type(self.model, [prefix])))
         if want > SECTION_SCAN_CAP - n:
             raise ResourceCapError(
                 f"{want} 1-types over the first {n} entries cannot all be realised "

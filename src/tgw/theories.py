@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from operator import and_, itemgetter, or_
 
 from .errors import (InternalConsistencyError, PreconditionError,
@@ -472,11 +471,6 @@ class CompleteType(Record):
             return And(tuple(lits))
         return lits[0] if lits else TRUE
 
-    def diagram_text(self) -> str:
-        """`render_formula(self.diagram_formula())`, joined from the literal
-        table's rendered texts (see `diagram_texts`)."""
-        return diagram_texts([self])[0]
-
     def restrict(self, tapes: tuple[int, ...], positions: int | None = None) -> "CompleteType":
         """Sub-diagram on the listed tapes (in the listed order), keeping
         positions < `positions` (defaults to all)."""
@@ -874,13 +868,15 @@ class PairCodes:
         test = self.predicate(f, index)
         return [d for d in pool if test(self.codes_of(d))]
 
-    def _extend(self, codes, between, c, classes, j, m, units, checks):
-        """(codes, between, c, classes) for each diagram over m variables
-        that extends `codes` over j: `classes` is its equality partition in
-        restricted-growth form, c its number of classes and `between` the
-        code tuple of the classes (all distinct)."""
+    def _extend(self, codes, between, c, classes, m, units, checks):
+        """The code tuple of each diagram over m variables that extends the
+        diagram on the first len(classes) variables with code tuple
+        `codes`: `classes` is its equality partition in restricted-growth
+        form, c its number of classes and `between` the code tuple of the
+        classes (all distinct)."""
+        j = len(classes)
         if j == m:
-            yield codes, between, c, classes
+            yield codes
             return
         masks = None
         if units[j]:
@@ -892,14 +888,14 @@ class PairCodes:
             ext = codes + tuple(map(v.__getitem__, classes))
             if checks[j] and not all(test(ext) for test in checks[j]):
                 continue
-            if joined < 0:
-                step = (ext, between + v, c + 1, classes + (c,))
-            else:
-                step = (ext, between, c, classes + (joined,))
             if j + 1 == m:
-                yield step
+                yield ext
+            elif joined < 0:
+                yield from self._extend(ext, between + v, c + 1, classes + (c,), m,
+                                        units, checks)
             else:
-                yield from self._extend(*step, j + 1, m, units, checks)
+                yield from self._extend(ext, between, c, classes + (joined,), m,
+                                        units, checks)
 
     def _one_point(self, between, c, masks):
         """The ways a new variable relates to c classes with the all-distinct
@@ -967,45 +963,27 @@ def _pruning(pc: PairCodes, k: int, n: int, qf: Formula):
     return [tuple(u.items()) for u in units], checks
 
 
-def _extensions(theory, k: int, n: int, constraint: Formula,
-                prefix: tuple[int, ...]):
-    """Iterator of (codes, between, c, classes) for `diagram_codes`; see
-    `PairCodes._extend`."""
+def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE, *,
+                  prefix: CompleteType | None = None):
+    """Stream the pair-code tuples of the diagrams on the k-by-n grid
+    (variable (t, p) is t*n + p) that are consistent with the theory and the
+    quantifier-free `constraint` and extend the diagram `prefix` on the
+    grid's first variables (none if omitted), one variable at a time
+    (`PairCodes._extend`).  A conjunct of the constraint is tested once its
+    last variable is placed, a conjunct over one pair as a code mask on that
+    pair; conjuncts within the prefix are taken as met.  Deterministic
+    order; results are not cached and no size cap applies."""
+    theory = get_theory(theory)
     pc = pair_codes(theory)
-    m = k * n
-    start = (1 + math.isqrt(1 + 8 * len(prefix))) // 2
-    if start * (start - 1) // 2 != len(prefix) or (start > m and prefix):
-        raise PreconditionError("prefix is not a code tuple on the grid's first variables")
+    if prefix is None:
+        prefix = CompleteType(theory.id, 1, 0, (), ())
+    if len(prefix.classes) > k * n:
+        raise PreconditionError("prefix has more variables than the grid")
     pruning = _pruning(pc, k, n, constraint)
     if pruning is None:
         return iter(())
-    if m == 0:
-        return iter((((), (), 0, ()),))
-    classes: list[int] = []
-    reps: list[int] = []
-    between: tuple[int, ...] = ()
-    for j in range(start):
-        row = j * (j - 1) // 2
-        joined = next((t for t, r in enumerate(reps) if prefix[row + r] == pc.eq), -1)
-        if joined < 0:
-            between += tuple(prefix[row + r] for r in reps)
-            joined = len(reps)
-            reps.append(j)
-        classes.append(joined)
-    return pc._extend(tuple(prefix), between, len(reps), tuple(classes),
-                      start, m, *pruning)
-
-
-def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE, *,
-                  prefix: tuple[int, ...]):
-    """Stream the pair-code tuples of the diagrams on the k-by-n grid
-    (variable (t, p) is t*n + p) that are consistent with the theory and the
-    quantifier-free `constraint` and extend the code tuple `prefix` of the
-    first variables, one variable at a time.  A conjunct of the constraint
-    is tested once its last variable is placed, a conjunct over one pair as
-    a code mask on that pair; conjuncts within the prefix are taken as met.
-    Deterministic order; results are not cached and no size cap applies."""
-    return map(itemgetter(0), _extensions(get_theory(theory), k, n, constraint, prefix))
+    return pc._extend(pc.codes_of(prefix), prefix.between, prefix.num_classes(),
+                      prefix.classes, k * n, *pruning)
 
 
 def enumerate_types(theory, k: int, n: int, constraint: Formula,
@@ -1055,24 +1033,24 @@ def canonical_form(f: Formula, theory) -> Formula:
     return disj(substitute_vars(d.diagram_formula(), back) for d in sat)
 
 
-def depends_on_all_vars(theory, m: int, sat_keys: set) -> bool:
-    """True iff the set of m-variable diagrams named by `sat_keys` is not a
+def depends_on_all_vars(theory, m: int, sat: set[CompleteType]) -> bool:
+    """True iff the set `sat` of diagrams of the m-variable pool is not a
     pullback along forgetting any single variable (and is neither empty nor
     everything)."""
     theory = get_theory(theory)
-    if not sat_keys or len(sat_keys) == len(diagrams_over(theory, m)):
+    if not sat or len(sat) == len(diagrams_over(theory, m)):
         return False
-    return not any(_is_pullback(theory, m, drop, sat_keys) for drop in range(m))
+    return not any(_is_pullback(theory, m, drop, sat) for drop in range(m))
 
 
-def _is_pullback(theory: Theory, m: int, drop: int, sat_keys: set) -> bool:
-    """True iff membership in the set of m-variable diagrams named by
-    `sat_keys` is constant on each fibre of forgetting variable `drop`."""
+def _is_pullback(theory: Theory, m: int, drop: int, sat: set[CompleteType]) -> bool:
+    """True iff membership in the set `sat` of diagrams of the m-variable
+    pool is constant on each fibre of forgetting variable `drop`."""
     keep = [i for i in range(m) if i != drop]
-    verdicts: dict = {}
+    verdicts: dict[CompleteType, bool] = {}
     for d in diagrams_over(theory, m):
-        inside = d.key() in sat_keys
-        if verdicts.setdefault(d.restrict_vars(keep).key(), inside) != inside:
+        inside = d in sat
+        if verdicts.setdefault(d.restrict_vars(keep), inside) != inside:
             return False
     return True
 
@@ -1081,16 +1059,12 @@ def _drop_dummies(theory: Theory, vs: list[VarRef], sat: list[CompleteType]):
     """Remove variables the satisfying set does not depend on, the last
     such variable first."""
     while vs:
-        sat_keys = {d.key() for d in sat}
+        members = set(sat)
         drop = next((i for i in reversed(range(len(vs)))
-                     if _is_pullback(theory, len(vs), i, sat_keys)), None)
+                     if _is_pullback(theory, len(vs), i, members)), None)
         if drop is None:
             break
         keep = [i for i in range(len(vs)) if i != drop]
-        restricted: dict = {}
-        for d in sat:
-            r = d.restrict_vars(keep)
-            restricted.setdefault(r.key(), r)
+        sat = list(dict.fromkeys(d.restrict_vars(keep) for d in sat))
         vs = [vs[i] for i in keep]
-        sat = sorted(restricted.values(), key=CompleteType.key)
     return vs, sat

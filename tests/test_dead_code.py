@@ -21,7 +21,11 @@ the functions and methods of its name; a class call reaches the class's
 `*args` or `**kw` may pass every parameter of that kind: that counts as
 passing it for the first check and as leaving it unset for the second.
 `cli.main`'s `argv` is exempt: the console entry point calls `main` with
-none."""
+none.
+
+No function is a forwarding wrapper: its body, after its docstring, is not
+only `return g(...)` of its own parameters in order, so no name is an alias
+of another.  The `LAYERS` names are exempt, as above."""
 import ast
 from pathlib import Path
 
@@ -72,6 +76,47 @@ def unreferenced() -> list[str]:
 
 def test_every_definition_is_referenced():
     assert unreferenced() == []
+
+
+def _forwarded(node) -> list[str] | None:
+    """The names a function's only statement after its docstring passes on,
+    in order, if that statement returns a call of bare names (each keyword
+    naming its own parameter); None otherwise."""
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return) \
+            or not isinstance(body[0].value, ast.Call):
+        return None
+    call = body[0].value
+    args = [a.value if isinstance(a, ast.Starred) else a for a in call.args]
+    args += [k.value for k in call.keywords if k.arg in (None, getattr(k.value, "id", None))]
+    if len(args) != len(call.args) + len(call.keywords) or \
+            not all(isinstance(a, ast.Name) for a in args):
+        return None
+    return [a.id for a in args]
+
+
+def forwarding_wrappers() -> list[str]:
+    """module.qualified name of every function, outside `LAYERS`, that only
+    returns a call on its own parameters in order."""
+    exempt = traced_names()
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node in definitions(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef) or (path.stem, qualname) in exempt:
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            params += [a.vararg.arg] if a.vararg else []
+            params += [p.arg for p in a.kwonlyargs] + ([a.kwarg.arg] if a.kwarg else [])
+            if _forwarded(node) == params:
+                out.append(f"{path.stem}.{qualname}")
+    return out
+
+
+def test_no_function_only_forwards_its_parameters():
+    assert forwarding_wrappers() == []
 
 
 def unused_imports() -> list[str]:

@@ -15,7 +15,8 @@ from tgw.groupoid import (LAWS, ClopenSet, LevelTable, Refusal, SubGroupoid,
                           theta_fiber, theta_reindex, verify_level_axioms)
 from tgw.reconstruction import predicate_corpus
 from tgw.rich import RichSequence
-from tgw.theories import diagram_codes, get_theory
+from tgw.theories import (DEFAULT_GRID_CAP, diagram_codes, enumerate_types, get_theory,
+                          pair_codes)
 
 SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")}
 
@@ -177,19 +178,24 @@ def test_verify_level_axioms_past_four_tapes(theory, level, counts):
 def four_tape_relation(tab):
     """Oracle: (p, q, r) -> every s such that one 4-tape amalgam restricts
     to p, q, r, s on the tape pairs (0,1), (1,2), (2,3), (0,3), streamed
-    tape by tape from the points."""
-    def extend(codes, tape):
+    tape by tape: the third tape extends the points, the fourth the 3-tape
+    diagrams (`enumerate_types`) whose codes the first step streamed."""
+    def extend(prefix, tape):
         return diagram_codes(tab.seq.theory, tape + 1, tab.n,
-                             tab._tape_condition(tape), prefix=codes)
+                             tab._tape_condition(tape), prefix=prefix)
 
+    theory = tab.seq.theory
+    three = conj(tab._tape_condition(t) for t in range(3))
+    amalgams = {pair_codes(theory).codes_of(t): t
+                for t in enumerate_types(theory, 3, tab.n, three, DEFAULT_GRID_CAP)}
     index12 = tab.restriction_index(3, (1, 2))
     index23 = tab.restriction_index(4, (2, 3))
     index03 = tab.restriction_index(4, (0, 3))
     four = {}
-    for p, codes in enumerate(tab.codes):
-        for tri in extend(codes, 2):
+    for p, point in enumerate(tab.points):
+        for tri in extend(point, 2):
             q = index12(tri)
-            for quad in extend(tri, 3):
+            for quad in extend(amalgams[tri], 3):
                 four.setdefault((p, q, index23(quad)), set()).add(index03(quad))
     return four
 
@@ -297,15 +303,11 @@ def test_point_clopen_agreement():
     # composition of clopens matches relational composition of point sets
     for theory, seq in SEQS.items():
         tab = LevelTable(seq, 2, 1)
-        comp = tab.compose_sets()
         for U, V in itertools.product(corpus(theory), repeat=2):
             pu, pv = tab.points_of(U), tab.points_of(V)
-            expected = set()
-            for a in pu:
-                for b in pv:
-                    expected |= comp.get((a, b), set())
+            expected = {c for a, b, c in tab.composition if a in pu and b in pv}
             got = tab.points_of(compose_clopen(U, V))
-            assert got == frozenset(expected), theory
+            assert got == expected, theory
 
 
 def test_en_neutrality_on_levels():

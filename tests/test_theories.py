@@ -297,10 +297,9 @@ def test_pullback_test_shared_by_dependence_and_dummy_dropping(theory_id, top):
                 ignores = any(set(subset) == {j for j, r in enumerate(row) if r in im}
                               for row, im in zip(forget, image))
                 want = 0 < size < len(pool) and not ignores
-                keys = {pool[i].key() for i in subset}
-                assert depends_on_all_vars(theory_id, m, keys) == want, (m, subset)
-                kept, _ = _drop_dummies(get_theory(theory_id), vs,
-                                        [pool[i] for i in subset])
+                sat = [pool[i] for i in subset]
+                assert depends_on_all_vars(theory_id, m, set(sat)) == want, (m, subset)
+                kept, _ = _drop_dummies(get_theory(theory_id), vs, sat)
                 if 0 < size < len(pool):
                     assert (len(kept) == m) == want, (m, subset)
 
@@ -326,34 +325,28 @@ def test_extension_enumerator_matches_product(theory):
     for m in range(6 if theory == "randomgraph" else 7):
         want = product_diagrams(theory, m)
         assert [d.key() for d in diagrams_over(th, m)] == [key for key, _, _ in want]
-        got = list(diagram_codes(th, 1, m, prefix=()))
+        got = list(diagram_codes(th, 1, m))
         assert len(set(got)) == len(got) == len(want)
         assert set(got) == {codes.codes_of(from_tables(theory, classes, tables))
                             for _, classes, tables in want}
-
-
-def extension_pool(theory, m):
-    """The m-variable pool by one-variable extension, each diagram paired
-    with its key and the lot sorted (the route the partition-by-class-tuple
-    product replaces); equal `between` tuples are shared."""
-    pc = pair_codes(theory)
-    shared, keyed = {}, []
-    for _codes, between, c, classes in theories._extensions(theory, 1, m, TRUE, ()):
-        between = shared.setdefault(between, between)
-        keyed.append(((classes, pc.class_tables(between, c)),
-                      CompleteType(theory.id, 1, m, classes, between)))
-    keyed.sort(key=lambda row: row[0])
-    return [t for _, t in keyed]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("theory,m", [("pureset", 7), ("dlo", 7), ("equivinf", 7),
                                       ("randomgraph", 6)])
 def test_product_pool_matches_extension_route(theory, m):
+    # the extension route streams the pool's code tuples; the pool is
+    # strictly increasing in key, so it is that stream deduplicated and
+    # sorted, as the extension-then-sort route built it
     th = get_theory(theory)
+    pc = pair_codes(th)
     for size in range(m + 1):
         pool = theories._diagrams(th, size)
-        assert pool == extension_pool(th, size), size
+        keys = [d.key() for d in pool]
+        assert all(a < b for a, b in zip(keys, keys[1:])), size
+        streamed = list(diagram_codes(th, 1, size))
+        assert len(streamed) == len(pool), size
+        assert set(streamed) == {pc.codes_of(d) for d in pool}, size
         # one tuple object per distinct `between`
         assert len({id(d.between) for d in pool}) == len({d.between for d in pool})
 
@@ -382,7 +375,7 @@ def test_pool_texts_render_their_formulas(theory, m):
     # one memo for the whole pool, and a fresh one per diagram
     texts = theories.diagram_texts(pool)
     assert texts == [render_formula(d.diagram_formula()) for d in pool]
-    assert texts == [d.diagram_text() for d in pool]
+    assert texts == [theories.diagram_texts([d])[0] for d in pool]
 
 
 @pytest.mark.parametrize("theory,text", [
@@ -396,11 +389,20 @@ def test_diagram_codes_constraint_and_prefix(theory, text):
     th = get_theory(theory)
     codes = pair_codes(th)
     f = qe(text, theory)
-    want = {codes.codes_of(t) for t in enumerate_types(th, 2, 2, f, DEFAULT_GRID_CAP)}
-    assert set(diagram_codes(th, 2, 2, f, prefix=())) == want
-    # extending the tape-0 prefixes reaches the same set
-    tape0 = {c[:1] for c in want}
+    types = enumerate_types(th, 2, 2, f, DEFAULT_GRID_CAP)
+    want = {codes.codes_of(t) for t in types}
+    assert set(diagram_codes(th, 2, 2, f)) == want
+    # extending the tape-0 restrictions reaches the same set
+    tape0 = {t.restrict((0,)) for t in types}
     assert {c for p in tape0 for c in diagram_codes(th, 2, 2, f, prefix=p)} == want
+
+
+def test_diagram_codes_refuses_a_prefix_wider_than_the_grid():
+    th = get_theory("dlo")
+    prefix = enumerate_types(th, 1, 3, TRUE, DEFAULT_GRID_CAP)[0]
+    assert len(list(diagram_codes(th, 1, 3, prefix=prefix))) == 1
+    with pytest.raises(PreconditionError):
+        diagram_codes(th, 1, 2, prefix=prefix)
 
 
 def test_restriction_map_matches_restrict():
@@ -621,7 +623,8 @@ def test_diagram_formula_matches_conj(theory):
             for t in enumerate_types(theory, k, n, TRUE, DEFAULT_GRID_CAP):
                 expected = conj_diagram_formula(t)
                 assert t.diagram_formula() == expected, (k, n, t.classes)
-                assert t.diagram_text() == render_formula(expected), (k, n, t.classes)
+                assert theories.diagram_texts([t]) == [render_formula(expected)], \
+                    (k, n, t.classes)
                 shapes.add(type(expected).__name__)
     # m = 0 gives true, two variables give single literals, wider grids And
     assert {"Top", "And"} <= shapes and shapes & {"Eq", "Atom", "Not"}
