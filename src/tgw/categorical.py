@@ -61,7 +61,7 @@ def apply_mstar(a: DTuple, sched: SectionSchedule, M: ModelHandle,
     b = tuple(a.elements[i] for i in sched.m)
     q_checks = []
     for n in range(1, sched.steps + 1):
-        want = tuple_type(refM, [list(sched.reference[:n])])
+        want = tuple_type(refM, list(sched.reference[:n]))
         asg = {VarRef(0, j): b[j] for j in range(n)}
         q_checks.append((n, evaluate(want.diagram_formula(), M, asg)))
     window_checks = []

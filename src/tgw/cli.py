@@ -33,8 +33,7 @@ from .groupoid import (LAWS, LevelTable, Refusal, SubGroupoid, clopen,
 from .models import build_dtuple, make_model
 from .reconstruction import predicate_corpus, reconstruct_and_compare
 from .rich import RichSequence
-from .theories import (DEFAULT_GRID_CAP, THEORIES, diagram_texts, enumerate_types,
-                       get_theory)
+from .theories import THEORIES, diagram_texts, enumerate_types, get_theory
 
 SCHEMA_VERSION = 1
 
@@ -43,15 +42,14 @@ REQUIRED = object()   # marks a parameter with no default
 # per command, the parameters its handler reads, in flag order, each with its
 # default; every command also takes --theory and --json
 COMMANDS = {
-    "types": {"vars": REQUIRED, "tapes": 1, "constraint": "true",
-              "max_grid": DEFAULT_GRID_CAP},
+    "types": {"vars": REQUIRED, "tapes": 1, "constraint": "true"},
     "dphi": {"level": REQUIRED},
-    "compose": {"phi": REQUIRED, "psi": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
+    "compose": {"phi": REQUIRED, "psi": REQUIRED},
     "source": {"phi": REQUIRED},
     "subgroupoids": {"depth": 1},
-    "groupoid verify": {"level": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
-    "project": {"phi": REQUIRED, "to": REQUIRED, "max_grid": DEFAULT_GRID_CAP},
-    "theta": {"level": REQUIRED, "tapes": 3, "index": 0, "max_grid": DEFAULT_GRID_CAP},
+    "groupoid verify": {"level": REQUIRED},
+    "project": {"phi": REQUIRED, "to": REQUIRED},
+    "theta": {"level": REQUIRED, "tapes": 3, "index": 0},
     "reconstruct": {"depth": 1, "budget": 8},
     "section": {"steps": 0},
     "skolem": {"formula": REQUIRED},
@@ -59,11 +57,9 @@ COMMANDS = {
     "model dump": {"size": REQUIRED},
 }
 
-# the least value of each integer parameter (a cap of 0 is a cap like any
-# other); every other parameter is a formula
+# the least value of each integer parameter; every other parameter is a formula
 LEAST = {"vars": 0, "tapes": 1, "level": 0, "depth": 0, "budget": 1, "steps": 0,
-         "samples": 1, "k": 1, "m0": 0, "to": 0, "index": 0, "size": 0,
-         "max_grid": 0}
+         "samples": 1, "k": 1, "m0": 0, "to": 0, "index": 0, "size": 0}
 
 
 def _seq(cfg) -> RichSequence:
@@ -75,7 +71,7 @@ def _parse(cfg, text):
 
 
 def _flag(key: str) -> str:
-    return "-k" if key == "k" else "--" + key.replace("_", "-")
+    return "-k" if key == "k" else "--" + key
 
 
 def _cert(name, passed, **extra):
@@ -86,8 +82,7 @@ def _cert(name, passed, **extra):
 
 def cmd_types(cfg):
     theory = get_theory(cfg["theory"])
-    types = enumerate_types(theory, cfg["tapes"], cfg["vars"],
-                            _parse(cfg, cfg["constraint"]), cap=cfg["max_grid"])
+    types = enumerate_types(theory, cfg["tapes"], cfg["vars"], _parse(cfg, cfg["constraint"]))
     items = diagram_texts(types)
     return {"count": len(items), "types": items}, [
         _cert("enumeration-deterministic", True, count=len(items))]
@@ -112,7 +107,7 @@ def cmd_compose(cfg):
     V = clopen(seq, psi, arity=2)
     chi = compose_clopen(U, V)
     level = max(U.level, V.level, 1)
-    tab = LevelTable(seq, 2, level, cap=cfg["max_grid"])
+    tab = LevelTable(seq, 2, level)
     pu, pv = tab.points_of(U), tab.points_of(V)
     agrees = tab.points_of(chi) == {c for a, b, c in tab.composition if a in pu and b in pv}
     display = rename_tapes(chi.formula, {1: 2})
@@ -157,7 +152,7 @@ def cmd_subgroupoids(cfg):
 
 
 def cmd_groupoid_verify(cfg):
-    report = verify_level_axioms(LevelTable(_seq(cfg), 2, cfg["level"], cap=cfg["max_grid"]))
+    report = verify_level_axioms(LevelTable(_seq(cfg), 2, cfg["level"]))
     certs = [_cert(law, True) if report[law] is True
              else _cert(law, False, detail="{} fails at points ({})".format(
                  law, ",".join(map(str, report[law].witness))))
@@ -170,8 +165,8 @@ def cmd_project(cfg):
     seq = _seq(cfg)
     U = clopen(seq, _parse(cfg, cfg["phi"]), arity=2)
     down = project_clopen(U, cfg["to"])
-    tab_hi = LevelTable(seq, 2, U.level, cap=cfg["max_grid"])
-    tab_lo = LevelTable(seq, 2, cfg["to"], cap=cfg["max_grid"])
+    tab_hi = LevelTable(seq, 2, U.level)
+    tab_lo = LevelTable(seq, 2, cfg["to"])
     expected = {tab_lo.index(tab_hi.points[i].restrict((0, 1), cfg["to"]))
                 for i in tab_hi.points_of(U)}
     agrees = tab_lo.points_of(down) == frozenset(expected)
@@ -181,7 +176,7 @@ def cmd_project(cfg):
 
 def cmd_theta(cfg):
     seq = _seq(cfg)
-    tab = LevelTable(seq, cfg["tapes"], cfg["level"], cap=cfg["max_grid"])
+    tab = LevelTable(seq, cfg["tapes"], cfg["level"])
     idx = cfg["index"]
     if idx >= len(tab.points):
         raise PreconditionError(f"table has only {len(tab.points)} points")

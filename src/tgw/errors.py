@@ -23,7 +23,7 @@ class PreconditionError(TgwError):
 
 
 class ResourceCapError(TgwError):
-    """A configured desk-scale cap was exceeded (never silent truncation).
+    """A fixed desk-scale cap was exceeded (never silent truncation).
     `cap` names the cap, `limit` is its value and `observed` the value that
     passed it."""
 

@@ -23,9 +23,9 @@ from .formula import (Eq, Formula, VarRef, conj, disj, free_vars,
                       identify_vars, implies, neg, rename_tapes)
 from .record import Record
 from .rich import RichSequence
-from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
-                       diagram_codes, eliminate_quantifiers, enumerate_types,
-                       grid_index, pair_codes, restriction_map)
+from .theories import (CompleteType, check_grid_cap, diagram_codes,
+                       eliminate_quantifiers, enumerate_types, grid_index,
+                       pair_codes, restriction_map)
 
 
 def merge_tape(f: Formula, src: int, dst: int) -> Formula:
@@ -172,9 +172,9 @@ class LevelTable:
     """All k-tape level-n types under the per-tape level condition, with the
     base sublist and, for k = 2, the amalgamation composition relation.
 
-    `points` are sorted by `CompleteType.key`; `codes[i]` is point i's
-    pair-code tuple (`theories.PairCodes`), and the index maps code tuples
-    to point ids.  Quantifier-free formulas, such as the base diagonal and
+    `points` are in pool order (`theories._diagrams`); `codes[i]` is point
+    i's pair-code tuple (`theories.PairCodes`), and the index maps code
+    tuples to point ids.  Quantifier-free formulas, such as the base diagonal and
     clopen formulas, are tested on the code tuples (`PairCodes.predicate`).
     Amalgams are never built as `CompleteType`s: a k-tape type meets the
     per-tape condition iff its first k-1 tapes and its last tape do, so the
@@ -182,19 +182,18 @@ class LevelTable:
     of the points, and their restrictions to two tapes are read
     through fixed pair-position maps (`restriction_map`).  Grids of k*n
     variables and, for k = 2, the 3n-variable amalgams (the largest grid)
-    are checked against `cap`."""
+    are checked against `theories.GRID_CAP` before any enumeration."""
 
-    def __init__(self, seq: RichSequence, k: int, n: int, cap: int = DEFAULT_GRID_CAP):
-        check_grid_cap(k * n, cap)
+    def __init__(self, seq: RichSequence, k: int, n: int):
+        check_grid_cap(k * n)
         if k == 2:
-            check_grid_cap(3 * n, cap)
+            check_grid_cap(3 * n)
         self.seq = seq
         self.k = k
         self.n = n
-        self.cap = cap
         self._dphi = seq.dphi_formula(n).simplified
         constraint = conj(self._tape_condition(t) for t in range(k))
-        self.points = tuple(enumerate_types(seq.theory, k, n, constraint, cap=cap))
+        self.points = tuple(enumerate_types(seq.theory, k, n, constraint))
         self._pc = pair_codes(seq.theory)
         self.codes = tuple(map(self._pc.codes_of, self.points))
         self._index = {c: i for i, c in enumerate(self.codes)}
@@ -320,7 +319,7 @@ def _openness(tab: LevelTable):
     singleton generators (plus one sample union) decide every definable
     point-set."""
     npts = len(tab.points)
-    one_tape = LevelTable(tab.seq, 1, tab.n, tab.cap)
+    one_tape = LevelTable(tab.seq, 1, tab.n)
     tape1 = one_tape.restriction_index(2, (1,))
     samples = [(i,) for i in range(npts)] + ([(0, npts - 1)] if npts >= 2 else [])
     return next((s for s in samples
@@ -402,19 +401,15 @@ def theta_fiber(tab: LevelTable, base: CompleteType, pairs) -> list[int]:
 
 
 def project_clopen(U: ClopenSet, m: int) -> ClopenSet:
-    """Image under the level projection: fresh witness-sort tapes agree with
-    the visible ones below m and satisfy the original formula."""
+    """Image under the level projection: U acted on by the level-m
+    equality on every tape (fresh witness-sort tapes agree with the visible
+    ones below m and satisfy U), read at level m."""
     if m > U.level:
         raise PreconditionError("projection target above the clopen's level")
     if m == U.level:
         return U
-    k = U.arity
-    body = rename_tapes(U.formula, {t: t + k for t in range(k)})
-    links = [Eq(VarRef(t, p), VarRef(t + k, p)) for t in range(k) for p in range(m)]
-    out = conj([body] + links)
-    for t in range(k):
-        out = U.seq.relativize_exists(out, tape=t + k)
-    return ClopenSet(U.seq, k, out, m)
+    moved = act_clopen(U, [en_clopen(U.seq, m)] * U.arity)
+    return ClopenSet(U.seq, U.arity, moved.formula, m)
 
 
 def act_clopen(U: ClopenSet, movers: list[ClopenSet]) -> ClopenSet:

@@ -377,21 +377,17 @@ def _unassigned(asg: dict, *vs: VarRef) -> PreconditionError:
     return PreconditionError(f"assignment does not cover {v.render()}")
 
 
-def tuple_type(M: ModelHandle, tuples: list) -> CompleteType:
-    """The complete diagram of the given same-length tuples, read off the
-    model; tape t position p is tuples[t][p].  The relation values between
-    each two classes, both ways, are mapped straight to their pair code."""
-    k = len(tuples)
-    if k < 1 or len({len(t) for t in tuples}) != 1:
-        raise PreconditionError("tuple_type needs tuples of one common length")
-    n = len(tuples[0])
+def tuple_type(M: ModelHandle, elements: list) -> CompleteType:
+    """The complete one-tape diagram of `elements`, read off the model;
+    position p is elements[p].  The relation values between each two
+    classes, both ways, are mapped straight to their pair code."""
     first: dict = {}  # element -> its class, numbered in order of appearance
-    classes = tuple(first.setdefault(e, len(first)) for t in tuples for e in t)
+    classes = tuple(first.setdefault(e, len(first)) for e in elements)
     reps = list(first)
     theory = M.theory
     pc = pair_codes(theory)
     between = pc.between_of(len(reps), lambda rel, a, b: M.atomic(rel, reps[a], reps[b]))
-    t = None if between is None else CompleteType(theory.id, k, n, classes, between)
+    t = None if between is None else CompleteType(theory.id, 1, len(elements), classes, between)
     if t is None or not pc.admits(t):
         raise InternalConsistencyError("model produced an inadmissible diagram")
     return t

@@ -47,9 +47,9 @@ from .formula import (FALSE, TRUE, And, Eq, Forall, Formula, Implies, VarRef,
 from .models import Y0, compile_formula, make_model, next_entry, tuple_type
 from .pairing import cantor_unpair
 from .record import Record
-from .theories import (DEFAULT_GRID_CAP, CompleteType, check_grid_cap,
-                       depends_on_all_vars, diagram_codes, diagrams_over,
-                       eliminate_quantifiers, get_theory)
+from .theories import (CompleteType, check_grid_cap, depends_on_all_vars,
+                       diagram_codes, diagrams_over, eliminate_quantifiers,
+                       get_theory)
 
 CANONICAL_RANK_CAP = 20_000
 CANONICAL_WEIGHT_CAP = 18
@@ -275,14 +275,14 @@ class RichSequence:
         renamed tape after tape onto one grid, meets their conjuncts C_k and
         not-f.  The closures suffice since a partial solution extends, and
         one grid since tapes share no conjunct.  A grid of more than
-        `DEFAULT_GRID_CAP` variables is refused."""
+        `GRID_CAP` variables is refused."""
         bad = eliminate_quantifiers(neg(f), self.theory)
         grid: dict[VarRef, VarRef] = {}
         for t in range(tapes):
             for p in sorted(self._closure({v.position for v in free_vars(bad)
                                            if v.tape == t})):
                 grid[VarRef(t, p)] = VarRef(0, len(grid))
-        check_grid_cap(len(grid), DEFAULT_GRID_CAP)
+        check_grid_cap(len(grid))
         search = substitute_vars(conj([bad] + [
             rename_tapes(self.dphi_conjunct(v.position), {0: v.tape}) for v in grid]), grid)
         return next(diagram_codes(self.theory, 1, len(grid), search), None) is None
@@ -341,7 +341,7 @@ class _SectionState:
             return self._realised[n]
         prefix = self.tuple_prefix(n)
         want = sum(1 for _ in diagram_codes(self.seq.theory, 1, n + 1,
-                                            prefix=tuple_type(self.model, [prefix])))
+                                            prefix=tuple_type(self.model, prefix)))
         if want > SECTION_SCAN_CAP - n:
             raise ResourceCapError(
                 f"{want} 1-types over the first {n} entries cannot all be realised "
@@ -349,7 +349,7 @@ class _SectionState:
                 limit=SECTION_SCAN_CAP, observed=n + want)
         found: dict[CompleteType, int] = {}
         for i in range(n, SECTION_SCAN_CAP):
-            found.setdefault(tuple_type(self.model, [prefix + [self.tuple_prefix(i + 1)[i]]]), i)
+            found.setdefault(tuple_type(self.model, prefix + [self.tuple_prefix(i + 1)[i]]), i)
             if len(found) == want:
                 break
         else:
@@ -410,7 +410,7 @@ class _SectionState:
             if ell == n:
                 parts.append(conj([guard, Eq(xk, Y0)]))
             else:
-                body = tuple_type(self.model, [prefix[:n + 1] + [prefix[ell]]])
+                body = tuple_type(self.model, prefix[:n + 1] + [prefix[ell]])
                 parts.append(conj([guard, pinned(body, bhat + [Y0, xk])]))
         return disj(parts)
 

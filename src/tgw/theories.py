@@ -69,7 +69,7 @@ from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                       render_formula, sort_key, substitute_vars)
 from .record import Record, _set
 
-DEFAULT_GRID_CAP = 12
+GRID_CAP = 12
 DNF_CUBE_CAP = 200_000
 ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 
@@ -491,12 +491,6 @@ class CompleteType(Record):
                      for j, b in enumerate(kept) for a in kept[:j]])
         return CompleteType(self.theory_id, k, n, classes, sub)
 
-    def key(self):
-        """The equality partition and, per relation, the sorted pairs of
-        classes it holds on (`PairCodes.class_tables`)."""
-        return self.classes, pair_codes(self.theory_id).class_tables(
-            self.between, self.num_classes())
-
 
 class _DiagramLiterals:
     """The literal-table entries (`PairCodes.literal_table`) of a theory's
@@ -571,14 +565,15 @@ def _partitions(m: int) -> list[tuple[int, ...]]:
 
 
 def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
-    """Every m-variable diagram, sorted by key, as a product: a diagram is
-    consistent iff its diagram on its classes is, so the pool is each
-    equality partition times the all-distinct code tuples of its c classes.
-    The tuples on c + 1 classes are those on c, each extended by a new
-    class (`PairCodes._one_point`), and each list is sorted once by its
-    class tables; partitions come in lexicographic order, so the product
-    is in `CompleteType.key` order.  Diagrams with equal `between` tuples
-    share one."""
+    """Every m-variable diagram in pool order, by equality partition and
+    then by class tables (`PairCodes.class_tables`), as a product: a
+    diagram is consistent iff its diagram on its classes is, so the pool is
+    each equality partition times the all-distinct code tuples of its c
+    classes.  The tuples on c + 1 classes are those on c, each extended by
+    a new class (`PairCodes._one_point`), and each list is sorted once by
+    its class tables; partitions come in lexicographic order, so the
+    product is in pool order.  Diagrams with equal `between` tuples share
+    one."""
     pc = pair_codes(theory)
     tuples = [[()]]
     for c in range(m):
@@ -594,16 +589,16 @@ def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
 _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
 
 
-def check_grid_cap(m: int, cap: int) -> None:
-    if m > cap:
+def check_grid_cap(m: int) -> None:
+    if m > GRID_CAP:
         raise ResourceCapError(
-            f"grid of {m} variables exceeds the enumeration cap {cap}",
-            cap="max-grid", limit=cap, observed=m)
+            f"grid of {m} variables exceeds the enumeration cap {GRID_CAP}",
+            cap="max-grid", limit=GRID_CAP, observed=m)
 
 
-def diagrams_over(theory, m: int, cap: int = DEFAULT_GRID_CAP) -> list[CompleteType]:
+def diagrams_over(theory, m: int) -> list[CompleteType]:
     theory = get_theory(theory)
-    check_grid_cap(m, cap)
+    check_grid_cap(m)
     key = (theory.id, m)
     if key not in _DIAGRAM_CACHE:
         _DIAGRAM_CACHE[key] = _diagrams(theory, m)
@@ -680,7 +675,7 @@ class PairCodes:
     place that holds relation values.  `diagonal` is each relation's value
     on one element (it is the same on every element).  Code 0 is equality
     and the other codes number the pair diagrams of two distinct elements
-    in `CompleteType.key` order, so a code is the index of its pair diagram
+    in pool order (`_diagrams`), so a code is the index of its pair diagram
     in `diagrams_over(theory, 2)`.  The code of the pair i < j of a diagram
     is that of its sub-diagram on (i, j) with i read as x0.  `pins[code]`
     is a shortest list of normalised literals on (x0, x1) that holds of
@@ -706,7 +701,7 @@ class PairCodes:
         distinct = [f for f in itertools.product(bits, repeat=len(ways))
                     if _occurs(theory, [x0, x1], {**on_each, **dict(zip(ways, f))})]
         # an equal pair's flags are the diagonals; its classes (0, 0) put it
-        # before the distinct pairs in key order
+        # before the distinct pairs in pool order
         self.eq = 0
         self._flags = flags = [tuple(diagonal[i // 2] for i in range(len(ways)))] + sorted(
             distinct, key=lambda f: _tables(names, diagonal, [f], 2))
@@ -775,9 +770,8 @@ class PairCodes:
 
     def class_tables(self, between: tuple[int, ...], c: int) -> tuple:
         """Per relation, the sorted pairs of the c classes with the
-        all-distinct code tuple `between` that it holds on, as
-        `CompleteType.key` lists them.  Built once per distinct `between`
-        and kept."""
+        all-distinct code tuple `between` that it holds on: the pool order's
+        second key.  Built once per distinct `between` and kept."""
         key = (between, c)
         if key not in self._class_tables:
             self._class_tables[key] = _tables(self.rel_names, self.diagonal,
@@ -986,8 +980,7 @@ def diagram_codes(theory, k: int, n: int, constraint: Formula = TRUE, *,
                       prefix.classes, k * n, *pruning)
 
 
-def enumerate_types(theory, k: int, n: int, constraint: Formula,
-                    cap: int) -> list[CompleteType]:
+def enumerate_types(theory, k: int, n: int, constraint: Formula) -> list[CompleteType]:
     """All complete types on a k-tapes-by-n-positions grid consistent with
     the theory and with `constraint`, in deterministic order."""
     theory = get_theory(theory)
@@ -997,7 +990,7 @@ def enumerate_types(theory, k: int, n: int, constraint: Formula,
     if not free_vars(constraint) <= index.keys():
         raise PreconditionError("constraint has variables outside the grid")
     qf = eliminate_quantifiers(constraint, theory)
-    selected = pair_codes(theory).select(diagrams_over(theory, k * n, cap), qf, index)
+    selected = pair_codes(theory).select(diagrams_over(theory, k * n), qf, index)
     if k == 1:  # the pool's diagrams are the 1-by-n types
         return list(selected)
     return [CompleteType(theory.id, k, n, d.classes, d.between) for d in selected]

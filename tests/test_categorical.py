@@ -9,6 +9,8 @@ from tgw.models import DTuple, build_dtuple, make_model, tuple_type
 from tgw.rich import RichSequence, SectionSchedule
 from tgw.theories import get_theory
 
+from test_theories import type_key
+
 SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")}
 
 
@@ -109,7 +111,7 @@ def test_section_property_across_base_points():
         a = build_dtuple(M, seq, sched.m[-1] + 1, prefer=[M.element(s)],
                          cover=[M.element(i) for i in range(10)])
         cert = apply_mstar(a, sched, M, seq)
-        keys.add(tuple_type(M, [list(cert.output_elements)]).key())
+        keys.add(type_key(tuple_type(M, list(cert.output_elements))))
     assert len(keys) == 1
 
 

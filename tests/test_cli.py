@@ -115,14 +115,30 @@ def test_usage_errors():
 def test_resource_cap_exit_code():
     assert main(["types", "--theory", "randomgraph", "--vars", "9",
                  "--tapes", "2"]) == 3
-    assert main(["types", "--theory", "dlo", "--vars", "1", "--max-grid", "0"]) == 3
 
 
-def test_verify_cap_counts_composition_amalgams(capsys):
+@pytest.mark.parametrize("argv,observed", [
+    ("types --theory dlo --vars 13", 13),
+    # a level-5 table composes over 15-variable amalgams
+    ("groupoid verify --theory randomgraph --level 5", 15),
+    ("theta --theory pureset --level 5", 15),
+    ("compose --theory pureset --phi eq(x4,y4) --psi eq(y4,z4)", 15),
+    # `RichSequence.valid` searches the closure of x7's position, 13 variables
+    ("skolem --theory pureset --formula !eq(x7,y0)", 13),
+])
+def test_grid_cap_fields(capsys, argv, observed):
+    code, rep = capture(capsys, argv.split())
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert rep["error"] == f"grid of {observed} variables exceeds the enumeration cap 12"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 12, observed)
+
+
+def test_verify_cap_counts_composition_amalgams(capsys, monkeypatch):
     # level 3 composes over 9-variable amalgams: refused before any enumeration
+    monkeypatch.setattr(theories, "GRID_CAP", 8)
     start = time.perf_counter()
     code, rep = capture(capsys, ["groupoid", "verify", "--theory", "randomgraph",
-                                 "--level", "3", "--max-grid", "8"])
+                                 "--level", "3"])
     assert code == 3 and rep["kind"] == "resource-cap"
     assert "grid of 9 variables" in rep["error"]
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 8, 9)
@@ -310,7 +326,6 @@ USAGE_CASES = [
     ("dphi --theory dlo --level -1", "--level must be an integer >= 0, not -1"),
     ("model dump --theory dlo --size -1", "--size must be an integer >= 0, not -1"),
     ("theta --theory dlo --level 1 --index -1", "--index must be an integer >= 0, not -1"),
-    ("types --theory dlo --vars 1 --max-grid -1", "--max-grid must be an integer >= 0, not -1"),
     ("universality --theory dlo -k 0", "-k must be an integer >= 1, not 0"),
     ("universality --theory dlo --samples 0", "--samples must be an integer >= 1, not 0"),
     # the predicate grammar adds nothing past depth 1
@@ -361,6 +376,7 @@ def test_config_values_are_checked(tmp_path, capsys, argv, config, error):
 
 
 @pytest.mark.parametrize("argv", ["dphi --theory dlo --level 1 --max-grid 0",
+                                  "types --theory dlo --vars 1 --max-grid 0",
                                   "model dump --theory dlo --size 1 --max-depth 0",
                                   "reconstruct --theory dlo --level 1",
                                   # flags are spelled in full
@@ -467,22 +483,17 @@ VARIED = {
     ("types", "vars"): ("", "1", "2"),
     ("types", "tapes"): ("--vars 1", "1", "2"),
     ("types", "constraint"): ("--vars 2", "true", "eq(x0,x1)"),
-    ("types", "max_grid"): ("--vars 1", "0", "12"),
     ("dphi", "level"): ("", "1", "4"),
     ("compose", "phi"): ("--psi eq(y0,z0)", "eq(x0,y0)", "true"),
     ("compose", "psi"): ("--phi eq(x0,y0)", "eq(y0,z0)", "true"),
-    ("compose", "max_grid"): ("--phi eq(x0,y0) --psi eq(y0,z0)", "0", "12"),
     ("source", "phi"): ("", "eq(x0,y0)", "eq(x0,x1)"),
     ("subgroupoids", "depth"): ("", "0", "1"),
     ("groupoid verify", "level"): ("", "0", "1"),
-    ("groupoid verify", "max_grid"): ("--level 1", "0", "12"),
     ("project", "phi"): ("--to 1", "eq(x0,y0)", "!eq(x0,y0)"),
     ("project", "to"): ("--phi (eq(x0,y0)&eq(x1,y1))", "0", "1"),
-    ("project", "max_grid"): ("--phi eq(x0,y0) --to 0", "0", "12"),
     ("theta", "level"): ("", "0", "1"),
     ("theta", "tapes"): ("--level 1", "2", "3"),
     ("theta", "index"): ("--level 1", "0", "1"),
-    ("theta", "max_grid"): ("--level 1", "0", "12"),
     ("reconstruct", "depth"): ("--budget 2", "0", "1"),
     ("reconstruct", "budget"): ("", "2", "3"),
     ("section", "steps"): ("", "0", "1"),

@@ -1,9 +1,10 @@
 """Every function, method and class in `src/tgw` is referenced somewhere in
 the package outside its own body, so no code is reached from the tests
-alone.  A reference is a loaded name or attribute of the same name, so a
-method counts as used when any attribute of its name is read.  Dunder
-methods are called by Python itself, and the names `bench/traced.py`
-lists in `LAYERS` are wrapped by name in the traced benchmark run.
+alone.  A reference is a loaded name or attribute of the same name; a
+method (a def in a class body) counts as used only when an attribute of
+its name is read, since a bare name never reaches it.  Dunder methods
+are called by Python itself, and the names `bench/traced.py` lists in
+`LAYERS` are wrapped by name in the traced benchmark run.
 
 Every name a module imports at module level is loaded in that module, so
 no import outlives the code that read it.  `from __future__` imports and
@@ -55,12 +56,16 @@ def definitions(node, outer=()):
 
 def unreferenced() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses: dict[str, list[tuple[str, int]]] = {}
+    uses: dict[str, list[tuple[str, int, bool]]] = {}   # name -> (module, line, attribute?)
+    methods = set()
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
                 name = node.id if isinstance(node, ast.Name) else node.attr
-                uses.setdefault(name, []).append((module, node.lineno))
+                uses.setdefault(name, []).append(
+                    (module, node.lineno, isinstance(node, ast.Attribute)))
+            elif isinstance(node, ast.ClassDef):
+                methods.update(item for item in node.body if isinstance(item, ast.FunctionDef))
     exempt = traced_names()
     dead = []
     for module, tree in trees.items():
@@ -68,8 +73,9 @@ def unreferenced() -> list[str]:
             name = node.name
             if (name.startswith("__") and name.endswith("__")) or (module, qualname) in exempt:
                 continue
-            if not any(m != module or not node.lineno <= line <= node.end_lineno
-                       for m, line in uses.get(name, ())):
+            if not any((m != module or not node.lineno <= line <= node.end_lineno)
+                       and (attribute or node not in methods)
+                       for m, line, attribute in uses.get(name, ())):
                 dead.append(f"{module}.{qualname}")
     return dead
 

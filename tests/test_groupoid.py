@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from tgw import groupoid
+from tgw import groupoid, theories
 from tgw.errors import PreconditionError, ResourceCapError, SignatureError
 from tgw.formula import FALSE, TRUE, Atom, Eq, VarRef, conj, neg, parse_formula
 from tgw.groupoid import (LAWS, ClopenSet, LevelTable, Refusal, SubGroupoid,
@@ -15,8 +15,9 @@ from tgw.groupoid import (LAWS, ClopenSet, LevelTable, Refusal, SubGroupoid,
                           theta_fiber, theta_reindex, verify_level_axioms)
 from tgw.reconstruction import predicate_corpus
 from tgw.rich import RichSequence
-from tgw.theories import (DEFAULT_GRID_CAP, diagram_codes, enumerate_types, get_theory,
-                          pair_codes)
+from tgw.theories import diagram_codes, enumerate_types, get_theory, pair_codes
+
+from test_theories import type_key
 
 SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")}
 
@@ -165,10 +166,11 @@ def test_verify_level_axioms_level_two(theory, counts):
     ("randomgraph", 2, (127, 3, 53071)),
     ("pureset", 3, (203, 5, 21147)),
 ])
-def test_verify_level_axioms_past_four_tapes(theory, level, counts):
+def test_verify_level_axioms_past_four_tapes(theory, level, counts, monkeypatch):
     # tables whose 4-tape amalgams were out of reach; the 3n-variable
     # composition is the largest grid the laws need
-    tab = LevelTable(SEQS[theory], 2, level, cap=3 * level)
+    monkeypatch.setattr(theories, "GRID_CAP", 3 * level)
+    tab = LevelTable(SEQS[theory], 2, level)
     report = verify_level_axioms(tab)
     assert all(report[law] is True for law in LAWS)
     assert (report["points"], report["base-points"],
@@ -187,7 +189,7 @@ def four_tape_relation(tab):
     theory = tab.seq.theory
     three = conj(tab._tape_condition(t) for t in range(3))
     amalgams = {pair_codes(theory).codes_of(t): t
-                for t in enumerate_types(theory, 3, tab.n, three, DEFAULT_GRID_CAP)}
+                for t in enumerate_types(theory, 3, tab.n, three)}
     index12 = tab.restriction_index(3, (1, 2))
     index23 = tab.restriction_index(4, (2, 3))
     index03 = tab.restriction_index(4, (0, 3))
@@ -273,13 +275,15 @@ def test_single_triple_mutations_fail_a_law(theory, level, monkeypatch):
     assert survivors == MUTATED[theory, level]
 
 
-def test_level_table_caps_amalgams():
+def test_level_table_caps_amalgams(monkeypatch):
     seq = SEQS["pureset"]
-    with pytest.raises(ResourceCapError, match="grid of 3 variables"):
-        LevelTable(seq, 2, 1, cap=2)  # the 3-tape composition amalgams
-    tab = LevelTable(seq, 2, 1, cap=3)
-    assert tab.cap == 3
-    report = verify_level_axioms(tab)
+    monkeypatch.setattr(theories, "GRID_CAP", 2)
+    # the 2-variable points fit; the 3-tape composition amalgams do not
+    with pytest.raises(ResourceCapError, match="grid of 3 variables") as exc:
+        LevelTable(seq, 2, 1)
+    assert (exc.value.cap, exc.value.limit, exc.value.observed) == ("max-grid", 2, 3)
+    monkeypatch.setattr(theories, "GRID_CAP", 3)
+    report = verify_level_axioms(LevelTable(seq, 2, 1))
     assert all(report[law] is True for law in LAWS)
 
 
@@ -295,7 +299,7 @@ def test_table_codes_and_restriction_maps():
             assert tape1(tab.codes[i]) == one.index(p.restrict((1,)))
             assert tab.inverses[i] == swap(tab.codes[i])
             target = tab.points[tab.target_bases[i]]
-            assert target.restrict((0,)).key() == p.restrict((0,)).key()
+            assert type_key(target.restrict((0,))) == type_key(p.restrict((0,)))
             assert tab.target_bases[i] in tab.base
 
 
@@ -358,18 +362,18 @@ def test_theta_fiber_matches_restrict_scan(theory, k, level):
     # restrictions once rather than restricted again for every fiber
     fibers: dict[tuple, list[int]] = {}
     for i, q in enumerate(tab.points):
-        keys = tuple(q.restrict(tapes).key()
+        keys = tuple(type_key(q.restrict(tapes))
                      for tapes in [(0,), *((0, j) for j in range(1, k))])
         fibers.setdefault(keys, []).append(i)
     for p in tab.points:
         base, pairs = theta_reindex(p)
-        want = (base.key(), *(g.key() for g in pairs))
+        want = (type_key(base), *(type_key(g) for g in pairs))
         assert theta_fiber(tab, base, pairs) == fibers[want]
     # a base that disagrees with the pairs on tape 0 has an empty fiber
-    bases = {q.restrict((0,)).key(): q.restrict((0,)) for q in tab.points}
+    bases = {type_key(q.restrict((0,))): q.restrict((0,)) for q in tab.points}
     base, pairs = theta_reindex(tab.points[-1])
     for key, other in bases.items():
-        if key != base.key():
+        if key != type_key(base):
             assert theta_fiber(tab, other, pairs) == []
 
 

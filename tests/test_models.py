@@ -16,11 +16,10 @@ from tgw.models import (DloModel, DTuple, EquivInfModel, ModelHandle,
                         RandomGraphModel, build_dtuple, evaluate, make_model,
                         tuple_type)
 from tgw.rich import RichSequence
-from tgw.theories import (DEFAULT_GRID_CAP, decide_sentence, enumerate_types,
-                          get_theory)
+from tgw.theories import decide_sentence, enumerate_types, get_theory
 
 from test_formula import render_tree
-from test_theories import assert_walks_match_trees, satisfies_qf
+from test_theories import assert_walks_match_trees, satisfies_qf, type_key
 
 
 def x(i):
@@ -111,17 +110,17 @@ def test_evaluate_refuses_relations_outside_the_signature(theory):
 
 def test_tuple_type_examples():
     M = make_model("pureset")
-    t = tuple_type(M, [[0], [0]])
-    assert t.k == 2 and t.n == 1
+    t = tuple_type(M, [0, 0])
+    assert t.k == 1 and t.n == 2
     assert t.classes == (0, 0)
 
     D = make_model("dlo")
-    t2 = tuple_type(D, [[Fraction(0), Fraction(1)]])
+    t2 = tuple_type(D, [Fraction(0), Fraction(1)])
     assert satisfies_qf(t2, parse_formula("lt(x0,x1)", sig("dlo")))
 
     G = make_model("randomgraph")
     G.witness_candidates([0])  # posts the one-vertex patterns
-    t3 = tuple_type(G, [[0, 1]])
+    t3 = tuple_type(G, [0, 1])
     assert t3.classes == (0, 1)
 
 
@@ -189,9 +188,9 @@ def test_oracle_agreement_on_sentences():
 def test_tuple_types_are_enumerated_types():
     M = make_model("dlo")
     pts = [Fraction(0), Fraction(1), Fraction(1)]
-    t = tuple_type(M, [pts])
-    keys = {u.key() for u in enumerate_types("dlo", 1, 3, TRUE, DEFAULT_GRID_CAP)}
-    assert t.key() in keys
+    t = tuple_type(M, pts)
+    keys = {type_key(u) for u in enumerate_types("dlo", 1, 3, TRUE)}
+    assert type_key(t) in keys
 
 
 # the least prefix of each model's elements realising every 4-variable type
@@ -205,10 +204,10 @@ def test_enumeration_matches_model_tuples(theory):
     M = make_model(theory)
     prefix = [M.element(i) for i in range(REALISING_PREFIX[theory])]
     for m in range(5):
-        realised = {tuple_type(M, [list(tup)]).key()
+        realised = {type_key(tuple_type(M, list(tup)))
                     for tup in itertools.product(prefix, repeat=m)}
-        want = enumerate_types(theory, 1, m, TRUE, DEFAULT_GRID_CAP)
-        assert realised == {t.key() for t in want}, (theory, m)
+        want = enumerate_types(theory, 1, m, TRUE)
+        assert realised == {type_key(t) for t in want}, (theory, m)
 
 
 class _ReflexiveOrder(DloModel):
@@ -237,9 +236,9 @@ def test_tuple_type_refuses_inadmissible_diagrams(model, elements):
         for e in elements:
             M.element(e)
     with pytest.raises(InternalConsistencyError, match="inadmissible"):
-        tuple_type(stub, [elements])
+        tuple_type(stub, elements)
     # the model the stub alters gives an admissible diagram on the same tuple
-    assert tuple_type(plain, [elements]).num_classes() == len(elements)
+    assert tuple_type(plain, elements).num_classes() == len(elements)
 
 
 def test_model_dump_deterministic():

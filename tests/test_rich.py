@@ -15,6 +15,7 @@ from tgw.theories import (THEORIES, decide_sentence, diagrams_over,
                           eliminate_quantifiers, get_theory)
 
 from test_models import open_formulas
+from test_theories import type_key
 
 
 def parse(text, theory):
@@ -222,7 +223,7 @@ def test_section_plan_dlo():
 def one_types_over(section, n):
     """Oracle: the complete diagrams over (c_<n, y) whose first n variables
     hold the reference prefix's type, filtered from the whole pool."""
-    ref = tuple_type(section.model, [section.tuple_prefix(n)])
+    ref = tuple_type(section.model, section.tuple_prefix(n))
     return [d for d in diagrams_over(section.seq.theory, n + 1)
             if d.classes[:n] == ref.classes
             and d.between[:len(ref.between)] == ref.between]
@@ -251,8 +252,8 @@ def test_realisation_scan_matches_oracles(theory, steps):
         record = section.realisations(n)
         types = one_types_over(section, n)
         assert len(record) == len(types), n
-        assert {d.key(): i for d, i in record.items()} == \
-            {d.key(): first_realization(section, d, n) for d in types}, n
+        assert {type_key(d): i for d, i in record.items()} == \
+            {type_key(d): first_realization(section, d, n) for d in types}, n
         assert list(record.values()) == sorted(record.values())
         assert section.a_bound(n) == max(record.values()) + 1
     # each entry's defining clause was checked once, when it was placed

@@ -12,8 +12,8 @@ from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                          forall, free_vars, identify_vars, neg, parse_formula,
                          render_formula, sort_key)
 from tgw.rich import RichSequence
-from tgw.theories import (DEFAULT_GRID_CAP, CompleteType, Theory, _clash, _drop_dummies,
-                          _eliminate, _Elimination, canonical_form, decide_sentence,
+from tgw.theories import (CompleteType, Theory, _clash, _drop_dummies, _eliminate,
+                          _Elimination, canonical_form, decide_sentence,
                           depends_on_all_vars, diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
                           pair_codes, restriction_map)
@@ -76,8 +76,16 @@ REL_ASSIGNMENTS = {"pureset": lambda c: [{}], "dlo": dlo_tables,
                    "randomgraph": graph_tables, "equivinf": equiv_tables}
 
 
+def type_key(t):
+    """The pool-order key of the diagram `t`: its equality partition and,
+    per relation, the sorted pairs of classes it holds on
+    (`PairCodes.class_tables`).  `diagrams_over` lists a pool in this
+    order."""
+    return t.classes, pair_codes(t.theory_id).class_tables(t.between, t.num_classes())
+
+
 def table_key(classes, tables):
-    """`CompleteType.key` of the diagram with the equality partition
+    """`type_key` of the diagram with the equality partition
     `classes` and the relation tables `tables` on its classes, built from
     the tables themselves."""
     return classes, tuple((rel, tuple(sorted(pairs))) for rel, pairs in sorted(tables.items()))
@@ -104,9 +112,9 @@ def from_tables(theory_id, classes, tables):
 
 def satisfies_qf(t, f):
     """Whether the quantifier-free `f` holds on the diagram `t`, judged
-    literal by literal on the relation tables that `t.key()` lists (the
+    literal by literal on the relation tables that `type_key(t)` lists (the
     evaluator the diagrams carried when they held their tables)."""
-    tables = dict(t.key()[1])
+    tables = dict(type_key(t)[1])
 
     def cls(v):
         return t.classes[v.tape * t.n + v.position]
@@ -272,9 +280,9 @@ def test_admits_matches_raw_bit_oracle(theory_id):
             admitted = t is not None and pc.admits(t)
             assert admitted == ok(rel, {}, lambda _, i, j: i == j, c), (c, tables)
             if admitted:
-                assert t.key() == table_key(t.classes, tables)
-                accepted.add(t.key())
-        distinct = {d.key() for d in diagrams_over(theory_id, c)
+                assert type_key(t) == table_key(t.classes, tables)
+                accepted.add(type_key(t))
+        distinct = {type_key(d) for d in diagrams_over(theory_id, c)
                     if d.classes == tuple(range(c))}
         assert accepted == distinct
 
@@ -289,7 +297,7 @@ def test_pullback_test_shared_by_dependence_and_dummy_dropping(theory_id, top):
     for m in range(top + 1):
         pool = diagrams_over(theory_id, m)
         vs = [VarRef(0, i) for i in range(m)]
-        forget = [[d.restrict_vars([i for i in range(m) if i != drop]).key() for d in pool]
+        forget = [[type_key(d.restrict_vars([i for i in range(m) if i != drop])) for d in pool]
                   for drop in range(m)]
         for size in range(len(pool) + 1):
             for subset in itertools.combinations(range(len(pool)), size):
@@ -311,7 +319,7 @@ def test_pullback_test_shared_by_dependence_and_dummy_dropping(theory_id, top):
     ("equivinf", 2, 3), ("equivinf", 3, 12),
 ])
 def test_enumerate_matches_brute_force(theory, n, expected):
-    got = enumerate_types(theory, 1, n, TRUE, DEFAULT_GRID_CAP)
+    got = enumerate_types(theory, 1, n, TRUE)
     assert len(got) == expected
     assert brute_force_count(theory, n) == expected
 
@@ -324,7 +332,7 @@ def test_extension_enumerator_matches_product(theory):
     codes = pair_codes(th)
     for m in range(6 if theory == "randomgraph" else 7):
         want = product_diagrams(theory, m)
-        assert [d.key() for d in diagrams_over(th, m)] == [key for key, _, _ in want]
+        assert [type_key(d) for d in diagrams_over(th, m)] == [key for key, _, _ in want]
         got = list(diagram_codes(th, 1, m))
         assert len(set(got)) == len(got) == len(want)
         assert set(got) == {codes.codes_of(from_tables(theory, classes, tables))
@@ -342,7 +350,7 @@ def test_product_pool_matches_extension_route(theory, m):
     pc = pair_codes(th)
     for size in range(m + 1):
         pool = theories._diagrams(th, size)
-        keys = [d.key() for d in pool]
+        keys = [type_key(d) for d in pool]
         assert all(a < b for a, b in zip(keys, keys[1:])), size
         streamed = list(diagram_codes(th, 1, size))
         assert len(streamed) == len(pool), size
@@ -389,7 +397,7 @@ def test_diagram_codes_constraint_and_prefix(theory, text):
     th = get_theory(theory)
     codes = pair_codes(th)
     f = qe(text, theory)
-    types = enumerate_types(th, 2, 2, f, DEFAULT_GRID_CAP)
+    types = enumerate_types(th, 2, 2, f)
     want = {codes.codes_of(t) for t in types}
     assert set(diagram_codes(th, 2, 2, f)) == want
     # extending the tape-0 restrictions reaches the same set
@@ -399,7 +407,7 @@ def test_diagram_codes_constraint_and_prefix(theory, text):
 
 def test_diagram_codes_refuses_a_prefix_wider_than_the_grid():
     th = get_theory("dlo")
-    prefix = enumerate_types(th, 1, 3, TRUE, DEFAULT_GRID_CAP)[0]
+    prefix = enumerate_types(th, 1, 3, TRUE)[0]
     assert len(list(diagram_codes(th, 1, 3, prefix=prefix))) == 1
     with pytest.raises(PreconditionError):
         diagram_codes(th, 1, 2, prefix=prefix)
@@ -409,7 +417,7 @@ def test_restriction_map_matches_restrict():
     for theory in ("dlo", "equivinf"):
         codes = pair_codes(theory)
         conv = codes.converse
-        for t in enumerate_types(theory, 3, 2, TRUE, DEFAULT_GRID_CAP):
+        for t in enumerate_types(theory, 3, 2, TRUE):
             full = codes.codes_of(t)
             for tapes in [(1, 0), (2, 0), (1,), (0, 2), (2, 1, 0)]:
                 rmap = restriction_map(3, 2, tapes)
@@ -420,34 +428,33 @@ def test_restriction_map_matches_restrict():
 
 
 def test_enumerate_deterministic_and_distinct():
-    a = enumerate_types("dlo", 1, 3, TRUE, DEFAULT_GRID_CAP)
-    b = enumerate_types("dlo", 1, 3, TRUE, DEFAULT_GRID_CAP)
-    assert [t.key() for t in a] == [t.key() for t in b]
-    assert len({t.key() for t in a}) == len(a)
+    a = enumerate_types("dlo", 1, 3, TRUE)
+    b = enumerate_types("dlo", 1, 3, TRUE)
+    assert [type_key(t) for t in a] == [type_key(t) for t in b]
+    assert len({type_key(t) for t in a}) == len(a)
 
 
 def test_enumerate_level_zero():
-    assert len(enumerate_types("dlo", 1, 0, TRUE, DEFAULT_GRID_CAP)) == 1
+    assert len(enumerate_types("dlo", 1, 0, TRUE)) == 1
 
 
 def test_enumerate_cap():
     with pytest.raises(ResourceCapError):
-        enumerate_types("randomgraph", 2, 7, TRUE, DEFAULT_GRID_CAP)
+        enumerate_types("randomgraph", 2, 7, TRUE)
 
 
 def test_enumerate_with_constraint():
-    got = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", get_theory("dlo").signature),
-                          DEFAULT_GRID_CAP)
+    got = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", get_theory("dlo").signature))
     assert len(got) == 1
 
 
 def test_type_monotone_refinement():
     # each (1,n)-type extends to at least one (1,n+1)-type
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
-        small = enumerate_types(theory, 1, 2, TRUE, DEFAULT_GRID_CAP)
-        big = enumerate_types(theory, 1, 3, TRUE, DEFAULT_GRID_CAP)
-        restricted = {t.restrict((0,), 2).key() for t in big}
-        assert {t.key() for t in small} <= restricted
+        small = enumerate_types(theory, 1, 2, TRUE)
+        big = enumerate_types(theory, 1, 3, TRUE)
+        restricted = {type_key(t.restrict((0,), 2)) for t in big}
+        assert {type_key(t) for t in small} <= restricted
 
 
 # -- quantifier elimination --------------------------------------------------
@@ -587,10 +594,10 @@ def test_qe_sound_on_rational_samples():
 
 def test_diagram_formula_roundtrip():
     for theory in ("pureset", "dlo", "randomgraph", "equivinf"):
-        for t in enumerate_types(theory, 1, 3, TRUE, DEFAULT_GRID_CAP):
-            sat = [u for u in enumerate_types(theory, 1, 3, TRUE, DEFAULT_GRID_CAP)
+        for t in enumerate_types(theory, 1, 3, TRUE):
+            sat = [u for u in enumerate_types(theory, 1, 3, TRUE)
                    if satisfies_qf(u, t.diagram_formula())]
-            assert [u.key() for u in sat] == [t.key()]
+            assert [type_key(u) for u in sat] == [type_key(t)]
 
 
 def conj_diagram_formula(t):
@@ -606,7 +613,7 @@ def conj_diagram_formula(t):
             lits.append(Eq(reps[c], vs[i]))
         else:
             reps[c] = vs[i]
-    tables = [dict(t.key()[1])[rel] for rel, _ in theory.signature.relations]
+    tables = [dict(type_key(t)[1])[rel] for rel, _ in theory.signature.relations]
     for a, b in itertools.combinations(sorted(reps), 2):
         for table in tables or [frozenset()]:
             lits += pair_literals(theory.id, reps[a], reps[b], (a, b) in table,
@@ -620,7 +627,7 @@ def test_diagram_formula_matches_conj(theory):
     shapes = set()
     for k in (1, 2):
         for n in range(widest // k + 1):
-            for t in enumerate_types(theory, k, n, TRUE, DEFAULT_GRID_CAP):
+            for t in enumerate_types(theory, k, n, TRUE):
                 expected = conj_diagram_formula(t)
                 assert t.diagram_formula() == expected, (k, n, t.classes)
                 assert theories.diagram_texts([t]) == [render_formula(expected)], \
