@@ -379,18 +379,23 @@ def _unassigned(asg: dict, *vs: VarRef) -> PreconditionError:
 
 def tuple_type(M: ModelHandle, elements: list) -> CompleteType:
     """The complete one-tape diagram of `elements`, read off the model;
-    position p is elements[p].  The relation values between each two
-    classes, both ways, are mapped straight to their pair code."""
+    position p is elements[p].  An element equal to an earlier one takes its
+    class.  A new one's codes to the earlier classes (`PairCodes.codes_to`)
+    go to the triple-table step (`PairCodes._one_point`) as one-code masks,
+    which checks each class triple once, when its last class is added."""
+    pc = pair_codes(M.theory)
     first: dict = {}  # element -> its class, numbered in order of appearance
-    classes = tuple(first.setdefault(e, len(first)) for e in elements)
-    reps = list(first)
-    theory = M.theory
-    pc = pair_codes(theory)
-    between = pc.between_of(len(reps), lambda rel, a, b: M.atomic(rel, reps[a], reps[b]))
-    t = None if between is None else CompleteType(theory.id, 1, len(elements), classes, between)
-    if t is None or not pc.admits(t):
-        raise InternalConsistencyError("model produced an inadmissible diagram")
-    return t
+    between: tuple[int, ...] = ()
+    for e in elements:
+        if e not in first:
+            codes = pc.codes_to(M.atomic, list(first), e)
+            if codes is None or not pc._one_point(between, len(first),
+                                                  tuple(1 << code for code in codes)):
+                raise InternalConsistencyError("model produced an inadmissible diagram")
+            between += codes
+            first[e] = len(first)
+    return CompleteType(M.theory.id, 1, len(elements), tuple(map(first.__getitem__, elements)),
+                        between)
 
 
 # -- witness-enumeration tuples ----------------------------------------------

@@ -39,9 +39,9 @@ to the rest of the class.  A diagram is consistent iff its diagram on its
 classes is, so a pool `diagrams_over(theory, m)` is built as a product
 instead: every equality partition of the m variables times the
 all-distinct code tuples of its classes, which grow one class at a time by
-the same triple-table step (`_diagrams`).  A diagram read off a model maps
-its relation values to codes (`PairCodes.between_of`) and is checked by the
-same triple table (`PairCodes.admits`).  A quantifier-free formula is tested
+the same triple-table step (`_diagrams`).  A diagram read off a model
+grows by that step too (`models.tuple_type`), its codes read off the model
+(`PairCodes.codes_to`) as one-code masks.  A quantifier-free formula is tested
 on code tuples (`PairCodes.predicate`) by code masks of its parts over at
 most two variables (`PairCodes.mask`).
 
@@ -672,18 +672,18 @@ class PairCodes:
 
     The pair diagrams are the relation values, on one element and both ways
     between two distinct ones, that QE proves to occur; this is the only
-    place that holds relation values.  `diagonal` is each relation's value
-    on one element (it is the same on every element).  Code 0 is equality
-    and the other codes number the pair diagrams of two distinct elements
-    in pool order (`_diagrams`), so a code is the index of its pair diagram
-    in `diagrams_over(theory, 2)`.  The code of the pair i < j of a diagram
-    is that of its sub-diagram on (i, j) with i read as x0.  `pins[code]`
-    is a shortest list of normalised literals on (x0, x1) that holds of
-    that code alone.  `triples[a][b]` is the bit set of the codes c such
-    that codes a, b, c on the pairs (h, i), (h, j), (i, j) of h < i < j
-    occur together in a 3-variable diagram: the codes on (x1, x2) of QE of
-    the existential over x0 of `pins[a]` on (x0, x1) and `pins[b]` on
-    (x0, x2).
+    place that holds relation values, and `codes_to` is their one reader.
+    `diagonal` is each relation's value on one element (it is the same on
+    every element).  Code 0 is equality and the other codes number the pair
+    diagrams of two distinct elements in pool order (`_diagrams`), so a
+    code is the index of its pair diagram in `diagrams_over(theory, 2)`.
+    The code of the pair i < j of a diagram is that of its sub-diagram on
+    (i, j) with i read as x0.  `pins[code]` is a shortest list of
+    normalised literals on (x0, x1) that holds of that code alone.
+    `triples[a][b]` is the bit set of the codes c such that codes a, b, c
+    on the pairs (h, i), (h, j), (i, j) of h < i < j occur together in a
+    3-variable diagram: the codes on (x1, x2) of QE of the existential
+    over x0 of `pins[a]` on (x0, x1) and `pins[b]` on (x0, x2).
     """
 
     def __init__(self, theory: Theory):
@@ -778,28 +778,19 @@ class PairCodes:
                                               [self._flags[code] for code in between], c)
         return self._class_tables[key]
 
-    def between_of(self, c: int, atomic) -> tuple[int, ...] | None:
-        """The all-distinct code tuple of c classes on which each relation
-        rel holds from class a to class b iff `atomic(rel, a, b)`; None if a
-        class's values are not the diagonal or a pair's values both ways
-        have no code, so that no consistent diagram has them."""
+    def codes_to(self, atomic, reps: list, e) -> tuple[int, ...] | None:
+        """The codes of the pairs (r, e), r in `reps`, where each relation
+        rel holds from a to b iff `atomic(rel, a, b)`; None if e's own values
+        are not the diagonal or a pair's values both ways have no code, so
+        that no consistent diagram has them.  e is taken as distinct from
+        every r, so no code is the equality code."""
         names = self.rel_names
-        if any(atomic(rel, a, a) != v for a in range(c) for rel, v in zip(names, self.diagonal)):
+        if tuple(atomic(rel, e, e) for rel in names) != self.diagonal:
             return None
         codes = tuple(self._code_of.get(tuple(atomic(rel, *way) for rel in names
-                                              for way in ((a, b), (b, a))))
-                      for b in range(c) for a in range(b))
+                                              for way in ((r, e), (e, r))))
+                      for r in reps)
         return None if None in codes else codes
-
-    def admits(self, t: CompleteType) -> bool:
-        """Whether the diagram `t` is consistent with the theory: every
-        triple of classes is allowed by `triples`.  Each pair of classes
-        already holds a code, and the universal part is axiomatised in at
-        most three variables, so this is exactly admissibility."""
-        b = t.between
-        return all(self.triples[b[pair_index(h, i)]][b[pair_index(h, j)]]
-                   >> b[pair_index(i, j)] & 1
-                   for j in range(t.num_classes()) for i in range(j) for h in range(i))
 
     def mask(self, f: Formula, index: dict[VarRef, int]) -> int:
         """Codes of the pair of grid variables that the quantifier-free `f`
@@ -895,7 +886,9 @@ class PairCodes:
         """The ways a new variable relates to c classes with the all-distinct
         code tuple `between`: one code per class (within `masks`, if given),
         chosen class by class against the triple table, each with the class
-        the variable joins (-1 if it starts its own).  They depend on the
+        the variable joins (-1 if it starts its own).  With one-code masks
+        this checks a given code tuple: it is the only way, or none if some
+        triple closing on the new variable is forbidden.  They depend on the
         classes alone, so they are cached; the cache is emptied when full.
         The key holds c, since `between` is () for both c = 0 and c = 1."""
         key = (between, c, masks)

@@ -1,19 +1,22 @@
 import inspect
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgw import theories
-from tgw.errors import PreconditionError, ResourceCapError, SignatureError
+from tgw.errors import (InternalConsistencyError, PreconditionError, ResourceCapError,
+                        SignatureError)
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                          Implies, Not, Or, Top, VarRef, conj, disj, exists,
                          forall, free_vars, identify_vars, neg, parse_formula,
                          render_formula, sort_key)
+from tgw.models import tuple_type
 from tgw.rich import RichSequence
-from tgw.theories import (CompleteType, Theory, _clash, _drop_dummies, _eliminate,
-                          _Elimination, canonical_form, decide_sentence,
+from tgw.theories import (Theory, _clash, _drop_dummies, _eliminate, _Elimination,
+                          canonical_form, decide_sentence,
                           depends_on_all_vars, diagram_codes, diagrams_over,
                           eliminate_quantifiers, enumerate_types, get_theory,
                           pair_codes, restriction_map)
@@ -100,14 +103,26 @@ def product_diagrams(theory_id, m):
     return sorted(out, key=lambda row: row[0])
 
 
+class _TableModel:
+    """A stub model whose elements are class numbers and whose relation
+    values are the pairs listed in `tables`."""
+
+    def __init__(self, theory_id, tables):
+        self.theory = get_theory(theory_id)
+        self.tables = tables
+
+    def atomic(self, rel, a, b):
+        return (a, b) in self.tables[rel]
+
+
 def from_tables(theory_id, classes, tables):
-    """The 1-by-m diagram with these classes and relation tables, read
-    through the entry point that reads a model's relation values; None if
-    some class or pair has values no diagram has."""
-    between = pair_codes(theory_id).between_of(max(classes, default=-1) + 1,
-                                               lambda rel, a, b: (a, b) in tables[rel])
-    return None if between is None else CompleteType(theory_id, 1, len(classes),
-                                                     classes, between)
+    """The 1-by-m diagram with these classes and relation tables, read by
+    `tuple_type` as a model's relation values are; None if it refuses
+    them."""
+    try:
+        return tuple_type(_TableModel(theory_id, tables), list(classes))
+    except InternalConsistencyError:
+        return None
 
 
 def satisfies_qf(t, f):
@@ -262,29 +277,57 @@ RAW_ORACLES = {"pureset": lambda rel, eqbits, eqv, m: True, "dlo": dlo_ok,
                "randomgraph": graph_ok, "equivinf": equiv_ok}
 
 
+def raw_bits(theory_id, c):
+    """Every raw bit assignment to the cells (i, j) of c distinct classes,
+    one bit per cell for the theory's one relation (pureset has none)."""
+    cells = [(i, j) for i in range(c) for j in range(c)]
+    width = len(get_theory(theory_id).signature.relations)
+    return [dict(zip(cells, bits))
+            for bits in itertools.product((False, True), repeat=len(cells) * width)]
+
+
+def oracle_admits(theory_id, c, rel):
+    return RAW_ORACLES[theory_id](rel, {}, lambda _, i, j: i == j, c)
+
+
+def joined_pairs(pairs, c, rng):
+    """Raw bits on c distinct classes in which every pair of classes
+    carries the bits of one of `pairs`, raw bits on two classes."""
+    rel = {}
+    for ab in itertools.combinations(range(c), 2):
+        rel.update({(ab[i], ab[j]): bit for (i, j), bit in rng.choice(pairs).items()})
+    return rel
+
+
 @pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
-def test_admits_matches_raw_bit_oracle(theory_id):
-    # every raw relation table on c <= 3 distinct classes: `admits` agrees
-    # with the raw-bit oracle and accepts exactly the enumerated diagrams
-    # whose variables are all distinct
-    pc = pair_codes(theory_id)
+def test_tuple_type_matches_raw_bit_oracle(theory_id):
+    # every raw relation table on c <= 3 distinct classes, and a seeded
+    # sample on 4 and 5 classes in which every pair of classes carries the
+    # bits of an admitted 2-class table, so that only a triple can refuse:
+    # `tuple_type` refuses exactly where the raw-bit oracle does, and on
+    # c <= 3 it accepts exactly the enumerated diagrams whose variables are
+    # all distinct
     rel_names = [r for r, _ in get_theory(theory_id).signature.relations]
-    ok = RAW_ORACLES[theory_id]
-    for c in range(4):
-        cells = [(i, j) for i in range(c) for j in range(c)]
-        accepted = set()
-        for bits in itertools.product((False, True), repeat=len(cells) * len(rel_names)):
-            rel = dict(zip(cells, bits))
-            tables = {r: frozenset(p for p in cells if rel[p]) for r in rel_names}
+    pairs = [rel for rel in raw_bits(theory_id, 2) if oracle_admits(theory_id, 2, rel)]
+    rng = random.Random(2718)
+    for c in range(6):
+        rels = raw_bits(theory_id, c) if c < 4 else [joined_pairs(pairs, c, rng)
+                                                     for _ in range(300)]
+        accepted, verdicts = set(), set()
+        for rel in rels:
+            tables = {r: frozenset(p for p, bit in rel.items() if bit) for r in rel_names}
             t = from_tables(theory_id, tuple(range(c)), tables)
-            admitted = t is not None and pc.admits(t)
-            assert admitted == ok(rel, {}, lambda _, i, j: i == j, c), (c, tables)
-            if admitted:
+            admitted = oracle_admits(theory_id, c, rel)
+            verdicts.add(admitted)
+            assert (t is not None) == admitted, (c, tables)
+            if t is not None:
                 assert type_key(t) == table_key(t.classes, tables)
                 accepted.add(type_key(t))
-        distinct = {type_key(d) for d in diagrams_over(theory_id, c)
-                    if d.classes == tuple(range(c))}
-        assert accepted == distinct
+        if c < 4:
+            assert accepted == {type_key(d) for d in diagrams_over(theory_id, c)
+                                if d.classes == tuple(range(c))}
+        else:  # only dlo's and equivinf's triples refuse admitted pairs
+            assert verdicts == ({True, False} if theory_id in ("dlo", "equivinf") else {True})
 
 
 @pytest.mark.parametrize("theory_id,top", [
