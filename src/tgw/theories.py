@@ -9,8 +9,11 @@ Each theory is complete, decidable, and eliminates quantifiers:
 
 Quantifier elimination works inside out: negations are pushed to literals
 (with per-theory literal normalisation), one existential is eliminated from
-each DNF cube, and universals go through negation.  A cube with a positive
-equality v = w loses v by substitution, one rule for every theory
+each DNF cube, and universals go through negation.  Each existential is
+miniscoped before its body's DNF is taken: it distributes over a
+disjunction, and the conjuncts that do not mention its variable stay
+outside it, so they are never multiplied into its cubes.  A cube with a
+positive equality v = w loses v by substitution, one rule for every theory
 (`_eliminate`); the others go to the theory's textbook rule.  Formulas
 enter QE through the NNF walk (`_Elimination.nnf`), which refuses a
 relation outside the theory's signature.  A theory is given by two hooks,
@@ -275,7 +278,10 @@ class _Elimination:
     so the walks are memoised per node: NNF per (node, polarity), DNF per
     node.  The memos live as long as the elimination, so nothing outlives
     one `eliminate_quantifiers` miss and `DNF_CUBE_CAP` bounds the cubes of
-    each node as it is expanded."""
+    each node as it is expanded.  An existential takes the DNF only of what
+    is left after two miniscoping rules (`exists_one`): exists v (A | B) is
+    (exists v A) | (exists v B), and exists v (A & B) is A & exists v B
+    when v is not free in A."""
 
     __slots__ = ("theory", "_nnfs", "_dnfs")
 
@@ -371,8 +377,19 @@ class _Elimination:
         raise InternalConsistencyError(f"not in NNF: {render_formula(f)}")
 
     def exists_one(self, v: VarRef, qf: Formula) -> Formula:
+        """The existential over `v` of the NNF quantifier-free `qf`,
+        miniscoped before any DNF is taken: it distributes over the
+        disjuncts of an `Or`, and the conjuncts of an `And` without v stay
+        outside it.  The DNF of what is left is eliminated cube by cube."""
         if v not in free_vars(qf):
             return qf
+        if isinstance(qf, Or):
+            return disj(self.exists_one(v, c) for c in qf.children)
+        if isinstance(qf, And):
+            outside = [c for c in qf.children if v not in free_vars(c)]
+            if outside:
+                inside = conj(c for c in qf.children if v in free_vars(c))
+                return conj(outside + [self.exists_one(v, inside)])
         # cubes of one DNF share few distinct sets of literals on v
         reduced: dict[frozenset, Formula] = {}
         out = []

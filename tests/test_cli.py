@@ -192,7 +192,7 @@ def test_dnf_cube_cap_fields(capsys, monkeypatch):
     # the cap is checked as each cube is kept, so it stops one cube past it
     monkeypatch.setattr(theories, "_QE_CACHE", {})
     monkeypatch.setattr(theories, "DNF_CUBE_CAP", 4)
-    code, rep = capture(capsys, ["dphi", "--theory", "dlo", "--level", "10"])
+    code, rep = capture(capsys, ["dphi", "--theory", "dlo", "--level", "20"])
     assert code == 3 and rep["kind"] == "resource-cap"
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("dnf-cubes", 4, 5)
 
@@ -221,9 +221,9 @@ def test_skolem_scan_cap_fields(capsys, monkeypatch):
 
 
 @pytest.mark.slow
-def test_skolem_scan_reaches_the_dnf_cap_in_time():
+def test_skolem_scan_reaches_the_grid_cap_in_time():
     # each scanned index is one counter-example search; the scan stops at
-    # index 33, whose defining conjunct passes the DNF cap when eliminated
+    # the first index whose search grid has more than `GRID_CAP` variables
     src = str(Path(tgw.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -231,7 +231,8 @@ def test_skolem_scan_reaches_the_dnf_cap_in_time():
                            "--formula", "(equiv(x0,y0)&!eq(x1,y0))"],
                           env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 3, proc.stderr
-    assert json.loads(proc.stdout)["cap"] == "dnf-cubes"
+    rep = json.loads(proc.stdout)
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 12, 13)
 
 
 def test_section_scan_cap_fields(capsys, monkeypatch):
@@ -649,10 +650,10 @@ PINNED_REPORTS = [
     ("groupoid verify --theory randomgraph --level 1", 0, "89d9bab68e3b"),
     ("project --theory dlo --phi (lt(x0,y0)&lt(x1,y1)) --to 1", 0, "e89bb3fa9aa7"),
     ("section --theory pureset --steps 2", 0, "24739c94aad2"),
-    ("dphi --theory dlo --level 20", 0, "064dba1363c7"),
-    ("dphi --theory randomgraph --level 20", 0, "6254f3921731"),
-    ("dphi --theory equivinf --level 24", 0, "e3c5b10b1747"),
-    ("dphi --theory pureset --level 24", 0, "65d571e9b16d"),
+    ("dphi --theory dlo --level 20", 0, "ebe1078995da"),
+    ("dphi --theory randomgraph --level 20", 0, "87ef26086439"),
+    ("dphi --theory equivinf --level 24", 0, "69b40c757323"),
+    ("dphi --theory pureset --level 24", 0, "f928c3d82918"),
     ("subgroupoids --theory dlo --depth 1", 0, "8c445955b622"),
     ("subgroupoids --theory equivinf --depth 1", 0, "38037873da81"),
     ("subgroupoids --theory randomgraph --depth 1", 0, "a29e26e59d24"),
@@ -670,6 +671,9 @@ PINNED_REPORTS = [
     ("reconstruct --theory dlo --budget 32", 0, "a7ddca29f41f"),
     ("reconstruct --theory randomgraph --budget 32", 0, "ec9946b9a2ad"),
     ("model dump --theory dlo --size 200", 0, "d5a294e4b394"),
+    # conjuncts 33 and 39 passed the DNF cap before QE was miniscoped
+    ("dphi --theory equivinf --level 34", 0, "76a14c3b3941"),
+    ("dphi --theory equivinf --level 40", 0, "c239ae38bfa4"),
 ]
 
 

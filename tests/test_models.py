@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tgw import reconstruction
+from tgw import reconstruction, theories
 from tgw.categorical import universality_check
 from tgw.errors import (InternalConsistencyError, PreconditionError,
                         SignatureError)
@@ -16,7 +16,7 @@ from tgw.models import (DloModel, DTuple, EquivInfModel, ModelHandle,
                         RandomGraphModel, build_dtuple, evaluate, make_model,
                         tuple_type)
 from tgw.rich import RichSequence
-from tgw.theories import decide_sentence, enumerate_types, get_theory
+from tgw.theories import _Elimination, decide_sentence, enumerate_types, get_theory
 
 from test_formula import render_tree
 from test_theories import assert_walks_match_trees, satisfies_qf, type_key
@@ -319,6 +319,60 @@ def test_qe_decides_like_the_model(theory):
     def check(f):
         assert decide_sentence(f, theory) == evaluate(f, make_model(theory), {})
     check()
+
+
+@st.composite
+def miniscoped_sentences(draw, theory):
+    """Sentences Q x0 Q x1 Q x2 [!] exists x3 (A op B), op `&` or `|`, where
+    A is one or two literals with the first on x3 and B one or two literals
+    on x0..x2: the existentials that QE splits over a disjunction or keeps
+    B outside of."""
+    rels = ["eq"] + [rel for rel, _ in sig(theory).relations]
+    *outer, v = [x(i) for i in range(4)]
+    on_v = [p for w in outer for p in ((w, v), (v, w))]
+    off_v = list(itertools.permutations(outer, 2))
+
+    def literal(pairs):
+        a, b = draw(st.sampled_from(pairs))
+        rel = draw(st.sampled_from(rels))
+        lit = Eq(a, b) if rel == "eq" else Atom(rel, (a, b))
+        return Not(lit) if draw(st.booleans()) else lit
+
+    def part(first, rest):
+        lits = (literal(first),) + tuple(literal(rest) for _ in range(draw(st.integers(0, 1))))
+        return lits[0] if len(lits) == 1 else draw(st.sampled_from([And, Or]))(lits)
+
+    body = draw(st.sampled_from([And, Or]))((part(on_v, on_v + off_v), part(off_v, off_v)))
+    f = Exists(v, body)
+    f = draw(st.sampled_from([f, Not(f)]))
+    for w in reversed(outer):
+        f = draw(st.sampled_from([Exists, Forall]))(w, f)
+    return f
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_qe_decides_miniscoped_sentences_like_the_model(theory, monkeypatch):
+    # both rules must fire on the innermost existential of some example
+    fired = set()
+    exists_one = _Elimination.exists_one
+
+    def spy(self, v, qf):
+        if v == x(3) and v in free_vars(qf):
+            if isinstance(qf, Or):
+                fired.add("or")
+            elif isinstance(qf, And) and any(v not in free_vars(c) for c in qf.children):
+                fired.add("and")
+        return exists_one(self, v, qf)
+
+    monkeypatch.setattr(_Elimination, "exists_one", spy)
+    monkeypatch.setattr(theories, "_QE_CACHE", {})
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(miniscoped_sentences(theory))
+    def check(f):
+        assert decide_sentence(f, theory) == evaluate(f, make_model(theory), {})
+    check()
+    assert fired == {"or", "and"}
 
 
 @pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
