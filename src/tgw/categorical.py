@@ -54,20 +54,20 @@ def apply_mstar(a: DTuple, sched: SectionSchedule, M: ModelHandle,
     follow the reference type, stage by stage (`q_checks`), and that every
     completed block's entry occurs in its window (`window_checks`, with
     None for a missing entry)."""
-    if sched.m and a.level < sched.m[-1] + 1:
-        raise PreconditionError(
-            f"input tuple level {a.level} below m({sched.steps - 1})+1")
+    level, steps = len(a.elements), len(sched.m)
+    if sched.m and level < sched.m[-1] + 1:
+        raise PreconditionError(f"input tuple level {level} below m({steps - 1})+1")
     refM = seq.section.model
     b = tuple(a.elements[i] for i in sched.m)
     q_checks = []
-    for n in range(1, sched.steps + 1):
+    for n in range(1, steps + 1):
         want = tuple_type(refM, list(sched.reference[:n]))
         asg = {VarRef(0, j): b[j] for j in range(n)}
         q_checks.append((n, evaluate(want.diagram_formula(), M, asg)))
     window_checks = []
     for k in range(len(sched.b_bounds) - 1):
         lo, hi = sched.b_bounds[k], sched.b_bounds[k + 1]
-        if hi > sched.steps or k >= a.level:
+        if hi > steps or k >= level:
             continue
         window_checks.append(
             (k, next((ell for ell in range(lo, hi) if b[ell] == a.elements[k]), None)))

@@ -10,7 +10,8 @@ gets no more of the report and no traceback, and the exit code stays the
 one above.  Reports are deterministic for a fixed configuration up to the
 timing field.  A report prints as `json.dumps(report, indent=2,
 sort_keys=True)` would print it, written in blocks as it is walked rather
-than built as one string; the `--json` file gets the same bytes.  An error
+than built as one string; the `--json` file gets the same bytes, written
+first, so a path that cannot be written is a usage error.  An error
 report, printed in place of the report with exit 1, 2 or 3, keeps its keys
 in the order written."""
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _seq(cfg) -> RichSequence:
 
 
 def _parse(cfg, text):
-    return parse_formula(text, get_theory(cfg["theory"]).signature)
+    return parse_formula(text, get_theory(cfg["theory"]).relations)
 
 
 def _flag(key: str) -> str:
@@ -90,7 +91,7 @@ def cmd_types(cfg):
 
 def cmd_dphi(cfg):
     lvl = _seq(cfg).dphi_formula(cfg["level"])
-    return {"level": lvl.n, "raw": render_formula(lvl.formula),
+    return {"level": cfg["level"], "raw": render_formula(lvl.formula),
             "simplified": render_formula(lvl.simplified)}, []
 
 
@@ -123,7 +124,7 @@ def cmd_source(cfg):
     # a groupoid's target and source units are the diagonals of U.U^-1 and
     # U^-1.U, whose composition projects tapes apart from the projections above
     inv = invert_clopen(U)
-    agrees = all(clopen_equiv(unit, clopen(seq, merge_tape(compose_clopen(a, b).formula, 1, 0),
+    agrees = all(clopen_equiv(unit, clopen(seq, merge_tape(compose_clopen(a, b).formula),
                                            arity=1, level=U.level))
                  for unit, a, b in ((t, U, inv), (s, inv, U)))
     return ({"source": render_formula(s.formula),
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(argv)
         report = run(cfg)
+        if cfg.get("json"):
+            with open(cfg["json"], "w", encoding="utf-8") as fh:
+                _write_report(report, fh)
     except ResourceCapError as e:
         return _refuse(3, {"error": str(e), "kind": "resource-cap", "cap": e.cap,
                            "limit": e.limit, "observed": e.observed})
@@ -442,9 +446,6 @@ def main(argv=None) -> int:
     except TgwError as e:
         return _refuse(1, {"error": str(e), "kind": "certificate"})
     _emit(lambda fh: _write_report(report, fh))
-    if cfg.get("json"):
-        with open(cfg["json"], "w", encoding="utf-8") as fh:
-            _write_report(report, fh)
     failed = first_failure(report)
     if failed is not None:
         print(f"certificate failed: {failed}", file=sys.stderr)

@@ -1,5 +1,9 @@
 """Syntax for single-sorted relational first-order formulas.
 
+Every relation is binary.  A language is the tuple of its relation names;
+equality is always available and is not listed.  An atom is `eq(a,b)` or
+`rel(a,b)` for a listed `rel`, and both are parsed by one rule.
+
 Variables are tape-indexed: tape 0 prints as x, 1 as y, 2 as z, 3 as w, and
 tape t >= 4 as v<t>.  A variable token is <tapeletter><position>, e.g. x0,
 y12, v45 (tape 4, position 5).  Every renaming of free variables, moving
@@ -85,31 +89,6 @@ class VarRef(_Node):
         if 4 <= self.tape <= 9:
             return f"v{self.tape}{self.position}"
         raise ValueError(f"tape {self.tape} has no printable letter")
-
-
-class Signature:
-    """Relational signature; equality is always available and not listed."""
-
-    __slots__ = ("name", "relations")
-
-    def __init__(self, name: str, relations: tuple[tuple[str, int], ...] = ()):
-        seen = set()
-        for sym, arity in relations:
-            if sym in seen:
-                raise SignatureError(f"duplicate relation symbol {sym!r}")
-            if sym in ("true", "false", "eq", "exists", "forall") or not sym.isalpha():
-                raise SignatureError(f"bad relation symbol {sym!r}")
-            if arity < 1:
-                raise SignatureError(f"relation {sym!r} must have arity >= 1")
-            seen.add(sym)
-        self.name = name
-        self.relations = relations
-
-    def arity(self, sym: str) -> int | None:
-        for s, a in self.relations:
-            if s == sym:
-                return a
-        return None
 
 
 # the bound variables of every node that binds none
@@ -437,9 +416,9 @@ def _decode_var(tok: str, at: int) -> VarRef:
 
 
 class _Parser:
-    def __init__(self, text: str, sig: Signature):
+    def __init__(self, text: str, relations: tuple[str, ...]):
         self.lex = _Lexer(text)
-        self.sig = sig
+        self.relations = relations
 
     def parse(self) -> Formula:
         f = self.formula()
@@ -489,23 +468,12 @@ class _Parser:
                 return exists(var, body) if tok == "exists" else forall(var, body)
             except SignatureError as e:
                 raise ParseError(str(e), at) from None
-        if tok == "eq":
-            self.lex.take()
-            self.lex.take("(")
-            a = _decode_var(self.lex.take(), self.lex.offset())
-            self.lex.take(",")
-            b = _decode_var(self.lex.take(), self.lex.offset())
-            if self.lex.peek() != ")":
-                raise ParseError("unbalanced parenthesis", self.lex.offset())
-            self.lex.take(")")
-            return Eq(a, b)
         if _VAR.match(tok):
             raise ParseError(f"unexpected variable {tok!r}", at)
         return self.atom(tok, at)
 
     def atom(self, rel: str, at: int) -> Formula:
-        arity = self.sig.arity(rel)
-        if arity is None:
+        if rel != "eq" and rel not in self.relations:
             raise ParseError(f"unknown relation {rel!r}", at)
         self.lex.take()
         self.lex.take("(")
@@ -519,13 +487,13 @@ class _Parser:
         if self.lex.peek() != ")":
             raise ParseError("unbalanced parenthesis", self.lex.offset())
         self.lex.take(")")
-        if len(args) != arity:
-            raise ParseError(f"relation {rel!r} expects {arity} arguments, got {len(args)}", at)
-        return Atom(rel, tuple(args))
+        if len(args) != 2:
+            raise ParseError(f"relation {rel!r} expects 2 arguments, got {len(args)}", at)
+        return Eq(*args) if rel == "eq" else Atom(rel, tuple(args))
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse `text` over `sig`.  Children of & and | come out in canonical
-    structural order (see module docstring); render then reproduces the
-    canonical spelling."""
-    return _Parser(text, sig).parse()
+def parse_formula(text: str, relations: tuple[str, ...]) -> Formula:
+    """Parse `text`, whose atoms are `eq` and the binary `relations`.
+    Children of & and | come out in canonical structural order (see module
+    docstring); render then reproduces the canonical spelling."""
+    return _Parser(text, relations).parse()

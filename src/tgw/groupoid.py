@@ -28,11 +28,11 @@ from .theories import (CompleteType, check_grid_cap, diagram_codes,
                        pair_codes, restriction_map)
 
 
-def merge_tape(f: Formula, src: int, dst: int) -> Formula:
-    """Diagonal substitution: every free tape-src variable becomes the
-    tape-dst variable at the same position, which may already be free."""
-    return identify_vars(f, {v: VarRef(dst, v.position)
-                             for v in free_vars(f) if v.tape == src})
+def merge_tape(f: Formula) -> Formula:
+    """Diagonal substitution: every free tape-1 variable becomes the
+    tape-0 variable at the same position, which may already be free."""
+    return identify_vars(f, {v: VarRef(0, v.position)
+                             for v in free_vars(f) if v.tape == 1})
 
 
 class ClopenSet(Record):
@@ -100,7 +100,7 @@ def target_clopen(U: ClopenSet) -> ClopenSet:
 
 
 def contains_base(U: ClopenSet) -> bool:
-    return U.seq.valid(merge_tape(U.formula, 1, 0), 1)
+    return U.seq.valid(merge_tape(U.formula), 1)
 
 
 def clopen_le(U: ClopenSet, V: ClopenSet) -> bool:
@@ -148,7 +148,7 @@ def is_subgroupoid(U: ClopenSet):
         return Refusal("symmetric", separating_type(U, inv))
     if not contains_base(U):
         table = LevelTable(U.seq, 1, max(U.level, 1))
-        bad = eliminate_quantifiers(neg(merge_tape(U.formula, 1, 0)), U.theory)
+        bad = eliminate_quantifiers(neg(merge_tape(U.formula)), U.theory)
         return Refusal("contains-base", table.points[table._ids_where(bad)[0]])
     sq = compose_clopen(U, U)
     if not clopen_equiv(sq, U):

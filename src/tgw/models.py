@@ -36,7 +36,8 @@ WITNESS_SCAN_CAP = 50_000
 
 class ModelHandle:
     """A lazily extendable countable model; subclasses fix the carrier
-    enumeration, the atomic evaluator, and the witness-candidate rule.
+    enumeration, the atomic evaluator (none for pureset, which has no
+    relation), and the witness-candidate rule.
     `verdicts` holds the quantifier verdicts `evaluate` memoises, and
     `candidates` the witness candidates it has asked for, keyed by the
     sorted parameter tuple.
@@ -59,8 +60,9 @@ class ModelHandle:
         raise NotImplementedError
 
     def atomic(self, rel: str, a, b) -> bool:
-        """Whether `rel` holds of (a, b); `rel` is taken to be in the
-        signature (`compile_formula` checks each atom as it compiles)."""
+        """Whether `rel` holds of (a, b); `rel` is taken to be one of the
+        theory's relations (`compile_formula` checks each atom as it
+        compiles)."""
         raise NotImplementedError
 
     def witness_candidates(self, params: list) -> list:
@@ -74,7 +76,7 @@ class ModelHandle:
     def dump(self, size: int) -> dict:
         carrier = [self.element(i) for i in range(size)]
         atoms = {}
-        for rel, _ in self.theory.signature.relations:
+        for rel in self.theory.relations:
             atoms[rel] = [[i, j] for i in range(size) for j in range(size)
                           if self.atomic(rel, carrier[i], carrier[j])]
         return {"theory": self.theory.id,
@@ -90,9 +92,6 @@ class PureSetModel(ModelHandle):
 
     def element(self, i):
         return i
-
-    def atomic(self, rel, a, b):
-        raise PreconditionError("pureset has no relations")
 
     def witness_candidates(self, params):
         fresh = max((p for p in params), default=-1) + 1
@@ -251,8 +250,8 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     """Truth of `f` in `M` under `assignment`, a map from VarRef to element.
 
     `f` is compiled once per theory (`compile_formula`) into closures that
-    are then called as `test(M, assignment)`; a relation outside `M`'s
-    signature is refused (`SignatureError`) as its atom compiles.
+    are then called as `test(M, assignment)`; a relation that `M`'s theory
+    does not list is refused (`SignatureError`) as its atom compiles.
 
     Every quantifier node reads its candidates through `M.candidates`, so
     each parameter set is asked of `witness_candidates` once per model.
@@ -277,8 +276,8 @@ def compile_formula(f: Formula, theory: Theory) -> Callable[[ModelHandle, dict],
     """The closure `test(M, assignment)` that evaluates `f` in models of
     `theory`, compiled on first use and then kept per formula node and
     theory (structurally equal formulas are one node).  Each atom is
-    checked against the signature as it compiles (`SignatureError` for a
-    relation outside it), so a kept closure calls `ModelHandle.atomic`
+    checked against the theory's relations as it compiles (`SignatureError`
+    for one it does not list), so a kept closure calls `ModelHandle.atomic`
     unchecked."""
     test = _COMPILED.get((f, theory))
     if test is None:
@@ -401,7 +400,7 @@ def tuple_type(M: ModelHandle, elements: list) -> CompleteType:
 # -- witness-enumeration tuples ----------------------------------------------
 
 class DTuple(Record):
-    __slots__ = ("level", "elements", "checks")
+    __slots__ = ("elements", "checks")
 
     @property
     def ok(self) -> bool:
@@ -429,7 +428,7 @@ def build_dtuple(M: ModelHandle, seq, n: int, cover, prefer=(),
         elements.append(choice)
         asg[VarRef(0, p)] = choice
     checks = certify_dtuple(M, seq, tuple(elements))
-    return DTuple(n, tuple(elements), checks)
+    return DTuple(tuple(elements), checks)
 
 
 def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,

@@ -23,16 +23,16 @@ from .theories import canonical_form
 
 class SortClass(Record):
     """Witness tuples identified by a sort's relation, in the order they
-    were generated; `rep` is the first of `members`."""
+    were generated; the first of `members` represents the class."""
 
-    __slots__ = ("rep", "members")
+    __slots__ = ("members",)
 
 
 def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
                   budget: int) -> list[SortClass]:
     """Generate up to `budget` witness tuples at H's level (varying the
     preferred first witnesses) and quotient them by H: a tuple joins the
-    first class whose rep it is H-related to, by H's quantifier-free
+    first class whose first member it is H-related to, by H's quantifier-free
     formula evaluated on the pair."""
     if budget <= 0:
         raise PreconditionError("budget must be positive")
@@ -52,14 +52,14 @@ def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
                 break
         else:
             classes.append([t])
-    return [SortClass(cls[0], tuple(cls)) for cls in classes]
+    return [SortClass(tuple(cls)) for cls in classes]
 
 
 def predicate_value(X: ClopenSet, classes: list[SortClass], M: ModelHandle) -> bool:
     """The invariant clopen's value on one representative per tape, checked
     to be well defined across the sampled members.  Each member tuple is
-    evaluated once; the reps' tuple comes first in the product, since each
-    class's rep is its first member."""
+    evaluated once; the tuple of each class's first member comes first in
+    the product."""
     if len(classes) != X.arity:
         raise PreconditionError("need one class per tape")
     choices = itertools.product(*(c.members for c in classes))
@@ -87,7 +87,7 @@ def predicate_corpus(seq: RichSequence, depth: int) -> list[ClopenSet]:
     theory = seq.theory
     x0, y0 = VarRef(0, 0), VarRef(1, 0)
     atoms = [Eq(x0, y0)]
-    for rel, _ in theory.signature.relations:
+    for rel in theory.relations:
         atoms += [Atom(rel, (x0, y0)), Atom(rel, (y0, x0))]
     formulas = [TRUE, FALSE] + atoms
     if depth >= 1:
@@ -114,7 +114,7 @@ def reconstruct_and_compare(theory, depth: int, budget: int) -> dict:
     if not isinstance(H1, SubGroupoid):
         raise InternalConsistencyError("the level-1 identity relation must certify")
     classes = sort_elements(H1, M, seq, budget)
-    carrier = [c.rep.elements[0] for c in classes]
+    carrier = [c.members[0].elements[0] for c in classes]
     bijection = (len(set(carrier)) == len(carrier)
                  and set(carrier) == {M.element(i) for i in range(budget)})
     report = {"theory": seq.theory.id, "level": H1.clopen.level, "depth": depth,
@@ -140,7 +140,7 @@ def reconstruct_and_compare(theory, depth: int, budget: int) -> dict:
                 entry["well_defined"] = False
                 report["ok"] = False
                 break
-            want = _eval_on(recovered, [c.rep for c in chosen], M)
+            want = _eval_on(recovered, [c.members[0] for c in chosen], M)
             key = ",".join(map(str, combo))
             table[key] = got
             if got != want:

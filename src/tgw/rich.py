@@ -159,7 +159,7 @@ def _stream(theory) -> _CanonicalStream:
 # -- rich sequences -----------------------------------------------------------
 
 class DPhiLevel(Record):
-    __slots__ = ("n", "formula", "simplified")
+    __slots__ = ("formula", "simplified")
 
 
 class RichSequence:
@@ -235,7 +235,7 @@ class RichSequence:
         raw = TRUE if not clauses else (clauses[0] if len(clauses) == 1
                                         else And(tuple(clauses)))
         simplified = conj(self.dphi_conjunct(k) for k in range(n))
-        return DPhiLevel(n, raw, simplified)
+        return DPhiLevel(raw, simplified)
 
     def _closure(self, positions) -> set[int]:
         todo = sorted(positions, reverse=True)
@@ -291,7 +291,7 @@ class RichSequence:
 # -- the self-referential section-schedule stream ------------------------------
 
 class SectionSchedule(Record):
-    __slots__ = ("steps", "m", "a_bounds", "b_bounds", "reference")
+    __slots__ = ("m", "a_bounds", "b_bounds", "reference")
 
 
 class _SectionState:
@@ -420,7 +420,7 @@ class _SectionState:
         for t in range(steps):
             self.step_formula(t)   # extends the block chain past t
         return SectionSchedule(
-            steps, tuple(self.seq.schedule_slot(t) for t in range(steps)),
+            tuple(self.seq.schedule_slot(t) for t in range(steps)),
             tuple((n, self.a_bound(n)) for n in sorted(self._realised)),
             tuple(self._b), tuple(self._tuple))
 

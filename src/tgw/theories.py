@@ -16,12 +16,12 @@ outside it, so they are never multiplied into its cubes.  A cube with a
 positive equality v = w loses v by substitution, one rule for every theory
 (`_eliminate`); the others go to the theory's textbook rule.  Formulas
 enter QE through the NNF walk (`_Elimination.nnf`), which refuses a
-relation outside the theory's signature.  A theory is given by two hooks,
+relation the theory does not list.  A theory is given by two hooks,
 its literal normal form and its elimination rule for cubes without a
 positive equality (see `Theory`); every other fact about finite diagrams
 is decided by quantifier elimination, not written per theory.
 
-Every signature is binary, so a complete quantifier-free diagram over
+Every relation is binary, so a complete quantifier-free diagram over
 finitely many variables is fixed by its equality partition and its 2-variable
 sub-diagrams between the classes.  A pair code is the index of a 2-variable
 diagram in `diagrams_over(theory, 2)`; those diagrams are the relation values
@@ -67,9 +67,9 @@ from operator import and_, itemgetter, or_
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError, SignatureError)
 from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
-                      Formula, Implies, Not, Or, Signature, Top, VarRef, conj,
-                      disj, exists, free_vars, identify_vars, neg,
-                      render_formula, sort_key, substitute_vars)
+                      Formula, Implies, Not, Or, Top, VarRef, conj, disj,
+                      exists, free_vars, identify_vars, neg, render_formula,
+                      sort_key, substitute_vars)
 from .record import Record, _set
 
 GRID_CAP = 12
@@ -78,16 +78,17 @@ ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 
 
 class Theory:
-    """Base for the built-in theories.  Besides the signature, a theory is
-    two hooks: `normalize_literal` (the literal normal form) and
-    `eliminate_one` (the single-existential rule on cubes without a
-    positive equality; `_eliminate` substitutes those away for every
-    theory).  The rest is derived by QE: the pair diagrams, the triple
-    table and the pinning literals (`PairCodes`), and the literals that
-    prune DNF cubes (`_clash`)."""
+    """Base for the built-in theories.  Besides `relations`, the names of
+    its binary relations (none for pureset), a theory is two hooks:
+    `normalize_literal` (the literal normal form) and `eliminate_one` (the
+    single-existential rule on cubes without a positive equality;
+    `_eliminate` substitutes those away for every theory).  The rest is
+    derived by QE: the pair diagrams, the triple table and the pinning
+    literals (`PairCodes`), and the literals that prune DNF cubes
+    (`_clash`)."""
 
     id: str = ""
-    signature: Signature = Signature("empty")
+    relations: tuple[str, ...] = ()
 
     # every model is infinite, so two distinct elements always exist
     def normalize_literal(self, negated: bool, atom: Formula) -> Formula:
@@ -99,9 +100,9 @@ class Theory:
         raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
 
     def check_relation(self, atom: Atom) -> None:
-        """Refuse an atom whose relation, at its arity, is not in the
-        signature."""
-        if self.signature.arity(atom.rel) != len(atom.args):
+        """Refuse an atom whose relation is not listed or that does not
+        have two arguments."""
+        if atom.rel not in self.relations or len(atom.args) != 2:
             raise SignatureError(
                 f"{self.id} has no relation {atom.rel!r} of arity {len(atom.args)}")
 
@@ -128,7 +129,6 @@ class Theory:
 
 class PureSet(Theory):
     id = "pureset"
-    signature = Signature("pureset")
 
     def eliminate_one(self, v, lits):
         return TRUE  # only inequations remain; the model is infinite
@@ -136,7 +136,7 @@ class PureSet(Theory):
 
 class DenseLinearOrder(Theory):
     id = "dlo"
-    signature = Signature("dlo", (("lt", 2),))
+    relations = ("lt",)
 
     def normalize_literal(self, negated, atom):
         if isinstance(atom, Eq):
@@ -164,7 +164,7 @@ class DenseLinearOrder(Theory):
 
 class RandomGraph(Theory):
     id = "randomgraph"
-    signature = Signature("randomgraph", (("adj", 2),))
+    relations = ("adj",)
 
     def normalize_literal(self, negated, atom):
         if isinstance(atom, Eq):
@@ -185,7 +185,7 @@ class RandomGraph(Theory):
 
 class EquivInf(Theory):
     id = "equivinf"
-    signature = Signature("equivinf", (("equiv", 2),))
+    relations = ("equiv",)
 
     def normalize_literal(self, negated, atom):
         if isinstance(atom, Eq):
@@ -246,8 +246,8 @@ def _eliminate(theory: Theory, v: VarRef, lits: list[Formula]) -> Formula:
 def _literals(theory: Theory, vs) -> list[Formula]:
     """The normalised literals over the variables `vs`, in `sort_key` order."""
     atoms = [Eq(a, b) for a in vs for b in vs] + [
-        Atom(rel, args) for rel, arity in theory.signature.relations
-        for args in itertools.product(vs, repeat=arity)]
+        Atom(rel, args) for rel in theory.relations
+        for args in itertools.product(vs, repeat=2)]
     lits = {theory.normalize_literal(negated, atom)
             for atom in atoms for negated in (False, True)}
     return sorted((l for l in lits if isinstance(l, (Atom, Eq, Not))), key=sort_key)
@@ -292,7 +292,7 @@ class _Elimination:
 
     def nnf(self, f: Formula, negated: bool) -> Formula:
         """`f`, negated if asked, with negations pushed to the literals and
-        each literal normalised; a relation outside the signature is refused."""
+        each literal normalised; a relation the theory does not list is refused."""
         key = (f, negated)
         hit = self._nnfs.get(key)
         if hit is None:
@@ -705,7 +705,7 @@ class PairCodes:
 
     def __init__(self, theory: Theory):
         self.theory_id = theory.id
-        self.rel_names = names = tuple(rel for rel, _ in theory.signature.relations)
+        self.rel_names = names = theory.relations
         x0, x1, x2 = (VarRef(0, i) for i in range(3))
         bits = (False, True)
         diagonals = [d for d in itertools.product(bits, repeat=len(names))

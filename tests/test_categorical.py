@@ -15,13 +15,13 @@ SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf"
 
 
 def parse(text, theory):
-    return parse_formula(text, get_theory(theory).signature)
+    return parse_formula(text, get_theory(theory).relations)
 
 
 def test_section_schedule_empty():
     # the record holds what the state has computed, so the state is fresh
     sched = RichSequence("dlo").section.plan(0)
-    assert sched.steps == 0 and sched.m == () and sched.b_bounds == (0,)
+    assert sched.m == () and sched.b_bounds == (0,)
 
 
 def test_section_schedule_pureset_bounds():
@@ -65,11 +65,11 @@ def test_apply_mstar_records_failures():
     assert sched.reference[:4] == (0, 1, 2, 0)
     M = make_model("pureset")
     level = sched.m[-1] + 1
-    const = apply_mstar(DTuple(level, (0,) * level, ()), sched, M, seq)
+    const = apply_mstar(DTuple((0,) * level, ()), sched, M, seq)
     assert not const.ok
     assert const.q_checks == ((1, True), (2, False), (3, False), (4, False))
     assert const.windows_ok
-    injective = apply_mstar(DTuple(level, tuple(range(level)), ()), sched, M, seq)
+    injective = apply_mstar(DTuple(tuple(range(level)), ()), sched, M, seq)
     assert [ok for _, ok in injective.q_checks] == [True, True, True, False]
     assert injective.window_checks == ((0, None), (1, None))
     assert not injective.windows_ok
@@ -83,12 +83,12 @@ def test_schedule_holds_checks_the_record(theory, steps):
     assert schedule_holds(seq, sched)
     # an entry repeated everywhere realises only the types that repeat it
     same = (sched.reference[0],) * len(sched.reference)
-    assert not schedule_holds(seq, SectionSchedule(sched.steps, sched.m, sched.a_bounds,
-                                                   sched.b_bounds, same))
+    assert not schedule_holds(
+        seq, SectionSchedule(sched.m, sched.a_bounds, sched.b_bounds, same))
     # a bound that is not past its n
     bounds = tuple((n, n if n == 1 else a) for n, a in sched.a_bounds)
-    assert not schedule_holds(seq, SectionSchedule(sched.steps, sched.m, bounds,
-                                                   sched.b_bounds, sched.reference))
+    assert not schedule_holds(
+        seq, SectionSchedule(sched.m, bounds, sched.b_bounds, sched.reference))
 
 
 def test_apply_mstar_level_precondition():

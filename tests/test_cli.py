@@ -20,7 +20,7 @@ from tgw.formula import TRUE, Exists, Forall, parse_formula
 from tgw.groupoid import LevelTable
 
 
-DLO = theories.get_theory("dlo").signature
+DLO = theories.get_theory("dlo").relations
 
 
 def capture(capsys, argv):
@@ -277,6 +277,21 @@ def test_json_output(tmp_path, capsys):
     assert saved["command"] == "dphi"
     assert saved["items"]["raw"] == "forall y0. (true -> true)"
     assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_json_path_is_a_usage_error(tmp_path, target):
+    # the file is written before the report is printed, so a path that cannot
+    # be written leaves only the usage error report on stdout
+    src = str(Path(tgw.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "tgw", "types", "--theory", "dlo", "--vars", "1",
+                           "--json", str(tmp_path / target)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "usage"
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_file_with_overrides(tmp_path):

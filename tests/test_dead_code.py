@@ -24,6 +24,14 @@ passing it for the first check and as leaving it unset for the second.
 `cli.main`'s `argv` is exempt: the console entry point calls `main` with
 none.
 
+No parameter receives the same literal from every call in the package, so
+no parameter stands in for a constant; a call that leaves it unset or fills
+it through `*args` or `**kw` counts as passing something else.
+
+Every attribute a class stores, in its `__slots__` or by `self.x = ...`, is
+read as `.x` somewhere in the package, so no field outlives its last reader
+(`Record`'s generic `getattr` over its fields is no read).
+
 No function is a forwarding wrapper: its body, after its docstring, is not
 only `return g(...)` of its own parameters in order, so no name is an alias
 of another.  The `LAYERS` names are exempt, as above."""
@@ -171,10 +179,11 @@ ENTRY = ("cli", "main", "argv")   # the console script calls main()
 
 
 def parameter_calls():
-    """(module, qualified name, defaulted parameter names, calls) for
-    every function in the package, where each call is the pair (parameters
-    it names or fills by position, parameters it may fill through `*args`
-    or `**kw`)."""
+    """(module, qualified name, parameter names, defaulted parameter names,
+    calls) for every function in the package, where the parameter names
+    leave out a method's bound first one and each call is the pair (a dict
+    from each parameter it names or fills by position to the expression
+    passed, parameters it may fill through `*args` or `**kw`)."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)}
@@ -208,7 +217,7 @@ def parameter_calls():
             return []
         return [node for _, _, node in functions if node.name == name]
 
-    calls: dict[ast.FunctionDef, list[tuple[set[str], set[str]]]] = {}
+    calls: dict[ast.FunctionDef, list[tuple[dict[str, ast.expr], set[str]]]] = {}
 
     def visit(node, cls_name):
         for child in ast.iter_child_nodes(node):
@@ -219,8 +228,9 @@ def parameter_calls():
                     if fn in methods:   # self is bound, not passed
                         positional = positional[1:]
                     starred = [isinstance(x, ast.Starred) for x in child.args]
-                    named = set(positional[:starred.index(True) if any(starred) else len(starred)])
-                    named.update(k.arg for k in child.keywords if k.arg)
+                    filled = starred.index(True) if any(starred) else len(starred)
+                    named = dict(zip(positional[:filled], child.args))
+                    named.update((k.arg, k.value) for k in child.keywords if k.arg)
                     spread = set(positional) if any(starred) else set()
                     if any(k.arg is None for k in child.keywords):
                         spread.update(positional, (p.arg for p in a.kwonlyargs))
@@ -234,7 +244,9 @@ def parameter_calls():
         positional = a.posonlyargs + a.args
         defaulted = positional[len(positional) - len(a.defaults):] + \
             [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        yield (module, qualname, [p.arg for p in defaulted if (module, qualname, p.arg) != ENTRY],
+        params = (positional[1:] if fn in methods else positional) + a.kwonlyargs
+        yield (module, qualname, [p.arg for p in params],
+               [p.arg for p in defaulted if (module, qualname, p.arg) != ENTRY],
                calls.get(fn, []))
 
 
@@ -242,8 +254,8 @@ def unused_parameters() -> list[str]:
     """module.function(parameter) of every parameter with a default that no
     call in the package passes."""
     return [f"{module}.{qualname}({p})"
-            for module, qualname, defaulted, calls in parameter_calls()
-            for p in defaulted if not any(p in named | spread for named, spread in calls)]
+            for module, qualname, _, defaulted, calls in parameter_calls()
+            for p in defaulted if not any(p in named or p in spread for named, spread in calls)]
 
 
 def test_every_default_parameter_is_passed():
@@ -255,9 +267,63 @@ def always_passed_parameters() -> list[str]:
     every call in the package passes by name or position; a call through
     `*args` or `**kw` counts as leaving it unset."""
     return [f"{module}.{qualname}({p})"
-            for module, qualname, defaulted, calls in parameter_calls()
+            for module, qualname, _, defaulted, calls in parameter_calls()
             for p in defaulted if calls and all(p in named for named, _ in calls)]
 
 
 def test_no_default_parameter_is_always_passed():
     assert always_passed_parameters() == []
+
+
+def _literal(node) -> str | None:
+    """The dump of `node` if it is a literal, None otherwise."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def constant_parameters() -> list[str]:
+    """module.function(parameter) of every parameter that every call in the
+    package passes the same literal, by name or position."""
+    out = []
+    for module, qualname, params, _, calls in parameter_calls():
+        for p in params:
+            passed = {_literal(named[p]) if p in named and p not in spread else None
+                      for named, spread in calls}
+            if len(passed) == 1 and None not in passed:
+                out.append(f"{module}.{qualname}({p})")
+    return out
+
+
+def test_no_parameter_is_always_passed_one_literal():
+    assert constant_parameters() == []
+
+
+def unread_attributes() -> list[str]:
+    """module.class.attribute of every attribute a class stores, in its
+    `__slots__` or by assigning `self.x`, that no code in the package
+    reads as `.x`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for module, tree in trees.items():
+        for qualname, cls in definitions(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored = set()
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Assign) and "__slots__" in (
+                        getattr(t, "id", None) for t in node.targets):
+                    stored.update(ast.literal_eval(node.value))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                        and getattr(node.value, "id", None) == "self":
+                    stored.add(node.attr)
+            out += [f"{module}.{qualname}.{name}" for name in sorted(stored - read)]
+    return out
+
+
+def test_every_stored_attribute_is_read():
+    assert unread_attributes() == []

@@ -10,15 +10,16 @@ import tgw
 from tgw.errors import ParseError, SignatureError
 from tgw.formula import (
     FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall, Implies, Not, Or,
-    Signature, Top, VarRef, conj, disj, exists, forall, free_vars,
+    Top, VarRef, conj, disj, exists, forall, free_vars,
     identify_vars, implies, neg, parse_formula, render_formula, rename_tapes,
     sort_key, substitute_vars,
 )
 from tgw.models import evaluate, make_model
+from tgw.theories import THEORIES
 
-DLO = Signature("dlo", (("lt", 2),))
-GRAPH = Signature("randomgraph", (("adj", 2),))
-PURE = Signature("pureset", ())
+DLO = ("lt",)
+GRAPH = ("adj",)
+PURE = ()
 
 
 def x(i):
@@ -45,16 +46,29 @@ def test_parse_unbalanced_offset():
     with pytest.raises(ParseError) as exc:
         parse_formula("lt(x0", DLO)
     assert exc.value.offset == 6
+    # an argument that is not after a comma ends the argument list
+    with pytest.raises(ParseError, match=r"^unbalanced parenthesis \(offset 7\)$"):
+        parse_formula("eq(x0 y0)", DLO)
 
 
 def test_parse_unknown_relation():
     with pytest.raises(ParseError, match="unknown relation"):
         parse_formula("edge(x0,x1)", DLO)
+    # a relation of another theory is unknown to this one
+    for theory, rel in (("pureset", "lt"), ("dlo", "adj")):
+        with pytest.raises(ParseError, match=rf"^unknown relation '{rel}' \(offset 1\)$"):
+            parse_formula(f"{rel}(x0,x1)", THEORIES[theory].relations)
 
 
-def test_parse_arity_mismatch():
-    with pytest.raises(ParseError, match="expects 2 arguments"):
-        parse_formula("lt(x0,x1,x2)", DLO)
+@pytest.mark.parametrize("theory,rel,n", [
+    (theory, rel, n) for theory in THEORIES
+    for rel in ("eq", *THEORIES[theory].relations) for n in (1, 3)])
+def test_parse_arity_mismatch(theory, rel, n):
+    # equality and every relation are binary, checked by one rule
+    args = ",".join(f"x{i}" for i in range(n))
+    with pytest.raises(ParseError,
+                       match=rf"^relation '{rel}' expects 2 arguments, got {n} \(offset 1\)$"):
+        parse_formula(f"{rel}({args})", THEORIES[theory].relations)
 
 
 def test_parse_rejects_shadowing():
@@ -140,27 +154,17 @@ def test_rename_tapes_total():
     assert g == Exists(y(1), Atom("lt", (y(0), y(1))))
 
 
-def test_signature_validation():
-    with pytest.raises(SignatureError):
-        Signature("bad", (("lt", 2), ("lt", 2)))
-    with pytest.raises(SignatureError):
-        Signature("bad", (("exists", 1),))
-    with pytest.raises(SignatureError):
-        Signature("bad", (("r", 0),))
-
-
 # -- property tests ----------------------------------------------------------
 
 _vars = st.builds(VarRef, st.integers(0, 3), st.integers(0, 3))
 
 
-def _formulas(sig):
+def _formulas(relations):
     atoms = st.one_of(
         st.just(Top()),
         st.just(Bot()),
         st.builds(Eq, _vars, _vars),
-        *([st.builds(lambda a, b: Atom(sig.relations[0][0], (a, b)), _vars, _vars)]
-          if sig.relations else []),
+        *[st.builds(Atom, st.just(rel), st.tuples(_vars, _vars)) for rel in relations],
     )
 
     def extend(children):

@@ -24,7 +24,7 @@ SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf"
 
 def cl(theory, text, arity, level=None):
     seq = SEQS[theory]
-    return clopen(seq, parse_formula(text, seq.theory.signature), arity=arity,
+    return clopen(seq, parse_formula(text, seq.theory.relations), arity=arity,
                   level=level)
 
 
@@ -110,7 +110,7 @@ def test_contains_base_refusal_witness_is_least_failing_point(theory):
     assert len(refusals) == 3
     for U, verdict in refusals:
         table = LevelTable(U.seq, 1, U.level)
-        holds = table.points_of(ClopenSet(U.seq, 1, merge_tape(U.formula, 1, 0), U.level))
+        holds = table.points_of(ClopenSet(U.seq, 1, merge_tape(U.formula), U.level))
         assert (verdict.witness.k, verdict.witness.n) == (1, U.level)
         assert table.index(verdict.witness) == min(set(range(len(table.points))) - holds)
 
@@ -421,9 +421,9 @@ def test_points_of_refuses_relations_outside_the_signature():
 def test_clopen_window_validation():
     with pytest.raises(PreconditionError):
         ClopenSet(SEQS["dlo"], 1, parse_formula("lt(x0,y0)",
-                  get_theory("dlo").signature), 1)
+                  get_theory("dlo").relations), 1)
     # of several variables outside the window the least one is named, so
     # the message does not hang on set order
     with pytest.raises(PreconditionError, match="^x2 outside the 1x1 window$"):
         ClopenSet(SEQS["dlo"], 1, parse_formula("lt(z3,x2)",
-                  get_theory("dlo").signature), 1)
+                  get_theory("dlo").relations), 1)

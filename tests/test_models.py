@@ -26,8 +26,8 @@ def x(i):
     return VarRef(0, i)
 
 
-def sig(theory):
-    return get_theory(theory).signature
+def relations(theory):
+    return get_theory(theory).relations
 
 
 class SeqStub:
@@ -36,7 +36,7 @@ class SeqStub:
 
     def __init__(self, theory_id, prefix):
         self.theory = get_theory(theory_id)
-        self.prefix = [parse_formula(t, self.theory.signature) for t in prefix]
+        self.prefix = [parse_formula(t, self.theory.relations) for t in prefix]
         self._clauses = {}
 
     defining_clause = RichSequence.defining_clause
@@ -50,13 +50,13 @@ class SeqStub:
 
 def test_evaluate_dlo_atom():
     M = make_model("dlo")
-    f = parse_formula("lt(x0,x1)", sig("dlo"))
+    f = parse_formula("lt(x0,x1)", relations("dlo"))
     assert evaluate(f, M, {x(0): Fraction(1, 2), x(1): Fraction(2, 1)}) is True
 
 
 def test_evaluate_pureset_fresh_witness():
     M = make_model("pureset")
-    f = parse_formula("exists y0. !eq(y0,x0)", sig("pureset"))
+    f = parse_formula("exists y0. !eq(y0,x0)", relations("pureset"))
     assert evaluate(f, M, {x(0): 5}) is True
 
 
@@ -65,22 +65,22 @@ def test_evaluate_randomgraph_extension_sentence():
     f = parse_formula(
         "forall x0. forall x1. (!eq(x0,x1) -> exists y0."
         "(adj(x0,y0) & !adj(x1,y0) & !eq(y0,x0) & !eq(y0,x1)))",
-        sig("randomgraph"))
+        relations("randomgraph"))
     assert evaluate(f, M, {}) is True
 
 
 def test_evaluate_equivinf_class_structure():
     M = make_model("equivinf")
-    f = parse_formula("exists y0. (equiv(y0,x0) & !eq(y0,x0))", sig("equivinf"))
+    f = parse_formula("exists y0. (equiv(y0,x0) & !eq(y0,x0))", relations("equivinf"))
     assert evaluate(f, M, {x(0): 0}) is True
-    g = parse_formula("exists y0. !equiv(y0,x0)", sig("equivinf"))
+    g = parse_formula("exists y0. !equiv(y0,x0)", relations("equivinf"))
     assert evaluate(g, M, {x(0): 0}) is True
 
 
 def test_evaluate_missing_assignment():
     M = make_model("dlo")
     with pytest.raises(PreconditionError):
-        evaluate(parse_formula("lt(x0,x1)", sig("dlo")), M, {x(0): Fraction(0)})
+        evaluate(parse_formula("lt(x0,x1)", relations("dlo")), M, {x(0): Fraction(0)})
 
 
 @pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
@@ -89,7 +89,7 @@ def test_evaluate_refuses_relations_outside_the_signature(theory):
     # through the API is checked against the model's theory, whatever other
     # theory's model evaluated it first
     owners = {"lt": "dlo", "adj": "randomgraph", "equiv": "equivinf"}
-    own = [rel for rel, _ in sig(theory).relations]
+    own = relations(theory)
     x0, x1, x2 = x(0), x(1), x(2)
     bad = [Atom(rel, (x0, x1)) for rel in owners if rel not in own]
     bad += [Atom(rel, args) for rel in own for args in ((x0,), (x0, x1, x2))]
@@ -116,7 +116,7 @@ def test_tuple_type_examples():
 
     D = make_model("dlo")
     t2 = tuple_type(D, [Fraction(0), Fraction(1)])
-    assert satisfies_qf(t2, parse_formula("lt(x0,x1)", sig("dlo")))
+    assert satisfies_qf(t2, parse_formula("lt(x0,x1)", relations("dlo")))
 
     G = make_model("randomgraph")
     G.witness_candidates([0])  # posts the one-vertex patterns
@@ -160,7 +160,7 @@ def test_dtuple_certificate_reevaluates():
     seq = SeqStub("dlo", ["lt(x0,y0)", "lt(y0,x0)"])
     dt = build_dtuple(M, seq, 3, ())
     assert dt.ok
-    bad = DTuple(2, (Fraction(0), Fraction(-1)), ())
+    bad = DTuple((Fraction(0), Fraction(-1)), ())
     from tgw.models import certify_dtuple
     assert certify_dtuple(M, seq, bad.elements) == (True, False)
 
@@ -181,7 +181,7 @@ def test_oracle_agreement_on_sentences():
     for theory, texts in corpora.items():
         M = make_model(theory)
         for text in texts:
-            f = parse_formula(text, sig(theory))
+            f = parse_formula(text, relations(theory))
             assert evaluate(f, M, {}) == decide_sentence(f, theory), (theory, text)
 
 
@@ -264,7 +264,7 @@ def sentences(draw, theory, max_quantifiers=3):
     another through the theory's relation: the one-point extension problems
     that `eliminate_one` decides.  Those are drawn from one seeded `Random`,
     so that they vary more than Hypothesis's own draws would."""
-    rels = ["eq"] + [rel for rel, _ in sig(theory).relations]
+    rels = ["eq", *relations(theory)]
 
     def literal(pick, pairs, names):
         a, b = pick(pairs)
@@ -327,7 +327,7 @@ def miniscoped_sentences(draw, theory):
     A is one or two literals with the first on x3 and B one or two literals
     on x0..x2: the existentials that QE splits over a disjunction or keeps
     B outside of."""
-    rels = ["eq"] + [rel for rel, _ in sig(theory).relations]
+    rels = ["eq", *relations(theory)]
     *outer, v = [x(i) for i in range(4)]
     on_v = [p for w in outer for p in ((w, v), (v, w))]
     off_v = list(itertools.permutations(outer, 2))
@@ -434,7 +434,7 @@ def open_formulas(draw, theory):
     """Formulas over the free variables FREE with at most three nested
     quantifiers.  A quantifier binds a fresh y-variable or one of FREE,
     which it then shadows; atoms use the variables in scope."""
-    rels = ["eq"] + [rel for rel, _ in sig(theory).relations]
+    rels = ["eq", *relations(theory)]
 
     def build(scope, depth, quantifiers):
         ops = ["atom"] * 3

@@ -16,7 +16,7 @@ SEQS = {t: RichSequence(t) for t in ("pureset", "dlo", "randomgraph", "equivinf"
 
 def cl(theory, text, **kw):
     seq = SEQS[theory]
-    return clopen(seq, parse_formula(text, seq.theory.signature), **kw)
+    return clopen(seq, parse_formula(text, seq.theory.relations), **kw)
 
 
 def recovered(H: SubGroupoid):
@@ -40,7 +40,7 @@ def test_equivalence_recovery_exact_for_e1():
 def test_equivalence_axioms_refusals(theory, text, refusal):
     # the named axiom is the first to fail on the witness sort
     seq = SEQS[theory]
-    E = parse_formula(text, seq.theory.signature)
+    E = parse_formula(text, seq.theory.relations)
     swap = rename_tapes(E, {0: 1, 1: 0})
     chain = conj([E, rename_tapes(E, {0: 1, 1: 2})])
     verdicts = {"not reflexive": contains_base(ClopenSet(seq, 2, E, 1)),
@@ -58,7 +58,7 @@ def test_equivalence_recovery_equivinf():
     H = is_subgroupoid(cl("equivinf", "equiv(x0,y0)", arity=2))
     E = recovered(H)
     assert E == canonical_form(parse_formula("equiv(x0,y0)",
-                               get_theory("equivinf").signature), "equivinf")
+                               get_theory("equivinf").relations), "equivinf")
 
 
 def test_lemma_round_trip_corpus():
@@ -69,7 +69,7 @@ def test_lemma_round_trip_corpus():
               "equivinf": ["eq(x0,y0)", "equiv(x0,y0)", "true"]}
     for theory, texts in corpus.items():
         for text in texts:
-            E = parse_formula(text, SEQS[theory].theory.signature)
+            E = parse_formula(text, SEQS[theory].theory.relations)
             H = is_subgroupoid(clopen(SEQS[theory], E, arity=2,
                                       level=max(1, clopen(SEQS[theory], E, arity=2).level)))
             assert isinstance(H, SubGroupoid), (theory, text)
@@ -82,7 +82,7 @@ def test_sort_elements_classes():
     M = make_model(theory)
     H = is_subgroupoid(en_clopen(seq, 1))
     classes = sort_elements(H, M, seq, 8)
-    firsts = [c.rep.elements[0] for c in classes]
+    firsts = [c.members[0].elements[0] for c in classes]
     assert len(set(firsts)) == len(firsts) == 8
 
 
@@ -123,7 +123,7 @@ def test_predicate_value_examples():
     M = make_model(theory)
     H = is_subgroupoid(en_clopen(seq, 1))
     classes = sort_elements(H, M, seq, 4)
-    by_first = {c.rep.elements[0]: c for c in classes}
+    by_first = {c.members[0].elements[0]: c for c in classes}
     from fractions import Fraction
     zero, one = by_first[Fraction(0)], by_first[Fraction(1)]
     X = cl(theory, "lt(x0,y0)", arity=2)
@@ -162,20 +162,20 @@ def test_predicate_value_evaluates_each_member_tuple_once(monkeypatch):
     from tgw.reconstruction import SortClass
 
     def one(q):
-        return DTuple(1, (Fraction(q),), (True,))
+        return DTuple((Fraction(q),), (True,))
 
     M = make_model("dlo")
     X = cl("dlo", "lt(x0,y0)", arity=2)
     # 0 < 1 but not 2 < 1: the first class is not well defined under X
-    split = SortClass(one(0), (one(0), one(2)))
+    split = SortClass((one(0), one(2)))
     with pytest.raises(InternalConsistencyError):
-        predicate_value(X, [split, SortClass(one(1), (one(1),))], M)
+        predicate_value(X, [split, SortClass((one(1),))], M)
 
     calls = []
     eval_on = reconstruction._eval_on
     monkeypatch.setattr(reconstruction, "_eval_on",
                         lambda *args: calls.append(args) or eval_on(*args))
-    singles = [SortClass(one(q), (one(q),)) for q in (0, 1)]
+    singles = [SortClass((one(q),)) for q in (0, 1)]
     assert predicate_value(X, singles, M) is True
     assert predicate_value(X, singles[::-1], M) is False
     assert len(calls) == 2

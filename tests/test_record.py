@@ -20,7 +20,7 @@ def point(*classes):
 
 
 def dtuple(*elements):
-    return DTuple(len(elements), tuple(elements), tuple([True] * len(elements)))
+    return DTuple(tuple(elements), tuple([True] * len(elements)))
 
 
 # record -> a function building its fields afresh, and other fields
@@ -30,11 +30,11 @@ RECORDS = {
     ClopenSet: (lambda: (SEQ, 2, DIAGONAL, 1), (SEQ, 2, TRUE, 1)),
     SubGroupoid: (lambda: (ClopenSet(SEQ, 2, DIAGONAL, 1),), (ClopenSet(SEQ, 2, TRUE, 1),)),
     Refusal: (lambda: ("symmetric", point(0, 1)), ("symmetric", point(0, 0))),
-    DTuple: (lambda: (2, tuple([0, 1]), tuple([True, False])), (2, (0, 1), (True, True))),
-    SortClass: (lambda: (dtuple(0), tuple([dtuple(0), dtuple(1)])), (dtuple(0), (dtuple(0),))),
-    DPhiLevel: (lambda: (1, DIAGONAL, TRUE), (1, DIAGONAL, DIAGONAL)),
-    SectionSchedule: (lambda: (1, tuple([3]), tuple([(0, 1)]), tuple([0, 1]), tuple([0, 1, 2])),
-                      (1, (3,), ((0, 1),), (0, 1), (0, 1, 1))),
+    DTuple: (lambda: (tuple([0, 1]), tuple([True, False])), ((0, 1), (True, True))),
+    SortClass: (lambda: (tuple([dtuple(0), dtuple(1)]),), ((dtuple(0),),)),
+    DPhiLevel: (lambda: (DIAGONAL, TRUE), (DIAGONAL, DIAGONAL)),
+    SectionSchedule: (lambda: (tuple([3]), tuple([(0, 1)]), tuple([0, 1]), tuple([0, 1, 2])),
+                      ((3,), ((0, 1),), (0, 1), (0, 1, 1))),
     TrivialisationCertificate: (lambda: (tuple([0]), tuple([(1, True)]), tuple([(0, 0)])),
                                 ((0,), ((1, True),), ((0, None),))),
 }

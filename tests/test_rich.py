@@ -19,7 +19,7 @@ from test_theories import type_key
 
 
 def parse(text, theory):
-    return parse_formula(text, get_theory(theory).signature)
+    return parse_formula(text, get_theory(theory).relations)
 
 
 def x(i):

@@ -26,12 +26,12 @@ from test_formula import render_tree
 
 def qe(text, theory):
     t = get_theory(theory)
-    return eliminate_quantifiers(parse_formula(text, t.signature), t)
+    return eliminate_quantifiers(parse_formula(text, t.relations), t)
 
 
 def decide(text, theory):
     t = get_theory(theory)
-    return decide_sentence(parse_formula(text, t.signature), t)
+    return decide_sentence(parse_formula(text, t.relations), t)
 
 
 # -- the hand-written facts that the package derives by QE (oracles) --------
@@ -281,7 +281,7 @@ def raw_bits(theory_id, c):
     """Every raw bit assignment to the cells (i, j) of c distinct classes,
     one bit per cell for the theory's one relation (pureset has none)."""
     cells = [(i, j) for i in range(c) for j in range(c)]
-    width = len(get_theory(theory_id).signature.relations)
+    width = len(get_theory(theory_id).relations)
     return [dict(zip(cells, bits))
             for bits in itertools.product((False, True), repeat=len(cells) * width)]
 
@@ -307,7 +307,7 @@ def test_tuple_type_matches_raw_bit_oracle(theory_id):
     # `tuple_type` refuses exactly where the raw-bit oracle does, and on
     # c <= 3 it accepts exactly the enumerated diagrams whose variables are
     # all distinct
-    rel_names = [r for r, _ in get_theory(theory_id).signature.relations]
+    rel_names = get_theory(theory_id).relations
     pairs = [rel for rel in raw_bits(theory_id, 2) if oracle_admits(theory_id, 2, rel)]
     rng = random.Random(2718)
     for c in range(6):
@@ -487,7 +487,7 @@ def test_enumerate_cap():
 
 
 def test_enumerate_with_constraint():
-    got = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", get_theory("dlo").signature))
+    got = enumerate_types("dlo", 1, 2, parse_formula("lt(x0,x1)", get_theory("dlo").relations))
     assert len(got) == 1
 
 
@@ -504,7 +504,7 @@ def test_type_monotone_refinement():
 
 def test_qe_dlo_between():
     assert qe("exists y0.(lt(x0,y0) & lt(y0,x1))", "dlo") == \
-        parse_formula("lt(x0,x1)", get_theory("dlo").signature)
+        parse_formula("lt(x0,x1)", get_theory("dlo").relations)
 
 
 def test_qe_pureset_witness():
@@ -546,7 +546,7 @@ def test_qe_refuses_relations_outside_the_signature(theory):
     # the parser checks the signature; a formula built through the API is
     # checked where it enters QE, under any connective or quantifier
     x0, x1, x2 = (VarRef(0, i) for i in range(3))
-    own = [rel for rel, _ in get_theory(theory).signature.relations]
+    own = get_theory(theory).relations
     bad = [Atom(rel, (x0, x1)) for rel in ("lt", "adj", "equiv") if rel not in own]
     bad += [Atom(rel, args) for rel in own for args in ((x0,), (x0, x1, x2))]
     assert len(bad) == (3 if theory == "pureset" else 4)
@@ -570,7 +570,7 @@ def test_qe_dlo_negation_expansion():
     # not(x0 < x1) is x1 < x0 or x0 = x1
     f = qe("exists y0. (!lt(y0,x0) & lt(y0,x1))", "dlo")
     # a witness not below x0 but below x1 exists iff x0 < x1
-    assert f == parse_formula("lt(x0,x1)", get_theory("dlo").signature)
+    assert f == parse_formula("lt(x0,x1)", get_theory("dlo").relations)
 
 
 # -- QE agreement with truth over small rational samples (dlo) ---------------
@@ -621,10 +621,10 @@ def eval_dlo(f, assignment):
 
 def test_qe_sound_on_rational_samples():
     from fractions import Fraction
-    sig = get_theory("dlo").signature
+    rels = get_theory("dlo").relations
     points = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
     for text in DLO_CORPUS:
-        f = parse_formula(text, sig)
+        f = parse_formula(text, rels)
         g = eliminate_quantifiers(f, "dlo")
         assert free_vars(g) <= free_vars(f) | set()
         for a in points:
@@ -656,7 +656,7 @@ def conj_diagram_formula(t):
             lits.append(Eq(reps[c], vs[i]))
         else:
             reps[c] = vs[i]
-    tables = [dict(type_key(t)[1])[rel] for rel, _ in theory.signature.relations]
+    tables = [dict(type_key(t)[1])[rel] for rel in theory.relations]
     for a, b in itertools.combinations(sorted(reps), 2):
         for table in tables or [frozenset()]:
             lits += pair_literals(theory.id, reps[a], reps[b], (a, b) in table,
@@ -681,28 +681,28 @@ def test_diagram_formula_matches_conj(theory):
 
 
 def test_canonical_form_semantic_identity():
-    sig = get_theory("dlo").signature
-    a = parse_formula("!lt(x0,x1)", sig)
-    b = parse_formula("(lt(x1,x0) | eq(x0,x1))", sig)
+    rels = get_theory("dlo").relations
+    a = parse_formula("!lt(x0,x1)", rels)
+    b = parse_formula("(lt(x1,x0) | eq(x0,x1))", rels)
     assert canonical_form(a, "dlo") == canonical_form(b, "dlo")
-    c = parse_formula("(lt(x0,x1) & lt(x1,x0))", sig)
+    c = parse_formula("(lt(x0,x1) & lt(x1,x0))", rels)
     assert canonical_form(c, "dlo") == FALSE
 
 
 def test_canonical_form_drops_dummies():
-    sig = get_theory("pureset").signature
-    f = parse_formula("(eq(x0,x1) | !eq(x0,x1))", sig)
+    rels = get_theory("pureset").relations
+    f = parse_formula("(eq(x0,x1) | !eq(x0,x1))", rels)
     assert canonical_form(f, "pureset") == TRUE
-    g = parse_formula("(eq(x0,x1) & eq(x2,x2))", sig)
+    g = parse_formula("(eq(x0,x1) & eq(x2,x2))", rels)
     assert free_vars(canonical_form(g, "pureset")) == {VarRef(0, 0), VarRef(0, 1)}
 
 
 def test_canonical_form_idempotent():
-    sig = get_theory("randomgraph").signature
+    rels = get_theory("randomgraph").relations
     corpus = ["adj(x0,y0)", "!adj(x0,y0)", "(adj(x0,x1) | eq(x0,x1))",
               "exists y0. adj(x0,y0)"]
     for text in corpus:
-        c = canonical_form(parse_formula(text, sig), "randomgraph")
+        c = canonical_form(parse_formula(text, rels), "randomgraph")
         assert canonical_form(c, "randomgraph") == c
 
 
@@ -717,7 +717,7 @@ CLASH_THEORIES = [get_theory(t) for t in ("pureset", "dlo", "randomgraph", "equi
 
 def normalized_literals(theory, vs):
     atoms = [Eq(a, b) for a in vs for b in vs]
-    atoms += [Atom(rel, (a, b)) for rel, _ in theory.signature.relations
+    atoms += [Atom(rel, (a, b)) for rel in theory.relations
               for a in vs for b in vs]
     lits = {theory.normalize_literal(negated, atom)
             for atom in atoms for negated in (False, True)}
@@ -942,7 +942,7 @@ def qf_formulas(draw, theory, width=4):
     vs = [VarRef(0, i) for i in range(width)]
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(vs, 2))),
                           min_size=2, max_size=2))
-    rels = ["eq"] + [r for r, _ in theory.signature.relations]
+    rels = ["eq", *theory.relations]
 
     def atom(rel, pair, flip):
         a, b = pair[::-1] if flip else pair
