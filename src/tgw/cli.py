@@ -13,7 +13,9 @@ sort_keys=True)` would print it, written in blocks as it is walked rather
 than built as one string; the `--json` file gets the same bytes, written
 first, so a path that cannot be written is a usage error.  An error
 report, printed in place of the report with exit 1, 2 or 3, keeps its keys
-in the order written."""
+in the order written.  A command-line run (`entry`) flushes its streams and
+leaves by `os._exit`, skipping the interpreter's teardown, so no `atexit`
+hook runs; `main()` called in-process returns its exit code normally."""
 from __future__ import annotations
 
 import json
@@ -453,6 +455,17 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """The command line's entry: run `main()` and leave with its code by
+    `os._exit` once both streams are flushed, so the process frees none of
+    its caches, modules or formulas on the way out.  A `SystemExit` or an
+    exception raised inside `main` takes the normal exit instead."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 def _refuse(code: int, error: dict) -> int:
     """Print an error report, its keys in the order given, and return `code`."""
     _emit(lambda fh: print(json.dumps(error, indent=2), file=fh))
@@ -537,7 +550,3 @@ def _write_report(report, fh) -> None:
     walk(report, "\n")
     put("\n")
     fh.write("".join(pieces))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

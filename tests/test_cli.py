@@ -1,7 +1,10 @@
+import ast
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -21,6 +24,16 @@ from tgw.groupoid import LevelTable
 
 
 DLO = theories.get_theory("dlo").relations
+
+
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh `python` process that imports this tgw,
+    with no other `PYTHON*` variable unless given, as bench/run.py runs its
+    ops: stdout is then block-buffered whatever the test runner's setting."""
+    src = str(Path(tgw.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    return {**env, **extra,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def capture(capsys, argv):
@@ -224,12 +237,9 @@ def test_skolem_scan_cap_fields(capsys, monkeypatch):
 def test_skolem_scan_reaches_the_grid_cap_in_time():
     # each scanned index is one counter-example search; the scan stops at
     # the first index whose search grid has more than `GRID_CAP` variables
-    src = str(Path(tgw.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "tgw", "skolem", "--theory", "equivinf",
                            "--formula", "(equiv(x0,y0)&!eq(x1,y0))"],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=fresh_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 3, proc.stderr
     rep = json.loads(proc.stdout)
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("max-grid", 12, 13)
@@ -283,12 +293,9 @@ def test_json_output(tmp_path, capsys):
 def test_unwritable_json_path_is_a_usage_error(tmp_path, target):
     # the file is written before the report is printed, so a path that cannot
     # be written leaves only the usage error report on stdout
-    src = str(Path(tgw.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "tgw", "types", "--theory", "dlo", "--vars", "1",
                            "--json", str(tmp_path / target)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=fresh_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout)["kind"] == "usage"
     assert "Traceback" not in proc.stderr
@@ -544,11 +551,8 @@ def test_every_parameter_changes_some_report(capsys, command, key):
 
 def assert_closed_stdout_is_no_traceback(argv):
     # the reader closes the pipe before the report is written
-    src = str(Path(tgw.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen([sys.executable, "-m", "tgw", *argv.split()],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
@@ -563,6 +567,86 @@ def test_a_closed_stdout_is_no_traceback():
 def test_a_closed_stdout_is_no_traceback_in_a_report_of_many_blocks():
     # 602 KB, many blocks: the pipe breaks at a block's write, mid-walk
     assert_closed_stdout_is_no_traceback("types --theory dlo --vars 6")
+
+
+TIMING = re.compile(rb'"timing_ms": [-+.0-9eE]+\n')
+
+
+def without_timing(text: bytes) -> bytes:
+    """The report with its one timing value zeroed."""
+    text, n = TIMING.subn(b'"timing_ms": 0\n', text)
+    assert n == 1
+    return text
+
+
+def test_a_fresh_process_loses_no_byte_at_exit(tmp_path, capsys):
+    # a 976 KB report, printed and saved by processes that leave by
+    # `os._exit`: stdout read through a pipe and from a file, as
+    # bench/spawn.py reads it, against the `--json` file and `main()`
+    argv = ["model", "dump", "--theory", "dlo", "--size", "200"]
+    assert main(argv) == 0
+    want = without_timing(capsys.readouterr().out.encode())
+    assert len(want) > 900_000
+    for reader in ("pipe", "file"):
+        saved = tmp_path / f"{reader}.json"
+        command = [sys.executable, "-m", "tgw", *argv, "--json", str(saved)]
+        if reader == "pipe":
+            proc = subprocess.run(command, env=fresh_env(), stdout=subprocess.PIPE, timeout=60)
+            out = proc.stdout
+        else:
+            with open(tmp_path / "stdout", "wb") as fh:
+                proc = subprocess.run(command, env=fresh_env(), stdout=fh, timeout=60)
+            out = (tmp_path / "stdout").read_bytes()
+        assert proc.returncode == 0, reader
+        assert out == saved.read_bytes(), reader
+        assert without_timing(out) == want, reader
+
+
+def run_entry(patch: str, argv: str) -> subprocess.CompletedProcess:
+    """Run `argv` in a fresh process through the command line's own entry,
+    `python -m tgw`, after the statements `patch` have run."""
+    script = "\n".join(["import runpy", "from tgw import cli, models", patch,
+                        "runpy.run_module('tgw', run_name='__main__')"])
+    return subprocess.run([sys.executable, "-c", script, *argv.split()],
+                          env=fresh_env(), capture_output=True, timeout=60)
+
+
+def test_a_failed_certificate_reaches_the_reader_through_the_entry(capsys, monkeypatch):
+    proc = run_entry("cli.HANDLERS['dphi'] = lambda cfg: ({}, [cli._cert('forced', False)])",
+                     "dphi --theory dlo --level 1")
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "certificate failed: forced\n"
+    monkeypatch.setitem(HANDLERS, "dphi", lambda cfg: ({}, [cli._cert("forced", False)]))
+    assert main(["dphi", "--theory", "dlo", "--level", "1"]) == 1
+    assert without_timing(proc.stdout) == without_timing(capsys.readouterr().out.encode())
+
+
+def test_a_cap_report_reaches_the_reader_through_the_entry(capsys, monkeypatch):
+    proc = run_entry("models.WITNESS_SCAN_CAP = 0", "universality --theory dlo --samples 1")
+    assert proc.returncode == 3, proc.stderr
+    monkeypatch.setattr(models, "WITNESS_SCAN_CAP", 0)
+    assert main(["universality", "--theory", "dlo", "--samples", "1"]) == 3
+    assert proc.stdout == capsys.readouterr().out.encode()
+    rep = json.loads(proc.stdout)
+    assert list(rep) == ["error", "kind", "cap", "limit", "observed"]
+    assert (rep["kind"], rep["cap"], rep["limit"], rep["observed"]) == (
+        "resource-cap", "witness-scan", 0, 0)
+
+
+def test_the_console_script_and_python_m_share_one_entry():
+    # pyproject.toml's `tgw` script names the function tgw/__main__.py calls
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["tgw"].partition(":")
+    script = getattr(importlib.import_module(module), name)
+    tree = ast.parse(Path(tgw.__file__).with_name("__main__.py").read_text())
+    imported = {alias.asname or alias.name: ("." * node.level + node.module, alias.name)
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    [call] = [node for node in ast.walk(guard) if isinstance(node, ast.Call)]
+    source, attr = imported[call.func.id]
+    assert getattr(importlib.import_module(source, "tgw"), attr) is script
 
 
 class CountingIO(io.StringIO):
@@ -725,11 +809,9 @@ FRESH = [argv for argv, _, _ in PINNED_REPORTS
 def test_pinned_reports_in_perturbed_processes(run):
     argv = FRESH[run]
     _, code, digest = next(p for p in PINNED_REPORTS if p[0] == argv)
-    src = str(Path(tgw.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONHASHSEED": str(run),
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", PERTURBED, str(97 * run + 13), *argv.split()],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=fresh_env(PYTHONHASHSEED=str(run)), capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     rest = {k: v for k, v in json.loads(proc.stdout).items() if k != "timing_ms"}
     assert hashlib.sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()[:12] == digest

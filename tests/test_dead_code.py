@@ -21,8 +21,8 @@ the functions and methods of its name; a class call reaches the class's
 `__init__`, and `super().f(...)` the `f` its class inherits.  A call through
 `*args` or `**kw` may pass every parameter of that kind: that counts as
 passing it for the first check and as leaving it unset for the second.
-`cli.main`'s `argv` is exempt: the console entry point calls `main` with
-none.
+`cli.main`'s `argv` is exempt: the console entry point, `cli.entry`, calls
+`main` with none.
 
 No parameter receives the same literal from every call in the package, so
 no parameter stands in for a constant; a call that leaves it unset or fills

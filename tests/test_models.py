@@ -16,7 +16,8 @@ from tgw.models import (DloModel, DTuple, EquivInfModel, ModelHandle,
                         RandomGraphModel, build_dtuple, evaluate, make_model,
                         tuple_type)
 from tgw.rich import RichSequence
-from tgw.theories import _Elimination, decide_sentence, enumerate_types, get_theory
+from tgw.theories import (_Elimination, canonical_form, decide_sentence,
+                          eliminate_quantifiers, enumerate_types, get_theory)
 
 from test_formula import render_tree
 from test_theories import assert_walks_match_trees, satisfies_qf, type_key
@@ -475,6 +476,17 @@ def test_compiled_evaluate_agrees_with_the_oracle(theory):
         state = dict(M.verdicts), getattr(M, "size", None)
         assert evaluate(f, M, asg) == want
         assert (dict(M.verdicts), getattr(M, "size", None)) == state
+    check()
+
+
+@pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_canonical_form_is_idempotent_on_qe_outputs(theory):
+    # open formulas, since the QE of a sentence is TRUE or FALSE
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(open_formulas(theory))
+    def check(f):
+        c = canonical_form(eliminate_quantifiers(f, theory), theory)
+        assert canonical_form(c, theory) == c, render_formula(f)
     check()
 
 
