@@ -18,11 +18,12 @@ leaves by `os._exit`, skipping the interpreter's teardown, so no `atexit`
 hook runs; `main()` called in-process returns its exit code normally."""
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+# the C encoder that `json` writes strings with; `json` itself is imported
+# only where a config file is read or an error report printed
+from _json import encode_basestring_ascii
 
 from .categorical import (apply_mstar, schedule_holds, skolem_map,
                           universality_check)
@@ -423,8 +424,12 @@ def config_from_args(argv) -> dict:
         _usage_error("unrecognized arguments: " + " ".join(unread))
     cfg = {}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        import json
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except ValueError as e:   # not UTF-8, or not JSON
+            raise PreconditionError(f"config file {path!r} is not JSON: {e}") from None
         if not isinstance(loaded, dict):
             raise PreconditionError("config file must hold a JSON object")
         cfg.update(loaded)
@@ -443,7 +448,7 @@ def main(argv=None) -> int:
     except ResourceCapError as e:
         return _refuse(3, {"error": str(e), "kind": "resource-cap", "cap": e.cap,
                            "limit": e.limit, "observed": e.observed})
-    except (PreconditionError, ParseError, json.JSONDecodeError, OSError) as e:
+    except (PreconditionError, ParseError, OSError) as e:
         return _refuse(2, {"error": str(e), "kind": "usage"})
     except TgwError as e:
         return _refuse(1, {"error": str(e), "kind": "certificate"})
@@ -468,6 +473,7 @@ def entry() -> None:
 
 def _refuse(code: int, error: dict) -> int:
     """Print an error report, its keys in the order given, and return `code`."""
+    import json
     _emit(lambda fh: print(json.dumps(error, indent=2), file=fh))
     return code
 

@@ -21,7 +21,6 @@ nests n-ary nodes back into the binary grammar, right-associated.
 """
 from __future__ import annotations
 
-import re
 from functools import total_ordering
 from operator import attrgetter
 
@@ -360,23 +359,40 @@ def render_formula(f: Formula) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(->|[()!&|.,]|[a-z][a-z0-9]*)")
-_VAR = re.compile(r"^([a-z])([0-9]+)$")
+_PUNCTUATION = frozenset("()!&|.,")
+
+
+def _is_var(tok: str) -> bool:
+    """Whether `tok` spells a variable: a letter a-z and then digits 0-9."""
+    return tok.isascii() and tok[:1].islower() and tok[1:].isdigit()
 
 
 class _Lexer:
+    """The tokens of a formula, each with its 1-based offset: `->`, one of
+    `()!&|.,`, or a word, a letter a-z followed by letters a-z and digits
+    0-9.  Whitespace (`str.isspace`) separates tokens and is dropped."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                rest = text[pos:].lstrip()
-                at = len(text) - len(rest) + 1
-                raise ParseError(f"unexpected character {rest[0]!r}", at)
-            self.tokens.append((m.group(1), m.start(1) + 1))
-            pos = m.end()
+        pos, end = 0, len(text)
+        while True:
+            while pos < end and text[pos].isspace():
+                pos += 1
+            if pos == end:
+                break
+            start, ch = pos, text[pos]
+            if ch in _PUNCTUATION:
+                pos += 1
+            elif text.startswith("->", pos):
+                pos += 2
+            elif "a" <= ch <= "z":
+                pos += 1
+                while pos < end and ("a" <= text[pos] <= "z" or "0" <= text[pos] <= "9"):
+                    pos += 1
+            else:
+                raise ParseError(f"unexpected character {ch!r}", pos + 1)
+            self.tokens.append((text[start:pos], start + 1))
         self.i = 0
 
     def peek(self):
@@ -399,10 +415,9 @@ class _Lexer:
 
 
 def _decode_var(tok: str, at: int) -> VarRef:
-    m = _VAR.match(tok)
-    if m is None:
+    if not _is_var(tok):
         raise ParseError(f"expected a variable, found {tok!r}", at)
-    letter, digits = m.group(1), m.group(2)
+    letter, digits = tok[0], tok[1:]
     if letter in TAPE_LETTERS:
         return VarRef(TAPE_LETTERS.index(letter), int(digits))
     if letter == "v":
@@ -468,7 +483,7 @@ class _Parser:
                 return exists(var, body) if tok == "exists" else forall(var, body)
             except SignatureError as e:
                 raise ParseError(str(e), at) from None
-        if _VAR.match(tok):
+        if _is_var(tok):
             raise ParseError(f"unexpected variable {tok!r}", at)
         return self.atom(tok, at)
 

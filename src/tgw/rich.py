@@ -37,6 +37,7 @@ one grid, are searched for that diagram at once by `diagram_codes`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import (InternalConsistencyError, PreconditionError,
@@ -300,17 +301,22 @@ class _SectionState:
     n, `realisations` scans the entries n, n+1, ... once and records where
     each 1-type over the first n entries is first realised; the realisation
     bounds A_n, the block bounds B_k and the per-step formulas placed at the
-    schedule slots all read that record."""
+    schedule slots all read that record.  The model is built on first use,
+    so a sequence that never reads it never imports what its theory's
+    model needs."""
 
     def __init__(self, seq: RichSequence):
         self.seq = seq
-        self.model = make_model(seq.theory)
         self._tuple: list = []
         self._asg: dict = {}   # x_i -> entry i
         self._steps: dict[int, Formula] = {}
         self._realised: dict[int, dict[CompleteType, int]] = {}
         self._b: list[int] = [0]
         self._computing: set[int] = set()
+
+    @functools.cached_property
+    def model(self):
+        return make_model(self.seq.theory)
 
     def tuple_prefix(self, n: int) -> list:
         """The first n reference entries.  Each new entry is placed as

@@ -7,6 +7,14 @@ Each theory is complete, decidable, and eliminates quantifiers:
   randomgraph -- the random (Rado) graph (adj, irreflexive symmetric)
   equivinf    -- equivalence relation with infinitely many infinite classes
 
+Each theory is the Fraisse limit of its age, the finite structures that
+embed in its models, and every relation is binary.  Its universal part is
+axiomatised in at most three variables (the order, adjacency or
+equivalence laws), so the age is fixed by its structures on at most three
+distinct elements, which `Theory.in_age` accepts or refuses.  Every fact
+about finite diagrams is read off those structures (`PairCodes`), and
+quantifier elimination comes from two rule hooks instead.
+
 Quantifier elimination works inside out: negations are pushed to literals
 (with per-theory literal normalisation), one existential is eliminated from
 each DNF cube, and universals go through negation.  Each existential is
@@ -16,37 +24,32 @@ outside it, so they are never multiplied into its cubes.  A cube with a
 positive equality v = w loses v by substitution, one rule for every theory
 (`_eliminate`); the others go to the theory's textbook rule.  Formulas
 enter QE through the NNF walk (`_Elimination.nnf`), which refuses a
-relation the theory does not list.  A theory is given by two hooks,
-its literal normal form and its elimination rule for cubes without a
-positive equality (see `Theory`); every other fact about finite diagrams
-is decided by quantifier elimination, not written per theory.
+relation the theory does not list.
 
-Every relation is binary, so a complete quantifier-free diagram over
-finitely many variables is fixed by its equality partition and its 2-variable
-sub-diagrams between the classes.  A pair code is the index of a 2-variable
-diagram in `diagrams_over(theory, 2)`; those diagrams are the relation values
-on one or two distinct elements that QE proves to occur (`PairCodes`, the
+A complete quantifier-free diagram over finitely many variables is fixed
+by its equality partition and its 2-variable sub-diagrams between the
+classes.  A pair code is the index of a 2-variable diagram in
+`diagrams_over(theory, 2)`; those diagrams are the relation values on one
+element and on two distinct elements that the age holds (`PairCodes`, the
 only holder of relation values).  A diagram (`CompleteType`) is its
 partition plus the code tuple of its classes, and every question about it,
 from its formula to the truth of a quantifier-free formula on it, is read
-off codes.  The triple table, which codes can close a triangle, is QE of one
-existential per two codes.  Each theory's finite diagrams are those of its
-universal part, which is axiomatised in at most three variables (equality is
-a congruence, plus the order, adjacency or equivalence laws), so a code
-tuple names a consistent diagram iff every 3-variable sub-diagram is one,
-and enumerating consistent code tuples enumerates complete types.  As each
-theory is the Fraisse limit of these diagrams, `diagram_codes` generates
-them one variable at a time: a new variable relates to each earlier
-equality class by a code allowed by the triple table, and copies that code
-to the rest of the class.  A diagram is consistent iff its diagram on its
-classes is, so a pool `diagrams_over(theory, m)` is built as a product
-instead: every equality partition of the m variables times the
-all-distinct code tuples of its classes, which grow one class at a time by
-the same triple-table step (`_diagrams`).  A diagram read off a model
-grows by that step too (`models.tuple_type`), its codes read off the model
-(`PairCodes.codes_to`) as one-code masks.  A quantifier-free formula is tested
-on code tuples (`PairCodes.predicate`) by code masks of its parts over at
-most two variables (`PairCodes.mask`).
+off codes.  The triple table, which codes can close a triangle, is read off
+the age's structures on three elements.  As the age is axiomatised in three
+variables, a code tuple names a consistent diagram iff every 3-variable
+sub-diagram is one, and enumerating consistent code tuples enumerates
+complete types.  `diagram_codes` generates them one variable at a time: a
+new variable relates to each earlier equality class by a code allowed by
+the triple table, and copies that code to the rest of the class.  A diagram
+is consistent iff its diagram on its classes is, so a pool
+`diagrams_over(theory, m)` is built as a product instead: every equality
+partition of the m variables times the all-distinct code tuples of its
+classes, which grow one class at a time by the same triple-table step
+(`_diagrams`).  A diagram read off a model grows by that step too
+(`models.tuple_type`), its codes read off the model (`PairCodes.codes_to`)
+as one-code masks.  A quantifier-free formula is tested on code tuples
+(`PairCodes.predicate`) by code masks of its parts over at most two
+variables (`PairCodes.mask`).
 
 Diagram formulas are read off the same codes.  Per grid, a literal table
 (`PairCodes.literal_table`) holds for each pair position and pair code the
@@ -68,8 +71,8 @@ from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError, SignatureError)
 from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                       Formula, Implies, Not, Or, Top, VarRef, conj, disj,
-                      exists, free_vars, identify_vars, neg, render_formula,
-                      sort_key, substitute_vars)
+                      free_vars, identify_vars, neg, render_formula, sort_key,
+                      substitute_vars)
 from .record import Record, _set
 
 GRID_CAP = 12
@@ -79,13 +82,14 @@ ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 
 class Theory:
     """Base for the built-in theories.  Besides `relations`, the names of
-    its binary relations (none for pureset), a theory is two hooks:
+    its binary relations (none for pureset), a theory is three hooks.
+    `in_age` says which structures on at most three distinct elements lie
+    in its age; the pair diagrams, the triple table and the pinning
+    literals are read off it (`PairCodes`).  QE comes from the other two:
     `normalize_literal` (the literal normal form) and `eliminate_one` (the
     single-existential rule on cubes without a positive equality;
-    `_eliminate` substitutes those away for every theory).  The rest is
-    derived by QE: the pair diagrams, the triple table and the pinning
-    literals (`PairCodes`), and the literals that prune DNF cubes
-    (`_clash`)."""
+    `_eliminate` substitutes those away for every theory), from which the
+    literals that prune DNF cubes are derived (`_clash`)."""
 
     id: str = ""
     relations: tuple[str, ...] = ()
@@ -98,6 +102,12 @@ class Theory:
             lit = Eq(*sorted((atom.lhs, atom.rhs)))
             return Not(lit) if negated else lit
         raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
+
+    def in_age(self, holds, k: int) -> bool:
+        """Whether the structure on the k <= 3 distinct elements 0, ..., k-1
+        in which relation rel holds from a to b iff `holds(rel, a, b)` lies
+        in the theory's age."""
+        raise NotImplementedError
 
     def check_relation(self, atom: Atom) -> None:
         """Refuse an atom whose relation is not listed or that does not
@@ -127,8 +137,17 @@ class Theory:
         return pos, negs
 
 
+def _transitive(holds, rel: str, k: int) -> bool:
+    els = range(k)
+    return not any(holds(rel, a, b) and holds(rel, b, c) and not holds(rel, a, c)
+                   for a in els for b in els for c in els)
+
+
 class PureSet(Theory):
     id = "pureset"
+
+    def in_age(self, holds, k):
+        return True
 
     def eliminate_one(self, v, lits):
         return TRUE  # only inequations remain; the model is infinite
@@ -137,6 +156,14 @@ class PureSet(Theory):
 class DenseLinearOrder(Theory):
     id = "dlo"
     relations = ("lt",)
+
+    def in_age(self, holds, k):
+        # a strict total order
+        els = range(k)
+        return (not any(holds("lt", a, a) for a in els)
+                and all(holds("lt", a, b) != holds("lt", b, a)
+                        for a, b in itertools.combinations(els, 2))
+                and _transitive(holds, "lt", k))
 
     def normalize_literal(self, negated, atom):
         if isinstance(atom, Eq):
@@ -166,6 +193,13 @@ class RandomGraph(Theory):
     id = "randomgraph"
     relations = ("adj",)
 
+    def in_age(self, holds, k):
+        # irreflexive and symmetric
+        els = range(k)
+        return (not any(holds("adj", a, a) for a in els)
+                and all(holds("adj", a, b) == holds("adj", b, a)
+                        for a, b in itertools.combinations(els, 2)))
+
     def normalize_literal(self, negated, atom):
         if isinstance(atom, Eq):
             return super().normalize_literal(negated, atom)
@@ -186,6 +220,14 @@ class RandomGraph(Theory):
 class EquivInf(Theory):
     id = "equivinf"
     relations = ("equiv",)
+
+    def in_age(self, holds, k):
+        # an equivalence
+        els = range(k)
+        return (all(holds("equiv", a, a) for a in els)
+                and all(holds("equiv", a, b) == holds("equiv", b, a)
+                        for a, b in itertools.combinations(els, 2))
+                and _transitive(holds, "equiv", k))
 
     def normalize_literal(self, negated, atom):
         if isinstance(atom, Eq):
@@ -261,8 +303,7 @@ def _clash(theory: Theory, l: Formula) -> frozenset:
     literal m over `l`'s two variables such that the elimination rule turns
     the existential over the later variable of `l` and m into false.  Other
     literals share at most one variable with `l`, and pair diagrams that
-    share one amalgamate, so none contradicts `l`.  Pair codes are built by
-    QE, so this reads none."""
+    share one amalgamate, so none contradicts `l`."""
     key = (theory.id, l)
     if key not in _CLASH_CACHE:
         vs = sorted(free_vars(l))
@@ -428,19 +469,6 @@ def eliminate_quantifiers(f: Formula, theory) -> Formula:
         qe = _Elimination(theory)
         hit = _QE_CACHE[key] = qe.elim(qe.nnf(f, False))
     return hit
-
-
-def decide_sentence(f: Formula, theory) -> bool:
-    theory = get_theory(theory)
-    if free_vars(f):
-        raise PreconditionError("decide_sentence requires a sentence (no free variables)")
-    result = eliminate_quantifiers(f, theory)
-    if isinstance(result, Top):
-        return True
-    if isinstance(result, Bot):
-        return False
-    raise InternalConsistencyError(
-        f"QE left a non-ground residue: {render_formula(result)}")
 
 
 # -- complete types ----------------------------------------------------------
@@ -650,16 +678,6 @@ def restriction_map(k: int, n: int, tapes: tuple[int, ...]) -> tuple[tuple[int, 
                  for j, b in enumerate(idx) for a in idx[:j])
 
 
-def _occurs(theory: Theory, vs: list[VarRef], values: dict) -> bool:
-    """Whether distinct elements `vs` carry `values`, a dict from atoms on
-    them to bools: QE decides the existential sentence."""
-    sentence = conj([neg(Eq(a, b)) for a, b in itertools.combinations(vs, 2)]
-                    + [atom if bit else neg(atom) for atom, bit in values.items()])
-    for v in reversed(vs):
-        sentence = exists(v, sentence)
-    return decide_sentence(sentence, theory)
-
-
 @functools.cache
 def _class_pairs(c: int) -> tuple:
     """The pairs a < b of c classes in pair order, their converses and the
@@ -684,53 +702,68 @@ def _tables(names: tuple[str, ...], diagonal: tuple[bool, ...], flags, c: int) -
     return tuple(out)
 
 
+def _structure(names: tuple[str, ...], diagonal: tuple[bool, ...], flags):
+    """The relation values on the distinct elements 0, 1, 2, ... as
+    `Theory.in_age` reads them, `holds(rel, a, b)`: each relation's value on
+    one element is its `diagonal` entry, and the pair a < b carries the
+    flags `flags[pair_index(a, b)]`, relation x's value from a to b at 2x
+    and from b to a at 2x+1."""
+    def holds(rel, a, b):
+        x = names.index(rel)
+        if a == b:
+            return diagonal[x]
+        return flags[pair_index(min(a, b), max(a, b))][2 * x + (a > b)]
+    return holds
+
+
 class PairCodes:
-    """One theory's diagrams as pair-code tuples.
+    """One theory's diagrams as pair-code tuples, read off its age
+    (`Theory.in_age`) without quantifier elimination.
 
     The pair diagrams are the relation values, on one element and both ways
-    between two distinct ones, that QE proves to occur; this is the only
-    place that holds relation values, and `codes_to` is their one reader.
-    `diagonal` is each relation's value on one element (it is the same on
-    every element).  Code 0 is equality and the other codes number the pair
-    diagrams of two distinct elements in pool order (`_diagrams`), so a
-    code is the index of its pair diagram in `diagrams_over(theory, 2)`.
-    The code of the pair i < j of a diagram is that of its sub-diagram on
-    (i, j) with i read as x0.  `pins[code]` is a shortest list of
-    normalised literals on (x0, x1) that holds of that code alone.
-    `triples[a][b]` is the bit set of the codes c such that codes a, b, c
-    on the pairs (h, i), (h, j), (i, j) of h < i < j occur together in a
-    3-variable diagram: the codes on (x1, x2) of QE of the existential
-    over x0 of `pins[a]` on (x0, x1) and `pins[b]` on (x0, x2).
+    between two distinct ones, of the age's structures on one and two
+    elements; this is the only place that holds relation values, and
+    `codes_to` is their one reader.  `diagonal` is each relation's value on
+    one element (it is the same on every element).  Code 0 is equality and
+    the other codes number the pair diagrams of two distinct elements in
+    pool order (`_diagrams`), so a code is the index of its pair diagram in
+    `diagrams_over(theory, 2)`.  The code of the pair i < j of a diagram is
+    that of its sub-diagram on (i, j) with i read as x0.  `pins[code]` is a
+    shortest list of normalised literals on (x0, x1) that holds of that code
+    alone.  `triples[a][b]` is the bit set of the codes c such that codes
+    a, b, c on the pairs (h, i), (h, j), (i, j) of h < i < j occur together
+    in a 3-variable diagram.  Where two of h, i, j are equal the row is
+    fixed (c is b when h = i, the converse of a when h = j, and equality
+    when i = j needs a = b); three distinct elements are the age's.
     """
 
     def __init__(self, theory: Theory):
         self.theory_id = theory.id
         self.rel_names = names = theory.relations
-        x0, x1, x2 = (VarRef(0, i) for i in range(3))
         bits = (False, True)
         diagonals = [d for d in itertools.product(bits, repeat=len(names))
-                     if _occurs(theory, [x0], {Atom(r, (x0, x0)): v for r, v in zip(names, d)})]
+                     if theory.in_age(_structure(names, d, ()), 1)]
         if len(diagonals) != 1:
             raise InternalConsistencyError("pair codes need a unique 1-variable diagram")
         self.diagonal = diagonal = diagonals[0]
-        on_each = {Atom(r, (v, v)): d for r, d in zip(names, diagonal) for v in (x0, x1)}
-        ways = [Atom(r, args) for r in names for args in ((x0, x1), (x1, x0))]
-        distinct = [f for f in itertools.product(bits, repeat=len(ways))
-                    if _occurs(theory, [x0, x1], {**on_each, **dict(zip(ways, f))})]
+        width = 2 * len(names)
+        distinct = [f for f in itertools.product(bits, repeat=width)
+                    if theory.in_age(_structure(names, diagonal, (f,)), 2)]
         # an equal pair's flags are the diagonals; its classes (0, 0) put it
         # before the distinct pairs in pool order
-        self.eq = 0
-        self._flags = flags = [tuple(diagonal[i // 2] for i in range(len(ways)))] + sorted(
+        self.eq = eq = 0
+        self._flags = flags = [tuple(diagonal[i // 2] for i in range(width))] + sorted(
             distinct, key=lambda f: _tables(names, diagonal, [f], 2))
         self.full = (1 << len(flags)) - 1
-        self._code_of = {f: c for c, f in enumerate(flags) if c != self.eq}
-        self.converse = tuple(c if c == self.eq else
+        self._code_of = {f: c for c, f in enumerate(flags) if c != eq}
+        self.converse = tuple(c if c == eq else
                               self._code_of[tuple(f[i ^ 1] for i in range(len(f)))]
                               for c, f in enumerate(flags))
         # per relation: the codes on which it holds from x0 to x1, from x1
         # to x0, and its diagonal
-        on = [sum(1 << c for c, f in enumerate(flags) if f[i]) for i in range(len(ways))]
+        on = [sum(1 << c for c, f in enumerate(flags) if f[i]) for i in range(width)]
         self._rel_masks = {r: (on[2 * x], on[2 * x + 1], diagonal[x]) for x, r in enumerate(names)}
+        x0, x1 = VarRef(0, 0), VarRef(0, 1)
         lits = _literals(theory, (x0, x1))
         masks = {lit: self.mask(lit, {x0: 0, x1: 1}) for lit in lits}
         codes = range(len(flags))
@@ -739,20 +772,18 @@ class PairCodes:
                                for ls in itertools.combinations(lits, size)
                                if functools.reduce(and_, map(masks.get, ls), self.full) == 1 << c)
                           for c in codes)
-
-        def closing(a, b):
-            pinned = [substitute_vars(lit, {x1: v})
-                      for code, v in ((a, x1), (b, x2)) for lit in self.pins[code]]
-            return self.mask(eliminate_quantifiers(exists(x0, conj(pinned)), theory),
-                             {x1: 0, x2: 1})
         self._bits = tuple(tuple(c for c in codes if mask >> c & 1)
                            for mask in range(self.full + 1))
-        # swapping x1 and x2 reads the closing codes converse
-        rows = [[0] * len(flags) for _ in codes]
-        for a, b in itertools.combinations_with_replacement(codes, 2):
-            rows[a][b] = closing(a, b)
-            rows[b][a] = sum(1 << self.converse[c] for c in self._bits[rows[a][b]])
-        self.triples = tuple(map(tuple, rows))
+
+        def closing(a, b):
+            if a == eq:
+                return 1 << b
+            if b == eq:
+                return 1 << self.converse[a]
+            return (1 << eq if a == b else 0) | sum(
+                1 << c for c in codes if c != eq
+                and theory.in_age(_structure(names, diagonal, (flags[a], flags[b], flags[c])), 3))
+        self.triples = tuple(tuple(closing(a, b) for b in codes) for a in codes)
         self._class_tables: dict[tuple[tuple[int, ...], int], tuple] = {}
         self._one_point_cache: dict = {}
         self._one_point_cached = 0

@@ -301,6 +301,40 @@ def test_unwritable_json_path_is_a_usage_error(tmp_path, target):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"{\"theory\": ", b"[1, 2"],
+                         ids=["not-utf8", "cut-short", "unclosed-list"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "tgw", "--config", str(path),
+                           "types", "--theory", "dlo", "--vars", "1"],
+                          env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["kind"] == "usage" and rep["error"].startswith(f"config file {str(path)!r} is not JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_trailing_whitespace_in_a_formula_is_accepted():
+    proc = subprocess.run([sys.executable, "-m", "tgw", "source", "--theory", "dlo",
+                           "--phi", "lt(x0,y0) "],
+                          env=fresh_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["parameters"] == {"phi": "lt(x0,y0) "}
+
+
+def test_a_command_that_reads_no_model_imports_no_json_regex_or_fractions():
+    # start-up cost of every process: a report is written without `json`,
+    # a formula parsed without `re`, and the dlo model, the one reader of
+    # `fractions` (which imports `decimal`), is built only when read
+    script = ("import sys\nimport tgw.cli as cli\n"
+              "cli.run(cli.config_from_args('groupoid verify --theory dlo --level 1'.split()))\n"
+              "print(sorted({'json', 're', 'fractions', 'decimal'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=fresh_env(),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_config_file_with_overrides(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"command": "types", "theory": "dlo",

@@ -76,6 +76,38 @@ def test_parse_rejects_shadowing():
         parse_formula("exists y0. exists y0. eq(y0,x0)", PURE)
 
 
+@pytest.mark.parametrize("text", ["lt(x0,y0) ", " lt(x0,y0)", "\tlt(x0,y0)\n",
+                                  "\xa0lt( x0 ,y0 )\u2003\x1c"])
+def test_parse_skips_whitespace_anywhere(text):
+    # whitespace is `str.isspace`, before, between and after the tokens
+    assert parse_formula(text, DLO) == Atom("lt", (x(0), y(0)))
+
+
+def test_lexer_tokens_and_offsets():
+    from tgw.formula import _Lexer
+    assert _Lexer(" \t(lt(x0,y0) ->  x01)").tokens == [
+        ("(", 3), ("lt", 4), ("(", 6), ("x0", 7), (",", 9), ("y0", 10), (")", 12),
+        ("->", 14), ("x01", 18), (")", 21)]
+    assert _Lexer("exists x . lt").tokens == [("exists", 1), ("x", 8), (".", 10), ("lt", 12)]
+
+
+@pytest.mark.parametrize("text,error", [
+    ("lt(x0,y0) #", "unexpected character '#' (offset 11)"),
+    ("lt(x0,Y0)", "unexpected character 'Y' (offset 7)"),
+    ("lt(x0,x1é)", "unexpected character 'é' (offset 9)"),
+    ("lt(x0,x1²)", "unexpected character '²' (offset 9)"),
+    ("lt(x0,y0)-x", "unexpected character '-' (offset 10)"),
+    ("lt(x0,y0) lt", "trailing input 'lt' (offset 11)"),
+    ("exists x. lt(x,y0)", "expected a variable, found 'x' (offset 9)"),
+    ("x0", "unexpected variable 'x0' (offset 1)"),
+])
+def test_parse_error_texts(text, error):
+    # the offsets are 1-based and name the token or character at fault
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, DLO)
+    assert str(exc.value) == error
+
+
 def test_parse_high_tape_variable():
     assert parse_formula("eq(v40,v512)", PURE) == Eq(VarRef(4, 0), VarRef(5, 12))
 

@@ -16,10 +16,11 @@ from tgw.models import (DloModel, DTuple, EquivInfModel, ModelHandle,
                         RandomGraphModel, build_dtuple, evaluate, make_model,
                         tuple_type)
 from tgw.rich import RichSequence
-from tgw.theories import (_Elimination, canonical_form, decide_sentence,
-                          eliminate_quantifiers, enumerate_types, get_theory)
+from tgw.theories import (_Elimination, canonical_form, eliminate_quantifiers,
+                          enumerate_types, get_theory)
 
 from test_formula import render_tree
+from test_theories import decide_sentence
 from test_theories import assert_walks_match_trees, satisfies_qf, type_key
 
 

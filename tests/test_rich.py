@@ -11,11 +11,11 @@ from tgw.formula import (FALSE, TRUE, Eq, Forall, Implies, VarRef, conj,
 from tgw.models import (Y0, certify_dtuple, compile_formula, evaluate,
                         make_model, tuple_type)
 from tgw.rich import SECTION_SCAN_CAP, RichSequence
-from tgw.theories import (THEORIES, decide_sentence, diagrams_over,
-                          eliminate_quantifiers, get_theory)
+from tgw.theories import (THEORIES, diagrams_over, eliminate_quantifiers,
+                          get_theory)
 
 from test_models import open_formulas
-from test_theories import type_key
+from test_theories import decide_sentence, type_key
 
 
 def parse(text, theory):

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,11 @@ from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
                          render_formula, sort_key, substitute_vars)
 from tgw.models import tuple_type
 from tgw.rich import RichSequence
-from tgw.theories import (Theory, _clash, _drop_dummies, _eliminate, _Elimination,
-                          canonical_form, decide_sentence,
-                          depends_on_all_vars, diagram_codes, diagrams_over,
-                          eliminate_quantifiers, enumerate_types, get_theory,
-                          pair_codes, restriction_map)
+from tgw.theories import (PairCodes, Theory, _clash, _drop_dummies, _eliminate,
+                          _Elimination, canonical_form, depends_on_all_vars,
+                          diagram_codes, diagrams_over, eliminate_quantifiers,
+                          enumerate_types, get_theory, pair_codes, pair_index,
+                          restriction_map)
 
 from test_formula import render_tree
 
@@ -27,6 +28,22 @@ from test_formula import render_tree
 def qe(text, theory):
     t = get_theory(theory)
     return eliminate_quantifiers(parse_formula(text, t.relations), t)
+
+
+def decide_sentence(f, theory):
+    """The truth of the sentence `f` as QE decides it: the tests' oracle for
+    model evaluation and for the pair facts that `PairCodes` reads off the
+    age."""
+    theory = get_theory(theory)
+    if free_vars(f):
+        raise PreconditionError("decide_sentence requires a sentence (no free variables)")
+    result = eliminate_quantifiers(f, theory)
+    if isinstance(result, Top):
+        return True
+    if isinstance(result, Bot):
+        return False
+    raise InternalConsistencyError(
+        f"QE left a non-ground residue: {render_formula(result)}")
 
 
 def decide(text, theory):
@@ -181,16 +198,131 @@ def literal_conflict(theory_id, a, b):
     return False
 
 
-def test_theories_define_only_the_two_hooks():
-    # a theory is its literal normal form and its elimination rule; every
-    # other fact about finite diagrams is derived from those by QE
+def test_theories_define_only_the_three_hooks():
+    # a theory is its age on at most three elements, its literal normal form
+    # and its elimination rule; every other fact about finite diagrams is
+    # derived from those
     subclasses = [cls for _, cls in inspect.getmembers(theories, inspect.isclass)
                   if issubclass(cls, Theory) and cls is not Theory]
     assert len(subclasses) == 4
     for cls in subclasses:
         methods = {name for name, value in vars(cls).items()
                    if inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property))}
-        assert methods <= {"normalize_literal", "eliminate_one"}, (cls.__name__, methods)
+        assert methods <= {"in_age", "normalize_literal", "eliminate_one"}, (cls.__name__, methods)
+
+
+# -- pair facts: the age against QE ---------------------------------------------
+# `PairCodes` reads the pair diagrams and the triple table off
+# `Theory.in_age`; QE derives them from the other two hooks alone.
+
+X0, X1, X2 = (VarRef(0, i) for i in range(3))
+
+
+def occurs(theory, vs, values):
+    """Whether distinct elements `vs` carry `values`, a dict from atoms on
+    them to bools: QE decides the existential sentence."""
+    sentence = conj([neg(Eq(a, b)) for a, b in itertools.combinations(vs, 2)]
+                    + [atom if bit else neg(atom) for atom, bit in values.items()])
+    for v in reversed(vs):
+        sentence = exists(v, sentence)
+    return decide_sentence(sentence, theory)
+
+
+def qe_pair_facts(theory):
+    """The pair facts as QE derives them: the relation values that occur on
+    one element and on two distinct ones, in pool order, their converses and
+    pinning literals, and per codes a, b on (x0, x1) and (x0, x2) the codes
+    on (x1, x2) that QE of the existential over x0 leaves."""
+    names = theory.relations
+    bits = (False, True)
+    diagonals = [d for d in itertools.product(bits, repeat=len(names))
+                 if occurs(theory, [X0], {Atom(r, (X0, X0)): v for r, v in zip(names, d)})]
+    assert len(diagonals) == 1
+    diagonal = diagonals[0]
+    on_each = {Atom(r, (v, v)): d for r, d in zip(names, diagonal) for v in (X0, X1)}
+    ways = [Atom(r, args) for r in names for args in ((X0, X1), (X1, X0))]
+    distinct = [f for f in itertools.product(bits, repeat=len(ways))
+                if occurs(theory, [X0, X1], {**on_each, **dict(zip(ways, f))})]
+
+    def pool_key(f):   # the pair diagram's relation tables on classes (0, 1)
+        return table_key((0, 1), {r: {cell for cell, bit in (((0, 1), f[2 * x]),
+                                                             ((1, 0), f[2 * x + 1]),
+                                                             ((0, 0), diagonal[x]),
+                                                             ((1, 1), diagonal[x])) if bit}
+                                  for x, r in enumerate(names)})
+    distinct.sort(key=pool_key)
+    flags = [tuple(diagonal[i // 2] for i in range(len(ways)))] + distinct
+    codes = range(len(flags))
+    converse = (0,) + tuple(1 + distinct.index(tuple(f[i ^ 1] for i in range(len(f))))
+                            for f in distinct)
+
+    def holds(g, c, first):
+        """Whether the quantifier-free `g` over two variables holds on them
+        when they carry code c, read with `first` as x0."""
+        if isinstance(g, (Top, Bot)):
+            return isinstance(g, Top)
+        if isinstance(g, Eq):
+            return g.lhs == g.rhs or c == 0
+        if isinstance(g, Atom):
+            x = names.index(g.rel)
+            a, b = g.args
+            return diagonal[x] if a == b else flags[c][2 * x + (a != first)]
+        if isinstance(g, Not):
+            return not holds(g.sub, c, first)
+        return (all if isinstance(g, And) else any)(holds(h, c, first) for h in g.children)
+
+    lits = normalized_literals(theory, [X0, X1])
+
+    def only(ls, c):
+        return [d for d in codes if all(holds(l, d, X0) for l in ls)] == [c]
+    pins = tuple(next(list(ls) for size in range(len(lits) + 1)
+                      for ls in itertools.combinations(lits, size) if only(ls, c))
+                 for c in codes)
+    triples = []
+    for a in codes:
+        row = []
+        for b in codes:
+            pinned = [substitute_vars(lit, {X1: v})
+                      for code, v in ((a, X1), (b, X2)) for lit in pins[code]]
+            closed = eliminate_quantifiers(exists(X0, conj(pinned)), theory)
+            row.append(sum(1 << c for c in codes if holds(closed, c, X1)))
+        triples.append(tuple(row))
+    return {"diagonal": diagonal, "flags": flags, "converse": converse,
+            "pins": pins, "triples": tuple(triples)}
+
+
+def age_pair_facts(pc):
+    return {"diagonal": pc.diagonal, "flags": pc._flags, "converse": pc.converse,
+            "pins": pc.pins, "triples": pc.triples}
+
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_pair_codes_from_the_age_match_qe(theory_id, monkeypatch):
+    theory = get_theory(theory_id)
+    expected = qe_pair_facts(theory)
+    # the age alone builds them: no QE runs
+    for name in ("eliminate_quantifiers", "_eliminate", "_Elimination"):
+        monkeypatch.setattr(theories, name, None)
+    assert age_pair_facts(PairCodes(theory)) == expected
+    # distinct-pair codes, and 3-element structures: 1, the orders of three
+    # elements, the graphs on three vertices and the partitions of three
+    distinct = range(1, len(expected["flags"]))
+    triangles = sum(bin(expected["triples"][a][b] >> 1).count("1") for a in distinct for b in distinct)
+    assert (len(distinct), triangles) == \
+        {"pureset": (1, 1), "dlo": (2, 6), "randomgraph": (2, 8), "equivinf": (2, 5)}[theory_id]
+
+
+def test_an_order_without_transitivity_fails_the_qe_oracle():
+    class Intransitive(theories.DenseLinearOrder):
+        def in_age(self, holds, k):   # dlo's rule without its transitivity
+            els = range(k)
+            return (not any(holds("lt", a, a) for a in els)
+                    and all(holds("lt", a, b) != holds("lt", b, a)
+                            for a, b in itertools.combinations(els, 2)))
+    theory = get_theory("dlo")
+    bad = age_pair_facts(PairCodes(Intransitive()))
+    good = qe_pair_facts(theory)
+    assert {k for k in good if bad[k] != good[k]} == {"triples"}
 
 
 # -- independent brute-force oracle over raw bit tables ----------------------
@@ -708,6 +840,57 @@ def test_canonical_form_idempotent():
 
 def test_set_partitions_bell():
     assert len(list(set_partitions(4))) == 15
+
+
+# -- every cube on four partners, against the pool ------------------------------
+# The pool is built from the age, without QE, so it judges each elimination:
+# a diagram of the partners satisfies the eliminated formula iff it extends
+# by v to a diagram that meets the cube.
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_eliminate_matches_the_pool_on_every_cube(theory_id):
+    theory = get_theory(theory_id)
+    pc = pair_codes(theory)
+    # v sits between the partners in the variable order, so its normalised
+    # literals name it first on some pairs and second on others; on the
+    # grid, partner i is variable i and v is variable p
+    partners = [VarRef(0, i) for i in (0, 1, 3, 4)]
+    v = VarRef(0, 2)
+    p = len(partners)
+    index = {w: i for i, w in enumerate(partners)}
+    pool = diagrams_over(theory, p)
+    # per tuple of code masks on the pairs (w, v): the partner diagrams that
+    # `diagram_codes` extends by v with each pair's code in its mask
+    meets = defaultdict(set)
+    for d in pool:
+        for ext in diagram_codes(theory, 1, p + 1, prefix=d):
+            holding = [[m for m in range(1, pc.full + 1) if m >> ext[pair_index(i, p)] & 1]
+                       for i in range(p)]
+            for masks in itertools.product(*holding):
+                meets[masks].add(d)
+    # per partner w: each set of literals on (w, v) that some pair code meets
+    options = []
+    for w in partners:
+        lits = normalized_literals(theory, [w, v])
+        assert all(free_vars(l) == {w, v} for l in lits)
+        subsets = [(ls, pc.mask(conj(ls), {w: 0, v: 1}))
+                   for size in range(len(lits) + 1) for ls in itertools.combinations(lits, size)]
+        options.append([(ls, mask) for ls, mask in subsets if mask])
+    coded = [(d, pc.codes_of(d)) for d in pool]
+    judged: dict = {}
+    checked = 0
+    for choice in itertools.product(*options):
+        masks = tuple(mask for _, mask in choice)
+        if masks not in meets:
+            continue   # no diagram meets the cube
+        cube = sorted((l for ls, _ in choice for l in ls), key=sort_key)
+        result = _eliminate(theory, v, cube)
+        if result not in judged:
+            test = pc.predicate(result, index)
+            judged[result] = {d for d, codes in coded if test(codes)}
+        assert judged[result] == meets[masks], (render_formula(conj(cube)), render_formula(result))
+        checked += 1
+    assert checked == {"pureset": 3, "dlo": 4, "randomgraph": 8, "equivinf": 8}[theory_id] ** p
 
 
 # -- DNF pruning by clash sets -----------------------------------------------
