@@ -32,6 +32,7 @@ from .record import Record
 from .theories import CompleteType, Theory, get_theory, pair_codes
 
 WITNESS_SCAN_CAP = 50_000
+MODEL_SIZE_CAP = 1_000   # elements a model dump lists; dlo's 1,000 print 25 MB of JSON
 
 
 class ModelHandle:
@@ -74,7 +75,7 @@ class ModelHandle:
         return None
 
     def dump(self, size: int) -> dict:
-        carrier = [self.element(i) for i in range(size)]
+        carrier = _carrier(self, size)
         atoms = {}
         for rel in self.theory.relations:
             atoms[rel] = [[i, j] for i in range(size) for j in range(size)
@@ -85,6 +86,16 @@ class ModelHandle:
 
     def render_element(self, e) -> str:
         return str(e)
+
+
+def _carrier(M: ModelHandle, size: int) -> list:
+    """The first `size` elements of `M`, a dump's carrier; refused up front
+    past `MODEL_SIZE_CAP`."""
+    if size > MODEL_SIZE_CAP:
+        raise ResourceCapError(
+            f"a model dump of {size} elements exceeds the cap {MODEL_SIZE_CAP}",
+            cap="model-size", limit=MODEL_SIZE_CAP, observed=size)
+    return [M.element(i) for i in range(size)]
 
 
 class PureSetModel(ModelHandle):
@@ -136,7 +147,7 @@ class DloModel(ModelHandle):
         """The base dump, with `lt` read off each element's rank in the
         sorted carrier: the carrier lists distinct rationals, so a < b exactly
         when a's rank is lower."""
-        carrier = [self.element(i) for i in range(size)]
+        carrier = _carrier(self, size)
         rank = [0] * size
         for r, i in enumerate(sorted(range(size), key=carrier.__getitem__)):
             rank[i] = r

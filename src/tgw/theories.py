@@ -11,20 +11,21 @@ Each theory is the Fraisse limit of its age, the finite structures that
 embed in its models, and every relation is binary.  Its universal part is
 axiomatised in at most three variables (the order, adjacency or
 equivalence laws), so the age is fixed by its structures on at most three
-distinct elements, which `Theory.in_age` accepts or refuses.  Every fact
-about finite diagrams is read off those structures (`PairCodes`), and
-quantifier elimination comes from two rule hooks instead.
+distinct elements, which `Theory.in_age` accepts or refuses.  That hook is
+all a theory defines: every fact about finite diagrams, quantifier
+elimination's rules included, is read off those structures (`PairCodes`).
 
-Quantifier elimination works inside out: negations are pushed to literals
-(with per-theory literal normalisation), one existential is eliminated from
-each DNF cube, and universals go through negation.  Each existential is
-miniscoped before its body's DNF is taken: it distributes over a
-disjunction, and the conjuncts that do not mention its variable stay
-outside it, so they are never multiplied into its cubes.  A cube with a
-positive equality v = w loses v by substitution, one rule for every theory
-(`_eliminate`); the others go to the theory's textbook rule.  Formulas
-enter QE through the NNF walk (`_Elimination.nnf`), which refuses a
-relation the theory does not list.
+Quantifier elimination works inside out: negations are pushed to literals,
+each put in its normal form (`PairCodes.literal`), one existential is
+eliminated from each DNF cube, and universals go through negation.  Each
+existential is miniscoped before its body's DNF is taken: it distributes
+over a disjunction, and the conjuncts that do not mention its variable
+stay outside it, so they are never multiplied into its cubes.  A cube with
+a positive equality v = w loses v by substitution (`_eliminate`); the
+others go to the pairwise rule on the codes (`PairCodes.eliminate`), and
+cubes holding two literals that no pair code meets are pruned (`_clash`).
+Formulas enter QE through the NNF walk (`_Elimination.nnf`), which refuses
+a relation the theory does not list.
 
 A complete quantifier-free diagram over finitely many variables is fixed
 by its equality partition and its 2-variable sub-diagrams between the
@@ -78,30 +79,18 @@ from .record import Record, _set
 GRID_CAP = 12
 DNF_CUBE_CAP = 200_000
 ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
+_X0, _X1 = VarRef(0, 0), VarRef(0, 1)   # the pair that pair codes and forms are read on
 
 
 class Theory:
-    """Base for the built-in theories.  Besides `relations`, the names of
-    its binary relations (none for pureset), a theory is three hooks.
-    `in_age` says which structures on at most three distinct elements lie
-    in its age; the pair diagrams, the triple table and the pinning
-    literals are read off it (`PairCodes`).  QE comes from the other two:
-    `normalize_literal` (the literal normal form) and `eliminate_one` (the
-    single-existential rule on cubes without a positive equality;
-    `_eliminate` substitutes those away for every theory), from which the
-    literals that prune DNF cubes are derived (`_clash`)."""
+    """Base for the built-in theories.  A theory is `relations`, the names
+    of its binary relations (none for pureset), and one hook, `in_age`,
+    which says which structures on at most three distinct elements lie in
+    its age.  The pair diagrams, the triple table, the literal normal forms
+    and the elimination rule are all read off it (`PairCodes`)."""
 
     id: str = ""
     relations: tuple[str, ...] = ()
-
-    # every model is infinite, so two distinct elements always exist
-    def normalize_literal(self, negated: bool, atom: Formula) -> Formula:
-        if isinstance(atom, Eq):
-            if atom.lhs == atom.rhs:
-                return FALSE if negated else TRUE
-            lit = Eq(*sorted((atom.lhs, atom.rhs)))
-            return Not(lit) if negated else lit
-        raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
 
     def in_age(self, holds, k: int) -> bool:
         """Whether the structure on the k <= 3 distinct elements 0, ..., k-1
@@ -116,26 +105,6 @@ class Theory:
             raise SignatureError(
                 f"{self.id} has no relation {atom.rel!r} of arity {len(atom.args)}")
 
-    def eliminate_one(self, v: VarRef, lits: list[Formula]) -> Formula:
-        """A quantifier-free formula equivalent to the existential over `v`
-        of the conjunction of `lits`, normalised literals that all name v.
-        None of them is a positive equality: `_eliminate` substitutes those
-        away before it calls this hook, so only inequations may remain."""
-        raise NotImplementedError
-
-    def _demands(self, v: VarRef, lits: list[Formula]):
-        """Positive and negative relation partners of v; negated equalities
-        place no constraint on a fresh witness and are dropped."""
-        pos, negs = [], []
-        for lit in lits:
-            negated = isinstance(lit, Not)
-            atom = lit.sub if negated else lit
-            if isinstance(atom, Eq):
-                continue
-            w = atom.args[1] if atom.args[0] == v else atom.args[0]
-            (negs if negated else pos).append(w)
-        return pos, negs
-
 
 def _transitive(holds, rel: str, k: int) -> bool:
     els = range(k)
@@ -148,9 +117,6 @@ class PureSet(Theory):
 
     def in_age(self, holds, k):
         return True
-
-    def eliminate_one(self, v, lits):
-        return TRUE  # only inequations remain; the model is infinite
 
 
 class DenseLinearOrder(Theory):
@@ -165,29 +131,6 @@ class DenseLinearOrder(Theory):
                         for a, b in itertools.combinations(els, 2))
                 and _transitive(holds, "lt", k))
 
-    def normalize_literal(self, negated, atom):
-        if isinstance(atom, Eq):
-            if atom.lhs == atom.rhs:
-                return FALSE if negated else TRUE
-            a, b = sorted((atom.lhs, atom.rhs))
-            if negated:  # a != b  <=>  a < b or b < a
-                return disj([Atom("lt", (a, b)), Atom("lt", (b, a))])
-            return Eq(a, b)
-        a, b = atom.args
-        if a == b:
-            return TRUE if negated else FALSE
-        if negated:  # not a < b  <=>  b < a or a = b
-            return disj([Atom("lt", (b, a)), Eq(*sorted((a, b)))])
-        return atom
-
-    def eliminate_one(self, v, lits):
-        lowers = [l.args[0] for l in lits if isinstance(l, Atom) and l.args[1] == v]
-        uppers = [l.args[1] for l in lits if isinstance(l, Atom) and l.args[0] == v]
-        # density and lack of endpoints: a witness exists iff every lower
-        # bound sits below every upper bound
-        return conj(self.normalize_literal(False, Atom("lt", (a, b)))
-                    for a in lowers for b in uppers)
-
 
 class RandomGraph(Theory):
     id = "randomgraph"
@@ -199,22 +142,6 @@ class RandomGraph(Theory):
         return (not any(holds("adj", a, a) for a in els)
                 and all(holds("adj", a, b) == holds("adj", b, a)
                         for a, b in itertools.combinations(els, 2)))
-
-    def normalize_literal(self, negated, atom):
-        if isinstance(atom, Eq):
-            return super().normalize_literal(negated, atom)
-        a, b = atom.args
-        if a == b:
-            return TRUE if negated else FALSE  # adjacency is irreflexive
-        lit = Atom("adj", tuple(sorted((a, b))))
-        return Not(lit) if negated else lit
-
-    def eliminate_one(self, v, lits):
-        pos, negs = self._demands(v, lits)
-        # extension axiom: a fresh witness adjacent to all of pos and none of
-        # negs exists iff the two demand sets name distinct elements
-        return conj(self.normalize_literal(True, Eq(a, b))
-                    for a in pos for b in negs)
 
 
 class EquivInf(Theory):
@@ -228,25 +155,6 @@ class EquivInf(Theory):
                 and all(holds("equiv", a, b) == holds("equiv", b, a)
                         for a, b in itertools.combinations(els, 2))
                 and _transitive(holds, "equiv", k))
-
-    def normalize_literal(self, negated, atom):
-        if isinstance(atom, Eq):
-            return super().normalize_literal(negated, atom)
-        a, b = atom.args
-        if a == b:
-            return FALSE if negated else TRUE  # reflexive
-        lit = Atom("equiv", tuple(sorted((a, b))))
-        return Not(lit) if negated else lit
-
-    def eliminate_one(self, v, lits):
-        pos, negs = self._demands(v, lits)
-        parts = [self.normalize_literal(False, Atom("equiv", (a, b)))
-                 for a, b in itertools.combinations(pos, 2)]
-        parts += [self.normalize_literal(True, Atom("equiv", (a, b)))
-                  for a in pos for b in negs]
-        # classes are infinite and there are infinitely many of them, so the
-        # pairwise conditions are all that is required
-        return conj(parts)
 
 
 THEORIES: dict[str, Theory] = {t.id: t for t in
@@ -269,29 +177,29 @@ _QE_CACHE: dict[tuple[str, Formula], Formula] = {}
 
 def _eliminate(theory: Theory, v: VarRef, lits: list[Formula]) -> Formula:
     """The existential over `v` of the conjunction of `lits`, normalised
-    literals that all name v.  One rule serves every theory: a positive
-    equality v = w puts w for v in the other literals, normalised again.
-    Without one, the theory's `eliminate_one` decides."""
+    literals that all name v.  A positive equality v = w puts w for v in the
+    other literals, normalised again (`PairCodes.literal`); without one, the
+    pairwise rule on the codes decides (`PairCodes.eliminate`)."""
+    pc = pair_codes(theory)
     eq = next((lit for lit in lits if isinstance(lit, Eq)), None)
     if eq is None:
-        return theory.eliminate_one(v, lits)
+        return pc.eliminate(v, lits)
     w = eq.rhs if eq.lhs == v else eq.lhs
     out = []
     for lit in lits:
         if lit is not eq:
             negated = isinstance(lit, Not)
             atom = lit.sub if negated else lit
-            out.append(theory.normalize_literal(negated, identify_vars(atom, {v: w})))
+            out.append(pc.literal(negated, identify_vars(atom, {v: w})))
     return conj(out)
 
 
-def _literals(theory: Theory, vs) -> list[Formula]:
+def _literals(pc: PairCodes, vs) -> list[Formula]:
     """The normalised literals over the variables `vs`, in `sort_key` order."""
     atoms = [Eq(a, b) for a in vs for b in vs] + [
-        Atom(rel, args) for rel in theory.relations
+        Atom(rel, args) for rel in pc.rel_names
         for args in itertools.product(vs, repeat=2)]
-    lits = {theory.normalize_literal(negated, atom)
-            for atom in atoms for negated in (False, True)}
+    lits = {pc.literal(negated, atom) for atom in atoms for negated in (False, True)}
     return sorted((l for l in lits if isinstance(l, (Atom, Eq, Not))), key=sort_key)
 
 
@@ -299,17 +207,19 @@ _CLASH_CACHE: dict[tuple[str, Formula], frozenset] = {}
 
 
 def _clash(theory: Theory, l: Formula) -> frozenset:
-    """Every normalised literal that contradicts `l`: its complement, or a
-    literal m over `l`'s two variables such that the elimination rule turns
-    the existential over the later variable of `l` and m into false.  Other
-    literals share at most one variable with `l`, and pair diagrams that
-    share one amalgamate, so none contradicts `l`."""
+    """Every normalised literal that contradicts `l`: its complement, and
+    the literals m over `l`'s two variables whose code mask is disjoint from
+    `l`'s, so that no pair code meets both.  Other literals share at most
+    one variable with `l`, and pair diagrams that share one amalgamate, so
+    none contradicts `l`."""
     key = (theory.id, l)
     if key not in _CLASH_CACHE:
+        pc = pair_codes(theory)
         vs = sorted(free_vars(l))
+        index = {vs[0]: 0, vs[1]: 1}
+        mask = pc.mask(l, index)
         _CLASH_CACHE[key] = frozenset([neg(l)] + [
-            m for m in _literals(theory, vs)
-            if isinstance(_eliminate(theory, vs[-1], [l, m]), Bot)])
+            m for m in _literals(pc, vs) if not mask & pc.mask(m, index)])
     return _CLASH_CACHE[key]
 
 
@@ -324,10 +234,11 @@ class _Elimination:
     (exists v A) | (exists v B), and exists v (A & B) is A & exists v B
     when v is not free in A."""
 
-    __slots__ = ("theory", "_nnfs", "_dnfs")
+    __slots__ = ("theory", "pc", "_nnfs", "_dnfs")
 
     def __init__(self, theory: Theory):
         self.theory = theory
+        self.pc = pair_codes(theory)
         self._nnfs: dict[tuple[Formula, bool], Formula] = {}
         self._dnfs: dict[Formula, list[frozenset]] = {}
 
@@ -349,7 +260,7 @@ class _Elimination:
         if isinstance(f, Atom):
             theory.check_relation(f)
         if isinstance(f, (Atom, Eq)):
-            return theory.normalize_literal(negated, f)
+            return self.pc.literal(negated, f)
         if isinstance(f, Not):
             return self.nnf(f.sub, not negated)
         if isinstance(f, And):
@@ -735,6 +646,17 @@ class PairCodes:
     in a 3-variable diagram.  Where two of h, i, j are equal the row is
     fixed (c is b when h = i, the converse of a when h = j, and equality
     when i = j needs a = b); three distinct elements are the age's.
+
+    QE's rules are read off the same codes.  `forms[mask]` is the normal
+    form on (x0, x1) of the codes in `mask`: true for all codes, false for
+    none, else the disjunction of the fewest positive atoms whose masks
+    partition it, else one negated atom; of atoms with one mask the
+    `sort_key`-least stands for all.  A literal is the form of its mask
+    (`literal`).  `eliminate` decides a one-point extension pair by pair,
+    by the triple table, which is exact only when codes to the partners
+    that fit two at a time fit all at once: it holds for these four
+    theories (an order's lower bounds below its upper bounds, the graph's
+    and the equivalence's demands conflicting two at a time).
     """
 
     def __init__(self, theory: Theory):
@@ -763,9 +685,21 @@ class PairCodes:
         # to x0, and its diagonal
         on = [sum(1 << c for c, f in enumerate(flags) if f[i]) for i in range(width)]
         self._rel_masks = {r: (on[2 * x], on[2 * x + 1], diagonal[x]) for x, r in enumerate(names)}
-        x0, x1 = VarRef(0, 0), VarRef(0, 1)
-        lits = _literals(theory, (x0, x1))
-        masks = {lit: self.mask(lit, {x0: 0, x1: 1}) for lit in lits}
+        pair = {_X0: 0, _X1: 1}
+        atoms: dict[int, Formula] = {}   # per mask, its sort_key-least atom
+        for atom in sorted([Eq(_X0, _X1)] + [Atom(r, args) for r in names
+                                             for args in ((_X0, _X1), (_X1, _X0))], key=sort_key):
+            atoms.setdefault(self.mask(atom, pair), atom)
+        self.forms = forms = {0: FALSE, self.full: TRUE}
+        for size in range(1, len(atoms) + 1):
+            for part in itertools.combinations(atoms.items(), size):
+                union = functools.reduce(or_, (m for m, _ in part))
+                if union.bit_count() == sum(m.bit_count() for m, _ in part):
+                    forms.setdefault(union, disj(a for _, a in part))
+        for m, atom in atoms.items():
+            forms.setdefault(self.full ^ m, Not(atom))
+        lits = _literals(self, (_X0, _X1))
+        masks = {lit: self.mask(lit, pair) for lit in lits}
         codes = range(len(flags))
         # the first of the shortest literal lists whose masks meet in the code
         self.pins = tuple(next(list(ls) for size in range(len(lits) + 1)
@@ -789,6 +723,57 @@ class PairCodes:
         self._one_point_cached = 0
         self._literal_tables: dict[tuple[int, int], tuple] = {}
 
+    @functools.cache
+    def _form(self, mask: int, a: VarRef, b: VarRef) -> Formula:
+        """The form of the code mask `mask` on the pair (a, b), a read as
+        x0; memoised per mask and pair."""
+        return substitute_vars(self.forms[mask], {_X0: a, _X1: b})
+
+    def _toward(self, atom: Formula, v: VarRef) -> tuple[VarRef, int]:
+        """For an atom on v and one other variable w: w, and the mask of the
+        codes on (v, w), v read as x0, on which the atom holds."""
+        if isinstance(atom, Eq):
+            return atom.rhs if atom.lhs == v else atom.lhs, 1 << self.eq
+        (a, b), (fwd, bwd, _) = atom.args, self._rel_masks[atom.rel]
+        return (b, fwd) if a == v else (a, bwd)
+
+    def literal(self, negated: bool, atom: Formula) -> Formula:
+        """The normal form of the atom `atom`, negated if asked: the form of
+        its code mask on its two variables in order, or true or false when
+        they are one variable."""
+        vs = sorted(atom.free_vars)
+        if len(vs) == 1:
+            holds = isinstance(atom, Eq) or self._rel_masks[atom.rel][2]
+            return FALSE if holds == negated else TRUE
+        w, mask = self._toward(atom, vs[0])
+        return self._form(mask ^ self.full if negated else mask, vs[0], w)
+
+    def eliminate(self, v: VarRef, lits: list[Formula]) -> Formula:
+        """The existential over `v` of the conjunction of `lits`, normalised
+        literals that all name v and none of them a positive equality.  Per
+        partner w, the literals on (v, w) allow the codes of a mask, v read
+        as x0; an empty mask is false.  Otherwise, per partners w < w', the
+        codes that the triple table lets close on (w, w') for some allowed
+        codes on (v, w) and (v, w') are what the existential leaves there."""
+        full, masks = self.full, {}
+        for lit in lits:
+            negated = isinstance(lit, Not)
+            w, mask = self._toward(lit.sub if negated else lit, v)
+            masks[w] = masks.get(w, full) & (mask ^ full if negated else mask)
+        if not all(masks.values()):
+            return FALSE
+        ws = sorted(masks)
+        parts = []
+        for j, w2 in enumerate(ws):
+            for w in ws[:j]:
+                allowed = 0
+                for x in self._bits[masks[w]]:
+                    row = self.triples[x]
+                    for y in self._bits[masks[w2]]:
+                        allowed |= row[y]
+                parts.append(self._form(allowed, w, w2))
+        return conj(parts)
+
     def literal_table(self, k: int, n: int) -> tuple:
         """The literals that pin each pair of the k-by-n grid: entry
         [pair_index(i, j)][code] lists (rank, literal, text) for the pair
@@ -799,9 +784,8 @@ class PairCodes:
         hit = self._literal_tables.get((k, n))
         if hit is not None:
             return hit
-        x0, x1 = VarRef(0, 0), VarRef(0, 1)
         vs = [VarRef(t, p) for t in range(k) for p in range(n)]
-        rows = [[[substitute_vars(lit, {x0: a, x1: b}) for lit in pins] for pins in self.pins]
+        rows = [[[substitute_vars(lit, {_X0: a, _X1: b}) for lit in pins] for pins in self.pins]
                 for j, b in enumerate(vs) for a in vs[:j]]
         order = sorted({lit for row in rows for lits in row for lit in lits}, key=sort_key)
         rank = {lit: r for r, lit in enumerate(order)}

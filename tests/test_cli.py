@@ -270,6 +270,19 @@ def test_witness_scan_cap_fields(capsys, monkeypatch):
     assert (rep["cap"], rep["limit"], rep["observed"]) == ("witness-scan", 0, 0)
 
 
+def test_model_size_cap_refuses_a_huge_dump_up_front():
+    # the cap is checked before the carrier is built, so the refusal is quick
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tgw", "model", "dump", "--theory", "dlo",
+                           "--size", "100000000"],
+                          env=fresh_env(), capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 3, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["kind"] == "resource-cap"
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("model-size", 1000, 100000000)
+
+
 def test_true_slot_scan_cap_fields(capsys, monkeypatch):
     monkeypatch.setattr(categorical, "TRUE_SLOT_SCAN_CAP", 0)
     code, rep = capture(capsys, ["universality", "--theory", "dlo"])

@@ -264,8 +264,8 @@ def sentences(draw, theory, max_quantifiers=3):
     own variable.  Half are prenex, Q x0 .. Q x_{n-2} [!] exists x_{n-1} over
     a cube of two or three literals that pair the innermost variable with
     another through the theory's relation: the one-point extension problems
-    that `eliminate_one` decides.  Those are drawn from one seeded `Random`,
-    so that they vary more than Hypothesis's own draws would."""
+    that `PairCodes.eliminate` decides.  Those are drawn from one seeded
+    `Random`, so that they vary more than Hypothesis's own draws would."""
     rels = ["eq", *relations(theory)]
 
     def literal(pick, pairs, names):
@@ -434,34 +434,41 @@ FREE = (x(0), x(1))
 @st.composite
 def open_formulas(draw, theory):
     """Formulas over the free variables FREE with at most three nested
-    quantifiers.  A quantifier binds a fresh y-variable or one of FREE,
-    which it then shadows; atoms use the variables in scope."""
+    quantifiers.  A quantifier binds a fresh y-variable, or one of FREE,
+    which it then shadows, while another of FREE stays free.  Every atom
+    names a variable of FREE that is still free, so every quantifier body
+    names one, and relates it to another variable in scope: most formulas
+    then still depend on FREE after QE."""
     rels = ["eq", *relations(theory)]
 
-    def build(scope, depth, quantifiers):
+    def build(scope, free, depth, quantifiers):
         ops = ["atom"] * 3
         if depth < 4:
             ops += ["not", "and", "or", "implies"]
         if quantifiers < 3:
             ops += ["quantifier"] * 3
         op = draw(st.sampled_from(ops))
-        if op == "atom":
-            a, b = draw(st.sampled_from(list(itertools.product(scope, repeat=2))))
+        if op == "atom":  # a free variable and another in scope, either way round
+            a = draw(st.sampled_from(free))
+            b = draw(st.sampled_from([w for w in scope if w != a]))
+            if draw(st.booleans()):
+                a, b = b, a
             rel = draw(st.sampled_from(rels))
             return Eq(a, b) if rel == "eq" else Atom(rel, (a, b))
         if op == "not":
-            return Not(build(scope, depth + 1, quantifiers))
+            return Not(build(scope, free, depth + 1, quantifiers))
         if op == "quantifier":
-            v = draw(st.sampled_from([VarRef(1, quantifiers), *FREE]))
+            v = draw(st.sampled_from([VarRef(1, quantifiers), *(w for w in free if len(free) > 1)]))
             node = draw(st.sampled_from([Exists, Forall]))
-            return node(v, build(sorted({*scope, v}), depth + 1, quantifiers + 1))
-        lhs = build(scope, depth + 1, quantifiers)
-        rhs = build(scope, depth + 1, quantifiers)
+            return node(v, build(sorted({*scope, v}), [w for w in free if w != v],
+                                 depth + 1, quantifiers + 1))
+        lhs = build(scope, free, depth + 1, quantifiers)
+        rhs = build(scope, free, depth + 1, quantifiers)
         if op == "implies":
             return Implies(lhs, rhs)
         return And((lhs, rhs)) if op == "and" else Or((lhs, rhs))
 
-    return build(list(FREE), 0, 0)
+    return build(list(FREE), list(FREE), 0, 0)
 
 
 @pytest.mark.parametrize("theory", ["pureset", "dlo", "randomgraph", "equivinf"])

@@ -1,7 +1,11 @@
 import inspect
 import itertools
 import random
+import shutil
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from tgw import theories
 from tgw.errors import (InternalConsistencyError, PreconditionError, ResourceCapError,
                         SignatureError)
 from tgw.formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
-                         Implies, Not, Or, Top, VarRef, conj, disj, exists,
+                         Formula, Implies, Not, Or, Top, VarRef, conj, disj, exists,
                          forall, free_vars, identify_vars, neg, parse_formula,
                          render_formula, sort_key, substitute_vars)
 from tgw.models import tuple_type
@@ -22,6 +26,7 @@ from tgw.theories import (PairCodes, Theory, _clash, _drop_dummies, _eliminate,
                           enumerate_types, get_theory, pair_codes, pair_index,
                           restriction_map)
 
+from test_cli import fresh_env
 from test_formula import render_tree
 
 
@@ -198,22 +203,214 @@ def literal_conflict(theory_id, a, b):
     return False
 
 
-def test_theories_define_only_the_three_hooks():
-    # a theory is its age on at most three elements, its literal normal form
-    # and its elimination rule; every other fact about finite diagrams is
-    # derived from those
+# -- the hand-written QE rules (oracles) ---------------------------------------
+# Each theory once defined its literal normal form, its single-existential
+# rule and the demands that rule reads by hand, beside its age.  They are
+# kept here unchanged as the exact oracle of the rules `PairCodes` derives
+# from the pair codes and the triple table.
+
+class HandRules:
+    id: str = ""
+
+    # every model is infinite, so two distinct elements always exist
+    def normalize_literal(self, negated: bool, atom: Formula) -> Formula:
+        if isinstance(atom, Eq):
+            if atom.lhs == atom.rhs:
+                return FALSE if negated else TRUE
+            lit = Eq(*sorted((atom.lhs, atom.rhs)))
+            return Not(lit) if negated else lit
+        raise SignatureError(f"{self.id} has no relation {atom.rel!r}")
+
+    def eliminate_one(self, v: VarRef, lits: list[Formula]) -> Formula:
+        """A quantifier-free formula equivalent to the existential over `v`
+        of the conjunction of `lits`, normalised literals that all name v.
+        None of them is a positive equality: `_eliminate` substitutes those
+        away before it calls this hook, so only inequations may remain."""
+        raise NotImplementedError
+
+    def _demands(self, v: VarRef, lits: list[Formula]):
+        """Positive and negative relation partners of v; negated equalities
+        place no constraint on a fresh witness and are dropped."""
+        pos, negs = [], []
+        for lit in lits:
+            negated = isinstance(lit, Not)
+            atom = lit.sub if negated else lit
+            if isinstance(atom, Eq):
+                continue
+            w = atom.args[1] if atom.args[0] == v else atom.args[0]
+            (negs if negated else pos).append(w)
+        return pos, negs
+
+
+class HandPureSet(HandRules):
+    id = "pureset"
+
+    def eliminate_one(self, v, lits):
+        return TRUE  # only inequations remain; the model is infinite
+
+
+class HandDenseLinearOrder(HandRules):
+    id = "dlo"
+
+    def normalize_literal(self, negated, atom):
+        if isinstance(atom, Eq):
+            if atom.lhs == atom.rhs:
+                return FALSE if negated else TRUE
+            a, b = sorted((atom.lhs, atom.rhs))
+            if negated:  # a != b  <=>  a < b or b < a
+                return disj([Atom("lt", (a, b)), Atom("lt", (b, a))])
+            return Eq(a, b)
+        a, b = atom.args
+        if a == b:
+            return TRUE if negated else FALSE
+        if negated:  # not a < b  <=>  b < a or a = b
+            return disj([Atom("lt", (b, a)), Eq(*sorted((a, b)))])
+        return atom
+
+    def eliminate_one(self, v, lits):
+        lowers = [l.args[0] for l in lits if isinstance(l, Atom) and l.args[1] == v]
+        uppers = [l.args[1] for l in lits if isinstance(l, Atom) and l.args[0] == v]
+        # density and lack of endpoints: a witness exists iff every lower
+        # bound sits below every upper bound
+        return conj(self.normalize_literal(False, Atom("lt", (a, b)))
+                    for a in lowers for b in uppers)
+
+
+class HandRandomGraph(HandRules):
+    id = "randomgraph"
+
+    def normalize_literal(self, negated, atom):
+        if isinstance(atom, Eq):
+            return super().normalize_literal(negated, atom)
+        a, b = atom.args
+        if a == b:
+            return TRUE if negated else FALSE  # adjacency is irreflexive
+        lit = Atom("adj", tuple(sorted((a, b))))
+        return Not(lit) if negated else lit
+
+    def eliminate_one(self, v, lits):
+        pos, negs = self._demands(v, lits)
+        # extension axiom: a fresh witness adjacent to all of pos and none of
+        # negs exists iff the two demand sets name distinct elements
+        return conj(self.normalize_literal(True, Eq(a, b))
+                    for a in pos for b in negs)
+
+
+class HandEquivInf(HandRules):
+    id = "equivinf"
+
+    def normalize_literal(self, negated, atom):
+        if isinstance(atom, Eq):
+            return super().normalize_literal(negated, atom)
+        a, b = atom.args
+        if a == b:
+            return FALSE if negated else TRUE  # reflexive
+        lit = Atom("equiv", tuple(sorted((a, b))))
+        return Not(lit) if negated else lit
+
+    def eliminate_one(self, v, lits):
+        pos, negs = self._demands(v, lits)
+        parts = [self.normalize_literal(False, Atom("equiv", (a, b)))
+                 for a, b in itertools.combinations(pos, 2)]
+        parts += [self.normalize_literal(True, Atom("equiv", (a, b)))
+                  for a in pos for b in negs]
+        # classes are infinite and there are infinitely many of them, so the
+        # pairwise conditions are all that is required
+        return conj(parts)
+
+
+HAND_RULES = {rules.id: rules for rules in
+              (HandPureSet(), HandDenseLinearOrder(), HandRandomGraph(), HandEquivInf())}
+
+
+def hand_eliminate(rules, v, lits):
+    """`_eliminate` on the hand rules: a positive equality v = w puts w for
+    v in the other literals, and `eliminate_one` decides the rest."""
+    eq = next((lit for lit in lits if isinstance(lit, Eq)), None)
+    if eq is None:
+        return rules.eliminate_one(v, lits)
+    w = eq.rhs if eq.lhs == v else eq.lhs
+    out = []
+    for lit in lits:
+        if lit is not eq:
+            negated = isinstance(lit, Not)
+            atom = lit.sub if negated else lit
+            out.append(rules.normalize_literal(negated, identify_vars(atom, {v: w})))
+    return conj(out)
+
+
+def hand_clash(rules, l):
+    """`_clash` on the hand rules: the complement of `l`, and the literals m
+    over its two variables such that eliminating the later variable from
+    `l` and m gives false."""
+    vs = sorted(free_vars(l))
+    lits = normalized_literals(get_theory(rules.id), vs, rules.normalize_literal)
+    return frozenset([neg(l)] + [m for m in lits
+                                 if isinstance(hand_eliminate(rules, vs[-1], [l, m]), Bot)])
+
+
+def use_hand_rules(mp):
+    """Make QE run on the hand rules under the monkeypatch `mp`, with empty
+    QE and clash caches."""
+    mp.setattr(PairCodes, "literal",
+               lambda pc, negated, atom: HAND_RULES[pc.theory_id].normalize_literal(negated, atom))
+    mp.setattr(PairCodes, "eliminate",
+               lambda pc, v, lits: HAND_RULES[pc.theory_id].eliminate_one(v, lits))
+    mp.setattr(theories, "_QE_CACHE", {})
+    mp.setattr(theories, "_CLASH_CACHE", {})
+
+
+def subsets(items):
+    return [ls for size in range(len(items) + 1) for ls in itertools.combinations(items, size)]
+
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_derived_rules_are_the_hand_rules(theory_id):
+    # every literal over at most three variables, the clash set of each
+    # normalised one, and every cube on three partners of v with v at each
+    # of four positions: the rules read off the codes give the very formulas
+    # of the hand rules
+    theory, rules, pc = get_theory(theory_id), HAND_RULES[theory_id], pair_codes(theory_id)
+    vs = [VarRef(0, i) for i in range(3)]
+    atoms = [Eq(a, b) for a in vs for b in vs]
+    atoms += [Atom(rel, (a, b)) for rel in theory.relations for a in vs for b in vs]
+    for atom in atoms:
+        for negated in (False, True):
+            assert pc.literal(negated, atom) is rules.normalize_literal(negated, atom), \
+                (negated, atom)
+    lits = normalized_literals(theory, vs, rules.normalize_literal)
+    assert lits == normalized_literals(theory, vs)
+    for l in lits:
+        assert _clash(theory, l) == hand_clash(rules, l), l
+    grid = [VarRef(0, i) for i in range(4)]
+    cubes = 0
+    for p, v in enumerate(grid):
+        options = [subsets(normalized_literals(theory, [w, v], rules.normalize_literal))
+                   for w in grid if w != v]
+        for choice in itertools.product(*options):
+            cube = sorted((l for ls in choice for l in ls), key=sort_key)
+            assert _eliminate(theory, v, cube) is hand_eliminate(rules, v, cube), \
+                (render_formula(conj(cube)), v)
+            cubes += 1
+    assert cubes == 4 * {"pureset": 4, "dlo": 8, "randomgraph": 16, "equivinf": 16}[theory_id] ** 3
+
+
+def test_theories_define_only_the_one_hook():
+    # a theory is its age on at most three elements; every other fact about
+    # finite diagrams, QE's rules included, is derived from it
     subclasses = [cls for _, cls in inspect.getmembers(theories, inspect.isclass)
                   if issubclass(cls, Theory) and cls is not Theory]
     assert len(subclasses) == 4
     for cls in subclasses:
         methods = {name for name, value in vars(cls).items()
                    if inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property))}
-        assert methods <= {"in_age", "normalize_literal", "eliminate_one"}, (cls.__name__, methods)
+        assert methods == {"in_age"}, (cls.__name__, methods)
 
 
 # -- pair facts: the age against QE ---------------------------------------------
 # `PairCodes` reads the pair diagrams and the triple table off
-# `Theory.in_age`; QE derives them from the other two hooks alone.
+# `Theory.in_age`, and QE's rules off those; QE on the hand rules derives
+# them without the age.
 
 X0, X1, X2 = (VarRef(0, i) for i in range(3))
 
@@ -229,10 +426,17 @@ def occurs(theory, vs, values):
 
 
 def qe_pair_facts(theory):
-    """The pair facts as QE derives them: the relation values that occur on
-    one element and on two distinct ones, in pool order, their converses and
-    pinning literals, and per codes a, b on (x0, x1) and (x0, x2) the codes
-    on (x1, x2) that QE of the existential over x0 leaves."""
+    """The pair facts as QE on the hand rules derives them: the relation
+    values that occur on one element and on two distinct ones, in pool
+    order, their converses and pinning literals, and per codes a, b on
+    (x0, x1) and (x0, x2) the codes on (x1, x2) that QE of the existential
+    over x0 leaves."""
+    with pytest.MonkeyPatch.context() as mp:
+        use_hand_rules(mp)
+        return _qe_pair_facts(theory)
+
+
+def _qe_pair_facts(theory):
     names = theory.relations
     bits = (False, True)
     diagonals = [d for d in itertools.product(bits, repeat=len(names))
@@ -898,12 +1102,14 @@ def test_eliminate_matches_the_pool_on_every_cube(theory_id):
 CLASH_THEORIES = [get_theory(t) for t in ("pureset", "dlo", "randomgraph", "equivinf")]
 
 
-def normalized_literals(theory, vs):
+def normalized_literals(theory, vs, normalize=None):
+    """The literals over `vs` in normal form, by `PairCodes.literal` unless
+    another `normalize` is given, in `sort_key` order."""
+    normalize = normalize or pair_codes(theory).literal
     atoms = [Eq(a, b) for a in vs for b in vs]
     atoms += [Atom(rel, (a, b)) for rel in theory.relations
               for a in vs for b in vs]
-    lits = {theory.normalize_literal(negated, atom)
-            for atom in atoms for negated in (False, True)}
+    lits = {normalize(negated, atom) for atom in atoms for negated in (False, True)}
     return sorted((l for l in lits if isinstance(l, (Atom, Eq, Not))), key=sort_key)
 
 
@@ -985,7 +1191,7 @@ def nnf_tree(theory, f, negated):
     if isinstance(f, Atom):
         theory.check_relation(f)
     if isinstance(f, (Atom, Eq)):
-        return theory.normalize_literal(negated, f)
+        return pair_codes(theory).literal(negated, f)
     if isinstance(f, Not):
         return nnf_tree(theory, f.sub, not negated)
     if isinstance(f, And):
@@ -1183,3 +1389,53 @@ def test_canonical_form_is_idempotent_and_agrees_with_qe(theory):
         g = eliminate_quantifiers(f, theory)
         assert all(satisfies_qf(d, c) == satisfies_qf(d, g) for d in pool), render_formula(f)
     check()
+
+
+# -- standing mutants of the age and the derived QE rules -----------------------
+# Each one-line mutant of `theories.py` must fail a test other than a pinned
+# report: (the line, its mutant, the tests that kill it).
+
+STANDING_MUTANTS = {
+    "dlo-intransitive": (
+        '                and _transitive(holds, "lt", k))',
+        '                and True)',
+        ["test_pair_codes_from_the_age_match_qe[dlo]"]),
+    "equivinf-asymmetric": (
+        '                and all(holds("equiv", a, b) == holds("equiv", b, a)',
+        '                and all(True or holds("equiv", a, b) == holds("equiv", b, a)',
+        ["test_pair_codes_from_the_age_match_qe[equivinf]"]),
+    "eliminate-last-pair-only": (
+        '                        allowed |= row[y]',
+        '                        allowed = row[y]',
+        ["test_derived_rules_are_the_hand_rules[equivinf]",
+         "test_eliminate_matches_the_pool_on_every_cube[equivinf]"]),
+    "form-prefers-negated-atom": (
+        '            forms.setdefault(self.full ^ m, Not(atom))',
+        '            forms[self.full ^ m] = Not(atom)',
+        ["test_derived_rules_are_the_hand_rules[dlo]"]),
+    "clash-keeps-meeting-masks": (
+        '            m for m in _literals(pc, vs) if not mask & pc.mask(m, index)])',
+        '            m for m in _literals(pc, vs) if mask & pc.mask(m, index)])',
+        ["test_clash_index_matches_pairwise_oracle"]),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", STANDING_MUTANTS)
+def test_standing_mutant_is_killed(name, tmp_path):
+    line, mutant, killers = STANDING_MUTANTS[name]
+    src = Path(theories.__file__).resolve().parents[1]
+    shutil.copytree(src / "tgw", tmp_path / "tgw", ignore=shutil.ignore_patterns("__pycache__"))
+    target = tmp_path / "tgw" / "theories.py"
+    text = target.read_text()
+    assert text.count(line + "\n") == 1, line
+    target.write_text(text.replace(line + "\n", mutant + "\n"))
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(f"{tests / 'test_theories.py'}::{killer}" for killer in killers)],
+        cwd=tests.parent, env={**fresh_env(), "PYTHONPATH": str(tmp_path)},
+        capture_output=True, text=True, timeout=60)
+    summary = proc.stdout.splitlines()[-1] if proc.stdout else proc.stderr
+    assert proc.returncode == 1 and " failed" in summary and "error" not in summary, \
+        proc.stdout[-2000:] + proc.stderr[-2000:]
