@@ -127,14 +127,12 @@ def universality_check(seq: RichSequence, k: int, m0: int, M: ModelHandle,
     slots = true_slots(seq, m0, k)
     level = slots[-1] + 1
     transcripts = []
+    M.element(7)   # commits elements 0..7: randomgraph scans reach only committed ones
     for s in range(samples):
-        a = build_dtuple(M, seq, level,
-                         cover=[M.element(i) for i in range(8)],
-                         prefer=[M.element(s)])
+        a = build_dtuple(M, seq, level, prefer=[M.element(s)])
         target = [M.element((s + j) % (samples + k)) for j in range(k)]
         pins = dict(zip(slots, target))
-        b = build_dtuple(M, seq, level, base=a.elements[:m0], pins=pins,
-                         cover=[M.element(i) for i in range(8)])
+        b = build_dtuple(M, seq, level, base=a.elements[:m0], pins=pins)
         ok = (b.ok and b.elements[:m0] == a.elements[:m0]
               and all(b.elements[i] == pins[i] for i in pins))
         if not ok:

@@ -20,6 +20,7 @@ the body on one realisation per diagram decides the quantifier.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable
 
@@ -166,21 +167,11 @@ class EquivInfModel(ModelHandle):
 
     theory = get_theory("equivinf")
 
-    def __init__(self):
-        super().__init__()
-        self._class: dict[int, int] = {}   # element -> its class, decoded once
-
     def element(self, i):
         return i
 
-    def class_of(self, e):
-        c = self._class.get(e)
-        if c is None:
-            c = self._class[e] = cantor_unpair(e)[0]
-        return c
-
     def atomic(self, rel, a, b):
-        return self.class_of(a) == self.class_of(b)
+        return _class_of(a) == _class_of(b)
 
     def witness_candidates(self, params):
         out = sorted(set(params))
@@ -191,6 +182,12 @@ class EquivInfModel(ModelHandle):
         fresh_class = max((c for c, _ in decoded), default=-1) + 1
         out.append(cantor_pair(fresh_class, 0))
         return out
+
+
+@functools.cache
+def _class_of(e: int) -> int:
+    """The class tag of the equivinf element `e`, decoded once."""
+    return cantor_unpair(e)[0]
 
 
 class RandomGraphModel(ModelHandle):
@@ -253,7 +250,6 @@ def make_model(theory) -> ModelHandle:
 
 # -- evaluation ---------------------------------------------------------------
 
-_COMPILED: dict[tuple[Formula, Theory], Callable] = {}
 _UNASSIGNED = object()
 
 
@@ -283,6 +279,7 @@ def evaluate(f: Formula, M: ModelHandle, assignment: dict) -> bool:
     return compile_formula(f, M.theory)(M, assignment)
 
 
+@functools.cache
 def compile_formula(f: Formula, theory: Theory) -> Callable[[ModelHandle, dict], bool]:
     """The closure `test(M, assignment)` that evaluates `f` in models of
     `theory`, compiled on first use and then kept per formula node and
@@ -290,13 +287,6 @@ def compile_formula(f: Formula, theory: Theory) -> Callable[[ModelHandle, dict],
     checked against the theory's relations as it compiles (`SignatureError`
     for one it does not list), so a kept closure calls `ModelHandle.atomic`
     unchecked."""
-    test = _COMPILED.get((f, theory))
-    if test is None:
-        test = _COMPILED[f, theory] = _compile(f, theory)
-    return test
-
-
-def _compile(f: Formula, theory: Theory):
     t = type(f)
     if t is Top:
         return lambda M, asg: True
@@ -421,7 +411,7 @@ class DTuple(Record):
 Y0 = VarRef(1, 0)
 
 
-def build_dtuple(M: ModelHandle, seq, n: int, cover, prefer=(),
+def build_dtuple(M: ModelHandle, seq, n: int, prefer=(),
                  pins: dict | None = None, base=()) -> DTuple:
     """Greedy tuple construction: each position takes `next_entry`, except
     that `pins` forces stated positions and `base` fixes a prefix."""
@@ -435,20 +425,19 @@ def build_dtuple(M: ModelHandle, seq, n: int, cover, prefer=(),
         elif p in pins:
             choice = pins[p]
         else:
-            choice = next_entry(M, phi, asg, elements, cover, prefer)
+            choice = next_entry(M, phi, asg, elements, prefer)
         elements.append(choice)
         asg[VarRef(0, p)] = choice
     checks = certify_dtuple(M, seq, tuple(elements))
     return DTuple(tuple(elements), checks)
 
 
-def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
-               cover, prefer=()):
+def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list, prefer=()):
     """The entry placed after `elements`, which `asg` assigns to x_0, x_1,
     ...: a witness y0 of `phi` when one exists (preferred elements first,
-    then the carrier in index order), and otherwise the next element
-    advancing `cover`.  A scan that stops at `WITNESS_SCAN_CAP` without a
-    witness is refused with a cap error."""
+    then the carrier in index order), and otherwise the least carrier
+    element not in `elements`.  A scan that stops at `WITNESS_SCAN_CAP`
+    without a witness is refused with a cap error."""
     holds = compile_formula(phi, M.theory)
     has = compile_formula(exists(Y0, phi), M.theory) if Y0 in free_vars(phi) else holds
     if has(M, asg):
@@ -464,8 +453,7 @@ def next_entry(M: ModelHandle, phi: Formula, asg: dict, elements: list,
                 observed=len(prefer) + WITNESS_SCAN_CAP)
         raise InternalConsistencyError(
             f"no witness found for slot {len(elements)} within the scan bound")
-    return next(e for e in itertools.chain(cover, map(M.element, itertools.count()))
-                if e not in elements)
+    return next(e for e in map(M.element, itertools.count()) if e not in elements)
 
 
 def _witness_scan(M: ModelHandle, prefer):

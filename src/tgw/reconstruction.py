@@ -38,9 +38,9 @@ def sort_elements(H: SubGroupoid, M: ModelHandle, seq: RichSequence,
         raise PreconditionError("budget must be positive")
     level = H.clopen.level
     tuples = []
+    M.element(budget - 1)   # commits the first `budget` elements before any scan
     for i in range(budget):
-        t = build_dtuple(M, seq, level, cover=[M.element(j) for j in range(budget)],
-                         prefer=[M.element(i)])
+        t = build_dtuple(M, seq, level, prefer=[M.element(i)])
         if not t.ok:
             raise InternalConsistencyError("generated tuple failed its certificate")
         tuples.append(t)

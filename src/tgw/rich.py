@@ -147,14 +147,7 @@ def _supports(w: int):
             yield s, has_y
 
 
-_STREAMS: dict[str, _CanonicalStream] = {}
-
-
-def _stream(theory) -> _CanonicalStream:
-    theory = get_theory(theory)
-    if theory.id not in _STREAMS:
-        _STREAMS[theory.id] = _CanonicalStream(theory)
-    return _STREAMS[theory.id]
+_stream = functools.cache(_CanonicalStream)   # one stream per theory
 
 
 # -- rich sequences -----------------------------------------------------------
@@ -172,6 +165,7 @@ class RichSequence:
 
     def __init__(self, theory):
         self.theory = get_theory(theory)
+        # per-sequence memos: a method cache would keep every sequence alive
         self._slots: dict[int, Formula] = {}
         self._clauses: dict[int, Formula] = {}
         self._conjuncts: dict[int, Formula] = {}
@@ -309,8 +303,8 @@ class _SectionState:
         self.seq = seq
         self._tuple: list = []
         self._asg: dict = {}   # x_i -> entry i
-        self._steps: dict[int, Formula] = {}
-        self._realised: dict[int, dict[CompleteType, int]] = {}
+        self._steps: dict[int, Formula] = {}   # step_formula's memo, beside its recursion guard
+        self._realised: dict[int, dict[CompleteType, int]] = {}   # `plan` reads its keys
         self._b: list[int] = [0]
         self._computing: set[int] = set()
 
@@ -319,15 +313,14 @@ class _SectionState:
         return make_model(self.seq.theory)
 
     def tuple_prefix(self, n: int) -> list:
-        """The first n reference entries.  Each new entry is placed as
+        """The first n reference entries.  Each new entry p is placed as
         `build_dtuple` would place it and its defining clause is certified
-        once; the model first grows by `_cover`, and its witnesses depend
-        on that growth."""
+        once.  Before entry p the model commits its first max(2p + 2, 8)
+        elements, and its witnesses depend on that growth."""
         while len(self._tuple) < n:
             p = len(self._tuple)
-            cover = _cover(self.model, p + 1)
-            entry = next_entry(self.model, self.seq.rich_formula(p), self._asg,
-                               self._tuple, cover)
+            self.model.element(max(2 * p + 2, 8) - 1)
+            entry = next_entry(self.model, self.seq.rich_formula(p), self._asg, self._tuple)
             self._tuple.append(entry)
             self._asg[VarRef(0, p)] = entry
             if not compile_formula(self.seq.defining_clause(p), self.model.theory)(
@@ -429,7 +422,3 @@ class _SectionState:
             tuple(self.seq.schedule_slot(t) for t in range(steps)),
             tuple((n, self.a_bound(n)) for n in sorted(self._realised)),
             tuple(self._b), tuple(self._tuple))
-
-
-def _cover(model, n: int):
-    return [model.element(i) for i in range(max(2 * n, 8))]

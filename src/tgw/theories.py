@@ -77,6 +77,7 @@ from .formula import (FALSE, TRUE, And, Atom, Bot, Eq, Exists, Forall,
 from .record import Record, _set
 
 GRID_CAP = 12
+POOL_CAP = 1_000_000   # diagrams in one pool
 DNF_CUBE_CAP = 200_000
 ONE_POINT_CACHE_CAP = 1 << 18   # one-point extensions held by a PairCodes cache
 _X0, _X1 = VarRef(0, 0), VarRef(0, 1)   # the pair that pair codes and forms are read on
@@ -172,6 +173,7 @@ def get_theory(theory_id) -> Theory:
 
 # -- quantifier elimination --------------------------------------------------
 
+# A dict, not `functools.cache`: bench/traced.py counts its entries.
 _QE_CACHE: dict[tuple[str, Formula], Formula] = {}
 
 
@@ -203,24 +205,19 @@ def _literals(pc: PairCodes, vs) -> list[Formula]:
     return sorted((l for l in lits if isinstance(l, (Atom, Eq, Not))), key=sort_key)
 
 
-_CLASH_CACHE: dict[tuple[str, Formula], frozenset] = {}
-
-
+@functools.cache
 def _clash(theory: Theory, l: Formula) -> frozenset:
     """Every normalised literal that contradicts `l`: its complement, and
     the literals m over `l`'s two variables whose code mask is disjoint from
     `l`'s, so that no pair code meets both.  Other literals share at most
     one variable with `l`, and pair diagrams that share one amalgamate, so
     none contradicts `l`."""
-    key = (theory.id, l)
-    if key not in _CLASH_CACHE:
-        pc = pair_codes(theory)
-        vs = sorted(free_vars(l))
-        index = {vs[0]: 0, vs[1]: 1}
-        mask = pc.mask(l, index)
-        _CLASH_CACHE[key] = frozenset([neg(l)] + [
-            m for m in _literals(pc, vs) if not mask & pc.mask(m, index)])
-    return _CLASH_CACHE[key]
+    pc = pair_codes(theory)
+    vs = sorted(free_vars(l))
+    index = {vs[0]: 0, vs[1]: 1}
+    mask = pc.mask(l, index)
+    return frozenset([neg(l)] + [
+        m for m in _literals(pc, vs) if not mask & pc.mask(m, index)])
 
 
 class _Elimination:
@@ -402,7 +399,8 @@ class CompleteType(Record):
         _set(self, "classes", classes)
         _set(self, "between", between)
 
-    # spelled out: every `LevelTable.index` lookup hashes a diagram
+    # spelled out, not `Record`'s field walk: `_is_pullback`, `_drop_dummies`
+    # and `realisations` hash a diagram per pool member or scanned entry
     def __eq__(self, other):
         if type(other) is not CompleteType:
             return NotImplemented
@@ -529,12 +527,26 @@ def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
     a new class (`PairCodes._one_point`), and each list is sorted once by
     its class tables; partitions come in lexicographic order, so the
     product is in pool order.  Diagrams with equal `between` tuples share
-    one."""
+    one.  The pool has sum_c S(m, c) |D_c| diagrams, S(m, c) the partitions
+    of m variables into c classes and D_c the tuples on c classes; a pool
+    whose sum passes `POOL_CAP` is refused as soon as it does, before any
+    diagram is built."""
     pc = pair_codes(theory)
+    stirling = [1] + [0] * m   # S(j, c) for c <= m, from j = 0 to m
+    for j in range(m):
+        for c in range(j + 1, 0, -1):
+            stirling[c] = c * stirling[c] + stirling[c - 1]
+        stirling[0] = 0
     tuples = [[()]]
+    size = stirling[0]
     for c in range(m):
         tuples.append([b + v for b in tuples[c]
                        for v, joined in pc._one_point(b, c, None) if joined < 0])
+        size += stirling[c + 1] * len(tuples[c + 1])
+        if size > POOL_CAP:
+            raise ResourceCapError(
+                f"pool of at least {size} diagrams on {m} variables exceeds the cap {POOL_CAP}",
+                cap="pool-size", limit=POOL_CAP, observed=size)
     for c, level in enumerate(tuples):
         level.sort(key=lambda b: pc.class_tables(b, c))
     return [CompleteType(theory.id, 1, m, classes, between)
@@ -542,6 +554,7 @@ def _diagrams(theory: Theory, m: int) -> list[CompleteType]:
             for between in tuples[max(classes, default=-1) + 1]]
 
 
+# A dict, not `functools.cache`: bench/traced.py reads its entries.
 _DIAGRAM_CACHE: dict[tuple[str, int], list[CompleteType]] = {}
 
 
@@ -718,10 +731,8 @@ class PairCodes:
                 1 << c for c in codes if c != eq
                 and theory.in_age(_structure(names, diagonal, (flags[a], flags[b], flags[c])), 3))
         self.triples = tuple(tuple(closing(a, b) for b in codes) for a in codes)
-        self._class_tables: dict[tuple[tuple[int, ...], int], tuple] = {}
-        self._one_point_cache: dict = {}
+        self._one_point_cache: dict = {}   # a dict, so ONE_POINT_CACHE_CAP can bound it
         self._one_point_cached = 0
-        self._literal_tables: dict[tuple[int, int], tuple] = {}
 
     @functools.cache
     def _form(self, mask: int, a: VarRef, b: VarRef) -> Formula:
@@ -774,6 +785,7 @@ class PairCodes:
                 parts.append(self._form(allowed, w, w2))
         return conj(parts)
 
+    @functools.cache
     def literal_table(self, k: int, n: int) -> tuple:
         """The literals that pin each pair of the k-by-n grid: entry
         [pair_index(i, j)][code] lists (rank, literal, text) for the pair
@@ -781,18 +793,13 @@ class PairCodes:
         `sort_key` order of every literal in the table and text is its
         rendering.  The literals are `pins[code]` on (v_i, v_j).  Built on
         first use per grid and kept."""
-        hit = self._literal_tables.get((k, n))
-        if hit is not None:
-            return hit
         vs = [VarRef(t, p) for t in range(k) for p in range(n)]
         rows = [[[substitute_vars(lit, {_X0: a, _X1: b}) for lit in pins] for pins in self.pins]
                 for j, b in enumerate(vs) for a in vs[:j]]
         order = sorted({lit for row in rows for lits in row for lit in lits}, key=sort_key)
         rank = {lit: r for r, lit in enumerate(order)}
-        hit = tuple(tuple(tuple((rank[lit], lit, render_formula(lit)) for lit in lits)
-                          for lits in row) for row in rows)
-        self._literal_tables[(k, n)] = hit
-        return hit
+        return tuple(tuple(tuple((rank[lit], lit, render_formula(lit)) for lit in lits)
+                           for lits in row) for row in rows)
 
     def codes_of(self, t: CompleteType) -> tuple[int, ...]:
         between, eq, conv = t.between, self.eq, self.converse
@@ -800,15 +807,12 @@ class PairCodes:
                      else conv[between[pair_index(b, a)]]
                      for j, b in enumerate(t.classes) for a in t.classes[:j])
 
+    @functools.cache
     def class_tables(self, between: tuple[int, ...], c: int) -> tuple:
         """Per relation, the sorted pairs of the c classes with the
         all-distinct code tuple `between` that it holds on: the pool order's
         second key.  Built once per distinct `between` and kept."""
-        key = (between, c)
-        if key not in self._class_tables:
-            self._class_tables[key] = _tables(self.rel_names, self.diagonal,
-                                              [self._flags[code] for code in between], c)
-        return self._class_tables[key]
+        return _tables(self.rel_names, self.diagonal, [self._flags[code] for code in between], c)
 
     def codes_to(self, atomic, reps: list, e) -> tuple[int, ...] | None:
         """The codes of the pairs (r, e), r in `reps`, where each relation
@@ -948,14 +952,13 @@ class PairCodes:
         return hit
 
 
-_PAIR_CODES: dict[str, PairCodes] = {}
+# One PairCodes per theory, so the method caches keep no other instance alive.
+_pair_codes = functools.cache(PairCodes)
 
 
 def pair_codes(theory) -> PairCodes:
-    theory = get_theory(theory)
-    if theory.id not in _PAIR_CODES:
-        _PAIR_CODES[theory.id] = PairCodes(theory)
-    return _PAIR_CODES[theory.id]
+    """The one `PairCodes` of a theory or theory id, built on first use."""
+    return _pair_codes(get_theory(theory))
 
 
 def _pruning(pc: PairCodes, k: int, n: int, qf: Formula):

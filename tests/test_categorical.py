@@ -37,8 +37,7 @@ def test_apply_mstar_pureset_full():
     seq = SEQS["pureset"]
     sched = seq.section.plan(4)
     M = make_model("pureset")
-    a = build_dtuple(M, seq, sched.m[-1] + 1,
-                     cover=[M.element(i) for i in range(12)])
+    a = build_dtuple(M, seq, sched.m[-1] + 1)
     cert = apply_mstar(a, sched, M, seq)
     assert cert.ok
     assert all(ok for _, ok in cert.q_checks)
@@ -50,8 +49,7 @@ def test_apply_mstar_dlo():
     seq = SEQS["dlo"]
     sched = seq.section.plan(3)
     M = make_model("dlo")
-    a = build_dtuple(M, seq, sched.m[-1] + 1,
-                     cover=[M.element(i) for i in range(12)])
+    a = build_dtuple(M, seq, sched.m[-1] + 1)
     cert = apply_mstar(a, sched, M, seq)
     assert cert.ok and len(cert.q_checks) == 3
 
@@ -95,7 +93,7 @@ def test_apply_mstar_level_precondition():
     seq = SEQS["dlo"]
     sched = seq.section.plan(3)
     M = make_model("dlo")
-    short = build_dtuple(M, seq, 3, ())
+    short = build_dtuple(M, seq, 3)
     with pytest.raises(PreconditionError):
         apply_mstar(short, sched, M, seq)
 
@@ -108,8 +106,7 @@ def test_section_property_across_base_points():
     M = make_model("pureset")
     keys = set()
     for s in range(3):
-        a = build_dtuple(M, seq, sched.m[-1] + 1, prefer=[M.element(s)],
-                         cover=[M.element(i) for i in range(10)])
+        a = build_dtuple(M, seq, sched.m[-1] + 1, prefer=[M.element(s)])
         cert = apply_mstar(a, sched, M, seq)
         keys.add(type_key(tuple_type(M, list(cert.output_elements))))
     assert len(keys) == 1
@@ -147,7 +144,7 @@ def test_universality_identity_target():
     seq = SEQS["dlo"]
     M = make_model("dlo")
     slots = true_slots(seq, 1, 1)
-    a = build_dtuple(M, seq, slots[0] + 1, cover=[M.element(i) for i in range(8)])
-    b = build_dtuple(M, seq, slots[0] + 1, (), base=a.elements[:1],
+    a = build_dtuple(M, seq, slots[0] + 1)
+    b = build_dtuple(M, seq, slots[0] + 1, base=a.elements[:1],
                      pins={slots[0]: a.elements[slots[0]]})
     assert b.ok and b.elements[slots[0]] == a.elements[slots[0]]

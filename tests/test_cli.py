@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import importlib
 import io
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import tgw
 from tgw import categorical, cli, groupoid, models, rich, theories
 from tgw.cli import COMMANDS, HANDLERS, config_from_args, first_failure, main, run
-from tgw.formula import TRUE, Exists, Forall, parse_formula
+from tgw.formula import TRUE, parse_formula
 from tgw.groupoid import LevelTable
 
 
@@ -158,6 +159,24 @@ def test_verify_cap_counts_composition_amalgams(capsys, monkeypatch):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("argv,m,observed", [
+    # 8 variables pass the grid cap, but the pool has 337,064,047 diagrams
+    ("types --theory randomgraph --vars 4 --tapes 2", 8, 1_192_047),
+    ("types --theory dlo --vars 9", 9, 1_039_261),   # a pool of 7,087,261
+    ("types --theory pureset --vars 12", 12, 2_079_475),
+    ("types --theory equivinf --vars 9", 9, 1_030_776),
+])
+def test_pool_cap_fields(capsys, argv, m, observed):
+    # refused once the running count passes the cap, before any diagram is built
+    start = time.perf_counter()
+    code, rep = capture(capsys, argv.split())
+    assert time.perf_counter() - start < 5
+    assert code == 3 and rep["kind"] == "resource-cap"
+    assert rep["error"] == (f"pool of at least {observed} diagrams on {m} variables "
+                            "exceeds the cap 1000000")
+    assert (rep["cap"], rep["limit"], rep["observed"]) == ("pool-size", 1_000_000, observed)
+
+
 @pytest.mark.parametrize("theory,points", [("equivinf", 2471), ("dlo", 4683)])
 def test_verify_level_three_refused_on_points(capsys, theory, points):
     # the join cap is checked on the points, before the composition is built
@@ -218,8 +237,9 @@ def test_canonical_rank_cap_fields(capsys, monkeypatch):
 
 
 def test_canonical_weight_cap_fields(capsys, monkeypatch):
-    # below weight 2 the stream holds only false and true
-    monkeypatch.setattr(rich, "_STREAMS", {})
+    # below weight 2 the stream holds only false and true; a fresh stream
+    # cache keeps no stream built under the lowered cap
+    monkeypatch.setattr(rich, "_stream", functools.cache(rich._stream.__wrapped__))
     monkeypatch.setattr(rich, "CANONICAL_WEIGHT_CAP", 1)
     code, rep = capture(capsys, ["universality", "--theory", "dlo", "--m0", "20"])
     assert code == 3 and rep["kind"] == "resource-cap"
@@ -524,16 +544,19 @@ def test_each_handler_reads_every_parameter_it_declares(capsys, monkeypatch, com
 
 def test_commands_evaluate_at_most_one_quantifier(capsys, monkeypatch):
     # rich formulas are quantifier-free, so the model evaluates only
-    # exists y0. phi_k and the clauses forall y0 (phi_k -> phi_k[y0 := x_k])
-    compiled = []
-    compile_one = models._compile
+    # exists y0. phi_k and the clauses forall y0 (phi_k -> phi_k[y0 := x_k]).
+    # The compile cache is emptied, so every quantifier the runs evaluate is
+    # compiled again; other modules import `compile_formula` by name, so the
+    # quantifier step is recorded instead.
+    quantifiers = []
+    compile_quantifier = models._compile_quantifier
 
     def recording(f, theory):
-        compiled.append(f)
-        return compile_one(f, theory)
+        quantifiers.append(f)
+        return compile_quantifier(f, theory)
 
-    monkeypatch.setattr(models, "_COMPILED", {})
-    monkeypatch.setattr(models, "_compile", recording)
+    models.compile_formula.cache_clear()
+    monkeypatch.setattr(models, "_compile_quantifier", recording)
     runs = [[*command.split(), "--theory", theory, *CHEAP[command].split()]
             for command in COMMANDS for theory in theories.THEORIES]
     runs += [[*argv, "--theory", theory] for theory in theories.THEORIES
@@ -541,9 +564,7 @@ def test_commands_evaluate_at_most_one_quantifier(capsys, monkeypatch):
     for argv in runs:
         assert main(argv) in (0, 1), argv
         capsys.readouterr()
-    # every subformula is compiled too, so depth 1 means: some quantifier,
-    # and no quantifier whose body binds a variable
-    quantifiers = [f for f in compiled if isinstance(f, (Exists, Forall))]
+    # depth 1 means: some quantifier, and no quantifier whose body binds a variable
     assert quantifiers and not any(f.body.bound_vars for f in quantifiers)
 
 

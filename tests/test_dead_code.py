@@ -32,6 +32,11 @@ Every attribute a class stores, in its `__slots__` or by `self.x = ...`, is
 read as `.x` somewhere in the package, so no field outlives its last reader
 (`Record`'s generic `getattr` over its fields is no read).
 
+The only module-level tables, names bound to an empty `{}`, `dict()` or
+`set()`, are `_QE_CACHE` and `_DIAGRAM_CACHE`, which `bench/traced.py` reads
+as dicts, and `_NODES`, the hash-consing table.  A memo of a pure function
+is its `functools.cache`, not a table with lookup code of its own.
+
 No function is a forwarding wrapper: its body, after its docstring, is not
 only `return g(...)` of its own parameters in order, so no name is an alias
 of another.  The `LAYERS` names are exempt, as above."""
@@ -173,6 +178,33 @@ def unread_globals() -> list[str]:
 
 def test_every_module_level_name_is_read():
     assert unread_globals() == []
+
+
+KEPT_TABLES = ["formula._NODES", "theories._DIAGRAM_CACHE", "theories._QE_CACHE"]
+
+
+def module_tables() -> list[str]:
+    """module.name of every module-level name bound to an empty `{}`,
+    `dict()` or `set()`."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign):
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            empty = (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "set")
+                and not value.args and not value.keywords)
+            if empty:
+                out += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    return sorted(out)
+
+
+def test_module_level_tables_are_the_kept_three():
+    assert module_tables() == KEPT_TABLES
 
 
 ENTRY = ("cli", "main", "argv")   # the console script calls main()

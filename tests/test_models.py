@@ -128,13 +128,13 @@ def test_tuple_type_examples():
 
 def test_build_dtuple_level_zero():
     M = make_model("dlo")
-    dt = build_dtuple(M, SeqStub("dlo", []), 0, ())
+    dt = build_dtuple(M, SeqStub("dlo", []), 0)
     assert dt.elements == () and dt.ok
 
 
 def test_build_dtuple_pureset_cover_and_witness():
     M = make_model("pureset")
-    dt = build_dtuple(M, SeqStub("pureset", ["!eq(x0,y0)"]), 2, cover=[0, 1])
+    dt = build_dtuple(M, SeqStub("pureset", ["!eq(x0,y0)"]), 2)
     assert dt.elements == (0, 1)
     assert dt.ok
 
@@ -151,8 +151,8 @@ def test_build_dtuple_dlo_least_witness_above():
 def test_build_dtuple_extension_keeps_prefix():
     M = make_model("equivinf")
     seq = SeqStub("equivinf", ["equiv(x0,y0)", "!equiv(x0,y0)"])
-    dt = build_dtuple(M, seq, 2, cover=[0, 1, 2])
-    ext = build_dtuple(M, seq, 5, cover=[0, 1, 2], base=dt.elements)
+    dt = build_dtuple(M, seq, 2)
+    ext = build_dtuple(M, seq, 5, base=dt.elements)
     assert ext.elements[:2] == dt.elements
     assert ext.ok
 
@@ -160,7 +160,7 @@ def test_build_dtuple_extension_keeps_prefix():
 def test_dtuple_certificate_reevaluates():
     M = make_model("dlo")
     seq = SeqStub("dlo", ["lt(x0,y0)", "lt(y0,x0)"])
-    dt = build_dtuple(M, seq, 3, ())
+    dt = build_dtuple(M, seq, 3)
     assert dt.ok
     bad = DTuple((Fraction(0), Fraction(-1)), ())
     from tgw.models import certify_dtuple

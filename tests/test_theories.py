@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -351,13 +352,13 @@ def hand_clash(rules, l):
 
 def use_hand_rules(mp):
     """Make QE run on the hand rules under the monkeypatch `mp`, with empty
-    QE and clash caches."""
+    QE and clash caches, so no entry made on the hand rules outlives it."""
     mp.setattr(PairCodes, "literal",
                lambda pc, negated, atom: HAND_RULES[pc.theory_id].normalize_literal(negated, atom))
     mp.setattr(PairCodes, "eliminate",
                lambda pc, v, lits: HAND_RULES[pc.theory_id].eliminate_one(v, lits))
     mp.setattr(theories, "_QE_CACHE", {})
-    mp.setattr(theories, "_CLASH_CACHE", {})
+    mp.setattr(theories, "_clash", functools.cache(theories._clash.__wrapped__))
 
 
 def subsets(items):
@@ -743,6 +744,19 @@ def test_partitions_are_bell_many_in_lexicographic_order(m, bell):
     parts = theories._partitions(m)
     assert len(parts) == len(set(parts)) == bell
     assert parts == sorted(parts) == list(set_partitions(m))
+
+
+@pytest.mark.parametrize("theory_id", ["pureset", "dlo", "randomgraph", "equivinf"])
+def test_pool_cap_counts_the_whole_pool(theory_id, monkeypatch):
+    # the running count sum_c S(m, c) |D_c| ends at the pool's size, so a
+    # cap one below that size refuses the pool with the size observed
+    th = get_theory(theory_id)
+    sizes = {m: len(diagrams_over(th, m)) for m in range(1, 7)}
+    for m, size in sizes.items():
+        monkeypatch.setattr(theories, "POOL_CAP", size - 1)
+        with pytest.raises(ResourceCapError) as exc:
+            theories._diagrams(th, m)
+        assert (exc.value.cap, exc.value.limit, exc.value.observed) == ("pool-size", size - 1, size)
 
 
 def test_one_point_cache_tells_no_classes_from_one():
@@ -1391,49 +1405,75 @@ def test_canonical_form_is_idempotent_and_agrees_with_qe(theory):
     check()
 
 
-# -- standing mutants of the age and the derived QE rules -----------------------
-# Each one-line mutant of `theories.py` must fail a test other than a pinned
-# report: (the line, its mutant, the tests that kill it).
+# -- standing mutants ---------------------------------------------------------
+# Each one-line mutant of a `src/tgw` file must fail a test other than a
+# pinned report: (the file, the line, its mutant, the tests that kill it).
 
 STANDING_MUTANTS = {
     "dlo-intransitive": (
+        "theories.py",
         '                and _transitive(holds, "lt", k))',
         '                and True)',
-        ["test_pair_codes_from_the_age_match_qe[dlo]"]),
+        ["test_theories.py::test_pair_codes_from_the_age_match_qe[dlo]"]),
     "equivinf-asymmetric": (
+        "theories.py",
         '                and all(holds("equiv", a, b) == holds("equiv", b, a)',
         '                and all(True or holds("equiv", a, b) == holds("equiv", b, a)',
-        ["test_pair_codes_from_the_age_match_qe[equivinf]"]),
+        ["test_theories.py::test_pair_codes_from_the_age_match_qe[equivinf]"]),
     "eliminate-last-pair-only": (
+        "theories.py",
         '                        allowed |= row[y]',
         '                        allowed = row[y]',
-        ["test_derived_rules_are_the_hand_rules[equivinf]",
-         "test_eliminate_matches_the_pool_on_every_cube[equivinf]"]),
+        ["test_theories.py::test_derived_rules_are_the_hand_rules[equivinf]",
+         "test_theories.py::test_eliminate_matches_the_pool_on_every_cube[equivinf]"]),
     "form-prefers-negated-atom": (
+        "theories.py",
         '            forms.setdefault(self.full ^ m, Not(atom))',
         '            forms[self.full ^ m] = Not(atom)',
-        ["test_derived_rules_are_the_hand_rules[dlo]"]),
+        ["test_theories.py::test_derived_rules_are_the_hand_rules[dlo]"]),
     "clash-keeps-meeting-masks": (
-        '            m for m in _literals(pc, vs) if not mask & pc.mask(m, index)])',
-        '            m for m in _literals(pc, vs) if mask & pc.mask(m, index)])',
-        ["test_clash_index_matches_pairwise_oracle"]),
+        "theories.py",
+        '        m for m in _literals(pc, vs) if not mask & pc.mask(m, index)])',
+        '        m for m in _literals(pc, vs) if mask & pc.mask(m, index)])',
+        ["test_theories.py::test_clash_index_matches_pairwise_oracle"]),
+    "miniscope-drops-outside-conjunct": (
+        "theories.py",
+        '                return conj(outside + [self.exists_one(v, inside)])',
+        '                return conj(outside[1:] + [self.exists_one(v, inside)])',
+        ["test_groupoid.py::test_compose_examples"]),
+    "miniscope-drops-disjunct": (
+        "theories.py",
+        '            return disj(self.exists_one(v, c) for c in qf.children)',
+        '            return disj(self.exists_one(v, c) for c in qf.children[1:])',
+        ["test_models.py::test_qe_decides_miniscoped_sentences_like_the_model[pureset]"]),
+    # `_emit`'s broken-pipe handling, which only a closed stdout reaches
+    "emit-skips-flush": (
+        "cli.py",
+        '        sys.stdout.flush()',
+        '        pass',
+        ["test_cli.py::test_a_closed_stdout_is_no_traceback"]),
+    "emit-keeps-broken-stdout": (
+        "cli.py",
+        '        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())',
+        '        pass',
+        ["test_cli.py::test_a_closed_stdout_is_no_traceback"]),
 }
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", STANDING_MUTANTS)
 def test_standing_mutant_is_killed(name, tmp_path):
-    line, mutant, killers = STANDING_MUTANTS[name]
+    module, line, mutant, killers = STANDING_MUTANTS[name]
     src = Path(theories.__file__).resolve().parents[1]
     shutil.copytree(src / "tgw", tmp_path / "tgw", ignore=shutil.ignore_patterns("__pycache__"))
-    target = tmp_path / "tgw" / "theories.py"
+    target = tmp_path / "tgw" / module
     text = target.read_text()
-    assert text.count(line + "\n") == 1, line
-    target.write_text(text.replace(line + "\n", mutant + "\n"))
+    assert text.count("\n" + line + "\n") == 1, line
+    target.write_text(text.replace("\n" + line + "\n", "\n" + mutant + "\n"))
     tests = Path(__file__).resolve().parent
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(f"{tests / 'test_theories.py'}::{killer}" for killer in killers)],
+         *(str(tests / killer) for killer in killers)],
         cwd=tests.parent, env={**fresh_env(), "PYTHONPATH": str(tmp_path)},
         capture_output=True, text=True, timeout=60)
     summary = proc.stdout.splitlines()[-1] if proc.stdout else proc.stderr
