@@ -15,7 +15,6 @@ is the amalgamation property read at one level: (p q) r == p (q r).
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import (InternalConsistencyError, PreconditionError,
                      ResourceCapError)
@@ -25,7 +24,7 @@ from .record import Record
 from .rich import RichSequence
 from .theories import (CompleteType, check_grid_cap, diagram_codes,
                        eliminate_quantifiers, enumerate_types, grid_index,
-                       pair_codes, restriction_map)
+                       pair_codes)
 
 
 def merge_tape(f: Formula) -> Formula:
@@ -179,10 +178,10 @@ class LevelTable:
     Amalgams are never built as `CompleteType`s: a k-tape type meets the
     per-tape condition iff its first k-1 tapes and its last tape do, so the
     3-tape amalgams are streamed by `diagram_codes` as one-tape extensions
-    of the points, and their restrictions to two tapes are read
-    through fixed pair-position maps (`restriction_map`).  Grids of k*n
-    variables and, for k = 2, the 3n-variable amalgams (the largest grid)
-    are checked against `theories.GRID_CAP` before any enumeration."""
+    of the points.  Every restriction the table reads, of a point or of an
+    amalgam, is read off its code tuple (`PairCodes.restrictor`).  Grids of
+    k*n variables and, for k = 2, the 3n-variable amalgams (the largest
+    grid) are checked against `theories.GRID_CAP` before any enumeration."""
 
     def __init__(self, seq: RichSequence, k: int, n: int):
         check_grid_cap(k * n)
@@ -206,14 +205,9 @@ class LevelTable:
 
     def restriction_index(self, k: int, tapes: tuple[int, ...]):
         """Function from a k-tape code tuple to the id of its restriction to
-        `tapes`.  The dict it reads is keyed by the codes as the restriction
-        map reads them, so converse pairs cost nothing per call."""
-        rmap = restriction_map(k, self.n, tapes)
-        conv = self._pc.converse
-        keyed = {tuple(conv[c] if flip else c for c, (_, flip) in zip(codes, rmap)): i
-                 for i, codes in enumerate(self.codes)}
-        read = _reader([pos for pos, _ in rmap])
-        return lambda codes: keyed[read(codes)]
+        `tapes`, read by `PairCodes.restrictor`."""
+        read, index = self._pc.restrictor(k, self.n, tapes), self._index
+        return lambda codes: index[read(codes)]
 
     @cached_property
     def composition(self) -> frozenset[tuple[int, int, int]]:
@@ -260,20 +254,12 @@ class LevelTable:
     def target_bases(self) -> tuple[int, ...]:
         """Point id -> the base point of its tape-0 type.  A point's source
         base point is the target base point of its inverse."""
-        tape0 = self.n * (self.n - 1) // 2  # the codes of tape 0 lead each tuple
-        by_tape0 = {self.codes[b][:tape0]: b for b in self.base}
+        tape0 = self._pc.restrictor(self.k, self.n, (0,))
+        by_tape0 = {tape0(self.codes[b]): b for b in self.base}
         try:
-            return tuple(by_tape0[codes[:tape0]] for codes in self.codes)
+            return tuple(by_tape0[tape0(codes)] for codes in self.codes)
         except KeyError:
             raise InternalConsistencyError("missing base point for a target") from None
-
-
-def _reader(positions: list[int]):
-    """Function from a code tuple to the tuple of its codes at `positions`."""
-    if len(positions) == 1:
-        pos, = positions
-        return lambda codes: (codes[pos],)
-    return itemgetter(*positions) if positions else (lambda codes: ())
 
 
 # Most point triples (npts**3) the associativity join may range over:
@@ -382,22 +368,14 @@ def theta_reindex(p: CompleteType):
 
 def theta_fiber(tab: LevelTable, base: CompleteType, pairs) -> list[int]:
     """All table points whose restriction to tape 0 is `base` and to tapes
-    (0, j+1) is `pairs[j]`.  The wanted restrictions are turned into the
-    codes each point must hold at fixed pair positions (`restriction_map`),
-    so the scan compares code tuples and builds no restriction."""
+    (0, j+1) is `pairs[j]`.  Each restriction is read off a point's code
+    tuple (`PairCodes.restrictor`) and compared with the wanted one's, so
+    the scan builds no restriction."""
     pc = tab._pc
-    need: dict[int, int] = {}
-    for tapes, g in [((0,), base), *(((0, j + 1), g) for j, g in enumerate(pairs))]:
-        if len(g.classes) != len(tapes) * tab.n:
-            return []
-        rmap = restriction_map(tab.k, tab.n, tapes)
-        for (pos, flip), c in zip(rmap, pc.codes_of(g)):
-            c = pc.converse[c] if flip else c
-            if need.setdefault(pos, c) != c:
-                return []
-    positions = sorted(need)
-    read, want = _reader(positions), tuple(map(need.__getitem__, positions))
-    return [i for i, codes in enumerate(tab.codes) if read(codes) == want]
+    wants = [(pc.restrictor(tab.k, tab.n, tapes), pc.codes_of(g))
+             for tapes, g in [((0,), base), *(((0, j + 1), g) for j, g in enumerate(pairs))]]
+    return [i for i, codes in enumerate(tab.codes)
+            if all(read(codes) == want for read, want in wants)]
 
 
 def project_clopen(U: ClopenSet, m: int) -> ClopenSet:

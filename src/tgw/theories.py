@@ -588,20 +588,6 @@ def grid_index(k: int, n: int) -> dict[VarRef, int]:
     return {VarRef(t, p): t * n + p for t in range(k) for p in range(n)}
 
 
-def restriction_map(k: int, n: int, tapes: tuple[int, ...]) -> tuple[tuple[int, bool], ...]:
-    """How to read the code tuple of `CompleteType.restrict(tapes)` off the
-    code tuple of a k-by-n-grid diagram: for each pair of the sub-grid, in
-    pair order, the position of the source pair and whether the restriction
-    reads it converse (the listed tapes reverse it)."""
-    if any(not 0 <= t < k for t in tapes):
-        raise PreconditionError(f"tapes outside the {k}x{n} grid")
-    if len(set(tapes)) < len(tapes):
-        raise PreconditionError("a restriction map needs distinct tapes")
-    idx = [t * n + p for t in tapes for p in range(n)]
-    return tuple((pair_index(a, b), False) if a < b else (pair_index(b, a), True)
-                 for j, b in enumerate(idx) for a in idx[:j])
-
-
 @functools.cache
 def _class_pairs(c: int) -> tuple:
     """The pairs a < b of c classes in pair order, their converses and the
@@ -807,11 +793,32 @@ class PairCodes:
                      else conv[between[pair_index(b, a)]]
                      for j, b in enumerate(t.classes) for a in t.classes[:j])
 
-    @functools.cache
+    def restrictor(self, k: int, n: int, tapes: tuple[int, ...]):
+        """Function from the code tuple of a k-by-n-grid diagram to the code
+        tuple of its `CompleteType.restrict(tapes)`: for each pair of the
+        sub-grid, in pair order, the code of the source pair, read converse
+        where the listed tapes reverse it.  With no pair reversed it is a
+        bare read of fixed positions."""
+        if any(not 0 <= t < k for t in tapes):
+            raise PreconditionError(f"tapes outside the {k}x{n} grid")
+        if len(set(tapes)) < len(tapes):
+            raise PreconditionError("a restriction map needs distinct tapes")
+        idx = [t * n + p for t in tapes for p in range(n)]
+        reads = [(pair_index(a, b), False) if a < b else (pair_index(b, a), True)
+                 for j, b in enumerate(idx) for a in idx[:j]]
+        if any(flip for _, flip in reads):
+            conv = self.converse
+            return lambda codes: tuple(conv[codes[pos]] if flip else codes[pos]
+                                       for pos, flip in reads)
+        if len(reads) == 1:
+            (pos, _), = reads
+            return lambda codes: (codes[pos],)
+        return itemgetter(*(pos for pos, _ in reads)) if reads else (lambda codes: ())
+
     def class_tables(self, between: tuple[int, ...], c: int) -> tuple:
         """Per relation, the sorted pairs of the c classes with the
         all-distinct code tuple `between` that it holds on: the pool order's
-        second key.  Built once per distinct `between` and kept."""
+        second key, read once per diagram pool build."""
         return _tables(self.rel_names, self.diagonal, [self._flags[code] for code in between], c)
 
     def codes_to(self, atomic, reps: list, e) -> tuple[int, ...] | None:

@@ -39,7 +39,11 @@ is its `functools.cache`, not a table with lookup code of its own.
 
 No function is a forwarding wrapper: its body, after its docstring, is not
 only `return g(...)` of its own parameters in order, so no name is an alias
-of another.  The `LAYERS` names are exempt, as above."""
+of another.  The `LAYERS` names are exempt, as above.
+
+Only `theories.py` knows the pair-code layout: no other module reads the
+attribute `converse` or calls `pair_index`, so every restriction of a code
+tuple goes through `PairCodes.restrictor`."""
 import ast
 from pathlib import Path
 
@@ -359,3 +363,24 @@ def unread_attributes() -> list[str]:
 
 def test_every_stored_attribute_is_read():
     assert unread_attributes() == []
+
+
+def pair_layout_readers() -> list[str]:
+    """module:line of every read of `.converse` and every call of
+    `pair_index` outside `theories.py`."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "theories":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            converse = isinstance(node, ast.Attribute) and node.attr == "converse" \
+                and isinstance(node.ctx, ast.Load)
+            call = isinstance(node, ast.Call) and "pair_index" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if converse or call:
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_only_theories_reads_the_pair_layout():
+    assert pair_layout_readers() == []

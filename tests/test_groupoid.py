@@ -354,7 +354,7 @@ def test_theta_reindex():
 
 
 @pytest.mark.parametrize("theory,k,level", [
-    ("equivinf", 2, 1), ("equivinf", 3, 1), ("dlo", 2, 1), ("dlo", 3, 1),
+    ("equivinf", 2, 1), ("equivinf", 3, 1), ("dlo", 2, 1), ("dlo", 3, 1), ("dlo", 2, 2),
     pytest.param("equivinf", 3, 2, marks=pytest.mark.slow)])
 def test_theta_fiber_matches_restrict_scan(theory, k, level):
     tab = LevelTable(SEQS[theory], k, level)
@@ -370,6 +370,7 @@ def test_theta_fiber_matches_restrict_scan(theory, k, level):
         want = (type_key(base), *(type_key(g) for g in pairs))
         assert theta_fiber(tab, base, pairs) == fibers[want]
     # a base that disagrees with the pairs on tape 0 has an empty fiber
+    # (at level 1 tape 0 has one variable, so there is one base and no check)
     bases = {type_key(q.restrict((0,))): q.restrict((0,)) for q in tab.points}
     base, pairs = theta_reindex(tab.points[-1])
     for key, other in bases.items():

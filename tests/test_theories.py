@@ -24,8 +24,7 @@ from tgw.rich import RichSequence
 from tgw.theories import (PairCodes, Theory, _clash, _drop_dummies, _eliminate,
                           _Elimination, canonical_form, depends_on_all_vars,
                           diagram_codes, diagrams_over, eliminate_quantifiers,
-                          enumerate_types, get_theory, pair_codes, pair_index,
-                          restriction_map)
+                          enumerate_types, get_theory, pair_codes, pair_index)
 
 from test_cli import fresh_env
 from test_formula import render_tree
@@ -806,18 +805,19 @@ def test_diagram_codes_refuses_a_prefix_wider_than_the_grid():
         diagram_codes(th, 1, 2, prefix=prefix)
 
 
-def test_restriction_map_matches_restrict():
+def test_restrictor_matches_restrict():
+    # at level 1 a one-tape restriction has no pair, at level 2 it has one
     for theory in ("dlo", "equivinf"):
         codes = pair_codes(theory)
-        conv = codes.converse
-        for t in enumerate_types(theory, 3, 2, TRUE):
-            full = codes.codes_of(t)
+        for n in (1, 2):
+            types = enumerate_types(theory, 3, n, TRUE)
             for tapes in [(1, 0), (2, 0), (1,), (0, 2), (2, 1, 0)]:
-                rmap = restriction_map(3, 2, tapes)
-                read = tuple(conv[full[p]] if flip else full[p] for p, flip in rmap)
-                assert read == codes.codes_of(t.restrict(tapes))
-    with pytest.raises(PreconditionError):
-        restriction_map(2, 2, (0, 0))
+                read = codes.restrictor(3, n, tapes)
+                for t in types:
+                    assert read(codes.codes_of(t)) == codes.codes_of(t.restrict(tapes))
+    for tapes in [(0, 0), (2,)]:
+        with pytest.raises(PreconditionError):
+            pair_codes("dlo").restrictor(2, 2, tapes)
 
 
 def test_enumerate_deterministic_and_distinct():
@@ -1446,6 +1446,17 @@ STANDING_MUTANTS = {
         '            return disj(self.exists_one(v, c) for c in qf.children)',
         '            return disj(self.exists_one(v, c) for c in qf.children[1:])',
         ["test_models.py::test_qe_decides_miniscoped_sentences_like_the_model[pureset]"]),
+    "restrictor-drops-converse": (
+        "theories.py",
+        '            return lambda codes: tuple(conv[codes[pos]] if flip else codes[pos]',
+        '            return lambda codes: tuple(codes[pos] if flip else codes[pos]',
+        ["test_groupoid.py::test_verify_level_axioms_all_theories",
+         "test_theories.py::test_restrictor_matches_restrict"]),
+    "theta-fiber-ignores-base": (
+        "groupoid.py",
+        '             for tapes, g in [((0,), base), *(((0, j + 1), g) for j, g in enumerate(pairs))]]',
+        '             for tapes, g in [*(((0, j + 1), g) for j, g in enumerate(pairs))]]',
+        ["test_groupoid.py::test_theta_fiber_matches_restrict_scan[dlo-2-2]"]),
     # `_emit`'s broken-pipe handling, which only a closed stdout reaches
     "emit-skips-flush": (
         "cli.py",
